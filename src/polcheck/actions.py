@@ -36,6 +36,8 @@ from .ontology import (
     feasible_in,
     render_state,
     singleton,
+    space_join,
+    space_meet,
     space_refines,
     space_refines_witness,
     state_refines,
@@ -304,26 +306,6 @@ def normalize(comp):
 
     collect(comp)
 
-    def nf(c) -> list:
-        if isinstance(c, EmptyAction):
-            return [()]
-        if isinstance(c, ActionLeaf):
-            return [(c.name,)]
-        left = nf(c.left)
-        right = nf(c.right)
-        if c.guard is not None:
-            if c.guard_side == "left":
-                left = left + [()]
-            else:
-                right = right + [()]
-        if c.op == SEQ:
-            return [l + r for l in left for r in right]
-        if c.op == CHOICE:
-            return left + right
-        return [t for l in left for r in right for t in _shuffle(l, r)]
-
-    sequences = sorted(set(nf(comp)))
-
     def seq_tree(names):
         if not names:
             return EMPTY
@@ -332,7 +314,7 @@ def normalize(comp):
             tree = ActionNode(SEQ, leaves[name], tree)
         return tree
 
-    alternatives = [seq_tree(s) for s in sequences]
+    alternatives = [seq_tree(t.steps) for t in traces(comp)]
     tree = alternatives[-1]
     for alt in reversed(alternatives[:-1]):
         tree = ActionNode(CHOICE, alt, tree)
@@ -465,12 +447,6 @@ def _check_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state_
             return None
         return acd.apply(state, onto)
 
-    def meet(x, y):
-        return StateSpace.explicit(expand_space(x, onto) & expand_space(y, onto))
-
-    def join(x, y):
-        return StateSpace.explicit(expand_space(x, onto) | expand_space(y, onto))
-
     def holds(abstract, state) -> bool:
         return space_refines(abstract, singleton(state), onto)
 
@@ -480,15 +456,15 @@ def _check_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state_
         need("Γ⊑Γ2", G, G2)
 
     elif row == "basic-strict-choice":
-        need("Δ1⊓Δ2⊑Δ", meet(D1, D2), D)
+        need("Δ1⊓Δ2⊑Δ", space_meet(D1, D2, onto), D)
         need("Γ⊑Γ1", G, G1)
         need("Γ⊑Γ2", G, G2)
 
     elif row == "basic-flex-choice":
-        need("Δ1⊔Δ2⊑Δ", join(D1, D2), D)
-        if not expand_space(meet(D1, D), onto):
+        need("Δ1⊔Δ2⊑Δ", space_join(D1, D2, onto), D)
+        if not expand_space(space_meet(D1, D, onto), onto):
             violations.append(ConstraintViolation(path, "Δ1⊓Δ≠{}"))
-        if not expand_space(meet(D2, D), onto):
+        if not expand_space(space_meet(D2, D, onto), onto):
             violations.append(ConstraintViolation(path, "Δ2⊓Δ≠{}"))
         need("Γ⊑Γ1", G, G1)
         need("Γ⊑Γ2", G, G2)
@@ -509,7 +485,7 @@ def _check_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state_
                 need_at("Γ⊑a2(a1(δ))", G, end12, delta)
 
     elif row == "basic-flex-conj":
-        need("Δ1⊔Δ2⊑Δ", join(D1, D2), D)
+        need("Δ1⊔Δ2⊑Δ", space_join(D1, D2, onto), D)
         for delta in delta_states:
             if holds(D1, delta):
                 m = a1.apply(delta, onto)
@@ -544,7 +520,7 @@ def _check_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state_
     elif row == "adv-strict-conj":
         need("Δ2⊑Δ'", D2, Dg)
         need("Δ1⊑Δ", D1, D)
-        core = meet(D, Dg)
+        core = space_meet(D, Dg, onto)
         if not expand_space(core, onto):
             violations.append(ConstraintViolation(path, "Δ⊓Δ'≠{}"))
         for delta in delta_states:
@@ -577,7 +553,7 @@ def _check_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state_
 
     elif row == "adv-flex-conj":
         need("Δ2⊑Δ'", D2, Dg)
-        need("Δ1⊔Δ'⊑Δ", join(D1, Dg), D)
+        need("Δ1⊔Δ'⊑Δ", space_join(D1, Dg, onto), D)
         for delta in delta_states:
             g_now = holds(Dg, delta)
             if holds(D1, delta):
@@ -752,7 +728,7 @@ def _oracle_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state
                 run((a1,), delta)
 
         elif row == "adv-strict-conj":
-            mandatory = holds(StateSpace.explicit(expand_space(D, onto) & expand_space(Dg, onto)), delta)
+            mandatory = holds(space_meet(D, Dg, onto), delta)
             if mandatory:
                 run((a1, a2), delta)
                 run((a2, a1), delta)
@@ -779,6 +755,6 @@ def _oracle_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state
             if not seen:
                 violations.append(ConstraintViolation(path, f"{name} is never a feasible alternative"))
     if row == "adv-strict-conj":
-        if not (expand_space(D, onto) & expand_space(Dg, onto)):
+        if not expand_space(space_meet(D, Dg, onto), onto):
             violations.append(ConstraintViolation(path, "guard never applies inside Δ"))
     return violations, warnings

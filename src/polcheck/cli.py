@@ -87,31 +87,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_inputs(args):
+    """Every input file named on the command line, in dependency order:
+    (ontology, facts, high policy, low policy or None, patterns, state).
+    Without a state file the current state is empty."""
+    onto = load_ontology(args.onto, state_bound=args.oracle_bound)
+    ds = load_facts(args.facts, onto)
+    ph = load_policy(args.high, onto)
+    pl = load_policy(args.low, onto) if args.low else None
+    patterns = load_patterns(args.patterns, onto)
+    sigma = load_state(args.state, onto) if args.state else CurrentState()
+    return onto, ds, ph, pl, patterns, sigma
+
+
 # ---------------------------------------------------------------------------
 # validate
 # ---------------------------------------------------------------------------
 
 
 def cmd_validate(args) -> int:
-    entries = []  # (file, messages)
-    onto = load_ontology(args.onto, state_bound=args.oracle_bound)
-    entries.append((args.onto, []))
-    load_facts(args.facts, onto)
-    entries.append((args.facts, []))
+    onto, _, ph, pl, patterns, _ = _load_inputs(args)
+    entries = [(args.onto, []), (args.facts, [])]  # (file, messages)
 
-    ph = load_policy(args.high, onto)
     messages = []
     strat = check_stratification(ph, onto)
     messages.extend(f"{v.rule_id}: {v.message}" for v in strat.violations)
     messages.extend(f"{v.rule_id}: {v.message}" for v in validate_high_level(ph))
     entries.append((args.high, messages))
 
-    if args.low:
-        pl = load_policy(args.low, onto)
+    if pl is not None:
         strat_l = check_stratification(pl, onto)
         entries.append((args.low, [f"{v.rule_id}: {v.message}" for v in strat_l.violations]))
 
-    patterns = load_patterns(args.patterns, onto)
     messages = []
     for pat in patterns:
         verdict = check_well_formed_complex(pat, onto, state_bound=args.oracle_bound)
@@ -123,7 +130,6 @@ def cmd_validate(args) -> int:
     entries.append((args.patterns, messages))
 
     if args.state:
-        load_state(args.state, onto)
         entries.append((args.state, []))
 
     ok = all(not msgs for _, msgs in entries)
@@ -153,10 +159,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    onto = load_ontology(args.onto, state_bound=args.oracle_bound)
-    ds = load_facts(args.facts, onto)
-    ph = load_policy(args.high, onto)
-    patterns = load_patterns(args.patterns, onto)
+    onto, ds, ph, _, patterns, _ = _load_inputs(args)
     result = refine_policy(
         ph, patterns, onto, ds, mode=args.mode, max_branches=args.max_branches
     )
@@ -205,12 +208,7 @@ def cmd_refine(args) -> int:
 
 
 def cmd_check(args) -> int:
-    onto = load_ontology(args.onto, state_bound=args.oracle_bound)
-    ds = load_facts(args.facts, onto)
-    ph = load_policy(args.high, onto)
-    pl = load_policy(args.low, onto)
-    patterns = load_patterns(args.patterns, onto)
-    sigma = load_state(args.state, onto) if args.state else CurrentState()
+    onto, ds, ph, pl, patterns, sigma = _load_inputs(args)
     report = check_compliance(
         ph, pl, ds, patterns, sigma, onto, mode=args.mode, max_branches=args.max_branches
     )
@@ -243,10 +241,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    onto = load_ontology(args.onto, state_bound=args.oracle_bound)
-    ds = load_facts(args.facts, onto)
-    ph = load_policy(args.high, onto)
-    patterns = load_patterns(args.patterns, onto)
+    onto, ds, ph, pl, patterns, _ = _load_inputs(args)
 
     ts = TokenStream(args.atom)
     atom = _parse_atom(ts, onto)
@@ -255,8 +250,8 @@ def cmd_explain(args) -> int:
     if not is_ground(atom):
         raise PolcheckError(f"explain takes a ground atom; {render(atom)} has variables")
 
-    if args.low:
-        model_l = evaluate(load_policy(args.low, onto), ds, onto)
+    if pl is not None:
+        model_l = evaluate(pl, ds, onto)
         if model_l.holds(atom):
             print(f"% derived by the low-level policy {args.low}")
             print(render_derivation(derivation_tree(model_l, atom)))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import PolicyError
 from .ontology import DataSystem, Ontology
-from .policy import Policy, Rule, check_stratification, head_stratum
+from .policy import Policy, Rule, _is_row8, check_stratification
 from .terms import Atom, Literal, Signed, is_ground, match, match_atom, render, sort_key, substitute
 
 
@@ -25,14 +25,14 @@ from .terms import Atom, Literal, Signed, is_ground, match, match_atom, render, 
 class Model:
     atoms: frozenset
     by_stratum: tuple  # tuple of 10 frozensets
-    supports: tuple  # ((head Atom, ((rule_id, (ground body Literal, ...)), ...)), ...)
+    supports: dict  # head Atom -> ((rule_id, (ground body Literal, ...)), ...), heads sorted
     error_witnesses: tuple  # ((rule_id, (ground body Literal, ...)), ...)
 
     def holds(self, atom: Atom) -> bool:
         return atom in self.atoms
 
     def supports_of(self, atom: Atom) -> tuple:
-        return dict(self.supports).get(atom, ())
+        return self.supports.get(atom, ())
 
 
 @dataclass(frozen=True)
@@ -106,6 +106,15 @@ def _row8_matches(rule: Rule, atoms):
     return out
 
 
+def _instances(rule: Rule, atoms, by_pred) -> list:
+    """Substitutions instantiating the rule over the atom set: an open-headed
+    do(o,s,-a) rule ranges over the authorization triples, every other rule
+    joins its positive body. Negated literals are left to the caller."""
+    if rule.body and _is_row8(rule) and not is_ground(rule.head):
+        return _row8_matches(rule, atoms)
+    return _join(rule.body, by_pred, {})
+
+
 def evaluate(p: Policy, ds: DataSystem, onto: Ontology = None) -> Model:
     strat = check_stratification(p, onto)
     if not strat.ok:
@@ -124,11 +133,7 @@ def evaluate(p: Policy, ds: DataSystem, onto: Ontology = None) -> Model:
             changed = False
             by_pred = _index(atoms)
             for rule in rules_k:
-                if k == 8 and rule.body and not is_ground(rule.head):
-                    thetas = _row8_matches(rule, atoms)
-                else:
-                    thetas = _join(rule.body, by_pred, {})
-                for th in thetas:
+                for th in _instances(rule, atoms, by_pred):
                     if not _negatives_ok(rule.body, atoms, th):
                         continue
                     derived = substitute(rule.head, th)
@@ -141,9 +146,9 @@ def evaluate(p: Policy, ds: DataSystem, onto: Ontology = None) -> Model:
                         by_stratum[k].add(derived)
                         changed = True
 
-    supports = _collect_supports(p, strata, atoms)
+    supports = _collect_supports(p, atoms)
     error_witnesses = tuple(
-        sup for head, sups in supports for sup in sups if head.pred == "error"
+        sup for head, sups in supports.items() for sup in sups if head.pred == "error"
     )
     return Model(
         frozenset(atoms),
@@ -153,15 +158,11 @@ def evaluate(p: Policy, ds: DataSystem, onto: Ontology = None) -> Model:
     )
 
 
-def _collect_supports(p: Policy, strata, atoms) -> tuple:
+def _collect_supports(p: Policy, atoms) -> dict:
     by_pred = _index(atoms)
     acc: dict = {}
     for rule in p.rules:
-        if strata[rule.rule_id] == 8 and rule.body and not is_ground(rule.head):
-            thetas = _row8_matches(rule, atoms)
-        else:
-            thetas = _join(rule.body, by_pred, {})
-        for th in thetas:
+        for th in _instances(rule, atoms, by_pred):
             if not _negatives_ok(rule.body, atoms, th):
                 continue
             head = substitute(rule.head, th)
@@ -169,14 +170,12 @@ def _collect_supports(p: Policy, strata, atoms) -> tuple:
                 continue
             body = tuple(Literal(l.negated, substitute(l.atom, th)) for l in rule.body)
             acc.setdefault(head, set()).add((rule.rule_id, body))
-    packed = []
-    for head in sorted(acc, key=sort_key):
-        sups = sorted(
-            acc[head],
-            key=lambda s: (s[0], tuple(render(l.atom) for l in s[1])),
+    return {
+        head: tuple(
+            sorted(acc[head], key=lambda s: (s[0], tuple(render(l.atom) for l in s[1])))
         )
-        packed.append((head, tuple(sups)))
-    return tuple(packed)
+        for head in sorted(acc, key=sort_key)
+    }
 
 
 def ground(p: Policy, ds: DataSystem, onto: Ontology = None, atoms=None) -> tuple:
@@ -185,16 +184,11 @@ def ground(p: Policy, ds: DataSystem, onto: Ontology = None, atoms=None) -> tupl
     provides the domain."""
     if atoms is None:
         atoms = evaluate(p, ds, onto).atoms
-    strata = dict(check_stratification(p, onto).strata)
     by_pred = _index(atoms)
     out = []
     for rule in p.rules:
-        if strata[rule.rule_id] == 8 and rule.body and not is_ground(rule.head):
-            thetas = _row8_matches(rule, atoms)
-        else:
-            thetas = _join(rule.body, by_pred, {})
         seen = set()
-        for th in thetas:
+        for th in _instances(rule, atoms, by_pred):
             inst = Rule(
                 rule.rule_id,
                 substitute(rule.head, th),

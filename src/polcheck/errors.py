@@ -9,7 +9,14 @@ from __future__ import annotations
 
 
 class PolcheckError(Exception):
-    """Base class for all engine errors."""
+    """Base class for all engine errors. ``path`` names the input file the
+    error came from, when it came from one, and prefixes the message."""
+
+    path = None
+
+    def __str__(self) -> str:
+        text = super().__str__()
+        return text if self.path is None else f"{self.path}: {text}"
 
 
 class ParseError(PolcheckError):

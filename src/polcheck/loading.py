@@ -53,7 +53,7 @@ from .actions import (
     validate_pattern,
 )
 from .compliance import CurrentState
-from .errors import PolcheckError, SchemaError, StructuralError
+from .errors import ParseError, PolcheckError, SchemaError, StructuralError
 from .ontology import (
     ENTIRE,
     ClassDef,
@@ -64,6 +64,7 @@ from .ontology import (
     State,
     StateSpace,
     VariableDef,
+    _state_product,
 )
 from .policy import BUILTIN_SHAPES, OVER_PREDICATES, Policy, parse_policy
 from .terms import Atom, Const, TokenStream, is_ground, parse_formula, parse_term
@@ -121,12 +122,7 @@ def _space_from_pairs(pairs: list, variables: dict, where: str) -> StateSpace:
         return ENTIRE
     if all(len(values) == 1 for _, values in pairs):
         return StateSpace.concise({var: values[0] for var, values in pairs})
-    chosen = dict(pairs)
-    states = [State(())]
-    for name, vdef in variables.items():
-        options = chosen.get(name, vdef.values)
-        states = [State(s.assignments + ((name, v),)) for s in states for v in options]
-    return StateSpace.explicit(states)
+    return StateSpace.explicit(_state_product(variables, dict(pairs)))
 
 
 def _parse_space(ts: TokenStream, variables: dict, where: str) -> StateSpace:
@@ -506,11 +502,16 @@ def parse_state(text: str, onto: Ontology) -> CurrentState:
 
 
 def _load(path, parser, *args, **kwargs):
-    text = Path(path).read_text(encoding="utf-8")
     try:
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as e:
+            line = e.object.count(b"\n", 0, e.start) + 1
+            raise ParseError(f"not UTF-8 text ({e.reason})", line) from None
         return parser(text, *args, **kwargs)
     except PolcheckError as e:
-        raise type(e)(f"{path}: {e}") from e
+        e.path = path
+        raise
 
 
 def load_ontology(path, state_bound: int = 4096) -> Ontology:

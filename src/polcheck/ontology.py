@@ -82,21 +82,34 @@ class Ontology:
     subproperty_edges: tuple = ()
     variables: dict = field(default_factory=dict)  # name -> VariableDef, declaration order
     action_classes: dict = field(default_factory=dict)  # name -> actions.ActionClassDef
+    _parents: dict = field(default_factory=dict, repr=False, compare=False)
     _ancestors: dict = field(default_factory=dict, repr=False, compare=False)
     _expand_cache: dict = field(default_factory=dict, repr=False, compare=False)
     _universe: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self._ancestors = _closure(self.classes, self.subclass_edges, "subclass")
-        _closure({p: None for p in self.properties}, self.subproperty_edges, "subproperty")
+        self._parents = _parent_map(self.classes, self.subclass_edges, "subclass")
+        _parent_map(self.properties, self.subproperty_edges, "subproperty")
 
     # -- hierarchy ---------------------------------------------------------
 
     def ancestors(self, class_name: str) -> frozenset:
-        try:
-            return self._ancestors[class_name]
-        except KeyError:
-            raise NameResolutionError(f"unknown class {class_name!r}") from None
+        """Reflexive-transitive superclasses, computed on first use: a
+        closure for every class at once is quadratic in a deep chain."""
+        cached = self._ancestors.get(class_name)
+        if cached is not None:
+            return cached
+        if class_name not in self._parents:
+            raise NameResolutionError(f"unknown class {class_name!r}")
+        acc = {class_name}
+        stack = [class_name]
+        while stack:
+            for parent in self._parents[stack.pop()]:
+                if parent not in acc:
+                    acc.add(parent)
+                    stack.append(parent)
+        self._ancestors[class_name] = frozenset(acc)
+        return self._ancestors[class_name]
 
     def hie_predicates(self) -> tuple:
         return tuple(sorted(p.name for p in self.properties.values() if p.family == "hie"))
@@ -108,33 +121,35 @@ class Ontology:
         return tuple(self.variables)
 
 
-def _closure(nodes: dict, edges: tuple, what: str) -> dict:
-    """Reflexive-transitive closure of the edge set; rejects cycles."""
+def _parent_map(nodes: dict, edges: tuple, what: str) -> dict:
+    """Direct parents of every node; rejects undeclared names and cycles.
+    The depth-first search keeps its own stack, so hierarchy depth is not
+    bounded by the interpreter's recursion limit."""
     parents: dict = {n: set() for n in nodes}
     for child, parent in edges:
         if child not in parents or parent not in parents:
             missing = child if child not in parents else parent
             raise NameResolutionError(f"{what} edge names undeclared {missing!r}")
         parents[child].add(parent)
-    closed: dict = {}
-    visiting: set = set()
-
-    def visit(n: str) -> frozenset:
-        if n in closed:
-            return closed[n]
-        if n in visiting:
-            raise CycleError(f"{what} hierarchy contains a cycle through {n!r}")
-        visiting.add(n)
-        acc = {n}
-        for p in parents[n]:
-            acc |= visit(p)
-        visiting.discard(n)
-        closed[n] = frozenset(acc)
-        return closed[n]
-
-    for n in parents:
-        visit(n)
-    return closed
+    finished: set = set()
+    for root in parents:
+        if root in finished:
+            continue
+        on_path = {root}
+        stack = [(root, iter(parents[root]))]
+        while stack:
+            node, pending = stack[-1]
+            parent = next(pending, None)
+            if parent is None:
+                stack.pop()
+                on_path.discard(node)
+                finished.add(node)
+            elif parent in on_path:
+                raise CycleError(f"{what} hierarchy contains a cycle through {parent!r}")
+            elif parent not in finished:
+                on_path.add(parent)
+                stack.append((parent, iter(parents[parent])))
+    return parents
 
 
 # ---------------------------------------------------------------------------
@@ -253,16 +268,22 @@ def state_refines(abstract: State, concrete: State, onto: Ontology, ds: DataSyst
     )
 
 
+def _state_product(variables: dict, choices: dict) -> list:
+    """Every total state over the variable table, each variable ranging over
+    its tuple in ``choices`` or else over its declared values. An empty table
+    yields the single empty state."""
+    states = [State(())]
+    for name, vdef in variables.items():
+        options = choices.get(name, vdef.values)
+        states = [State(s.assignments + ((name, v),)) for s in states for v in options]
+    return states
+
+
 def universe(onto: Ontology) -> tuple:
     """All total states over the declared variable table, in lexicographic
-    order. Empty table yields the single empty state."""
+    order."""
     if onto._universe is None:
-        states = [State(())]
-        for var in onto.variables.values():
-            states = [
-                State(s.assignments + ((var.name, val),)) for s in states for val in var.values
-            ]
-        onto._universe = tuple(sorted(states))
+        onto._universe = tuple(sorted(_state_product(onto.variables, {})))
     return onto._universe
 
 
@@ -278,14 +299,8 @@ def expand_space(space: StateSpace, onto: Ontology) -> frozenset:
         for var in fixed:
             if var not in onto.variables:
                 raise ExpansionError(f"constraint on undeclared variable {var!r}")
-        states = [State(())]
-        for name in declared:
-            if name in fixed:
-                choices = (fixed[name],)
-            else:
-                choices = onto.variables[name].values
-            states = [State(s.assignments + ((name, v),)) for s in states for v in choices]
-        result = frozenset(states)
+        choices = {var: (value,) for var, value in fixed.items()}
+        result = frozenset(_state_product(onto.variables, choices))
     else:
         for s in space.states:
             if s.variables() != tuple(sorted(declared)):

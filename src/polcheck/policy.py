@@ -206,15 +206,11 @@ class Policy:
         raise PolicyError(f"no rule {rule_id!r}")
 
 
-def render_literal(lit: Literal) -> str:
-    return ("~" if lit.negated else "") + render(lit.atom)
-
-
 def render_rule(r: Rule) -> str:
     head = render(r.head)
     if not r.body:
         return f"{head}."
-    return f"{head} :- " + " & ".join(render_literal(l) for l in r.body) + "."
+    return f"{head} :- " + " & ".join(render(l) for l in r.body) + "."
 
 
 def to_text(p: Policy) -> str:
@@ -438,14 +434,11 @@ def check_stratification(p: Policy, onto: Ontology = None) -> StratificationResu
         _, allowed, positive_only = _ROWS[key]
         for lit in rule.body:
             kind = predicate_kind(lit.atom.pred, onto)
-            if kind == "do":
-                # distinguish signs inside row-9 bodies; both are simply "do"
-                kind = "do"
             if kind not in allowed:
                 violations.append(
                     StratificationViolation(
                         rule.rule_id,
-                        render_literal(lit),
+                        render(lit),
                         row,
                         f"{_ROW_SUMMARY[row]}; found {lit.atom.pred}",
                     )
@@ -454,7 +447,7 @@ def check_stratification(p: Policy, onto: Ontology = None) -> StratificationResu
                 violations.append(
                     StratificationViolation(
                         rule.rule_id,
-                        render_literal(lit),
+                        render(lit),
                         row,
                         f"row {row}: {lit.atom.pred} literals in {rule.head.pred} bodies must be positive",
                     )
@@ -480,7 +473,7 @@ def _check_row8(rule: Rule):
     )
     if ok:
         return []
-    return [StratificationViolation(rule.rule_id, render_literal(lit), 8, form)]
+    return [StratificationViolation(rule.rule_id, render(lit), 8, form)]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .actions import ActionNode, ActionLeaf, CHOICE, CONJ, SEQ, RefinementPattern, taxonomy_of
+from .actions import ActionNode, ActionLeaf, CHOICE, SEQ, RefinementPattern, taxonomy_of
 from .errors import BranchLimitError, CycleError, PatternError, PolicyError
 from .ontology import Ontology, StateSpace, expand_space, universe
 from .policy import Policy, Rule, _check_safety, check_stratification
@@ -28,7 +28,6 @@ from .terms import (
     Atom,
     ActionTerm,
     Const,
-    FLit,
     Formula,
     FALSE,
     Literal,
@@ -218,7 +217,7 @@ def compile_meet_formula(gamma1: StateSpace, delta2: StateSpace, onto: Ontology)
         vdef = onto.variables[v]
         if len(values[v]) == 1 and tuple(values[v]) != vdef.values:
             conjuncts.append(
-                FLit(False, Atom(vdef.prop, (Const(vdef.object_id), Const(values[v][0]))))
+                Literal(False, Atom(vdef.prop, (Const(vdef.object_id), Const(values[v][0]))))
             )
         elif len(values[v]) not in (1, len(vdef.values)):
             return TRUE, "postcondition meet is not expressible as an atom conjunction; weakened to true"
@@ -441,18 +440,11 @@ def refine_sequence(rule: Rule, pat: RefinementPattern, onto: Ontology):
     return first, second
 
 
-def refine_choice(branch: RefinementBranch, rule: Rule, pat: RefinementPattern, onto: Ontology):
-    if pat.body.op != CHOICE:
-        raise PatternError(f"pattern {pat.pattern_id} is not a choice")
-    outcomes = _apply_pattern(branch.policy, rule, pat, onto, [])
-    return tuple(
-        RefinementBranch(pol, branch.choice_log + entries) for pol, entries in outcomes
-    )
-
-
-def refine_conjunction(branch: RefinementBranch, rule: Rule, pat: RefinementPattern, onto: Ontology):
-    if pat.body.op != CONJ:
-        raise PatternError(f"pattern {pat.pattern_id} is not a conjunction")
+def refine_fork(branch: RefinementBranch, rule: Rule, pat: RefinementPattern, onto: Ontology):
+    """The branches one choice or conjunction pattern forks an obligation
+    rule into, each with its choice-log entry appended."""
+    if pat.body.op == SEQ:
+        raise PatternError(f"pattern {pat.pattern_id} is not a choice or a conjunction")
     outcomes = _apply_pattern(branch.policy, rule, pat, onto, [])
     return tuple(
         RefinementBranch(pol, branch.choice_log + entries) for pol, entries in outcomes

@@ -65,8 +65,9 @@ class Atom:
 
 
 @dataclass(frozen=True)
-class FLit:
-    """One conjunct of a formula. Negated conjuncts are tolerated (experimental)."""
+class Literal:
+    """A possibly negated atom: a rule-body literal, or one conjunct of a
+    formula (negated formula conjuncts are experimental)."""
 
     negated: bool
     atom: Atom
@@ -74,7 +75,7 @@ class FLit:
 
 @dataclass(frozen=True)
 class Formula:
-    conjuncts: tuple = ()  # tuple[FLit, ...]
+    conjuncts: tuple = ()  # tuple[Literal, ...]
     contradiction: bool = False
 
     @property
@@ -90,14 +91,6 @@ TRUE = Formula()
 FALSE = Formula(contradiction=True)
 
 Term = object  # Const | Var | ActionTerm; args may also be Signed | Formula
-
-
-@dataclass(frozen=True)
-class Literal:
-    """A possibly negated atom in a rule body."""
-
-    negated: bool
-    atom: Atom
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +111,6 @@ def substitute(value, theta: dict):
         return Signed(value.sign, substitute(value.term, theta))
     if isinstance(value, Atom):
         return Atom(value.pred, tuple(substitute(a, theta) for a in value.args))
-    if isinstance(value, FLit):
-        return FLit(value.negated, substitute(value.atom, theta))
     if isinstance(value, Formula):
         if value.contradiction:
             return value
@@ -201,8 +192,6 @@ def free_vars(value, include_formulas: bool = False) -> set:
         elif isinstance(v, Atom):
             for a in v.args:
                 walk(a, in_formula)
-        elif isinstance(v, FLit):
-            walk(v.atom, in_formula)
         elif isinstance(v, Formula):
             for c in v.conjuncts:
                 walk(c, True)
@@ -237,8 +226,6 @@ def render(value) -> str:
         if not value.args:
             return value.pred
         return f"{value.pred}({', '.join(render(a) for a in value.args)})"
-    if isinstance(value, FLit):
-        return ("~" if value.negated else "") + render(value.atom)
     if isinstance(value, Formula):
         if value.contradiction:
             return "false"
@@ -417,7 +404,7 @@ def parse_formula(ts: TokenStream) -> Formula:
     conjuncts = []
     while True:
         negated = ts.accept("~")
-        conjuncts.append(FLit(negated, parse_formula_atom(ts)))
+        conjuncts.append(Literal(negated, parse_formula_atom(ts)))
         if not ts.accept("&"):
             break
     return Formula(tuple(conjuncts))

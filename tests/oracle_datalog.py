@@ -17,11 +17,11 @@ from polcheck.terms import (
     ActionTerm,
     Atom,
     Const,
-    FLit,
     Formula,
     Literal,
     Signed,
     Var,
+    is_ground,
     match,
     substitute,
 )
@@ -86,8 +86,8 @@ def _auth_triples(atoms):
 
 
 def _row8_thetas(rule: Rule, atoms):
-    """do(o, s, -a) rules ground over the authorization triples seen so far,
-    not over the whole term universe."""
+    """do(o, s, -a) rules with variables in the head ground over the
+    authorization triples seen so far, not over the whole term universe."""
     head = rule.head
     pattern = (head.args[0], head.args[1], head.args[2].term)
     for triple in sorted(_auth_triples(atoms), key=repr):
@@ -114,7 +114,7 @@ def naive_model(policy: Policy, base_atoms) -> frozenset:
             changed = False
             index = _pool_index(atoms)
             for rule in rules:
-                if stratum == 8:
+                if stratum == 8 and not is_ground(rule.head):
                     thetas = list(_row8_thetas(rule, atoms))
                 else:
                     cands = _candidates(rule, index)
@@ -172,7 +172,7 @@ def random_program(rng: random.Random):
 
     q_options = [
         Formula(),
-        Formula((FLit(False, Atom("p0", (s, objects[0]))),)),
+        Formula((Literal(False, Atom("p0", (s, objects[0]))),)),
     ]
     for name in ("Patch", "Scan"):
         pattern = ActionTerm(name, (("target", x),))
@@ -225,6 +225,17 @@ def random_program(rng: random.Random):
     )
     if rng.random() < 0.7:
         add(Atom("do", (o, s, Signed("-", a))), neg(Atom("do", (o, s, Signed("+", a)))))
+    if rng.random() < 0.5:
+        # a ground closure rule, as samples/audit writes them
+        closed = (
+            rng.choice(objects),
+            rng.choice(subjects),
+            Const(rng.choice(("read", "write"))),
+        )
+        add(
+            Atom("do", (closed[0], closed[1], Signed("-", closed[2]))),
+            neg(Atom("do", (closed[0], closed[1], Signed("+", closed[2])))),
+        )
     if rng.random() < 0.5:
         add(
             Atom("error", ()),

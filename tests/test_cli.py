@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from polcheck.cli import main
+from polcheck.errors import ParseError
+from polcheck.loading import load_policy
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
@@ -259,6 +261,47 @@ def test_malformed_ontology_exits_two(capsys, tmp_path):
     assert code == 2
     assert err.startswith("error:")
     assert "duplicate class" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag", [("refine", "--low"), ("refine", "--state"), ("explain", "--state")]
+)
+def test_every_input_file_given_is_read(capsys, tmp_path, command, flag):
+    bad = tmp_path / "bad.input"
+    bad.write_text("not valid input\n")
+    argv = audit_args(command) + (["do(report1, eve, -read)"] if command == "explain" else [])
+    argv[argv.index(flag) + 1] = bad
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad}: line 1")
+
+
+def test_load_errors_keep_their_position(capsys, tmp_path):
+    bad = tmp_path / "bad.pol"
+    bad.write_text("mustdo(a, b\n")
+    argv = audit_args("check")
+    argv[argv.index("--high") + 1] = bad
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: line 2, col 1: expected ')', found ''\n"
+    with pytest.raises(ParseError) as exc:
+        load_policy(bad)
+    assert (exc.value.path, exc.value.line, exc.value.column) == (bad, 2, 1)
+
+
+def test_non_utf8_input_exits_two(capsys, tmp_path):
+    facts = (SAMPLES / "audit.facts").read_bytes()
+    bad = tmp_path / "latin1.facts"
+    bad.write_bytes(facts + b"obj caf\xe9 : Employee\n")
+    argv = audit_args("check")
+    argv[argv.index("--facts") + 1] = bad
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    line = facts.count(b"\n") + 1
+    assert err.startswith(f"error: {bad}: line {line}: not UTF-8 text")
 
 
 def test_command_is_required():

@@ -1,0 +1,99 @@
+"""Golden CLI outputs on samples/: stdout and exit code, byte for byte.
+
+The README promises that the same inputs give byte-identical output. These
+cases pin that output so a refactor of the core cannot change it unnoticed.
+Paths are passed relative to the repository root, as a user would type them.
+
+To re-record after an intended output change:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+from polcheck.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _inputs(name, high, low=None, state=None):
+    argv = [
+        "--onto", f"samples/{name}.onto",
+        "--facts", f"samples/{name}.facts",
+        "--high", f"samples/{high}.pol",
+        "--patterns", f"samples/{name}.rp",
+    ]
+    if low:
+        argv += ["--low", f"samples/{low}.pol"]
+    if state:
+        argv += ["--state", f"samples/{state}.state"]
+    return argv
+
+
+AUDIT = _inputs("audit", "audit_high", "audit_low", "audit")
+PROTECT = _inputs("protect", "protect_high")
+COMPOSE = _inputs("compose", "compose_high")
+NESTED = _inputs("nested", "nested_high", "nested_low")
+
+_COMMANDS = [
+    ("audit", "validate", AUDIT, []),
+    ("audit", "refine", AUDIT, []),
+    ("audit", "check", AUDIT, []),
+    ("audit", "explain", AUDIT, ["do(report1, eve, -read)"]),
+    ("protect", "validate", PROTECT, []),
+    ("protect", "refine", PROTECT, []),
+    ("compose", "validate", COMPOSE, []),
+    ("compose", "refine", COMPOSE, []),
+    ("nested", "validate", NESTED, []),
+    ("nested", "refine", NESTED, []),
+    ("nested", "check", NESTED, []),
+]
+
+CASES = {
+    f"{sample}_{command}_{fmt}": [command, *inputs, "--format", fmt, *extra]
+    for sample, command, inputs, extra in _COMMANDS
+    for fmt in ("text", "json")
+}
+
+
+def run_case(argv):
+    out = StringIO()
+    with redirect_stdout(out), redirect_stderr(StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.fixture(autouse=True)
+def at_repo_root(monkeypatch):
+    monkeypatch.delenv("POLCHECK_COLOR", raising=False)
+    monkeypatch.chdir(ROOT)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name):
+    code, out = run_case(CASES[name])
+    expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    assert code == expected_codes[name]
+    assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    os.environ.pop("POLCHECK_COLOR", None)
+    os.chdir(ROOT)
+    GOLDEN.mkdir(exist_ok=True)
+    codes = {}
+    for name in sorted(CASES):
+        codes[name], out = run_case(CASES[name])
+        (GOLDEN / f"{name}.out").write_text(out, encoding="utf-8")
+    (GOLDEN / "exit_codes.json").write_text(
+        json.dumps(codes, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+    print(f"recorded {len(codes)} cases in {GOLDEN}", file=sys.stderr)

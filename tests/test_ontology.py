@@ -11,6 +11,7 @@ from polcheck.errors import (
     SchemaError,
     StructuralError,
 )
+from polcheck.loading import parse_ontology
 from polcheck.ontology import (
     ENTIRE,
     ClassDef,
@@ -237,6 +238,17 @@ def test_subclass_cycles_are_rejected():
     classes = {c: ClassDef(c) for c in ("A", "B")}
     with pytest.raises(CycleError):
         Ontology(classes=classes, subclass_edges=(("A", "B"), ("B", "A")))
+
+
+def test_deep_subclass_chains_load_without_recursion():
+    depth = 5000
+    chain = "".join(f"class C{i} subclassOf C{i + 1}\n" for i in range(depth - 1))
+    onto = parse_ontology(chain + f"class C{depth - 1}\n")
+    assert onto.ancestors("C0") == frozenset(f"C{i}" for i in range(depth))
+    assert onto.ancestors(f"C{depth - 10}") == frozenset(f"C{i}" for i in range(depth - 10, depth))
+    assert onto.ancestors(f"C{depth - 1}") == frozenset({f"C{depth - 1}"})
+    with pytest.raises(CycleError, match="cycle through"):
+        parse_ontology(chain + f"class C{depth - 1} subclassOf C0\n")
 
 
 def test_edges_must_name_declared_classes():

@@ -33,8 +33,7 @@ from polcheck.refinement import (
     enumerate_refinements,
     install_conflict_resolution,
     propagate_hierarchy,
-    refine_choice,
-    refine_conjunction,
+    refine_fork,
     refine_policy,
     refine_sequence,
     replay,
@@ -271,7 +270,7 @@ def test_choice_refinement_forks_and_excludes_the_alternative():
     onto = simple_onto("Notify", "Email", "Page")
     p = parse_policy("hasObligation($s, Notify((target, $x)), true) :- oncall($s, $x).")
     pattern = pat("notify", "Notify", ActionNode(CHOICE, tleaf("Email"), tleaf("Page")))
-    branches = refine_choice(RefinementBranch(p), p.rules[0], pattern, onto)
+    branches = refine_fork(RefinementBranch(p), p.rules[0], pattern, onto)
     assert [b.choice_log for b in branches] == [
         (("r1", "notify", "choice.1"),),
         (("r1", "notify", "choice.2"),),
@@ -286,15 +285,18 @@ def test_choice_refinement_forks_and_excludes_the_alternative():
         "r1.c2": "derhasObligation($s, Page((target,$x)), true) :- "
         "oncall($s, $x) & ~done_act($s, Email((target,$x)))."
     }
-    with pytest.raises(PatternError, match="not a choice"):
-        refine_choice(
+    both = pat("notify", "Notify", ActionNode(CONJ, tleaf("Email"), tleaf("Page")))
+    assert [b.choice_log for b in refine_fork(RefinementBranch(p), p.rules[0], both, onto)] == [
+        (("r1", "notify", "conj.1"),),
+        (("r1", "notify", "conj.2"),),
+    ]
+    with pytest.raises(PatternError, match="not a choice or a conjunction"):
+        refine_fork(
             RefinementBranch(p),
             p.rules[0],
             pat("notify", "Notify", ActionNode(SEQ, tleaf("Email"), tleaf("Page"))),
             onto,
         )
-    with pytest.raises(PatternError, match="not a conjunction"):
-        refine_conjunction(RefinementBranch(p), p.rules[0], pattern, onto)
 
 
 def test_guarded_patterns_refine_as_basic_with_a_warning():
