@@ -120,7 +120,7 @@ from .compliance import (
     detect_obligation_violation,
     detect_resource_capability_conflict,
     entails,
-    obligation_satisfied,
+    obligation_status,
 )
 from .loading import (
     load_facts,

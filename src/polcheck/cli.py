@@ -6,7 +6,8 @@
     polcheck explain  --onto F --facts F --high F --patterns F [--low F] ATOM
 
 Exit codes: 0 success (check: compliant), 1 check found the low-level policy
-non-compliant, 2 any input error, validation failure, or inconsistency.
+non-compliant, 2 any input error, validation failure, inconsistency, or
+internal error.
 Set POLCHECK_COLOR=1 to color verdict lines in text output.
 """
 
@@ -282,6 +283,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except Exception as e:  # a fault inside polcheck, never a verdict
+        print(f"error: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
 
 

@@ -9,6 +9,11 @@ action effect both entailed). The first matching branch decides compliance;
 otherwise the nearest-miss branch (fewest conflicts, then choice-log order)
 is reported with its conflicts, one per detector category.
 
+Each ground obligation is classified once per audit: its status depends
+only on the atom, the current state, the ontology and the data system, so
+check_compliance keeps one table shared by every branch. The obligation
+detectors take a branch's pending (unsatisfied) obligations from it.
+
 Entailment against the current state is closed-world atom lookup over the
 state's atoms plus the data system's base atoms; no rule inference runs
 inside the state.
@@ -113,10 +118,12 @@ class ComplianceReport:
 # ---------------------------------------------------------------------------
 
 
-def _entails(pool: frozenset, formula: Formula, onto: Ontology = None) -> bool:
-    """Existential satisfaction of a conjunction by ground atoms: some
-    binding of the formula's variables makes every positive conjunct an atom
-    of the pool and no negated conjunct one."""
+def entails(sigma: CurrentState, ds: DataSystem, formula: Formula, onto: Ontology = None) -> bool:
+    """Existential satisfaction of a conjunction by the current state's atoms
+    plus the data system's base atoms: some binding of the formula's
+    variables makes every positive conjunct an atom of that pool and no
+    negated conjunct one."""
+    pool = frozenset(sigma.atoms) | ds.base_atoms
     if formula.is_false:
         return False
     if onto is not None:
@@ -151,10 +158,6 @@ def _entails(pool: frozenset, formula: Formula, onto: Ontology = None) -> bool:
     return search(0, {})
 
 
-def entails(sigma: CurrentState, ds: DataSystem, formula: Formula, onto: Ontology = None) -> bool:
-    return _entails(frozenset(sigma.atoms) | ds.base_atoms, formula, onto)
-
-
 def effect_formula(action: ActionTerm, onto: Ontology) -> Formula:
     """The action class's declared effect with the term's property bindings
     substituted in; unbound effect variables stay existential."""
@@ -186,19 +189,6 @@ def obligation_status(m: Atom, sigma: CurrentState, onto: Ontology, ds: DataSyst
     return "unsatisfied"
 
 
-def obligation_satisfied(m: Atom, sigma: CurrentState, onto: Ontology, ds: DataSystem = None) -> bool:
-    """True when the obligation needs no further action: satisfied in the
-    current state, or released because its action's assumptions broke."""
-    return obligation_status(m, sigma, onto, ds or DataSystem()) != "unsatisfied"
-
-
-def _active_obligations(M_h, sigma, onto, ds):
-    """Obligations still pending: neither satisfied nor released."""
-    return tuple(
-        m for m in M_h if obligation_status(m, sigma, onto, ds) == "unsatisfied"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Detectors
 # ---------------------------------------------------------------------------
@@ -225,33 +215,23 @@ def detect_modal_authorization_violation(
     return tuple(conflicts)
 
 
-def detect_obligation_violation(
-    M_h, sigma: CurrentState, onto: Ontology, ds: DataSystem = None, M_l=(), model_h: Model = None
-) -> tuple:
-    """Pending obligations neither enforced by the low-level view nor
-    discharged in the current state."""
-    ds = ds or DataSystem()
-    enforced = set(M_l)
-    conflicts = []
-    for m in M_h:
-        if m in enforced:
-            continue
-        if obligation_status(m, sigma, onto, ds) == "unsatisfied":
-            conflicts.append(Conflict(CATEGORY_OBLIGATION, (m,), _rule_ids(model_h, m)))
-    return tuple(conflicts)
+def detect_obligation_violation(pending, M_l, model_h: Model = None) -> tuple:
+    """Pending obligations (neither satisfied nor released in the current
+    state) missing from M_l, the set of the low-level view's mustdo atoms."""
+    return tuple(
+        Conflict(CATEGORY_OBLIGATION, (m,), _rule_ids(model_h, m)) for m in pending if m not in M_l
+    )
 
 
 def detect_resource_capability_conflict(
-    M_h, ds: DataSystem, onto: Ontology = None, sigma: CurrentState = None, model_h: Model = None
+    pending, ds: DataSystem, onto: Ontology, model_h: Model = None
 ) -> tuple:
     """Pending obligations whose action class declares a resource object that
     the data system does not contain."""
-    sigma = sigma or CurrentState()
-    pending = _active_obligations(M_h, sigma, onto, ds) if onto else tuple(M_h)
     conflicts = []
     for m in pending:
         action = m.args[1]
-        if not isinstance(action, ActionTerm) or onto is None:
+        if not isinstance(action, ActionTerm):
             continue
         acd = onto.action_classes.get(action.name)
         if acd is None:
@@ -265,17 +245,9 @@ def detect_resource_capability_conflict(
 
 
 def detect_modal_capability_conflict(
-    M_h,
-    view_l: DecisionView,
-    onto: Ontology = None,
-    sigma: CurrentState = None,
-    ds: DataSystem = None,
-    model_h: Model = None,
+    pending, view_l: DecisionView, model_h: Model = None
 ) -> tuple:
     """Pending obligations with no +execute grant in the low-level view."""
-    sigma = sigma or CurrentState()
-    ds = ds or DataSystem()
-    pending = _active_obligations(M_h, sigma, onto, ds) if onto else tuple(M_h)
     low = set(view_l.do_atoms)
     conflicts = []
     for m in pending:
@@ -311,86 +283,55 @@ def check_compliance(
     if hl:
         raise PolicyError(f"high-level policy authors positive authorizations: {hl[0].message}")
 
-    atoms_derived = 0
+    def counts():
+        return (("branches_examined", examined), ("atoms_derived", atoms_derived))
+
+    examined = 0
     model_l = evaluate(pl, ds, onto)
-    atoms_derived += len(model_l.atoms) - len(ds.base_atoms)
+    atoms_derived = len(model_l.atoms) - len(ds.base_atoms)
     if model_l.error_witnesses:
-        return ComplianceReport(
-            "inconsistent-input",
-            None,
-            (),
-            (("branches_examined", 0), ("atoms_derived", atoms_derived)),
-            "low-level policy is inconsistent (error derivable)",
-        )
+        detail = "low-level policy is inconsistent (error derivable)"
+        return ComplianceReport("inconsistent-input", stats=counts(), detail=detail)
     view_l = decision_view(model_l)
     M_l = set(view_l.mustdo_atoms)
 
     result = refine_policy(ph, patterns, onto, ds, mode=mode, max_branches=max_branches)
-    examined = 0
+    status: dict = {}  # ground mustdo atom -> obligation_status, for every branch
     per_branch = []
     for branch in result.branches:
         examined += 1
         model_h = evaluate(branch.policy, ds, onto)
         atoms_derived += len(model_h.atoms) - len(ds.base_atoms)
         if model_h.error_witnesses:
-            return ComplianceReport(
-                "inconsistent-input",
-                None,
-                (),
-                (("branches_examined", examined), ("atoms_derived", atoms_derived)),
-                "high-level policy is inconsistent (error derivable in a refinement branch)",
-            )
+            detail = "high-level policy is inconsistent (error derivable in a refinement branch)"
+            return ComplianceReport("inconsistent-input", stats=counts(), detail=detail)
         view_h = decision_view(model_h)
+        for m in view_h.mustdo_atoms:
+            if m not in status:
+                status[m] = obligation_status(m, sigma, onto, ds)
+        pending = tuple(m for m in view_h.mustdo_atoms if status[m] == "unsatisfied")
         conflicts = list(detect_modal_authorization_violation(view_h, view_l, model_h))
-        conflicts.extend(
-            detect_obligation_violation(
-                view_h.mustdo_atoms, sigma, onto, ds, M_l=M_l, model_h=model_h
-            )
-        )
-        conflicts.extend(
-            detect_resource_capability_conflict(
-                view_h.mustdo_atoms, ds, onto, sigma, model_h=model_h
-            )
-        )
-        conflicts.extend(
-            detect_modal_capability_conflict(
-                view_h.mustdo_atoms, view_l, onto, sigma, ds, model_h=model_h
-            )
-        )
+        conflicts.extend(detect_obligation_violation(pending, M_l, model_h))
+        conflicts.extend(detect_resource_capability_conflict(pending, ds, onto, model_h))
+        conflicts.extend(detect_modal_capability_conflict(pending, view_l, model_h))
         conflicts.sort(key=Conflict.sort_key)
-        stats_extra = _branch_stats(view_h, sigma, onto, ds, M_l)
+        stats_extra = _branch_stats(view_h, status, M_l)
         if not conflicts:
-            stats = (
-                ("branches_examined", examined),
-                ("atoms_derived", atoms_derived),
-            ) + stats_extra
-            return ComplianceReport("compliant", branch.choice_log, (), stats)
+            return ComplianceReport("compliant", branch.choice_log, (), counts() + stats_extra)
         per_branch.append((len(conflicts), branch.choice_log, tuple(conflicts), stats_extra))
 
-    if not per_branch:
-        return ComplianceReport(
-            "compliant",
-            (),
-            (),
-            (("branches_examined", 0), ("atoms_derived", atoms_derived)),
-            "high-level policy produced no refinement branches",
-        )
-    per_branch.sort(key=lambda x: (x[0], x[1]))
-    _, nearest_log, nearest_conflicts, stats_extra = per_branch[0]
-    stats = (
-        ("branches_examined", examined),
-        ("atoms_derived", atoms_derived),
-    ) + stats_extra
-    return ComplianceReport("non-compliant", nearest_log, nearest_conflicts, stats)
+    # the nearest miss: fewest conflicts, then choice-log order
+    _, nearest_log, nearest_conflicts, stats_extra = min(per_branch, key=lambda x: x[:2])
+    return ComplianceReport("non-compliant", nearest_log, nearest_conflicts, counts() + stats_extra)
 
 
-def _branch_stats(view_h, sigma, onto, ds, M_l) -> tuple:
+def _branch_stats(view_h, status, M_l) -> tuple:
     released = []
     enforced = []
     for m in view_h.mustdo_atoms:
         if m in M_l:
             enforced.append(render(m))
-        elif obligation_status(m, sigma, onto, ds) == "released":
+        elif status[m] == "released":
             released.append(render(m))
     out = []
     if enforced:

@@ -6,6 +6,10 @@ name predicates of strictly lower strata, which are saturated by the time
 they are consulted, so the model is the unique stratified fixpoint and does
 not depend on rule order.
 
+Supports (why-provenance) come from each stratum's last fixpoint round.
+That round derives nothing new, and a body names only strata up to its own,
+so the rule instances it fires are exactly those over the final model.
+
 The do(o,s,-a) :- ~do(o,s,+a) form has no positive body literal; its
 variables range over the authorization triples (o, s, a) collected from the
 ground cando/dercando/do atoms already derived.
@@ -124,6 +128,7 @@ def evaluate(p: Policy, ds: DataSystem, onto: Ontology = None) -> Model:
 
     atoms = set(ds.base_atoms)
     by_stratum = [set(ds.base_atoms)] + [set() for _ in range(9)]
+    acc: dict = {}  # head -> {(rule_id, ground body), ...}
     for k in range(1, 10):
         rules_k = [r for r in p.rules if strata[r.rule_id] == k]
         if not rules_k:
@@ -132,6 +137,7 @@ def evaluate(p: Policy, ds: DataSystem, onto: Ontology = None) -> Model:
         while changed:
             changed = False
             by_pred = _index(atoms)
+            fired = []
             for rule in rules_k:
                 for th in _instances(rule, atoms, by_pred):
                     if not _negatives_ok(rule.body, atoms, th):
@@ -141,12 +147,21 @@ def evaluate(p: Policy, ds: DataSystem, onto: Ontology = None) -> Model:
                         raise PolicyError(
                             f"{rule.rule_id}: ungrounded head {render(derived)}"
                         )
+                    fired.append((derived, rule, th))
                     if derived not in atoms:
                         atoms.add(derived)
                         by_stratum[k].add(derived)
                         changed = True
+        # The last round changed nothing, so it fired every instance over the
+        # stratum's final atoms: bodies name strata <= k only.
+        for head, rule, th in fired:
+            body = tuple(Literal(l.negated, substitute(l.atom, th)) for l in rule.body)
+            acc.setdefault(head, set()).add((rule.rule_id, body))
 
-    supports = _collect_supports(p, atoms)
+    def by_rule_then_body(sup):
+        return sup[0], tuple(render(l.atom) for l in sup[1])
+
+    supports = {h: tuple(sorted(acc[h], key=by_rule_then_body)) for h in sorted(acc, key=sort_key)}
     error_witnesses = tuple(
         sup for head, sups in supports.items() for sup in sups if head.pred == "error"
     )
@@ -156,26 +171,6 @@ def evaluate(p: Policy, ds: DataSystem, onto: Ontology = None) -> Model:
         supports,
         error_witnesses,
     )
-
-
-def _collect_supports(p: Policy, atoms) -> dict:
-    by_pred = _index(atoms)
-    acc: dict = {}
-    for rule in p.rules:
-        for th in _instances(rule, atoms, by_pred):
-            if not _negatives_ok(rule.body, atoms, th):
-                continue
-            head = substitute(rule.head, th)
-            if head not in atoms:
-                continue
-            body = tuple(Literal(l.negated, substitute(l.atom, th)) for l in rule.body)
-            acc.setdefault(head, set()).add((rule.rule_id, body))
-    return {
-        head: tuple(
-            sorted(acc[head], key=lambda s: (s[0], tuple(render(l.atom) for l in s[1])))
-        )
-        for head in sorted(acc, key=sort_key)
-    }
 
 
 def ground(p: Policy, ds: DataSystem, onto: Ontology = None, atoms=None) -> tuple:
@@ -236,38 +231,61 @@ class DerivationNode:
     supports: tuple = ()  # ((rule_id, (child DerivationNode or negated leaf, ...)), ...)
 
 
-def derivation_tree(m: Model, atom: Atom, _path=frozenset()) -> DerivationNode:
-    if atom not in m.atoms:
-        return DerivationNode(atom, "absent")
-    if atom in _path:
-        return DerivationNode(atom, "cycle")
-    sups = m.supports_of(atom)
-    if not sups:
-        return DerivationNode(atom, "fact")
-    path = _path | {atom}
-    packed = []
-    for rule_id, body in sups:
-        children = []
-        for lit in body:
-            if lit.negated:
-                children.append(DerivationNode(lit.atom, "absent"))
-            else:
-                children.append(derivation_tree(m, lit.atom, path))
-        packed.append((rule_id, tuple(children)))
-    return DerivationNode(atom, "derived", tuple(packed))
+def derivation_tree(m: Model, atom: Atom) -> DerivationNode:
+    """The atom's derivations down to facts and absent negated atoms; an atom
+    already on the path from the root is marked 'cycle', not expanded. Each
+    node is built by a generator that yields a body atom where a recursive
+    walk would call itself, so chains of any length fit."""
+    on_path = set()
+
+    def build(a):
+        if a not in m.atoms:
+            return DerivationNode(a, "absent")
+        if a in on_path:
+            return DerivationNode(a, "cycle")
+        sups = m.supports_of(a)
+        if not sups:
+            return DerivationNode(a, "fact")
+        on_path.add(a)
+        packed = []
+        for rule_id, body in sups:
+            children = []
+            for lit in body:
+                children.append(
+                    DerivationNode(lit.atom, "absent") if lit.negated else (yield lit.atom)
+                )
+            packed.append((rule_id, tuple(children)))
+        on_path.discard(a)
+        return DerivationNode(a, "derived", tuple(packed))
+
+    stack, node = [build(atom)], None
+    while stack:
+        try:
+            child = stack[-1].send(node)
+        except StopIteration as done:
+            stack.pop()
+            node = done.value
+        else:
+            stack.append(build(child))
+            node = None
+    return node
+
+
+_SUFFIX = {"absent": " (absent)", "cycle": " (shown above)", "fact": " [fact]", "derived": ""}
 
 
 def render_derivation(node: DerivationNode, indent: int = 0) -> str:
-    pad = "  " * indent
-    if node.status == "absent":
-        return f"{pad}~{render(node.atom)} (absent)"
-    if node.status == "cycle":
-        return f"{pad}{render(node.atom)} (shown above)"
-    if node.status == "fact":
-        return f"{pad}{render(node.atom)} [fact]"
-    lines = [f"{pad}{render(node.atom)}"]
-    for rule_id, children in node.supports:
-        lines.append(f"{pad}  by {rule_id}")
-        for child in children:
-            lines.append(render_derivation(child, indent + 2))
+    lines = []
+    stack = [(indent, node)]  # (indent, node or rule id), next item on top
+    while stack:
+        indent, item = stack.pop()
+        pad = "  " * indent
+        if isinstance(item, str):
+            lines.append(f"{pad}by {item}")
+            continue
+        tilde = "~" if item.status == "absent" else ""
+        lines.append(f"{pad}{tilde}{render(item.atom)}{_SUFFIX[item.status]}")
+        for rule_id, children in reversed(item.supports):
+            stack.extend((indent + 2, child) for child in reversed(children))
+            stack.append((indent + 1, rule_id))
     return "\n".join(lines)

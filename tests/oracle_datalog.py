@@ -3,7 +3,8 @@
 The oracle grounds every rule over candidate values harvested from the
 current atom pool (classic naive evaluation: enumerate, substitute, test
 membership) and iterates each stratum to a fixpoint. No unification-driven
-joins anywhere; slow but easy to believe. The module also hosts the random
+joins anywhere; slow but easy to believe. naive_supports grounds the rules
+once more over a finished model to list each head's supports. The module also hosts the random
 program generator used by the equivalence suite.
 """
 
@@ -100,6 +101,16 @@ def _row8_thetas(rule: Rule, atoms):
             yield theta
 
 
+def _ground_instances(rule: Rule, atoms, index: dict):
+    """Every substitution the oracle grounds the rule with over the pool."""
+    if head_stratum(rule.head) == 8 and not is_ground(rule.head):
+        return list(_row8_thetas(rule, atoms))
+    cands = _candidates(rule, index)
+    names = sorted(cands)
+    pools = [sorted(cands[n], key=repr) for n in names]
+    return [dict(zip(names, combo)) for combo in itertools.product(*pools)]
+
+
 def naive_model(policy: Policy, base_atoms) -> frozenset:
     atoms = set(base_atoms)
     by_stratum: dict = {}
@@ -114,20 +125,28 @@ def naive_model(policy: Policy, base_atoms) -> frozenset:
             changed = False
             index = _pool_index(atoms)
             for rule in rules:
-                if stratum == 8 and not is_ground(rule.head):
-                    thetas = list(_row8_thetas(rule, atoms))
-                else:
-                    cands = _candidates(rule, index)
-                    names = sorted(cands)
-                    pools = [sorted(cands[n], key=repr) for n in names]
-                    thetas = [dict(zip(names, combo)) for combo in itertools.product(*pools)]
-                for theta in thetas:
+                for theta in _ground_instances(rule, atoms, index):
                     if _applies(rule, theta, atoms):
                         head = substitute(rule.head, theta)
                         if head not in atoms:
                             atoms.add(head)
                             changed = True
     return frozenset(atoms)
+
+
+def naive_supports(policy: Policy, atoms) -> dict:
+    """Why-provenance of a finished model: for each derived head, the set of
+    (rule_id, ground body literals) instances whose body holds in the model."""
+    atoms = set(atoms)
+    index = _pool_index(atoms)
+    out: dict = {}
+    for rule in policy.rules:
+        for theta in _ground_instances(rule, atoms, index):
+            head = substitute(rule.head, theta)
+            if head in atoms and _applies(rule, theta, atoms):
+                body = tuple(Literal(l.negated, substitute(l.atom, theta)) for l in rule.body)
+                out.setdefault(head, set()).add((rule.rule_id, body))
+    return out
 
 
 # ---------------------------------------------------------------------------

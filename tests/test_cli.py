@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import polcheck.cli
 from polcheck.cli import main
 from polcheck.errors import ParseError
 from polcheck.loading import load_policy
@@ -302,6 +303,18 @@ def test_non_utf8_input_exits_two(capsys, tmp_path):
     assert out == ""
     line = facts.count(b"\n") + 1
     assert err.startswith(f"error: {bad}: line {line}: not UTF-8 text")
+
+
+def test_internal_errors_exit_two(capsys, monkeypatch):
+    # exit 1 from check means non-compliant, so a fault must not produce it
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(polcheck.cli, "check_compliance", broken)
+    code, out, err = run(capsys, *audit_args("check"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: internal error: RuntimeError: boom\n"
 
 
 def test_command_is_required():

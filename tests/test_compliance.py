@@ -6,10 +6,12 @@ line at a time; each mutation must flip the verdict through exactly one
 detector category.
 """
 
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import polcheck.compliance
 from polcheck.compliance import (
     CATEGORY_MODAL_AUTH,
     CATEGORY_MODAL_CAP,
@@ -23,7 +25,6 @@ from polcheck.compliance import (
     detect_resource_capability_conflict,
     effect_formula,
     entails,
-    obligation_satisfied,
     obligation_status,
 )
 from polcheck.datalog import DecisionView
@@ -158,14 +159,12 @@ def test_obligation_released_when_assumptions_break():
     onto = parse_ontology(REBOOT_ONTO)
     sigma = parse_state("state {pw=down}.", onto)
     assert obligation_status(M_REBOOT, sigma, onto, DataSystem()) == "released"
-    assert obligation_satisfied(M_REBOOT, sigma, onto)
 
 
 def test_obligation_pending_while_assumptions_hold():
     onto = parse_ontology(REBOOT_ONTO)
     sigma = parse_state("state {pw=up}.", onto)
     assert obligation_status(M_REBOOT, sigma, onto, DataSystem()) == "unsatisfied"
-    assert not obligation_satisfied(M_REBOOT, sigma, onto)
 
 
 def test_obligation_never_released_without_a_state_table():
@@ -221,16 +220,12 @@ def test_matching_views_raise_no_authorization_conflicts():
     assert detect_modal_authorization_violation(view, view) == ()
 
 
-def test_obligation_detector_skips_enforced_and_satisfied(audit):
-    onto, ds = audit[0], audit[1]
-    pending = CurrentState()
-    hits = detect_obligation_violation((M_BACKUP,), pending, onto, ds)
+def test_obligation_detector_skips_enforced():
+    hits = detect_obligation_violation((M_BACKUP,), set())
     assert len(hits) == 1
     assert hits[0].category == CATEGORY_OBLIGATION
     assert hits[0].witness == (M_BACKUP,)
-    assert detect_obligation_violation((M_BACKUP,), pending, onto, ds, M_l={M_BACKUP}) == ()
-    done = CurrentState(frozenset({A("archived", Const("report1"), Const("tape1"))}))
-    assert detect_obligation_violation((M_BACKUP,), done, onto, ds) == ()
+    assert detect_obligation_violation((M_BACKUP,), {M_BACKUP}) == ()
 
 
 def test_resource_detector_wants_declared_objects_present(audit):
@@ -239,25 +234,17 @@ def test_resource_detector_wants_declared_objects_present(audit):
     ds_short = parse_facts(
         "\n".join(ln for ln in facts.splitlines() if "tape1" not in ln), onto
     )
-    hits = detect_resource_capability_conflict((M_BACKUP,), ds_short, onto, CurrentState())
+    hits = detect_resource_capability_conflict((M_BACKUP,), ds_short, onto)
     assert len(hits) == 1
     assert hits[0].category == CATEGORY_RESOURCE
     assert hits[0].witness == (M_BACKUP, Const("tape1"))
-    assert detect_resource_capability_conflict((M_BACKUP,), ds, onto, CurrentState()) == ()
-    done = CurrentState(frozenset({A("archived", Const("report1"), Const("tape1"))}))
-    assert detect_resource_capability_conflict((M_BACKUP,), ds_short, onto, done) == ()
+    assert detect_resource_capability_conflict((M_BACKUP,), ds, onto) == ()
 
 
-def test_capability_detector_wants_an_execute_grant(audit):
-    onto, ds = audit[0], audit[1]
+def test_capability_detector_wants_an_execute_grant():
     with_grant = DecisionView((GRANT_BACKUP,), ())
-    assert (
-        detect_modal_capability_conflict((M_BACKUP,), with_grant, onto, CurrentState(), ds)
-        == ()
-    )
-    hits = detect_modal_capability_conflict(
-        (M_BACKUP,), DecisionView((), ()), onto, CurrentState(), ds
-    )
+    assert detect_modal_capability_conflict((M_BACKUP,), with_grant) == ()
+    hits = detect_modal_capability_conflict((M_BACKUP,), DecisionView((), ()))
     assert len(hits) == 1
     assert hits[0].category == CATEGORY_MODAL_CAP
     assert hits[0].witness == (M_BACKUP, GRANT_BACKUP)
@@ -359,6 +346,34 @@ def test_audit_mutations_flip_one_detector_each(audit, label, category, witnesse
     assert conflict.category == category
     assert [render(w) for w in conflict.witness] == witnesses
     assert conflict.rule_ids == rule_ids
+
+
+def test_satisfied_obligation_is_not_flagged_by_the_audit(audit):
+    # Without the backup tape, the backup duty and the backup grant, every
+    # obligation detector names M_BACKUP while it is pending; once the state
+    # shows report1 archived, none does.
+    onto, _, ph, _, patterns, sigma = audit
+    ds = parse_facts(_drop_line((SAMPLES / "audit.facts").read_text(), "obj tape1"), onto)
+    pl = parse_policy(
+        "cando(Encrypt((target,report1)), bob, +execute) :- type(report1, Document).\n"
+        "do($o, $s, +$a) :- cando($o, $s, +$a).\n"
+        "do(report1, eve, -read) :- ~do(report1, eve, +read).\n",
+        onto,
+    )
+
+    pending = check_compliance(ph, pl, ds, patterns, sigma, onto)
+    assert pending.verdict == "non-compliant"
+    assert {c.category for c in pending.conflicts if M_BACKUP in c.witness} == {
+        CATEGORY_OBLIGATION,
+        CATEGORY_RESOURCE,
+        CATEGORY_MODAL_CAP,
+    }
+
+    archived = A("archived", Const("report1"), Const("tape1"))
+    done = CurrentState(sigma.atoms | {archived}, sigma.state)
+    report = check_compliance(ph, pl, ds, patterns, done, onto)
+    assert report.verdict == "compliant"
+    assert not [c for c in report.conflicts if M_BACKUP in c.witness]
 
 
 def test_reports_are_deterministic(audit):
@@ -485,6 +500,40 @@ def test_nearest_miss_ties_break_on_choice_log():
         CATEGORY_MODAL_CAP,
         CATEGORY_OBLIGATION,
     ]
+
+
+def test_each_obligation_is_classified_once_per_audit(monkeypatch):
+    # FixA is owed directly and, in the first branch, through the refined Fix
+    # duty too; FixB only in the second branch. Both branches are examined.
+    calls = Counter()
+    classify = polcheck.compliance.obligation_status
+
+    def counted(m, *args):
+        calls[m] += 1
+        return classify(m, *args)
+
+    monkeypatch.setattr(polcheck.compliance, "obligation_status", counted)
+    onto = parse_ontology(FIX_ONTO)
+    ph = parse_policy(
+        FIX_HIGH
+        + "hasObligation($s, FixA((target,$x)), fixed($x, $w))\n"
+        "    :- type($s, Agent) & owns($s, $x) & type($x, Item).\n",
+        onto,
+    )
+    report = check_compliance(
+        ph,
+        parse_policy("", onto),
+        parse_facts(FIX_FACTS, onto),
+        parse_patterns(FIX_PATTERNS, onto),
+        CurrentState(),
+        onto,
+    )
+    assert ("branches_examined", 2) in report.stats
+    assert sorted(render(m) for m in calls) == [
+        "mustdo(al, FixA((target,it)), fixed(it, $w))",
+        "mustdo(al, FixB((target,it)), fixed(it, $w))",
+    ]
+    assert set(calls.values()) == {1}
 
 
 def test_released_obligations_show_up_in_stats():

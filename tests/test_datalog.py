@@ -5,6 +5,7 @@ import random
 import pytest
 
 from polcheck.datalog import (
+    Model,
     check_integrity,
     decision_view,
     derivation_tree,
@@ -16,9 +17,9 @@ from polcheck.datalog import (
 from polcheck.errors import PolicyError
 from polcheck.ontology import DataSystem
 from polcheck.policy import parse_policy
-from polcheck.terms import ActionTerm, Atom, Const, Formula, Signed, render
+from polcheck.terms import ActionTerm, Atom, Const, Formula, Literal, Signed, render, sort_key
 
-from oracle_datalog import naive_model, random_program
+from oracle_datalog import naive_model, naive_supports, random_program
 
 
 def C(name):
@@ -117,6 +118,17 @@ def full_model():
     return evaluate(parse_policy(FULL_POLICY), FULL_FACTS)
 
 
+def assert_supports_match_the_oracle(p, atoms, model):
+    """Each head's supports, as a set, and the error witnesses agree with the
+    oracle's grounding of the finished model; heads come in sorted order."""
+    expected = naive_supports(p, atoms)
+    assert {head: set(sups) for head, sups in model.supports.items()} == expected
+    assert list(model.supports) == sorted(model.supports, key=sort_key)
+    errors = {sup for head, sups in expected.items() if head.pred == "error" for sup in sups}
+    assert set(model.error_witnesses) == errors
+    assert len(model.error_witnesses) == len(errors)
+
+
 def test_every_stratum_derives_what_the_hand_calculation_says():
     model = full_model()
     p1 = protect("pc1")
@@ -169,7 +181,10 @@ def test_rule_order_does_not_change_the_model():
 
 def test_full_fixture_matches_the_naive_oracle():
     p = parse_policy(FULL_POLICY)
-    assert evaluate(p, FULL_FACTS).atoms == naive_model(p, FULL_FACTS.base_atoms)
+    expected = naive_model(p, FULL_FACTS.base_atoms)
+    model = evaluate(p, FULL_FACTS)
+    assert model.atoms == expected
+    assert_supports_match_the_oracle(p, expected, model)
 
 
 def test_decision_view_collects_both_signs_sorted():
@@ -214,6 +229,7 @@ def test_error_rule_reports_witnesses():
     )
     model = evaluate(p, DataSystem())
     assert Atom("error", ()) in model.atoms
+    assert_supports_match_the_oracle(p, naive_model(p, ()), model)
     result = check_integrity(model)
     assert not result.ok
     (witness,) = result.witnesses
@@ -266,6 +282,60 @@ def test_derivation_tree_marks_absent_and_cyclic_atoms():
     assert render_derivation(missing).endswith("(absent)")
 
 
+def _hand_model(supports):
+    """A Model over the given head -> ((rule_id, body), ...) table, whose atoms
+    are the heads and every positive body atom."""
+    atoms = set(supports)
+    for sups in supports.values():
+        atoms.update(l.atom for _, body in sups for l in body if not l.negated)
+    return Model(frozenset(atoms), (), supports, ())
+
+
+def test_derivation_tree_walks_a_long_chain_without_recursion():
+    # chain0 <- chain1 <- ... <- chain2999, a fact: deeper than the
+    # interpreter's recursion limit
+    chain = [Atom("chain", (C(f"n{i}"),)) for i in range(3000)]
+    model = _hand_model(
+        {head: (("r1", (Literal(False, body),)),) for head, body in zip(chain, chain[1:])}
+    )
+    node = derivation_tree(model, chain[0])
+    for _ in range(2999):
+        assert node.status == "derived"
+        ((_, (node,)),) = node.supports
+    assert (node.atom, node.status) == (chain[-1], "fact")
+    lines = render_derivation(derivation_tree(model, chain[0])).split("\n")
+    assert len(lines) == 2 * 2999 + 1
+    assert lines[-1] == "    " * 2999 + "chain(n2999) [fact]"
+
+
+def test_derivation_tree_expands_an_atom_on_two_paths_twice():
+    # top <- left & right, both <- shared <- base: shared is not a cycle
+    top, left, right, shared, base = (Atom(n, ()) for n in ("top", "left", "right", "shared", "base"))
+    pos = lambda a: Literal(False, a)  # noqa: E731
+    model = _hand_model(
+        {
+            top: (("r1", (pos(left), pos(right))),),
+            left: (("r2", (pos(shared),)),),
+            right: (("r3", (pos(shared),)),),
+            shared: (("r4", (pos(base),)),),
+        }
+    )
+    assert render_derivation(derivation_tree(model, top)) == (
+        "top\n"
+        "  by r1\n"
+        "    left\n"
+        "      by r2\n"
+        "        shared\n"
+        "          by r4\n"
+        "            base [fact]\n"
+        "    right\n"
+        "      by r3\n"
+        "        shared\n"
+        "          by r4\n"
+        "            base [fact]"
+    )
+
+
 def test_render_model_is_sorted_and_stable():
     first = render_model(full_model())
     second = render_model(full_model())
@@ -285,8 +355,9 @@ def test_random_programs_match_the_oracle():
     for _ in range(20):
         p, base = random_program(rng)
         expected = naive_model(p, base)
-        got = evaluate(p, DataSystem(base_atoms=base)).atoms
-        assert got == expected
+        model = evaluate(p, DataSystem(base_atoms=base))
+        assert model.atoms == expected
+        assert_supports_match_the_oracle(p, expected, model)
         shuffled = list(p.rules)
         rng.shuffle(shuffled)
         assert evaluate(p.with_rules(shuffled), DataSystem(base_atoms=base)).atoms == expected
