@@ -11,7 +11,7 @@ from polcheck.actions import (
     ActionLeaf,
     ActionNode,
     RefinementPattern,
-    check_well_formed,
+    check_well_formed_complex,
     oracle_well_formed,
     render_composition,
     traces,
@@ -50,12 +50,12 @@ for t in traces(both):
 # constraint table and the trace replay accept it as a refinement of Bounce
 pattern = RefinementPattern("p1", "Bounce", (), bounce, "basic-seq")
 print("\nBounce := Start ; Stop")
-print("  constraint check:", check_well_formed(pattern, onto).ok)
+print("  constraint check:", check_well_formed_complex(pattern, onto).ok)
 print("  trace oracle:    ", oracle_well_formed(pattern, onto).ok)
 
 # Stop ; Stop cannot run: the first Stop leaves the service Down
 broken = RefinementPattern("p2", "Halt", (), ActionNode(SEQ, stop, stop), "basic-seq")
-report = check_well_formed(broken, onto)
+report = check_well_formed_complex(broken, onto)
 print("\nHalt := Stop ; Stop")
 print("  constraint check:", report.ok)
 for v in report.violations:

@@ -49,7 +49,6 @@ from .ontology import (
     feasible_in,
     is_subclass,
     restricted_subclass_members,
-    singleton,
     space_equals,
     space_join,
     space_meet,
@@ -70,7 +69,6 @@ from .actions import (
     TransformRule,
     WellFormedVerdict,
     apply_trace,
-    check_well_formed,
     check_well_formed_complex,
     normalize,
     oracle_well_formed,

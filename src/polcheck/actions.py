@@ -8,8 +8,9 @@ carries a state-space guard: when the guard space abstracts the state at the
 point the guarded action would run, that action is mandatory, otherwise it
 may be skipped.
 
-Well-formedness of a refinement pattern is decided two ways. check_well_formed
-evaluates the symbolic constraint row for the pattern's composition type, and
+Well-formedness of a refinement pattern is decided two ways.
+check_well_formed_complex evaluates the symbolic constraint row for the
+composition type of the root and of every labeled inner node, and
 oracle_well_formed replays every required trace from every initial state and
 checks the end states directly. The checker's constraints are sufficient, not
 necessary, so the supported direction is: checker-accepted implies
@@ -35,10 +36,8 @@ from .ontology import (
     expand_space,
     feasible_in,
     render_state,
-    singleton,
     space_join,
     space_meet,
-    space_refines,
     space_refines_witness,
     state_refines,
     universe,
@@ -94,8 +93,7 @@ class ActionClassDef:
                 return state.override(dict(rule.effects))
         if self.final_space.is_concise:
             return state.override(dict(self.final_space.fixed))
-        target = min(sorted(self.final_space.states))
-        return target
+        return min(self.final_space.states)
 
 
 def validate_action_class(
@@ -439,16 +437,13 @@ def _check_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state_
             violations.append(ConstraintViolation(path, constraint_id, witness_default or w))
 
     def need_at(constraint_id: str, abstract, state, delta):
-        if not space_refines(abstract, singleton(state), onto):
+        if not feasible_in(abstract, state, onto):
             violations.append(ConstraintViolation(path, constraint_id, delta))
 
     def app(acd: ActionClassDef, state: State):
         if not feasible_in(acd.init_space, state, onto):
             return None
         return acd.apply(state, onto)
-
-    def holds(abstract, state) -> bool:
-        return space_refines(abstract, singleton(state), onto)
 
     if row == "basic-seq":
         need("Δ1⊑Δ", D1, D)
@@ -487,15 +482,15 @@ def _check_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state_
     elif row == "basic-flex-conj":
         need("Δ1⊔Δ2⊑Δ", space_join(D1, D2, onto), D)
         for delta in delta_states:
-            if holds(D1, delta):
+            if feasible_in(D1, delta, onto):
                 m = a1.apply(delta, onto)
-                if not holds(D2, m):
+                if not feasible_in(D2, m, onto):
                     violations.append(ConstraintViolation(path, "Δ1⊑δ⇒Δ2⊑a1(δ)", delta))
                 else:
                     need_at("Δ1⊑δ⇒Γ⊑a2(a1(δ))", G, a2.apply(m, onto), delta)
-            if holds(D2, delta):
+            if feasible_in(D2, delta, onto):
                 n = a2.apply(delta, onto)
-                if not holds(D1, n):
+                if not feasible_in(D1, n, onto):
                     violations.append(ConstraintViolation(path, "Δ2⊑δ⇒Δ1⊑a2(δ)", delta))
                 else:
                     need_at("Δ2⊑δ⇒Γ⊑a1(a2(δ))", G, a1.apply(n, onto), delta)
@@ -508,7 +503,7 @@ def _check_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state_
             if m is None:
                 violations.append(ConstraintViolation(path, "Δ1⊑Δ", delta))
                 continue
-            if holds(Dg, m):
+            if feasible_in(Dg, m, onto):
                 end = app(a2, m)
                 if end is None:
                     violations.append(ConstraintViolation(path, "Δ'⊑a1(δ)⇒Γ⊑a2(a1(δ))", delta))
@@ -524,10 +519,10 @@ def _check_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state_
         if not expand_space(core, onto):
             violations.append(ConstraintViolation(path, "Δ⊓Δ'≠{}"))
         for delta in delta_states:
-            if holds(core, delta):
+            if feasible_in(core, delta, onto):
                 need_at("Δ⊓Δ'⊑δ⇒Δ1⊑δ", D1, delta, delta)
                 m = app(a1, delta)
-                if m is None or not holds(Dg, m):
+                if m is None or not feasible_in(Dg, m, onto):
                     violations.append(ConstraintViolation(path, "Δ⊓Δ'⊑δ⇒Δ'⊑a1(δ)", delta))
                 else:
                     end = app(a2, m)
@@ -536,7 +531,7 @@ def _check_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state_
                     else:
                         need_at("Δ⊓Δ'⊑δ⇒Γ⊑a2(a1(δ))", G, end, delta)
                 n = app(a2, delta)
-                if n is None or not holds(D1, n):
+                if n is None or not feasible_in(D1, n, onto):
                     violations.append(ConstraintViolation(path, "Δ⊓Δ'⊑δ⇒Δ1⊑a2(δ)", delta))
                 else:
                     end = app(a1, n)
@@ -555,10 +550,10 @@ def _check_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state_
         need("Δ2⊑Δ'", D2, Dg)
         need("Δ1⊔Δ'⊑Δ", space_join(D1, Dg, onto), D)
         for delta in delta_states:
-            g_now = holds(Dg, delta)
-            if holds(D1, delta):
+            g_now = feasible_in(Dg, delta, onto)
+            if feasible_in(D1, delta, onto):
                 m = a1.apply(delta, onto)
-                if holds(Dg, m):
+                if feasible_in(Dg, m, onto):
                     end = app(a2, m)
                     if end is None:
                         violations.append(
@@ -570,7 +565,7 @@ def _check_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state_
                     need_at("Δ1⊑δ∧Δ'⊄δ∧Δ'⊄a1(δ)⇒Γ⊑a1(δ)", G, m, delta)
             if g_now:
                 n = app(a2, delta)
-                if n is not None and holds(D1, n):
+                if n is not None and feasible_in(D1, n, onto):
                     end = app(a1, n)
                     if end is None:
                         violations.append(
@@ -601,22 +596,12 @@ def _walk_nodes(pattern: RefinementPattern, onto: Ontology):
     yield from walk(pattern.body, pattern.root, "root")
 
 
-def check_well_formed(
-    pattern: RefinementPattern, onto: Ontology, state_bound: int = 4096
-) -> WellFormedVerdict:
-    """Symbolic constraint check of the pattern's root composition."""
-    validate_pattern(pattern, onto)
-    parent = onto.action_classes[pattern.root]
-    violations, warnings = _check_node(parent, pattern.body, onto, state_bound, "root")
-    violations.sort(key=ConstraintViolation.sort_key)
-    return WellFormedVerdict(not violations, tuple(violations), tuple(warnings))
-
-
 def check_well_formed_complex(
     pattern: RefinementPattern, onto: Ontology, state_bound: int = 4096
 ) -> WellFormedVerdict:
-    """Recursive variant: every labeled inner composition is checked as its
-    own pattern node, with node paths in the report."""
+    """Symbolic constraint check of the root composition and of every
+    labeled inner composition, each as its own pattern node, with node paths
+    in the report."""
     validate_pattern(pattern, onto)
     violations: list[ConstraintViolation] = []
     warnings: list[str] = []
@@ -667,9 +652,6 @@ def _oracle_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state
         warnings.append(f"{path}: empty initial space; vacuously well-formed")
         return violations, warnings
 
-    def holds(abstract, state) -> bool:
-        return space_refines(abstract, singleton(state), onto)
-
     def run(steps, delta) -> None:
         """Simulate one required trace; record a violation on infeasibility
         or a bad end state."""
@@ -680,7 +662,7 @@ def _oracle_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state
                 violations.append(ConstraintViolation(path, tid + " infeasible", delta))
                 return
             current = acd.apply(current, onto)
-        if not holds(G, current):
+        if not feasible_in(G, current, onto):
             violations.append(ConstraintViolation(path, tid + " misses Γ", delta))
 
     feasible_somewhere = {a1.name: False, a2.name: False}
@@ -722,13 +704,13 @@ def _oracle_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state
                 violations.append(ConstraintViolation(path, "trace[" + a1.name + "] infeasible", delta))
                 continue
             mid = a1.apply(delta, onto)
-            if holds(Dg, mid):
+            if feasible_in(Dg, mid, onto):
                 run((a1, a2), delta)
             else:
                 run((a1,), delta)
 
         elif row == "adv-strict-conj":
-            mandatory = holds(space_meet(D, Dg, onto), delta)
+            mandatory = feasible_in(space_meet(D, Dg, onto), delta, onto)
             if mandatory:
                 run((a1, a2), delta)
                 run((a2, a1), delta)
@@ -736,10 +718,10 @@ def _oracle_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state
                 run((a1,), delta)
 
         elif row == "adv-flex-conj":
-            g_now = holds(Dg, delta)
+            g_now = feasible_in(Dg, delta, onto)
             if f1:
                 mid = a1.apply(delta, onto)
-                if holds(Dg, mid):
+                if feasible_in(Dg, mid, onto):
                     run((a1, a2), delta)
                 elif not g_now:
                     run((a1,), delta)

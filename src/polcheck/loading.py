@@ -81,10 +81,7 @@ _RESERVED = frozenset(BUILTIN_SHAPES) | frozenset(OVER_PREDICATES)
 
 def _parse_value(ts: TokenStream) -> str:
     tok = ts.peek()
-    if tok.kind in ("ident", "number"):
-        ts.next()
-        return tok.value
-    if tok.kind == "string":
+    if tok.kind in ("ident", "number", "string"):
         ts.next()
         return tok.value
     ts.fail(f"expected a value, found {tok.value!r}")

@@ -11,7 +11,10 @@ expands over the free variables' declared ranges. Refinement runs from
 abstract to concrete: ``state_refines(g, g2)`` says every variable of g2
 names a value at or below the corresponding value of g in the hierarchy,
 and ``space_refines(G, G2)`` says every state of G2 refines some state of G.
-Meet and join are plain intersection and union of the expansions.
+``feasible_in(G, g)`` is the one membership test: g refines some state of G.
+A concise space is a product over the variables, so membership in it is
+decided one variable at a time, without expanding it; an explicit space is
+scanned. Meet and join are plain intersection and union of the expansions.
 """
 
 from __future__ import annotations
@@ -287,26 +290,35 @@ def universe(onto: Ontology) -> tuple:
     return onto._universe
 
 
+def _allowed_values(space: StateSpace, onto: Ontology) -> dict:
+    """Per declared variable, the values a concise space allows: the fixed
+    value of a constrained variable, else the declared range."""
+    fixed = dict(space.fixed)
+    for var in fixed:
+        if var not in onto.variables:
+            raise ExpansionError(f"constraint on undeclared variable {var!r}")
+    return {
+        name: (fixed[name],) if name in fixed else vdef.values
+        for name, vdef in onto.variables.items()
+    }
+
+
+def _check_total(state: State, onto: Ontology) -> None:
+    if state.variables() != tuple(sorted(onto.variables)):
+        raise ExpansionError(f"state {render_state(state)} is not total over the declared variables")
+
+
 def expand_space(space: StateSpace, onto: Ontology) -> frozenset:
     """Expansion of a concise space is the cross product over the free
     variables' declared ranges; explicit spaces are checked for totality."""
     cached = onto._expand_cache.get(space)
     if cached is not None:
         return cached
-    declared = onto.variable_names()
     if space.is_concise:
-        fixed = dict(space.fixed)
-        for var in fixed:
-            if var not in onto.variables:
-                raise ExpansionError(f"constraint on undeclared variable {var!r}")
-        choices = {var: (value,) for var, value in fixed.items()}
-        result = frozenset(_state_product(onto.variables, choices))
+        result = frozenset(_state_product(onto.variables, _allowed_values(space, onto)))
     else:
         for s in space.states:
-            if s.variables() != tuple(sorted(declared)):
-                raise ExpansionError(
-                    f"state {render_state(s)} is not total over the declared variables"
-                )
+            _check_total(s, onto)
         result = frozenset(space.states)
     onto._expand_cache[space] = result
     return result
@@ -319,11 +331,11 @@ def space_refines(abstract: StateSpace, concrete: StateSpace, onto: Ontology) ->
 
 
 def space_refines_witness(abstract: StateSpace, concrete: StateSpace, onto: Ontology):
-    """None when the refinement holds, otherwise a concrete state that no
-    abstract state covers. The empty concrete space refines vacuously."""
-    abs_states = expand_space(abstract, onto)
+    """None when the refinement holds, otherwise the first sorted concrete
+    state that is not feasible in the abstract space. The empty concrete
+    space refines vacuously."""
     for gamma2 in sorted(expand_space(concrete, onto)):
-        if not any(state_refines(gamma, gamma2, onto) for gamma in abs_states):
+        if not feasible_in(abstract, gamma2, onto):
             return gamma2
     return None
 
@@ -340,13 +352,21 @@ def space_equals(a: StateSpace, b: StateSpace, onto: Ontology) -> bool:
     return expand_space(a, onto) == expand_space(b, onto)
 
 
-def singleton(state: State) -> StateSpace:
-    return StateSpace.explicit((state,))
-
-
 def feasible_in(space: StateSpace, state: State, onto: Ontology) -> bool:
-    """An action with initial space ``space`` can start from ``state``."""
-    return space_refines(space, singleton(state), onto)
+    """The state refines some state of the space, so an action with initial
+    space ``space`` can start from it. A concise space is decided per
+    variable: each value must refine one the space allows for its variable.
+    An explicit space is scanned. The space is checked before the state."""
+    if space.is_concise:
+        allowed = _allowed_values(space, onto)
+        _check_total(state, onto)
+        return all(
+            any(value_refines(value, a, onto) for a in allowed[var])
+            for var, value in state.assignments
+        )
+    states = expand_space(space, onto)
+    _check_total(state, onto)
+    return any(state_refines(gamma, state, onto) for gamma in states)
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,7 @@ def random_program(rng: random.Random):
     if rng.random() < 0.5:
         add(
             Atom("error", ()),
-            pos(Atom("do", (o, s, Signed("+", a)))),
             pos(Atom("do", (o, s, Signed("-", a)))),
+            pos(Atom("p1", (s, o))),
         )
     return Policy(tuple(rules)), frozenset(base)

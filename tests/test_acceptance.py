@@ -21,7 +21,7 @@ from polcheck.actions import (
     SEQ,
     ActionLeaf,
     ActionNode,
-    check_well_formed,
+    check_well_formed_complex,
     oracle_well_formed,
     render_composition,
     traces,
@@ -157,13 +157,13 @@ def test_composition_rows_agree_with_the_trace_oracle():
         rng = random.Random(f"acceptance-wf-{row}")
         for _ in range(per_row):
             pattern, onto = make_satisfying(rng, row)
-            checker = check_well_formed(pattern, onto)
+            checker = check_well_formed_complex(pattern, onto)
             oracle = oracle_well_formed(pattern, onto)
             assert checker.ok, (row, checker.violations)
             assert oracle.ok, (row, oracle.violations)
         for _ in range(per_row):
             pattern, onto, target = make_violating(rng, row)
-            checker = check_well_formed(pattern, onto)
+            checker = check_well_formed_complex(pattern, onto)
             hits = [v for v in checker.violations if v.constraint_id == target]
             assert hits and hits[0].witness is not None, (row, target)
             # the symbolic rows are strictly stronger than trace behavior,

@@ -28,7 +28,6 @@ from polcheck.ontology import (
     render_space,
     render_state,
     restricted_subclass_members,
-    singleton,
     space_equals,
     space_join,
     space_meet,
@@ -42,11 +41,14 @@ from polcheck.ontology import (
 
 def machine_onto() -> Ontology:
     """Two variables: hardware kind (Notebook below Computer) and an OS name
-    with no hierarchy between its values."""
-    classes = {c: ClassDef(c) for c in ("Computer", "Notebook", "Linux", "Windows")}
+    with no hierarchy between its values. Netbook and Ubuntu sit below a
+    declared value but outside the ranges."""
+    classes = {
+        c: ClassDef(c) for c in ("Computer", "Notebook", "Netbook", "Linux", "Ubuntu", "Windows")
+    }
     return Ontology(
         classes=classes,
-        subclass_edges=(("Notebook", "Computer"),),
+        subclass_edges=(("Notebook", "Computer"), ("Netbook", "Notebook"), ("Ubuntu", "Linux")),
         variables={
             "x1": VariableDef("x1", "pc", "hw", ("Computer", "Notebook")),
             "x2": VariableDef("x2", "pc", "os", ("Linux", "Windows")),
@@ -151,6 +153,14 @@ def test_feasibility_is_cone_membership():
     assert feasible_in(nb, mk("Notebook", "Linux"), onto)
     assert not feasible_in(nb, mk("Computer", "Linux"), onto)
     assert feasible_in(ENTIRE, mk("Computer", "Windows"), onto)
+    assert feasible_in(nb, mk("Netbook", "Ubuntu"), onto)
+    partial = State.make({"x1": "Notebook"})
+    with pytest.raises(ExpansionError, match="undeclared variable"):
+        feasible_in(StateSpace.concise({"bogus": "Linux"}), partial, onto)
+    with pytest.raises(ExpansionError, match="not total"):
+        feasible_in(nb, partial, onto)
+    with pytest.raises(ExpansionError, match="not total"):
+        feasible_in(StateSpace.explicit({mk("Notebook", "Linux")}), partial, onto)
 
 
 def test_meet_join_are_expansion_set_ops():
@@ -170,20 +180,34 @@ def test_render_helpers():
     assert render_space(StateSpace.concise({"x1": "Computer"})) == "(x1=Computer)"
     explicit = StateSpace.explicit({mk("Computer", "Linux")})
     assert render_space(explicit) == "{{x1=Computer, x2=Linux}}"
-    assert expand_space(singleton(mk("Computer", "Linux")), onto)
+    assert expand_space(explicit, onto) == {mk("Computer", "Linux")}
 
 
 # ---------------------------------------------------------------------------
-# Order laws, property-tested over random explicit spaces
+# Order laws, property-tested over random explicit and concise spaces
 # ---------------------------------------------------------------------------
 
 
 _ONTO = machine_onto()
 _UNIVERSE = sorted(universe(_ONTO))
+# the universe plus states holding a class below a declared value
+_STATES = [
+    mk(hw, os) for hw in ("Computer", "Notebook", "Netbook") for os in ("Linux", "Ubuntu", "Windows")
+]
 
 spaces = st.sets(st.sampled_from(_UNIVERSE), min_size=0, max_size=4).map(
-    lambda s: StateSpace.explicit(s)
-)
+    StateSpace.explicit
+) | st.fixed_dictionaries(
+    {}, optional={name: st.sampled_from(vdef.values) for name, vdef in _ONTO.variables.items()}
+).map(StateSpace.concise)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spaces)
+def test_feasibility_matches_the_enumeration(a):
+    expanded = expand_space(a, _ONTO)
+    for s in _STATES:
+        assert feasible_in(a, s, _ONTO) == any(state_refines(g, s, _ONTO) for g in expanded)
 
 
 @settings(max_examples=150, deadline=None)

@@ -14,7 +14,6 @@ from polcheck.actions import (
     ActionNode,
     RefinementPattern,
     TransformRule,
-    check_well_formed,
     check_well_formed_complex,
     oracle_well_formed,
     taxonomy_of,
@@ -96,7 +95,7 @@ def test_sequence_pattern_well_formed_both_ways():
         A2=(gsp(S10), gsp(S11), {"x": "P1", "y": "Q1"}),
     )
     p = pattern("Top", ActionNode(SEQ, ActionLeaf("A1"), ActionLeaf("A2")), "basic-seq")
-    assert check_well_formed(p, onto).ok
+    assert check_well_formed_complex(p, onto).ok
     assert oracle_well_formed(p, onto).ok
 
 
@@ -111,7 +110,7 @@ def test_choice_pattern_flags_a_goal_escape():
         ActionNode(CHOICE, ActionLeaf("A1"), ActionLeaf("A2"), strict=True),
         "basic-strict-choice",
     )
-    verdict = check_well_formed(p, onto)
+    verdict = check_well_formed_complex(p, onto)
     assert not verdict.ok
     assert flagged(verdict) == {("root", "Γ⊑Γ2")}
     assert verdict.violations[0].witness == S01
@@ -128,7 +127,7 @@ def test_flexible_choice_needs_an_alternative_everywhere():
         A2=(gsp(S11), gsp(S11), {"x": "P1", "y": "Q1"}),
     )
     p = pattern("Top", ActionNode(CHOICE, ActionLeaf("A1"), ActionLeaf("A2")), "basic-flex-choice")
-    verdict = check_well_formed(p, onto)
+    verdict = check_well_formed_complex(p, onto)
     assert ("root", "Δ1⊔Δ2⊑Δ") in flagged(verdict)
 
     reference = oracle_well_formed(p, onto)
@@ -145,7 +144,7 @@ def test_flexible_choice_flags_a_dead_alternative():
         A2=(gsp(S00, S11), gsp(S11), {"x": "P1", "y": "Q1"}),
     )
     p = pattern("Top", ActionNode(CHOICE, ActionLeaf("A1"), ActionLeaf("A2")), "basic-flex-choice")
-    assert ("root", "Δ1⊓Δ≠{}") in flagged(check_well_formed(p, onto))
+    assert ("root", "Δ1⊓Δ≠{}") in flagged(check_well_formed_complex(p, onto))
     assert ("root", "A1 is never a feasible alternative") in flagged(oracle_well_formed(p, onto))
 
 
@@ -199,7 +198,7 @@ def test_guarded_conjunction_protection_pattern_is_well_formed():
     )
     assert taxonomy_of(body) == "adv-flex-conj"
     p = pattern("Protect", body, "adv-flex-conj")
-    assert check_well_formed(p, onto).ok
+    assert check_well_formed_complex(p, onto).ok
     assert oracle_well_formed(p, onto).ok
 
 
@@ -213,7 +212,7 @@ def test_guard_side_left_mirrors_the_right_guard():
         guard_side="left",
     )
     p = pattern("Protect", mirrored, "adv-flex-conj")
-    assert check_well_formed(p, onto).ok
+    assert check_well_formed_complex(p, onto).ok
     assert oracle_well_formed(p, onto).ok
 
 
@@ -238,7 +237,7 @@ def test_guarded_conjunction_catches_a_missing_windows_duty():
         guard=StateSpace.concise({"os": "Windows"}),
         guard_side="right",
     )
-    verdict = check_well_formed(pattern("Protect", body, "adv-flex-conj"), onto)
+    verdict = check_well_formed_complex(pattern("Protect", body, "adv-flex-conj"), onto)
     assert not verdict.ok
     ids = {v.constraint_id for v in verdict.violations}
     assert "Δ1⊑δ∧Δ'⊑a1(δ)⇒Γ⊑a2(a1(δ))" in ids
@@ -323,21 +322,16 @@ def _nested_pattern():
 def test_complex_check_descends_into_labeled_nodes():
     onto = _nested_onto(gsp(S10))
     p = _nested_pattern()
-    assert check_well_formed(p, onto).ok
     assert check_well_formed_complex(p, onto).ok
     assert oracle_well_formed(p, onto).ok
 
 
 def test_complex_check_reports_the_inner_path():
-    # Mid promises S00 but its body ends at S10: only the recursive walk and
-    # the oracle look inside the labeled operand.
+    # Mid promises S00 but its body ends at S10: the check looks inside the
+    # labeled operand as well as at the root.
     onto = _nested_onto(gsp(S00))
-    p = _nested_pattern()
-    shallow = check_well_formed(p, onto)
-    assert not shallow.ok  # Top's own row breaks too: A3 cannot start at S00
-    deep = check_well_formed_complex(p, onto)
-    paths = {v.node_path for v in deep.violations}
-    assert "root.left" in paths
+    deep = check_well_formed_complex(_nested_pattern(), onto)
+    assert ("root", "Δ2⊑Γ1") in flagged(deep)  # Top's own row: A3 cannot start at S00
     assert ("root.left", "Γ⊑Γ2") in flagged(deep)
 
 
@@ -353,7 +347,7 @@ def test_empty_initial_space_is_vacuously_well_formed():
         A2=(gsp(S10), gsp(S11), {"x": "P1", "y": "Q1"}),
     )
     p = pattern("Top", ActionNode(SEQ, ActionLeaf("A1"), ActionLeaf("A2")), "basic-seq")
-    for checker in (check_well_formed, check_well_formed_complex, oracle_well_formed):
+    for checker in (check_well_formed_complex, oracle_well_formed):
         verdict = checker(p, onto)
         assert verdict.ok
         assert any("vacuously well-formed" in w for w in verdict.warnings)
@@ -363,7 +357,7 @@ def test_state_bound_guards_both_checkers():
     onto = _valid_onto()
     p = pattern("Top", ActionNode(SEQ, ActionLeaf("A1"), ActionLeaf("A2")), "basic-seq")
     with pytest.raises(OracleScaleError):
-        check_well_formed(p, onto, state_bound=2)
+        check_well_formed_complex(p, onto, state_bound=2)
     with pytest.raises(OracleScaleError):
         oracle_well_formed(p, onto, state_bound=2)
 
@@ -379,10 +373,10 @@ def test_generated_instances_behave_per_row(row):
     rng = random.Random(f"wf-{row}")
     for _ in range(10):
         p, onto = make_satisfying(rng, row)
-        assert check_well_formed(p, onto).ok, row
+        assert check_well_formed_complex(p, onto).ok, row
         assert oracle_well_formed(p, onto).ok, row
     for _ in range(10):
         p, onto, target = make_violating(rng, row)
-        verdict = check_well_formed(p, onto)
+        verdict = check_well_formed_complex(p, onto)
         hits = [v for v in verdict.violations if v.constraint_id == target]
         assert hits and hits[0].witness is not None, (row, target)
