@@ -8,13 +8,15 @@ carries a state-space guard: when the guard space abstracts the state at the
 point the guarded action would run, that action is mandatory, otherwise it
 may be skipped.
 
-Well-formedness of a refinement pattern is decided two ways.
-check_well_formed_complex evaluates the symbolic constraint row for the
-composition type of the root and of every labeled inner node, and
-oracle_well_formed replays every required trace from every initial state and
-checks the end states directly. The checker's constraints are sufficient, not
-necessary, so the supported direction is: checker-accepted implies
-oracle-accepted.
+Well-formedness of a refinement pattern is decided two ways, over the same
+nodes: pattern_nodes yields the root and every labeled inner composition,
+and refinement flattens complex patterns along the same walk.
+check_well_formed_complex evaluates the symbolic constraint row for each
+node's composition type, and oracle_well_formed replays every required trace
+from every initial state and checks the end states directly. Both run traces
+through apply_trace, where an infeasible run fails the constraint it was
+run for. The checker's constraints are sufficient, not necessary, so the
+supported direction is: checker-accepted implies oracle-accepted.
 """
 
 from __future__ import annotations
@@ -394,56 +396,94 @@ def validate_pattern(pattern: RefinementPattern, onto: Ontology) -> None:
     walk(pattern.body, True)
 
 
+def pattern_nodes(pattern: RefinementPattern):
+    """Yield (parent action name, node, path, pattern id) for the root
+    composition and for every labeled inner composition, in preorder. The
+    path names the sides taken from the root (``root.left``); the pattern id
+    appends the labels (``p1.Scan``). Every yielded node's operands are
+    action leaves or labeled compositions."""
+    pid = pattern.pattern_id
+    if not isinstance(pattern.body, ActionNode):
+        raise StructuralError(f"pattern {pid}: body must be a composition")
+    stack = [(pattern.root, pattern.body, "root", pid)]
+    while stack:
+        parent, node, path, node_id = stack.pop()
+        for child in (node.left, node.right):
+            if isinstance(child, EmptyAction):
+                raise StructuralError(f"pattern {pid}: the empty action cannot appear in a pattern")
+            if isinstance(child, ActionNode) and child.label is None:
+                raise StructuralError(
+                    f"pattern {pid}: inner compositions must be labeled with an action"
+                )
+        yield parent, node, path, node_id
+        for side in ("right", "left"):
+            child = getattr(node, side)
+            if isinstance(child, ActionNode):
+                stack.append((child.label, child, f"{path}.{side}", f"{node_id}.{child.label}"))
+
+
 def _operand_name(comp) -> str:
-    if isinstance(comp, ActionLeaf):
-        return comp.name
-    if isinstance(comp, ActionNode) and comp.label:
-        return comp.label
-    raise StructuralError("operand is an unlabeled composition")
+    return comp.name if isinstance(comp, ActionLeaf) else comp.label
 
 
-def _node_actions(node: ActionNode, onto: Ontology):
-    a1 = onto.action_classes[_operand_name(node.left)]
-    a2 = onto.action_classes[_operand_name(node.right)]
-    if node.guard is not None and node.guard_side == "left":
-        a1, a2 = a2, a1
-    return a1, a2
-
-
-def _check_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state_bound: int, path: str):
-    """Evaluate the constraint row for one composition node. The guarded
-    operand always plays the a2 role."""
+def _node_verdicts(pattern: RefinementPattern, onto: Ontology, state_bound: int, row_check):
+    """Run ``row_check(parent, node, a1, a2, delta_states, onto, path)`` on
+    every node of the pattern and collect its violations. The guarded
+    operand always plays the a2 role. A node whose parent's initial space is
+    empty is vacuously well-formed and only warned about."""
+    validate_pattern(pattern, onto)
     violations: list[ConstraintViolation] = []
     warnings: list[str] = []
-    a1, a2 = _node_actions(node, onto)
+    for parent_name, node, path, _ in pattern_nodes(pattern):
+        parent = onto.action_classes[parent_name]
+        a1 = onto.action_classes[_operand_name(node.left)]
+        a2 = onto.action_classes[_operand_name(node.right)]
+        if node.guard_side == "left":
+            a1, a2 = a2, a1
+        delta_states = sorted(expand_space(parent.init_space, onto))
+        if len(delta_states) > state_bound:
+            raise OracleScaleError(
+                f"{path}: initial space has {len(delta_states)} states, past the bound of {state_bound}"
+            )
+        if not delta_states:
+            warnings.append(f"{path}: empty initial space; vacuously well-formed")
+            continue
+        violations.extend(row_check(parent, node, a1, a2, delta_states, onto, path))
+    violations.sort(key=ConstraintViolation.sort_key)
+    return WellFormedVerdict(not violations, tuple(violations), tuple(warnings))
+
+
+def check_well_formed_complex(
+    pattern: RefinementPattern, onto: Ontology, state_bound: int = 4096
+) -> WellFormedVerdict:
+    """Symbolic constraint check of the root composition and of every
+    labeled inner composition, each as its own pattern node, with node paths
+    in the report."""
+    return _node_verdicts(pattern, onto, state_bound, _check_node)
+
+
+def _check_node(parent: ActionClassDef, node: ActionNode, a1, a2, delta_states, onto: Ontology, path: str):
+    """The constraint row of one composition node."""
+    violations: list[ConstraintViolation] = []
     D, G = parent.init_space, parent.final_space
     D1, G1 = a1.init_space, a1.final_space
     D2, G2 = a2.init_space, a2.final_space
     Dg = node.guard
+    first, second = ActionTrace((a1.name,)), ActionTrace((a2.name,))
     row = taxonomy_of(node)
 
-    delta_states = sorted(expand_space(D, onto))
-    if len(delta_states) > state_bound:
-        raise OracleScaleError(
-            f"{path}: initial space has {len(delta_states)} states, past the bound of {state_bound}"
-        )
-    if not delta_states:
-        warnings.append(f"{path}: empty initial space; vacuously well-formed")
-        return violations, warnings
-
-    def need(constraint_id: str, abstract, concrete, witness_default=None):
+    def need(constraint_id: str, abstract, concrete):
         w = space_refines_witness(abstract, concrete, onto)
         if w is not None:
-            violations.append(ConstraintViolation(path, constraint_id, witness_default or w))
+            violations.append(ConstraintViolation(path, constraint_id, w))
 
-    def need_at(constraint_id: str, abstract, state, delta):
-        if not feasible_in(abstract, state, onto):
+    def need_at(constraint_id: str, abstract, end, delta) -> bool:
+        """The run from delta ended feasibly inside abstract; an infeasible
+        run fails the constraint too."""
+        if isinstance(end, Infeasible) or not feasible_in(abstract, end, onto):
             violations.append(ConstraintViolation(path, constraint_id, delta))
-
-    def app(acd: ActionClassDef, state: State):
-        if not feasible_in(acd.init_space, state, onto):
-            return None
-        return acd.apply(state, onto)
+            return False
+        return True
 
     if row == "basic-seq":
         need("Δ1⊑Δ", D1, D)
@@ -467,48 +507,33 @@ def _check_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state_
     elif row == "basic-strict-conj":
         need("Δ1⊑Δ", D1, D)
         need("Δ2⊑Δ", D2, D)
+        order21 = ActionTrace((a2.name, a1.name))
+        order12 = ActionTrace((a1.name, a2.name))
         for delta in delta_states:
-            end21 = None if (m := app(a2, delta)) is None else app(a1, m)
-            if end21 is None:
-                violations.append(ConstraintViolation(path, "Γ⊑a1(a2(δ))", delta))
-            else:
-                need_at("Γ⊑a1(a2(δ))", G, end21, delta)
-            end12 = None if (m := app(a1, delta)) is None else app(a2, m)
-            if end12 is None:
-                violations.append(ConstraintViolation(path, "Γ⊑a2(a1(δ))", delta))
-            else:
-                need_at("Γ⊑a2(a1(δ))", G, end12, delta)
+            need_at("Γ⊑a1(a2(δ))", G, apply_trace(order21, delta, onto), delta)
+            need_at("Γ⊑a2(a1(δ))", G, apply_trace(order12, delta, onto), delta)
 
     elif row == "basic-flex-conj":
         need("Δ1⊔Δ2⊑Δ", space_join(D1, D2, onto), D)
         for delta in delta_states:
             if feasible_in(D1, delta, onto):
                 m = a1.apply(delta, onto)
-                if not feasible_in(D2, m, onto):
-                    violations.append(ConstraintViolation(path, "Δ1⊑δ⇒Δ2⊑a1(δ)", delta))
-                else:
+                if need_at("Δ1⊑δ⇒Δ2⊑a1(δ)", D2, m, delta):
                     need_at("Δ1⊑δ⇒Γ⊑a2(a1(δ))", G, a2.apply(m, onto), delta)
             if feasible_in(D2, delta, onto):
                 n = a2.apply(delta, onto)
-                if not feasible_in(D1, n, onto):
-                    violations.append(ConstraintViolation(path, "Δ2⊑δ⇒Δ1⊑a2(δ)", delta))
-                else:
+                if need_at("Δ2⊑δ⇒Δ1⊑a2(δ)", D1, n, delta):
                     need_at("Δ2⊑δ⇒Γ⊑a1(a2(δ))", G, a1.apply(n, onto), delta)
 
     elif row == "adv-seq":
         need("Δ2⊑Δ'", D2, Dg)
         need("Δ1⊑Δ", D1, D)
         for delta in delta_states:
-            m = app(a1, delta)
-            if m is None:
+            m = apply_trace(first, delta, onto)
+            if isinstance(m, Infeasible):
                 violations.append(ConstraintViolation(path, "Δ1⊑Δ", delta))
-                continue
-            if feasible_in(Dg, m, onto):
-                end = app(a2, m)
-                if end is None:
-                    violations.append(ConstraintViolation(path, "Δ'⊑a1(δ)⇒Γ⊑a2(a1(δ))", delta))
-                else:
-                    need_at("Δ'⊑a1(δ)⇒Γ⊑a2(a1(δ))", G, end, delta)
+            elif feasible_in(Dg, m, onto):
+                need_at("Δ'⊑a1(δ)⇒Γ⊑a2(a1(δ))", G, apply_trace(second, m, onto), delta)
             else:
                 need_at("Δ'⊄a1(δ)⇒Γ⊑a1(δ)", G, m, delta)
 
@@ -521,30 +546,14 @@ def _check_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state_
         for delta in delta_states:
             if feasible_in(core, delta, onto):
                 need_at("Δ⊓Δ'⊑δ⇒Δ1⊑δ", D1, delta, delta)
-                m = app(a1, delta)
-                if m is None or not feasible_in(Dg, m, onto):
-                    violations.append(ConstraintViolation(path, "Δ⊓Δ'⊑δ⇒Δ'⊑a1(δ)", delta))
-                else:
-                    end = app(a2, m)
-                    if end is None:
-                        violations.append(ConstraintViolation(path, "Δ⊓Δ'⊑δ⇒Γ⊑a2(a1(δ))", delta))
-                    else:
-                        need_at("Δ⊓Δ'⊑δ⇒Γ⊑a2(a1(δ))", G, end, delta)
-                n = app(a2, delta)
-                if n is None or not feasible_in(D1, n, onto):
-                    violations.append(ConstraintViolation(path, "Δ⊓Δ'⊑δ⇒Δ1⊑a2(δ)", delta))
-                else:
-                    end = app(a1, n)
-                    if end is None:
-                        violations.append(ConstraintViolation(path, "Δ⊓Δ'⊑δ⇒Γ⊑a1(a2(δ))", delta))
-                    else:
-                        need_at("Δ⊓Δ'⊑δ⇒Γ⊑a1(a2(δ))", G, end, delta)
+                m = apply_trace(first, delta, onto)
+                if need_at("Δ⊓Δ'⊑δ⇒Δ'⊑a1(δ)", Dg, m, delta):
+                    need_at("Δ⊓Δ'⊑δ⇒Γ⊑a2(a1(δ))", G, apply_trace(second, m, onto), delta)
+                n = apply_trace(second, delta, onto)
+                if need_at("Δ⊓Δ'⊑δ⇒Δ1⊑a2(δ)", D1, n, delta):
+                    need_at("Δ⊓Δ'⊑δ⇒Γ⊑a1(a2(δ))", G, apply_trace(first, n, onto), delta)
             else:
-                m = app(a1, delta)
-                if m is None:
-                    violations.append(ConstraintViolation(path, "Δ⊓Δ'⊄δ⇒Γ⊑a1(δ)", delta))
-                else:
-                    need_at("Δ⊓Δ'⊄δ⇒Γ⊑a1(δ)", G, m, delta)
+                need_at("Δ⊓Δ'⊄δ⇒Γ⊑a1(δ)", G, apply_trace(first, delta, onto), delta)
 
     elif row == "adv-flex-conj":
         need("Δ2⊑Δ'", D2, Dg)
@@ -554,63 +563,18 @@ def _check_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state_
             if feasible_in(D1, delta, onto):
                 m = a1.apply(delta, onto)
                 if feasible_in(Dg, m, onto):
-                    end = app(a2, m)
-                    if end is None:
-                        violations.append(
-                            ConstraintViolation(path, "Δ1⊑δ∧Δ'⊑a1(δ)⇒Γ⊑a2(a1(δ))", delta)
-                        )
-                    else:
-                        need_at("Δ1⊑δ∧Δ'⊑a1(δ)⇒Γ⊑a2(a1(δ))", G, end, delta)
+                    need_at("Δ1⊑δ∧Δ'⊑a1(δ)⇒Γ⊑a2(a1(δ))", G, apply_trace(second, m, onto), delta)
                 elif not g_now:
                     need_at("Δ1⊑δ∧Δ'⊄δ∧Δ'⊄a1(δ)⇒Γ⊑a1(δ)", G, m, delta)
             if g_now:
-                n = app(a2, delta)
-                if n is not None and feasible_in(D1, n, onto):
-                    end = app(a1, n)
-                    if end is None:
-                        violations.append(
-                            ConstraintViolation(path, "Δ'⊑δ∧Δ1⊑a2(δ)⇒Γ⊑a1(a2(δ))", delta)
-                        )
-                    else:
-                        need_at("Δ'⊑δ∧Δ1⊑a2(δ)⇒Γ⊑a1(a2(δ))", G, end, delta)
+                n = apply_trace(second, delta, onto)
+                if not isinstance(n, Infeasible) and feasible_in(D1, n, onto):
+                    need_at("Δ'⊑δ∧Δ1⊑a2(δ)⇒Γ⊑a1(a2(δ))", G, a1.apply(n, onto), delta)
 
     else:  # pragma: no cover - taxonomy_of is total over valid nodes
         raise TaxonomyError(f"unknown composition type {row!r}")
 
-    return violations, warnings
-
-
-def _walk_nodes(pattern: RefinementPattern, onto: Ontology):
-    """Yield (parent action, node, path) for the root and every labeled
-    inner composition."""
-
-    def walk(comp, parent_name: str, path: str):
-        if not isinstance(comp, ActionNode):
-            return
-        yield onto.action_classes[parent_name], comp, path
-        for side in ("left", "right"):
-            child = getattr(comp, side)
-            if isinstance(child, ActionNode):
-                yield from walk(child, _operand_name(child), f"{path}.{side}")
-
-    yield from walk(pattern.body, pattern.root, "root")
-
-
-def check_well_formed_complex(
-    pattern: RefinementPattern, onto: Ontology, state_bound: int = 4096
-) -> WellFormedVerdict:
-    """Symbolic constraint check of the root composition and of every
-    labeled inner composition, each as its own pattern node, with node paths
-    in the report."""
-    validate_pattern(pattern, onto)
-    violations: list[ConstraintViolation] = []
-    warnings: list[str] = []
-    for parent, node, path in _walk_nodes(pattern, onto):
-        v, w = _check_node(parent, node, onto, state_bound, path)
-        violations.extend(v)
-        warnings.extend(w)
-    violations.sort(key=ConstraintViolation.sort_key)
-    return WellFormedVerdict(not violations, tuple(violations), tuple(warnings))
+    return violations
 
 
 # ---------------------------------------------------------------------------
@@ -624,45 +588,23 @@ def oracle_well_formed(
     """Brute-force reference: from every state of the initial space, run the
     trace set the composition semantics requires there and demand every run
     is feasible and ends inside the final space's cone."""
-    validate_pattern(pattern, onto)
-    violations: list[ConstraintViolation] = []
-    warnings: list[str] = []
-    for parent, node, path in _walk_nodes(pattern, onto):
-        v, w = _oracle_node(parent, node, onto, state_bound, path)
-        violations.extend(v)
-        warnings.extend(w)
-    violations.sort(key=ConstraintViolation.sort_key)
-    return WellFormedVerdict(not violations, tuple(violations), tuple(warnings))
+    return _node_verdicts(pattern, onto, state_bound, _oracle_node)
 
 
-def _oracle_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state_bound: int, path: str):
+def _oracle_node(parent: ActionClassDef, node: ActionNode, a1, a2, delta_states, onto: Ontology, path: str):
     violations: list[ConstraintViolation] = []
-    warnings: list[str] = []
-    a1, a2 = _node_actions(node, onto)
     D, G = parent.init_space, parent.final_space
     Dg = node.guard
     row = taxonomy_of(node)
 
-    delta_states = sorted(expand_space(D, onto))
-    if len(delta_states) > state_bound:
-        raise OracleScaleError(
-            f"{path}: initial space has {len(delta_states)} states, past the bound of {state_bound}"
-        )
-    if not delta_states:
-        warnings.append(f"{path}: empty initial space; vacuously well-formed")
-        return violations, warnings
-
     def run(steps, delta) -> None:
-        """Simulate one required trace; record a violation on infeasibility
-        or a bad end state."""
-        tid = "trace[" + ";".join(s.name for s in steps) + "]"
-        current = delta
-        for acd in steps:
-            if not feasible_in(acd.init_space, current, onto):
-                violations.append(ConstraintViolation(path, tid + " infeasible", delta))
-                return
-            current = acd.apply(current, onto)
-        if not feasible_in(G, current, onto):
+        """Require one trace from delta: feasible, and ending inside Γ."""
+        trace = ActionTrace(tuple(acd.name for acd in steps))
+        tid = "trace[" + ";".join(trace.steps) + "]"
+        end = apply_trace(trace, delta, onto)
+        if isinstance(end, Infeasible):
+            violations.append(ConstraintViolation(path, tid + " infeasible", delta))
+        elif not feasible_in(G, end, onto):
             violations.append(ConstraintViolation(path, tid + " misses Γ", delta))
 
     feasible_somewhere = {a1.name: False, a2.name: False}
@@ -739,4 +681,4 @@ def _oracle_node(parent: ActionClassDef, node: ActionNode, onto: Ontology, state
     if row == "adv-strict-conj":
         if not expand_space(space_meet(D, Dg, onto), onto):
             violations.append(ConstraintViolation(path, "guard never applies inside Δ"))
-    return violations, warnings
+    return violations

@@ -59,7 +59,7 @@ class OracleScaleError(PolcheckError):
 
 
 class PatternError(PolcheckError):
-    """A refinement pattern cannot be applied to a rule (non-unifying bindings, unlabeled node)."""
+    """A refinement pattern cannot be applied to a rule (non-unifying bindings, wrong operator, undeclared operand)."""
 
 
 class BranchLimitError(PolcheckError):

@@ -261,14 +261,23 @@ def value_refines(concrete: str, abstract: str, onto: Ontology, ds: DataSystem =
 
 
 def state_refines(abstract: State, concrete: State, onto: Ontology, ds: DataSystem = None) -> bool:
-    if abstract.variables() != concrete.variables():
+    """Every value of the concrete state refines the abstract state's value
+    of the same variable. One pass compares the variable names and, until one
+    fails, the values; states over different variables are an error."""
+    a, c = abstract.assignments, concrete.assignments
+    same_variables = len(a) == len(c)
+    refines = True
+    for (var, av), (cvar, cv) in zip(a, c):
+        if var != cvar:
+            same_variables = False
+            break
+        if refines and not value_refines(cv, av, onto, ds):
+            refines = False
+    if not same_variables:
         raise StructuralError(
             f"states range over different variables: {abstract.variables()} vs {concrete.variables()}"
         )
-    return all(
-        value_refines(cv, av, onto, ds)
-        for (_, av), (_, cv) in zip(abstract.assignments, concrete.assignments)
-    )
+    return refines
 
 
 def _state_product(variables: dict, choices: dict) -> list:

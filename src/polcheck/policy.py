@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from .errors import ParseError, PolicyError
 from .ontology import Ontology
 from .terms import (
+    ActionTerm,
     Atom,
     Formula,
     Literal,
@@ -452,7 +453,47 @@ def check_stratification(p: Policy, onto: Ontology = None) -> StratificationResu
                         f"row {row}: {lit.atom.pred} literals in {rule.head.pred} bodies must be positive",
                     )
                 )
+            elif lit.atom.pred == rule.head.pred:
+                violations.extend(_growth_violations(rule, lit, row))
     return StratificationResult(not violations, tuple(strata), tuple(violations))
+
+
+def _nesting_depths(value) -> dict:
+    """The deepest action-term nesting at which each variable occurs."""
+    depths: dict = {}
+    stack = [(value, 0)]
+    while stack:
+        v, depth = stack.pop()
+        if isinstance(v, Var):
+            depths[v.name] = max(depth, depths.get(v.name, 0))
+        elif isinstance(v, ActionTerm):
+            stack.extend((b, depth + 1) for _, b in v.bindings)
+        elif isinstance(v, Signed):
+            stack.append((v.term, depth))
+        elif isinstance(v, Atom):
+            stack.extend((a, depth) for a in v.args)
+        elif isinstance(v, Formula):
+            stack.extend((c.atom, depth) for c in v.conjuncts)
+    return depths
+
+
+def _growth_violations(rule: Rule, lit: Literal, row: int) -> list:
+    """A recursive rule (rows 2, 3 and 6) may not nest a variable of its
+    recursive literal deeper in the head than the literal does: each round
+    would derive a deeper term than the last, and the fixpoint never comes."""
+    body = _nesting_depths(lit.atom)
+    head = _nesting_depths(rule.head)
+    return [
+        StratificationViolation(
+            rule.rule_id,
+            render(lit),
+            row,
+            f"row {row}: the head nests ${name} deeper than the recursive literal "
+            f"{render(lit)} does, so its terms would grow without bound",
+        )
+        for name in sorted(body)
+        if head.get(name, 0) > body[name]
+    ]
 
 
 def _check_row8(rule: Rule):

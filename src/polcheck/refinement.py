@@ -18,9 +18,9 @@ instead. Dispensation rules are never action-refined.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .actions import ActionNode, ActionLeaf, CHOICE, SEQ, RefinementPattern, taxonomy_of
+from .actions import ActionLeaf, CHOICE, SEQ, RefinementPattern, pattern_nodes, taxonomy_of
 from .errors import BranchLimitError, CycleError, PatternError, PolicyError
 from .ontology import Ontology, StateSpace, expand_space, universe
 from .policy import Policy, Rule, _check_safety, check_stratification
@@ -234,57 +234,41 @@ def _flatten_patterns(patterns) -> tuple:
     label standing in as the operand action."""
     out = []
     for pat in patterns:
-
-        def visit(node, pid, root_name):
-            left = _operand_leaf(node.left, pat)
-            right = _operand_leaf(node.right, pat)
-            simple = ActionNode(
-                node.op, left, right, strict=node.strict, guard=node.guard, guard_side=node.guard_side
+        for parent, node, _, pid in pattern_nodes(pat):
+            left, right = (
+                c if isinstance(c, ActionLeaf) else ActionLeaf(c.label, pat.root_bindings)
+                for c in (node.left, node.right)
             )
-            out.append(
-                RefinementPattern(pid, root_name, pat.root_bindings, simple, taxonomy_of(simple))
-            )
-            for child in (node.left, node.right):
-                if isinstance(child, ActionNode):
-                    visit(child, f"{pid}.{child.label}", child.label)
-
-        visit(pat.body, pat.pattern_id, pat.root)
+            simple = replace(node, left=left, right=right, label=None)
+            out.append(RefinementPattern(pid, parent, pat.root_bindings, simple, taxonomy_of(simple)))
     return tuple(out)
 
 
-def _operand_leaf(child, pat) -> ActionLeaf:
-    if isinstance(child, ActionLeaf):
-        return child
-    if isinstance(child, ActionNode):
-        if not child.label:
-            raise PatternError(
-                f"pattern {pat.pattern_id}: inner compositions must be labeled to refine through"
-            )
-        return ActionLeaf(child.label, pat.root_bindings)
-    raise PatternError(f"pattern {pat.pattern_id}: empty action cannot be an operand")
-
-
 def _check_acyclic(patterns) -> None:
+    """Depth-first search over root -> operand edges in sorted order, with
+    its own stack; the first cycle found is reported as a trail."""
     edges: dict = {}
     for pat in patterns:
-        kids = edges.setdefault(pat.root, set())
-        kids.add(pat.body.left.name)
-        kids.add(pat.body.right.name)
-    state: dict = {}
-
-    def visit(n, trail):
-        if state.get(n) == 2:
-            return
-        if state.get(n) == 1:
-            cycle = trail[trail.index(n):] + [n]
-            raise CycleError("refinement patterns are cyclic: " + " -> ".join(cycle))
-        state[n] = 1
-        for k in sorted(edges.get(n, ())):
-            visit(k, trail + [n])
-        state[n] = 2
-
-    for n in sorted(edges):
-        visit(n, [])
+        edges.setdefault(pat.root, set()).update((pat.body.left.name, pat.body.right.name))
+    finished: set = set()
+    for start in sorted(edges):
+        if start in finished:
+            continue
+        trail, on_trail = [start], {start}
+        pending = [iter(sorted(edges[start]))]
+        while pending:
+            kid = next(pending[-1], None)
+            if kid is None:
+                pending.pop()
+                on_trail.discard(trail[-1])
+                finished.add(trail.pop())
+            elif kid in on_trail:
+                cycle = trail[trail.index(kid):] + [kid]
+                raise CycleError("refinement patterns are cyclic: " + " -> ".join(cycle))
+            elif kid not in finished:
+                trail.append(kid)
+                on_trail.add(kid)
+                pending.append(iter(sorted(edges.get(kid, ()))))
 
 
 def _unify(pat: RefinementPattern, rule: Rule) -> dict:

@@ -255,6 +255,14 @@ _TOKEN_RE = re.compile(
 )
 
 
+# Brackets of every kind, counted together, nest at most this deep in any
+# input. The parsers and the term walkers recurse once per level, so deeper
+# input is refused here with a position instead of exhausting the stack.
+MAX_NESTING = 100
+_OPEN = frozenset("([{")
+_CLOSE = frozenset(")]}")
+
+
 @dataclass(frozen=True)
 class Token:
     kind: str  # 'var' | 'ident' | 'number' | 'string' | 'sym' | 'eof'
@@ -267,6 +275,7 @@ def tokenize(text: str) -> list:
     tokens: list[Token] = []
     line, col = 1, 1
     pos = 0
+    depth = 0
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
@@ -279,8 +288,15 @@ def tokenize(text: str) -> list:
                 tok_value = value[1:]
             elif kind == "string":
                 tok_value = value[1:-1]
-            elif kind == "sym" and value == "¬":
-                tok_value = "~"
+            elif kind == "sym":
+                if value == "¬":
+                    tok_value = "~"
+                elif value in _OPEN:
+                    depth += 1
+                    if depth > MAX_NESTING:
+                        raise ParseError(f"brackets nest deeper than {MAX_NESTING} levels", line, col)
+                elif value in _CLOSE:
+                    depth -= 1
             tokens.append(Token(kind, tok_value, line, col))
         newlines = value.count("\n")
         if newlines:

@@ -13,6 +13,7 @@ import polcheck.cli
 from polcheck.cli import main
 from polcheck.errors import ParseError
 from polcheck.loading import load_policy
+from polcheck.terms import MAX_NESTING
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
@@ -80,6 +81,21 @@ def test_validate_flags_stratification_violations(capsys, tmp_path):
     assert code == 2
     assert f"{bad}: violations" in out
     assert "  r1: " in out
+
+
+def test_validate_flags_term_growing_recursion(capsys, tmp_path):
+    high = (SAMPLES / "audit_high.pol").read_text(encoding="utf-8")
+    bad = tmp_path / "grow.pol"
+    bad.write_text(high + "derhasObligation($s, A0((target,$a)), $q) :- derhasObligation($s, $a, $q).\n")
+    argv = audit_args("validate", low=None, state=None)
+    argv[argv.index("--high") + 1] = bad
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    n = len(load_policy(bad).rules)
+    assert (
+        f"  r{n}: row 3: the head nests $a deeper than the recursive literal "
+        "derhasObligation($s, $a, $q) does, so its terms would grow without bound\n"
+    ) in out
 
 
 def test_validate_json_document(capsys):
@@ -303,6 +319,55 @@ def test_non_utf8_input_exits_two(capsys, tmp_path):
     assert out == ""
     line = facts.count(b"\n") + 1
     assert err.startswith(f"error: {bad}: line {line}: not UTF-8 text")
+
+
+def _nested_input(flag, depth):
+    """A pattern with ``depth`` nested labeled parentheses, or a high policy
+    with an action term ``depth`` levels deep (two brackets per level)."""
+    if flag == "--patterns":
+        body = "Backup(target:$x)"
+        for _ in range(depth):
+            body = f"({body} ; Encrypt(target:$x)):Audit"
+        return f"refine Audit(target:$x) := {body} ; Backup(target:$x) type=basic-seq\n"
+    term = "report1"
+    for _ in range(depth):
+        term = f"Audit((target,{term}))"
+    return f"hasObligation(eve, {term}, true) :- type(eve, Employee).\n"
+
+
+def _running_depth(text):
+    depth, out = 0, []
+    for ch in text:
+        depth += (ch in "([{") - (ch in ")]}")
+        out.append(depth)
+    return out
+
+
+@pytest.mark.parametrize("flag,depth", [("--patterns", 400), ("--high", 600)])
+def test_deep_nesting_is_a_parse_error(capsys, tmp_path, flag, depth):
+    bad = tmp_path / "deep.txt"
+    text = _nested_input(flag, depth)
+    bad.write_text(text)
+    argv = audit_args("validate", low=None, state=None)
+    argv[argv.index(flag) + 1] = bad
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    col = _running_depth(text).index(MAX_NESTING + 1) + 1
+    assert err == f"error: {bad}: line 1, col {col}: brackets nest deeper than {MAX_NESTING} levels\n"
+
+
+@pytest.mark.parametrize("flag,depth", [("--patterns", MAX_NESTING - 1), ("--high", MAX_NESTING // 2 - 1)])
+def test_nesting_up_to_the_bound_is_accepted(capsys, tmp_path, flag, depth):
+    text = _nested_input(flag, depth)
+    assert max(_running_depth(text)) <= MAX_NESTING < max(_running_depth(_nested_input(flag, depth + 1)))
+    ok = tmp_path / "deep.txt"
+    ok.write_text(text)
+    argv = audit_args("validate", low=None, state=None)
+    argv[argv.index(flag) + 1] = ok
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert f"{ok}: ok" in out.splitlines()
 
 
 def test_internal_errors_exit_two(capsys, monkeypatch):

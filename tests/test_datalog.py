@@ -246,6 +246,21 @@ def test_unstratified_policies_are_refused():
         evaluate(p, DataSystem())
 
 
+def test_term_growing_recursion_is_refused_and_shrinking_recursion_terminates():
+    seed = (
+        "hasObligation(carol, Audit((target,sys1)), true).\n"
+        "derhasObligation($s, $a, $q) :- hasObligation($s, $a, $q).\n"
+    )
+    grow = seed + "derhasObligation($s, Wrap((inner,$a)), $q) :- derhasObligation($s, $a, $q).\n"
+    with pytest.raises(PolicyError, match=r"not stratified: r3: row 3: the head nests \$a deeper"):
+        evaluate(parse_policy(grow), DataSystem())
+
+    shrink = seed + "derhasObligation($s, $t, $q) :- derhasObligation($s, Audit((target,$t)), $q).\n"
+    model = evaluate(parse_policy(shrink), DataSystem())
+    derived = sorted(render(a.args[1]) for a in model.atoms if a.pred == "derhasObligation")
+    assert derived == ["Audit((target,sys1))", "sys1"]
+
+
 # ---------------------------------------------------------------------------
 # Derivation trees
 # ---------------------------------------------------------------------------

@@ -42,6 +42,7 @@ AUDIT = _inputs("audit", "audit_high", "audit_low", "audit")
 PROTECT = _inputs("protect", "protect_high")
 COMPOSE = _inputs("compose", "compose_high")
 NESTED = _inputs("nested", "nested_high", "nested_low")
+LABELED = _inputs("labeled", "labeled_high", "labeled_low")
 
 _COMMANDS = [
     ("audit", "validate", AUDIT, []),
@@ -55,6 +56,9 @@ _COMMANDS = [
     ("nested", "validate", NESTED, []),
     ("nested", "refine", NESTED, []),
     ("nested", "check", NESTED, []),
+    ("labeled", "validate", LABELED, []),
+    ("labeled", "refine", LABELED, []),
+    ("labeled", "check", LABELED, []),
 ]
 
 CASES = {

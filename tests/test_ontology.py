@@ -89,6 +89,13 @@ def test_state_refinement_is_per_variable():
     assert not state_refines(mk("Notebook", "Linux"), mk("Computer", "Linux"), onto)
     with pytest.raises(StructuralError):
         state_refines(mk("Computer", "Linux"), State.make({"x1": "Computer"}), onto)
+    # the variables are compared even after a value has already failed
+    other = State.make({"x1": "Computer", "x3": "Linux"})
+    with pytest.raises(
+        StructuralError,
+        match=r"^states range over different variables: \('x1', 'x2'\) vs \('x1', 'x3'\)$",
+    ):
+        state_refines(mk("Notebook", "Linux"), other, onto)
 
 
 def test_state_assignments_are_kept_sorted():

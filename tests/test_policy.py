@@ -205,6 +205,38 @@ def test_violation_messages_name_the_offender():
     assert "just the one literal" in v2.message
 
 
+@pytest.mark.parametrize(
+    "text,row,var",
+    [
+        ("derhasObligation($s, Wrap((inner,$a)), $q) :- derhasObligation($s, $a, $q).", 3, "a"),
+        (
+            "derhasDispensation($s, Wrap((inner,$a))) :- derhasDispensation($s, Wrap((x,$b))) "
+            "& derhasDispensation($s, $a).",
+            2,
+            "a",
+        ),
+        ("dercando(Wrap((inner,$o)), $s, +$a) :- dercando($o, $s, +$a).", 6, "o"),
+    ],
+)
+def test_term_growing_recursion_is_a_row_violation(text, row, var):
+    (v,) = check_stratification(parse_policy(text)).violations
+    assert (v.row, v.message) == (
+        row,
+        f"row {row}: the head nests ${var} deeper than the recursive "
+        f"literal {v.literal} does, so its terms would grow without bound",
+    )
+
+
+def test_recursion_that_keeps_or_shrinks_its_terms_is_stratified():
+    text = (
+        "derhasObligation($s2, $a, $q) :- derhasObligation($s1, $a, $q) & type($s2, $s1).\n"
+        "derhasObligation($s, $b, $q) :- derhasObligation($s, Wrap((inner,$b)), $q).\n"
+        "derhasObligation($s, Wrap((inner,$b)), $q) :- derhasObligation($s, Wrap((inner,Wrap((x,$b)))), $q).\n"
+        "dercando($o, $s, +$a) :- dercando($o, $s2, +$a) & type($s, $s2).\n"
+    )
+    assert check_stratification(parse_policy(text)).ok
+
+
 # ---------------------------------------------------------------------------
 # The high-level restriction
 # ---------------------------------------------------------------------------

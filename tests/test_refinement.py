@@ -10,11 +10,18 @@ from polcheck.actions import (
     SEQ,
     ActionClassDef,
     ActionLeaf,
+    EMPTY,
     ActionNode,
     RefinementPattern,
 )
 from polcheck.datalog import evaluate
-from polcheck.errors import BranchLimitError, CycleError, PatternError, PolicyError
+from polcheck.errors import (
+    BranchLimitError,
+    CycleError,
+    PatternError,
+    PolicyError,
+    StructuralError,
+)
 from polcheck.ontology import (
     ENTIRE,
     ClassDef,
@@ -383,6 +390,36 @@ def test_cyclic_patterns_are_rejected():
     p = parse_policy("hasObligation($s, Protect((target, $x)), true) :- owns($s, $x).")
     with pytest.raises(CycleError, match="Harden -> Protect -> Harden"):
         enumerate_refinements(p, patterns, onto)
+
+
+def test_a_long_sequence_chain_refines_without_recursion():
+    n = 1500
+    onto = simple_onto(*[f"{kind}{i}" for i in range(n + 1) for kind in "AB"])
+    chain = tuple(
+        pat(f"p{i}", f"A{i}", ActionNode(SEQ, tleaf(f"A{i + 1}"), tleaf(f"B{i + 1}")))
+        for i in range(n)
+    )
+    p = parse_policy("hasObligation($s, A0((target, $x)), true) :- owns($s, $x).")
+    (branch,) = refine_policy(p, chain, onto).branches
+    assert [entry[1] for entry in branch.choice_log] == [f"p{i}" for i in range(n)]
+    heads = {render(r.head.args[1]) for r in branch.policy.rules if r.head.pred == "derhasObligation"}
+    assert f"A{n}((target,$x))" in heads and f"B{n}((target,$x))" in heads
+
+    closing = pat("back", f"A{n}", ActionNode(SEQ, tleaf("A0"), tleaf("B0")))
+    with pytest.raises(CycleError) as err:
+        refine_policy(p, chain + (closing,), onto)
+    trail = " -> ".join(f"A{i}" for i in range(n + 1))
+    assert str(err.value) == f"refinement patterns are cyclic: {trail} -> A0"
+
+
+def test_code_built_patterns_need_labeled_nonempty_operands():
+    onto = simple_onto("Top", "A", "B")
+    p = parse_policy("hasObligation($s, Top((target, $x)), true) :- owns($s, $x).")
+    unlabeled = ActionNode(SEQ, ActionNode(CHOICE, tleaf("A"), tleaf("B")), tleaf("B"))
+    with pytest.raises(StructuralError, match="p: inner compositions must be labeled"):
+        refine_policy(p, (pat("p", "Top", unlabeled),), onto)
+    with pytest.raises(StructuralError, match="p: the empty action cannot appear"):
+        refine_policy(p, (pat("p", "Top", ActionNode(SEQ, tleaf("A"), EMPTY)),), onto)
 
 
 def test_competing_patterns_fork_across_patterns():
