@@ -89,11 +89,9 @@ from .policy import (
 )
 from .datalog import (
     Model,
-    check_integrity,
     decision_view,
     derivation_tree,
     evaluate,
-    ground,
     render_derivation,
     render_model,
 )

@@ -373,7 +373,10 @@ def validate_pattern(pattern: RefinementPattern, onto: Ontology) -> None:
     if pattern.root not in onto.action_classes:
         raise NameResolutionError(f"pattern root {pattern.root!r} is not a declared action")
 
-    def walk(c, is_root: bool):
+    # preorder, left operand first, with its own stack
+    stack = [(pattern.body, True)]
+    while stack:
+        c, is_root = stack.pop()
         if isinstance(c, EmptyAction):
             raise StructuralError(f"pattern {pattern.pattern_id}: the empty action cannot appear in a pattern")
         if isinstance(c, ActionLeaf):
@@ -381,7 +384,7 @@ def validate_pattern(pattern: RefinementPattern, onto: Ontology) -> None:
                 raise NameResolutionError(
                     f"pattern {pattern.pattern_id}: undeclared action {c.name!r}"
                 )
-            return
+            continue
         if not is_root and c.label is None:
             raise StructuralError(
                 f"pattern {pattern.pattern_id}: inner compositions must be labeled with an action"
@@ -390,10 +393,7 @@ def validate_pattern(pattern: RefinementPattern, onto: Ontology) -> None:
             raise NameResolutionError(
                 f"pattern {pattern.pattern_id}: undeclared action label {c.label!r}"
             )
-        walk(c.left, False)
-        walk(c.right, False)
-
-    walk(pattern.body, True)
+        stack += ((c.right, False), (c.left, False))
 
 
 def pattern_nodes(pattern: RefinementPattern):

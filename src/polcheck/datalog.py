@@ -173,43 +173,10 @@ def evaluate(p: Policy, ds: DataSystem, onto: Ontology = None) -> Model:
     )
 
 
-def ground(p: Policy, ds: DataSystem, onto: Ontology = None, atoms=None) -> tuple:
-    """The ground rule instances whose positive bodies match the model's
-    active domain. With no explicit atom set, the policy's own fixpoint
-    provides the domain."""
-    if atoms is None:
-        atoms = evaluate(p, ds, onto).atoms
-    by_pred = _index(atoms)
-    out = []
-    for rule in p.rules:
-        seen = set()
-        for th in _instances(rule, atoms, by_pred):
-            inst = Rule(
-                rule.rule_id,
-                substitute(rule.head, th),
-                tuple(Literal(l.negated, substitute(l.atom, th)) for l in rule.body),
-            )
-            if inst not in seen:
-                seen.add(inst)
-                out.append(inst)
-    out.sort(key=lambda r: (r.rule_id, sort_key(r.head), tuple(sort_key(l.atom) for l in r.body)))
-    return tuple(out)
-
-
 def decision_view(m: Model) -> DecisionView:
     do_atoms = tuple(sorted((a for a in m.atoms if a.pred == "do"), key=sort_key))
     mustdo = tuple(sorted((a for a in m.atoms if a.pred == "mustdo"), key=sort_key))
     return DecisionView(do_atoms, mustdo)
-
-
-@dataclass(frozen=True)
-class IntegrityResult:
-    ok: bool
-    witnesses: tuple = ()  # ((rule_id, (ground body Literal, ...)), ...)
-
-
-def check_integrity(m: Model) -> IntegrityResult:
-    return IntegrityResult(not m.error_witnesses, m.error_witnesses)
 
 
 def render_model(m: Model) -> str:

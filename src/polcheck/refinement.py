@@ -7,6 +7,13 @@ branches. Each branch carries a choice log of (rule id, pattern id, branch
 tag) entries; replaying a log against the original inputs reproduces the
 branch policy byte for byte.
 
+Enumeration and replay share one walk that visits each branch's rules once,
+from left to right. Refining a rule rewrites that rule alone, and whether a
+pattern applies to a rule depends on that rule alone, so the rules already
+visited are final and the walk never goes back over them. A refined rule's
+outcome rules are visited next; a fork copies the branch once per extra
+outcome. Enumeration follows every outcome, replay the one its log names.
+
 Sequence refinement of an authored obligation rule keeps the source rule and
 adds a pair of derived rules: the first sub-obligation inherits the source
 body, the second fires once the first sub-action is done and the source
@@ -17,7 +24,6 @@ instead. Dispensation rules are never action-refined.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, replace
 
 from .actions import ActionLeaf, CHOICE, SEQ, RefinementPattern, pattern_nodes, taxonomy_of
@@ -37,8 +43,6 @@ from .terms import (
     match,
     substitute,
 )
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -329,20 +333,9 @@ def _sequence_rules(rule, term1, term2, a1_name, a2_name, onto, rid_prefix, warn
     return first, second, keep_source
 
 
-def _replace(policy: Policy, rule_id: str, new_rules, keep: bool) -> Policy:
-    out = []
-    for r in policy.rules:
-        if r.rule_id == rule_id:
-            if keep:
-                out.append(r)
-            out.extend(new_rules)
-        else:
-            out.append(r)
-    return policy.with_rules(out)
-
-
-def _apply_pattern(policy: Policy, rule: Rule, pat: RefinementPattern, onto: Ontology, warnings):
-    """All outcomes of one pattern application: [(policy, (log entry,))]."""
+def _apply_pattern(rule: Rule, pat: RefinementPattern, onto: Ontology, warnings):
+    """All outcomes of one pattern application: [(new rules, keep the
+    source, log entry)]."""
     theta = _unify(pat, rule)
     body = pat.body
     left = _leaf_term(body.left, theta)
@@ -357,7 +350,7 @@ def _apply_pattern(policy: Policy, rule: Rule, pat: RefinementPattern, onto: Ont
         first, second, keep = _sequence_rules(
             rule, left, right, body.left.name, body.right.name, onto, rid, warnings
         )
-        return [(_replace(policy, rid, (first, second), keep), ((rid, pid, "seq"),))]
+        return [((first, second), keep, (rid, pid, "seq"))]
 
     if body.op == CHOICE:
         subject, q = rule.head.args[0], rule.head.args[2]
@@ -368,9 +361,7 @@ def _apply_pattern(policy: Policy, rule: Rule, pat: RefinementPattern, onto: Ont
                 _obl(subject, mine, q),
                 rule.body + (_not_done(subject, other),),
             )
-            outcomes.append(
-                (_replace(policy, rid, (refined,), False), ((rid, pid, f"choice.{k}"),))
-            )
+            outcomes.append(((refined,), False, (rid, pid, f"choice.{k}")))
         return outcomes
 
     # conjunction: choice over both orders, then sequence inside each branch
@@ -390,49 +381,8 @@ def _apply_pattern(policy: Policy, rule: Rule, pat: RefinementPattern, onto: Ont
             rule.body + (_not_done(subject, other),),
         )
         first, second, _ = _sequence_rules(mid, t1, t2, n1, n2, onto, mid.rule_id, warnings)
-        outcomes.append(
-            (_replace(policy, rid, (first, second), False), ((rid, pid, f"conj.{k}"),))
-        )
+        outcomes.append(((first, second), False, (rid, pid, f"conj.{k}")))
     return outcomes
-
-
-# ---------------------------------------------------------------------------
-# Public single-step operations
-# ---------------------------------------------------------------------------
-
-
-def refine_sequence(rule: Rule, pat: RefinementPattern, onto: Ontology):
-    """The two B.1 derivation rules for one obligation rule. The caller keeps
-    the source rule when it is authored (hasObligation) and drops it when it
-    is derived."""
-    if pat.body.op != SEQ:
-        raise PatternError(f"pattern {pat.pattern_id} is not a sequence")
-    theta = _unify(pat, rule)
-    warnings: list[str] = []
-    first, second, _ = _sequence_rules(
-        rule,
-        _leaf_term(pat.body.left, theta),
-        _leaf_term(pat.body.right, theta),
-        pat.body.left.name,
-        pat.body.right.name,
-        onto,
-        rule.rule_id,
-        warnings,
-    )
-    for w in warnings:
-        log.warning("%s", w)
-    return first, second
-
-
-def refine_fork(branch: RefinementBranch, rule: Rule, pat: RefinementPattern, onto: Ontology):
-    """The branches one choice or conjunction pattern forks an obligation
-    rule into, each with its choice-log entry appended."""
-    if pat.body.op == SEQ:
-        raise PatternError(f"pattern {pat.pattern_id} is not a choice or a conjunction")
-    outcomes = _apply_pattern(branch.policy, rule, pat, onto, [])
-    return tuple(
-        RefinementBranch(pol, branch.choice_log + entries) for pol, entries in outcomes
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -442,14 +392,52 @@ def refine_fork(branch: RefinementBranch, rule: Rule, pat: RefinementPattern, on
 _REFINABLE = ("hasObligation", "derhasObligation")
 
 
-def _next_application(policy: Policy, by_root: dict, done: frozenset):
-    for rule in policy.rules:
-        if rule.head.pred not in _REFINABLE or rule.rule_id in done:
+def _by_root(pats) -> dict:
+    by_root: dict = {}
+    for pat in sorted(pats, key=lambda x: x.pattern_id):
+        by_root.setdefault(pat.root, []).append(pat)
+    return by_root
+
+
+def _patterns_for(rule: Rule, by_root: dict):
+    """The patterns rooted at the action of an obligation rule's head."""
+    action = rule.head.args[1] if rule.head.pred in _REFINABLE else None
+    return by_root.get(action.name, ()) if isinstance(action, ActionTerm) else ()
+
+
+def _walk(p: Policy, by_root: dict, expand) -> list:
+    """Refine ``p`` in one left-to-right pass over each branch's rules.
+
+    A branch is the rules already visited, a stack of rules still to visit
+    and its choice log. A rule no pattern applies to moves to the visited
+    list. For any other rule, ``expand(rule, patterns, waiting)`` returns
+    the outcomes to follow as (new rules, keep the source, log entry);
+    ``waiting`` counts the branches finished or not yet resumed. The kept
+    source moves to the visited list and the new rules are visited next. A
+    fork copies the branch once per extra outcome. Branches run depth first,
+    first outcome first. Returns (rules, choice log) per finished branch."""
+    finished = []
+    stack = [([], list(reversed(p.rules)), [])]
+    while stack:
+        visited, todo, clog = stack.pop()
+        while todo:
+            rule = todo.pop()
+            applicable = _patterns_for(rule, by_root)
+            if applicable:
+                break
+            visited.append(rule)
+        else:
+            finished.append((visited, tuple(clog)))
             continue
-        action = rule.head.args[1]
-        if isinstance(action, ActionTerm) and action.name in by_root:
-            return rule, by_root[action.name]
-    return None, ()
+        outcomes = expand(rule, applicable, len(finished) + len(stack))
+        forks = [(visited, todo, clog)] + [(visited[:], todo[:], clog[:]) for _ in outcomes[1:]]
+        for (v, t, c), (new_rules, keep, entry) in reversed(list(zip(forks, outcomes))):
+            if keep:
+                v.append(rule)
+            t.extend(reversed(new_rules))
+            c.append(entry)
+            stack.append((v, t, c))
+    return finished
 
 
 def _lift_atomic_obligations(policy: Policy, by_root: dict) -> Policy:
@@ -480,7 +468,6 @@ def enumerate_refinements(
     p: Policy,
     patterns,
     onto: Ontology,
-    ds=None,
     max_branches: int = 1024,
 ) -> RefinementResult:
     """Exhaustively apply the B rules in deterministic rule/pattern order
@@ -488,34 +475,27 @@ def enumerate_refinements(
     multiple patterns on one action fork across patterns."""
     pats = _flatten_patterns(patterns)
     _check_acyclic(pats)
-    by_root: dict = {}
-    for pat in sorted(pats, key=lambda x: x.pattern_id):
-        by_root.setdefault(pat.root, []).append(pat)
-
+    by_root = _by_root(pats)
     warnings: list[str] = []
     multiplying: set = set()
-    finished = []
-    stack = [(p, (), frozenset())]
-    while stack:
-        policy, clog, done = stack.pop()
-        rule, applicable = _next_application(policy, by_root, done)
-        if rule is None:
-            finished.append(RefinementBranch(_lift_atomic_obligations(policy, by_root), clog))
-            continue
+
+    def every_outcome(rule, applicable, waiting):
         if len(applicable) > 1:
             multiplying.update(x.pattern_id for x in applicable)
         nxt = []
         for pat in applicable:
-            outcomes = _apply_pattern(policy, rule, pat, onto, warnings)
+            outcomes = _apply_pattern(rule, pat, onto, warnings)
             if len(outcomes) > 1:
                 multiplying.add(pat.pattern_id)
-            keep_done = done | {rule.rule_id}
-            for pol, entries in outcomes:
-                nxt.append((pol, clog + entries, keep_done))
-        if len(finished) + len(stack) + len(nxt) > max_branches:
+            nxt.extend(outcomes)
+        if waiting + len(nxt) > max_branches:
             raise BranchLimitError(max_branches, tuple(sorted(multiplying)))
-        stack.extend(reversed(nxt))
+        return nxt
 
+    finished = [
+        RefinementBranch(_lift_atomic_obligations(p.with_rules(rules), by_root), clog)
+        for rules, clog in _walk(p, by_root, every_outcome)
+    ]
     for br in finished:
         result = check_stratification(br.policy, onto)
         if not result.ok:
@@ -527,36 +507,31 @@ def enumerate_refinements(
     return RefinementResult(tuple(finished), tuple(warnings))
 
 
-def replay(p: Policy, patterns, choice_log, onto: Ontology, ds=None) -> Policy:
+def replay(p: Policy, patterns, choice_log, onto: Ontology) -> Policy:
     """Re-run enumeration following a recorded choice log; returns the branch
     policy it reproduces."""
-    pats = _flatten_patterns(patterns)
-    by_root: dict = {}
-    for pat in sorted(pats, key=lambda x: x.pattern_id):
-        by_root.setdefault(pat.root, []).append(pat)
-    policy, done = p, frozenset()
-    remaining = list(choice_log)
-    while True:
-        rule, applicable = _next_application(policy, by_root, done)
-        if rule is None:
-            break
-        if not remaining:
+    by_root = _by_root(_flatten_patterns(patterns))
+    entries = iter(choice_log)
+
+    def logged_outcome(rule, applicable, _):
+        entry = next(entries, None)
+        if entry is None:
             raise PolicyError("choice log exhausted before refinement finished")
-        rid, pid, tag = remaining.pop(0)
+        rid, pid, tag = entry
         if rid != rule.rule_id:
             raise PolicyError(f"choice log expects rule {rid!r} but {rule.rule_id!r} is next")
         chosen = [x for x in applicable if x.pattern_id == pid]
         if not chosen:
             raise PolicyError(f"choice log names pattern {pid!r}, not applicable to {rid!r}")
-        outcomes = _apply_pattern(policy, rule, chosen[0], onto, [])
-        selected = [pol for pol, entries in outcomes if entries[0][2] == tag]
+        selected = [o for o in _apply_pattern(rule, chosen[0], onto, []) if o[2][2] == tag]
         if not selected:
             raise PolicyError(f"choice log tag {tag!r} matches no outcome of {pid!r}")
-        policy = selected[0]
-        done = done | {rule.rule_id}
-    if remaining:
+        return selected[:1]
+
+    ((rules, _),) = _walk(p, by_root, logged_outcome)
+    for _ in entries:
         raise PolicyError("choice log has unused entries")
-    return _lift_atomic_obligations(policy, by_root)
+    return _lift_atomic_obligations(p.with_rules(rules), by_root)
 
 
 def refine_policy(
@@ -568,8 +543,10 @@ def refine_policy(
     max_branches: int = 1024,
 ) -> RefinementResult:
     """The full high-level refinement pipeline: hierarchy templates,
-    authorization templates, conflict resolution, then pattern enumeration."""
+    authorization templates, conflict resolution, then pattern enumeration.
+    ``ds`` is accepted for positional callers and not read: refinement does
+    not depend on the data system."""
     staged = install_conflict_resolution(
         derive_authorizations(propagate_hierarchy(p, onto), onto), mode
     )
-    return enumerate_refinements(staged, patterns, onto, ds=ds, max_branches=max_branches)
+    return enumerate_refinements(staged, patterns, onto, max_branches=max_branches)

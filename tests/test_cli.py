@@ -187,6 +187,29 @@ def test_check_without_state_finds_pending_obligation(capsys):
     assert "obligation-violation" in out
 
 
+@pytest.mark.parametrize("sample", ["nested", "labeled"])
+def test_a_low_policy_that_grants_nothing_complies_with_effectless_true_duties(
+    capsys, tmp_path, sample
+):
+    # An obligation whose postcondition is `true`, on an action that declares
+    # no effect, counts as satisfied in every state, so the audit never asks
+    # the low policy for it. This pins today's verdict; whether it matches the
+    # paper's definition of compliance is an open question.
+    low = tmp_path / "empty.pol"
+    low.write_text("% grants nothing\n")
+    code, out, _ = run(
+        capsys,
+        "check",
+        "--onto", SAMPLES / f"{sample}.onto",
+        "--facts", SAMPLES / f"{sample}.facts",
+        "--high", SAMPLES / f"{sample}_high.pol",
+        "--patterns", SAMPLES / f"{sample}.rp",
+        "--low", low,
+    )
+    assert code == 0
+    assert out.startswith("verdict: compliant\nmatched branch:\n")
+
+
 def test_check_inconsistent_input_exits_two(capsys, tmp_path):
     low = tmp_path / "low.pol"
     low.write_text(

@@ -2,6 +2,8 @@
 rules through sequence, choice, and conjunction, branch enumeration, and
 choice-log replay."""
 
+import random
+
 import pytest
 
 from polcheck.actions import (
@@ -19,6 +21,7 @@ from polcheck.errors import (
     BranchLimitError,
     CycleError,
     PatternError,
+    PolcheckError,
     PolicyError,
     StructuralError,
 )
@@ -32,20 +35,19 @@ from polcheck.ontology import (
     StateSpace,
     VariableDef,
 )
-from polcheck.policy import parse_policy, render_rule, to_text
+from polcheck.policy import Rule, parse_policy, render_rule, to_text
 from polcheck.refinement import (
-    RefinementBranch,
     compile_meet_formula,
     derive_authorizations,
     enumerate_refinements,
     install_conflict_resolution,
     propagate_hierarchy,
-    refine_fork,
     refine_policy,
-    refine_sequence,
     replay,
 )
 from polcheck.terms import Atom, Const, Formula, render
+
+from oracle_refinement import random_instance, reference_refinements
 
 TRUE = Formula()
 
@@ -204,7 +206,11 @@ def test_sequence_refinement_of_an_authored_rule_keeps_the_source():
     onto = seq_onto()
     p = parse_policy("hasObligation($s, Deploy((target, $x)), true) :- owns($s, $x).")
     pattern = pat("deploy", "Deploy", ActionNode(SEQ, tleaf("Provision"), tleaf("Configure")))
-    first, second = refine_sequence(p.rules[0], pattern, onto)
+    result = enumerate_refinements(p, (pattern,), onto)
+    assert len(result.branches) == 1
+    source, first, second = result.branches[0].policy.rules
+    assert [source.rule_id, first.rule_id, second.rule_id] == ["r1", "r1.s1", "r1.s2"]
+    assert source == p.rules[0]
     # the first sub-obligation's postcondition is the meet of Provision's
     # final space with Configure's initial space
     assert render_rule(first) == (
@@ -215,11 +221,6 @@ def test_sequence_refinement_of_an_authored_rule_keeps_the_source():
         "done_act($s, Provision((target,$x))) & "
         "hasObligation($s, Deploy((target,$x)), true)."
     )
-
-    result = enumerate_refinements(p, (pattern,), onto)
-    assert len(result.branches) == 1
-    ids = [r.rule_id for r in result.branches[0].policy.rules]
-    assert ids == ["r1", "r1.s1", "r1.s2"]
 
 
 def test_sequence_refinement_of_a_derived_rule_inlines_the_body():
@@ -243,29 +244,25 @@ def test_sequence_refinement_of_a_derived_rule_inlines_the_body():
     )
 
 
-def test_refine_sequence_demands_a_sequence_pattern():
+def test_sequence_refinement_needs_declared_actions():
     onto = seq_onto()
     p = parse_policy("hasObligation($s, Deploy((target, $x)), true) :- owns($s, $x).")
-    with pytest.raises(PatternError, match="not a sequence"):
-        refine_sequence(
-            p.rules[0],
-            pat("deploy", "Deploy", ActionNode(CHOICE, tleaf("Provision"), tleaf("Configure"))),
-            onto,
-        )
-    with pytest.raises(PatternError, match="undeclared action"):
-        refine_sequence(
-            p.rules[0],
-            pat("deploy", "Deploy", ActionNode(SEQ, tleaf("Provision"), tleaf("Ghost"))),
-            onto,
-        )
+    for body in (
+        ActionNode(SEQ, tleaf("Provision"), tleaf("Ghost")),
+        ActionNode(CONJ, tleaf("Ghost"), tleaf("Provision")),
+    ):
+        with pytest.raises(PatternError) as err:
+            enumerate_refinements(p, (pat("deploy", "Deploy", body),), onto)
+        assert str(err.value) == "undeclared action 'Ghost' in a sequence refinement"
 
 
 def test_patterns_must_unify_with_the_rule_action():
     onto = simple_onto("Deploy", "Provision", "Configure")
     p = parse_policy("hasObligation($s, Deploy((host, pc1)), true) :- owns($s, pc1).")
     pattern = pat("deploy", "Deploy", ActionNode(SEQ, tleaf("Provision"), tleaf("Configure")))
-    with pytest.raises(PatternError, match="does not unify"):
-        refine_sequence(p.rules[0], pattern, onto)
+    with pytest.raises(PatternError) as err:
+        enumerate_refinements(p, (pattern,), onto)
+    assert str(err.value) == "pattern deploy does not unify with the action of rule r1"
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +274,7 @@ def test_choice_refinement_forks_and_excludes_the_alternative():
     onto = simple_onto("Notify", "Email", "Page")
     p = parse_policy("hasObligation($s, Notify((target, $x)), true) :- oncall($s, $x).")
     pattern = pat("notify", "Notify", ActionNode(CHOICE, tleaf("Email"), tleaf("Page")))
-    branches = refine_fork(RefinementBranch(p), p.rules[0], pattern, onto)
+    branches = enumerate_refinements(p, (pattern,), onto).branches
     assert [b.choice_log for b in branches] == [
         (("r1", "notify", "choice.1"),),
         (("r1", "notify", "choice.2"),),
@@ -293,17 +290,10 @@ def test_choice_refinement_forks_and_excludes_the_alternative():
         "oncall($s, $x) & ~done_act($s, Email((target,$x)))."
     }
     both = pat("notify", "Notify", ActionNode(CONJ, tleaf("Email"), tleaf("Page")))
-    assert [b.choice_log for b in refine_fork(RefinementBranch(p), p.rules[0], both, onto)] == [
+    assert [b.choice_log for b in enumerate_refinements(p, (both,), onto).branches] == [
         (("r1", "notify", "conj.1"),),
         (("r1", "notify", "conj.2"),),
     ]
-    with pytest.raises(PatternError, match="not a choice or a conjunction"):
-        refine_fork(
-            RefinementBranch(p),
-            p.rules[0],
-            pat("notify", "Notify", ActionNode(SEQ, tleaf("Email"), tleaf("Page"))),
-            onto,
-        )
 
 
 def test_guarded_patterns_refine_as_basic_with_a_warning():
@@ -404,6 +394,8 @@ def test_a_long_sequence_chain_refines_without_recursion():
     assert [entry[1] for entry in branch.choice_log] == [f"p{i}" for i in range(n)]
     heads = {render(r.head.args[1]) for r in branch.policy.rules if r.head.pred == "derhasObligation"}
     assert f"A{n}((target,$x))" in heads and f"B{n}((target,$x))" in heads
+    staged = install_conflict_resolution(derive_authorizations(propagate_hierarchy(p, onto), onto))
+    assert to_text(replay(staged, chain, branch.choice_log, onto)) == to_text(branch.policy)
 
     closing = pat("back", f"A{n}", ActionNode(SEQ, tleaf("A0"), tleaf("B0")))
     with pytest.raises(CycleError) as err:
@@ -434,6 +426,53 @@ def test_competing_patterns_fork_across_patterns():
         (("r1", "by_mail", "seq"),),
         (("r1", "by_phone", "seq"),),
     ]
+
+
+def test_enumeration_matches_the_reference_on_random_instances():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for _ in range(300):
+        p, patterns, onto, limit = random_instance(rng)
+        results = []
+        for enumerate_ in (enumerate_refinements, reference_refinements):
+            try:
+                results.append(enumerate_(p, patterns, onto, max_branches=limit))
+            except PolcheckError as exc:
+                results.append((type(exc), str(exc)))
+        fast, slow = results
+        if isinstance(slow, tuple):
+            assert fast == slow
+            outcomes.add(slow[0].__name__)
+            continue
+        assert fast.warnings == slow.warnings
+        assert [b.choice_log for b in fast.branches] == [b.choice_log for b in slow.branches]
+        assert [to_text(b.policy) for b in fast.branches] == [
+            to_text(b.policy) for b in slow.branches
+        ]
+        for branch in fast.branches:
+            replayed = replay(p, patterns, branch.choice_log, onto)
+            assert to_text(replayed) == to_text(branch.policy)
+        outcomes.add(f"{min(len(fast.branches), 4)} branches")
+    # the instances reach every outcome the comparison is meant to cover
+    assert outcomes >= {
+        "1 branches", "2 branches", "4 branches", "BranchLimitError", "CycleError", "PatternError"
+    }
+
+
+def test_rules_are_refined_where_they_stand():
+    # a policy built in code may repeat a rule id; each rule is refined by
+    # its position, so the second r1 keeps its own action
+    onto = simple_onto("Notify", "Email", "Page", "Backup")
+    parsed = parse_policy(
+        "hasObligation($s, Notify((target, $x)), true) :- oncall($s, $x).\n"
+        "hasObligation($s, Backup((target, $x)), true) :- owns($s, $x).\n"
+    )
+    first, second = parsed.rules
+    p = parsed.with_rules((first, Rule("r1", second.head, second.body)))
+    pattern = pat("notify", "Notify", ActionNode(SEQ, tleaf("Email"), tleaf("Page")))
+    (branch,) = enumerate_refinements(p, (pattern,), onto).branches
+    assert [r.rule_id for r in branch.policy.rules] == ["r1", "r1.s1", "r1.s2", "r1", "lift.Backup"]
+    assert branch.policy.rules[3].head == second.head
 
 
 def test_atomic_obligations_are_lifted():

@@ -299,6 +299,37 @@ def test_pattern_resolves_every_name():
         validate_pattern(pattern("Top", labeled, "basic-seq"), onto)
 
 
+def test_pattern_faults_are_reported_in_preorder():
+    # two faults each: a node is checked before its operands, and the whole
+    # left operand before the right one
+    onto = _valid_onto()
+    a1, a2, ghost = ActionLeaf("A1"), ActionLeaf("A2"), ActionLeaf("Ghost")
+    unlabeled = ActionNode(SEQ, a1, a2)
+    must_label = "inner compositions must be labeled with an action"
+    no_empty = "the empty action cannot appear in a pattern"
+    cases = [
+        (ActionNode(SEQ, ghost, unlabeled), NameResolutionError, "undeclared action 'Ghost'"),
+        (ActionNode(SEQ, unlabeled, ghost), StructuralError, must_label),
+        (ActionNode(SEQ, EMPTY, ghost), StructuralError, no_empty),
+        (ActionNode(SEQ, ghost, EMPTY), NameResolutionError, "undeclared action 'Ghost'"),
+        (ActionNode(SEQ, ActionNode(SEQ, ghost, a2), a2), StructuralError, must_label),
+        (
+            ActionNode(SEQ, ActionNode(SEQ, a1, EMPTY, label="Nope"), a2),
+            NameResolutionError,
+            "undeclared action label 'Nope'",
+        ),
+        (
+            ActionNode(SEQ, ActionNode(SEQ, a1, ActionLeaf("Deep"), label="A1"), unlabeled),
+            NameResolutionError,
+            "undeclared action 'Deep'",
+        ),
+    ]
+    for body, exc, message in cases:
+        with pytest.raises(exc) as err:
+            validate_pattern(pattern("Top", body, "basic-seq"), onto)
+        assert str(err.value) == f"pattern p: {message}"
+
+
 # ---------------------------------------------------------------------------
 # Complex patterns
 # ---------------------------------------------------------------------------
@@ -333,6 +364,25 @@ def test_complex_check_reports_the_inner_path():
     deep = check_well_formed_complex(_nested_pattern(), onto)
     assert ("root", "Δ2⊑Γ1") in flagged(deep)  # Top's own row: A3 cannot start at S00
     assert ("root.left", "Γ⊑Γ2") in flagged(deep)
+
+
+def test_deeply_nested_code_built_patterns_check_without_recursion():
+    # the parser bounds nesting at 100 levels; a pattern built in code has
+    # no bound, so the structural walk must not recurse
+    every = {"x": "P1", "y": "Q1"}
+    onto = grid_onto(
+        Top=(ENTIRE, ENTIRE, every), Mid=(ENTIRE, ENTIRE, every), A=(ENTIRE, ENTIRE, every)
+    )
+
+    def nested(first_leaf):
+        inner = ActionNode(SEQ, ActionLeaf(first_leaf), ActionLeaf("A"), label="Mid")
+        for _ in range(1498):
+            inner = ActionNode(SEQ, inner, ActionLeaf("A"), label="Mid")
+        return pattern("Top", ActionNode(SEQ, inner, ActionLeaf("A")), "basic-seq")
+
+    assert check_well_formed_complex(nested("A"), onto).ok
+    with pytest.raises(NameResolutionError, match="undeclared action 'Ghost'"):
+        check_well_formed_complex(nested("Ghost"), onto)
 
 
 # ---------------------------------------------------------------------------
