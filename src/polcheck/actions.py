@@ -21,7 +21,7 @@ supported direction is: checker-accepted implies oracle-accepted.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -41,8 +41,10 @@ from .ontology import (
     space_join,
     space_meet,
     space_refines_witness,
+    space_size,
     state_refines,
     universe,
+    value_refines,
 )
 from .terms import Formula, TRUE
 
@@ -102,18 +104,20 @@ def validate_action_class(
     acd: ActionClassDef, onto: Ontology, state_bound: int = 4096
 ) -> list:
     """Enumerative load check: the transformer must send every state in the
-    initial cone into the final space's cone, monotonically. Returns warning
-    strings; raises SchemaError on a contract violation."""
-    warnings: list[str] = []
-    expand_space(acd.init_space, onto)
-    expand_space(acd.final_space, onto)
-    univ = universe(onto)
-    if len(univ) > state_bound:
-        warnings.append(
-            f"action {acd.name}: universe has {len(univ)} states, past the bound; transformer contract unchecked"
-        )
-        return warnings
-    cone = [s for s in univ if feasible_in(acd.init_space, s, onto)]
+    initial cone into the final space's cone, and monotonically: lowering
+    one variable of a cone state to a declared value below it must lower
+    the output or leave it equal. The universe is counted before any state
+    is built; past ``state_bound`` states the contract is left unchecked.
+    Returns warning strings; raises SchemaError on a contract violation,
+    reporting an output outside the final space before any break in
+    monotonicity."""
+    # counting checks both spaces as expanding them would, at any size
+    space_size(acd.init_space, onto)
+    space_size(acd.final_space, onto)
+    size = math.prod(len(vdef.values) for vdef in onto.variables.values())
+    if size > state_bound:
+        return [f"action {acd.name}: universe has {size} states, past the bound; transformer contract unchecked"]
+    cone = [s for s in universe(onto) if feasible_in(acd.init_space, s, onto)]
     outputs = {}
     for delta in cone:
         gamma = acd.apply(delta, onto)
@@ -122,17 +126,26 @@ def validate_action_class(
             raise SchemaError(
                 f"action {acd.name}: transformer output {render_state(gamma)} falls outside the final space"
             )
-    if len(cone) ** 2 <= 250_000:
-        for d1, d2 in itertools.product(cone, cone):
-            if d1 != d2 and state_refines(d1, d2, onto):
-                if not state_refines(outputs[d1], outputs[d2], onto):
+    # feasible_in is closed under refinement, so the cone is a down-set of
+    # the product order; value_refines is transitive, so any ordered pair of
+    # cone states is joined by one-variable lowerings that stay in the cone.
+    below = {
+        var: {
+            v: [w for w in vdef.values if w != v and value_refines(w, v, onto)]
+            for v in vdef.values
+        }
+        for var, vdef in onto.variables.items()
+    }
+    for delta in cone:
+        for i, (var, value) in enumerate(delta.assignments):
+            for lower in below[var][value]:
+                lowered = State(delta.assignments[:i] + ((var, lower),) + delta.assignments[i + 1 :])
+                if not state_refines(outputs[delta], outputs[lowered], onto):
                     raise SchemaError(
                         f"action {acd.name}: transformer is not monotone between "
-                        f"{render_state(d1)} and {render_state(d2)}"
+                        f"{render_state(delta)} and {render_state(lowered)}"
                     )
-    else:
-        warnings.append(f"action {acd.name}: monotonicity check skipped (cone too large)")
-    return warnings
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -440,11 +453,12 @@ def _node_verdicts(pattern: RefinementPattern, onto: Ontology, state_bound: int,
         a2 = onto.action_classes[_operand_name(node.right)]
         if node.guard_side == "left":
             a1, a2 = a2, a1
-        delta_states = sorted(expand_space(parent.init_space, onto))
-        if len(delta_states) > state_bound:
+        size = space_size(parent.init_space, onto)
+        if size > state_bound:
             raise OracleScaleError(
-                f"{path}: initial space has {len(delta_states)} states, past the bound of {state_bound}"
+                f"{path}: initial space has {size} states, past the bound of {state_bound}"
             )
+        delta_states = sorted(expand_space(parent.init_space, onto))
         if not delta_states:
             warnings.append(f"{path}: empty initial space; vacuously well-formed")
             continue

@@ -57,9 +57,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--patterns", required=True, help="refinement patterns (.rp)")
         p.add_argument("--low", required=low_required, help="low-level policy (.pol)")
         p.add_argument("--state", help="current-state file (.state)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--max-branches", type=_positive, default=1024)
-        p.add_argument("--oracle-bound", type=_positive, default=4096)
+        p.add_argument("--format", choices=("text", "json"), default="text", help="report format")
+        p.add_argument(
+            "--max-branches",
+            type=_positive,
+            default=1024,
+            help="most refinement branches to enumerate before giving up",
+        )
+        p.add_argument(
+            "--oracle-bound",
+            type=_positive,
+            default=4096,
+            help="most states to enumerate: past it, load-time transformer checks are skipped "
+            "with a warning and a pattern node's initial space is an error",
+        )
         p.add_argument(
             "--mode",
             choices=("dispensation-precedence", "custom"),

@@ -28,7 +28,6 @@ from .terms import Atom, Literal, Signed, is_ground, match, match_atom, render, 
 @dataclass(frozen=True)
 class Model:
     atoms: frozenset
-    by_stratum: tuple  # tuple of 10 frozensets
     supports: dict  # head Atom -> ((rule_id, (ground body Literal, ...)), ...), heads sorted
     error_witnesses: tuple  # ((rule_id, (ground body Literal, ...)), ...)
 
@@ -127,7 +126,6 @@ def evaluate(p: Policy, ds: DataSystem, onto: Ontology = None) -> Model:
     strata = dict(strat.strata)
 
     atoms = set(ds.base_atoms)
-    by_stratum = [set(ds.base_atoms)] + [set() for _ in range(9)]
     acc: dict = {}  # head -> {(rule_id, ground body), ...}
     for k in range(1, 10):
         rules_k = [r for r in p.rules if strata[r.rule_id] == k]
@@ -150,7 +148,6 @@ def evaluate(p: Policy, ds: DataSystem, onto: Ontology = None) -> Model:
                     fired.append((derived, rule, th))
                     if derived not in atoms:
                         atoms.add(derived)
-                        by_stratum[k].add(derived)
                         changed = True
         # The last round changed nothing, so it fired every instance over the
         # stratum's final atoms: bodies name strata <= k only.
@@ -165,12 +162,7 @@ def evaluate(p: Policy, ds: DataSystem, onto: Ontology = None) -> Model:
     error_witnesses = tuple(
         sup for head, sups in supports.items() for sup in sups if head.pred == "error"
     )
-    return Model(
-        frozenset(atoms),
-        tuple(frozenset(s) for s in by_stratum),
-        supports,
-        error_witnesses,
-    )
+    return Model(frozenset(atoms), supports, error_witnesses)
 
 
 def decision_view(m: Model) -> DecisionView:

@@ -20,6 +20,7 @@ scanned. Meet and join are plain intersection and union of the expansions.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 from .errors import CycleError, ExpansionError, NameResolutionError, SchemaError, StructuralError
@@ -331,6 +332,14 @@ def expand_space(space: StateSpace, onto: Ontology) -> frozenset:
         result = frozenset(space.states)
     onto._expand_cache[space] = result
     return result
+
+
+def space_size(space: StateSpace, onto: Ontology) -> int:
+    """The number of states in the space's expansion, counted without
+    building the states of a concise space. Raises what expansion raises."""
+    if space.is_concise:
+        return math.prod(len(set(values)) for values in _allowed_values(space, onto).values())
+    return len(expand_space(space, onto))
 
 
 def space_refines(abstract: StateSpace, concrete: StateSpace, onto: Ontology) -> bool:

@@ -1,4 +1,11 @@
-"""Composition algebra: trace semantics, normal form, and the identity laws."""
+"""Composition algebra: trace semantics, normal form, the identity laws, and
+the load-time transformer contract."""
+
+import logging
+import random
+import re
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,14 +21,18 @@ from polcheck.actions import (
     ActionNode,
     ActionTrace,
     Infeasible,
+    RefinementPattern,
     TransformRule,
     apply_trace,
+    check_well_formed_complex,
     normalize,
     render_composition,
     taxonomy_of,
     traces,
+    validate_action_class,
 )
-from polcheck.errors import NameResolutionError, StructuralError
+from polcheck.errors import NameResolutionError, OracleScaleError, SchemaError, StructuralError
+from polcheck.loading import parse_ontology
 from polcheck.ontology import (
     ENTIRE,
     ClassDef,
@@ -30,6 +41,8 @@ from polcheck.ontology import (
     StateSpace,
     VariableDef,
 )
+
+from oracle_actions import random_transformer, validate_all_pairs
 
 a, b, c = ActionLeaf("a"), ActionLeaf("b"), ActionLeaf("c")
 
@@ -307,3 +320,148 @@ def test_render_respects_precedence():
         SEQ, a, b, guard=StateSpace.concise({"sw": "On"}), guard_side="right"
     )
     assert render_composition(guarded) == "a ; [sw=On]b"
+
+
+# ---------------------------------------------------------------------------
+# Load-time transformer contract
+# ---------------------------------------------------------------------------
+
+MACHINE = """
+class Computer
+class Notebook subclassOf Computer
+var x maps pc.hw range {Computer, Notebook}
+var y maps pc.power range {on, off}
+"""
+
+# A Notebook is switched on, any other computer off: on and off are not
+# comparable, so the transformer is not monotone.
+NOT_MONOTONE = """
+transform A when {x=Notebook} set {y=on}
+transform A when {} set {y=off}
+"""
+
+
+def test_an_output_outside_the_final_space_is_a_schema_error():
+    text = MACHINE + "action A init {} final {y=on}\ntransform A when {} set {y=off}\n"
+    with pytest.raises(SchemaError) as err:
+        parse_ontology(text)
+    assert str(err.value) == (
+        "action A: transformer output {x=Computer, y=off} falls outside the final space"
+    )
+
+
+def test_a_transformer_that_breaks_the_order_is_a_schema_error():
+    with pytest.raises(SchemaError) as err:
+        parse_ontology(MACHINE + "action A init {} final {}\n" + NOT_MONOTONE)
+    assert str(err.value) == (
+        "action A: transformer is not monotone between {x=Computer, y=off} and {x=Notebook, y=off}"
+    )
+
+
+def test_the_final_space_error_comes_first_when_both_faults_hold():
+    with pytest.raises(SchemaError) as err:
+        parse_ontology(MACHINE + "action A init {} final {y=off}\n" + NOT_MONOTONE)
+    assert str(err.value) == (
+        "action A: transformer output {x=Notebook, y=on} falls outside the final space"
+    )
+
+
+def test_a_violation_two_variables_apart_is_named_by_one_step():
+    text = """
+class Computer
+class Notebook subclassOf Computer
+var x1 maps pc.hw range {Computer, Notebook}
+var x2 maps pc.dock range {Computer, Notebook}
+var y maps pc.power range {on, off}
+action A init {} final {}
+transform A when {x1=Notebook, x2=Notebook} set {y=on}
+transform A when {} set {y=off}
+"""
+    with pytest.raises(SchemaError) as err:
+        parse_ontology(text)
+    assert str(err.value) == (
+        "action A: transformer is not monotone between "
+        "{x1=Computer, x2=Notebook, y=off} and {x1=Notebook, x2=Notebook, y=off}"
+    )
+
+
+def _error(check, acd, onto):
+    """The SchemaError message the check raises, or None."""
+    try:
+        check(acd, onto)
+    except SchemaError as err:
+        return str(err)
+    return None
+
+
+def _agree(acd, onto):
+    """Run the one-step check and the all-pairs reference, require the same
+    verdict and the same error up to the state pair it names, and return
+    both messages."""
+    fast, slow = _error(validate_action_class, acd, onto), _error(validate_all_pairs, acd, onto)
+    assert (fast is None) == (slow is None)
+    if fast is not None:
+        assert fast.split(" between ")[0] == slow.split(" between ")[0]
+    return fast, slow
+
+
+def _steps_apart(message: str) -> int:
+    """How many variables the two states a not-monotone error names differ in."""
+    first, second = (
+        dict(item.split("=") for item in group.split(", "))
+        for group in re.findall(r"\{(.*?)\}", message.split(" between ")[1])
+    )
+    return sum(first[var] != second[var] for var in first)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_one_step_check_agrees_with_all_pairs(rng):
+    _agree(*random_transformer(rng))
+
+
+def test_one_step_check_agrees_with_all_pairs_on_seeded_transformers():
+    rng = random.Random(20261018)
+    kinds = Counter()
+    for _ in range(3000):
+        fast, slow = _agree(*random_transformer(rng))
+        if fast is None:
+            kinds["ok"] += 1
+        elif "final space" in fast:
+            kinds["final space"] += 1
+        else:
+            kinds["not monotone"] += 1
+            assert _steps_apart(fast) == 1
+            kinds["all-pairs names two variables apart"] += _steps_apart(slow) == 2
+    assert all(kinds[k] for k in ("ok", "final space", "not monotone", "all-pairs names two variables apart"))
+
+
+def _binary_ontology(n: int) -> str:
+    lines = [f"var v{i} maps box.p{i} range {{lo, hi}}" for i in range(n)]
+    lines += [
+        "action Top init {} final {}",
+        "action A1 init {} final {}",
+        "action A2 init {v0=lo} final {v0=hi}",
+        "transform A2 when {} set {v0=hi}",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def test_the_state_bound_is_checked_before_any_state_is_built(monkeypatch, caplog):
+    # 2^40 states: enumerating them would never finish, so fail at once instead
+    def no_states(*args):
+        raise AssertionError("a state was built past the bound")
+
+    monkeypatch.setattr("polcheck.ontology._state_product", no_states)
+    started = time.perf_counter()
+    with caplog.at_level(logging.WARNING, logger="polcheck"):
+        onto = parse_ontology(_binary_ontology(40))
+    assert [r.getMessage() for r in caplog.records] == [
+        f"action {name}: universe has {2 ** 40} states, past the bound; transformer contract unchecked"
+        for name in ("Top", "A1", "A2")
+    ]
+    pattern = RefinementPattern("p1", "Top", (), ActionNode(SEQ, ActionLeaf("A1"), ActionLeaf("A2")), "basic-seq")
+    with pytest.raises(OracleScaleError) as err:
+        check_well_formed_complex(pattern, onto)
+    assert str(err.value) == f"root: initial space has {2 ** 40} states, past the bound of 4096"
+    assert time.perf_counter() - started < 5

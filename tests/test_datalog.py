@@ -61,9 +61,6 @@ def test_one_obligation_per_assignment():
         "hasObligation(emp1, Protect((target,pc3)), hasInstalled(pc3, $y) & type($y, Firewall))",
         "hasObligation(emp2, Protect((target,pc2)), hasInstalled(pc2, $y) & type($y, Firewall))",
     ]
-    assert model.by_stratum[1] == frozenset(
-        a for a in model.atoms if a.pred == "hasObligation"
-    )
 
 
 def test_grounding_instantiates_the_rule_per_assignment():
@@ -299,7 +296,7 @@ def _hand_model(supports):
     atoms = set(supports)
     for sups in supports.values():
         atoms.update(l.atom for _, body in sups for l in body if not l.negated)
-    return Model(frozenset(atoms), (), supports, ())
+    return Model(frozenset(atoms), supports, ())
 
 
 def test_derivation_tree_walks_a_long_chain_without_recursion():

@@ -1,4 +1,5 @@
-"""Golden CLI outputs on samples/: stdout and exit code, byte for byte.
+"""Golden outputs, byte for byte: the CLI's stdout and exit code on samples/,
+and the stdout of every script in demos/.
 
 The README promises that the same inputs give byte-identical output. These
 cases pin that output so a refactor of the core cannot change it unnoticed.
@@ -11,6 +12,7 @@ To re-record after an intended output change:
 
 import json
 import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -68,6 +70,19 @@ CASES = {
 }
 
 
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+def run_demo(script):
+    """A demo's stdout, run as its own process with polcheck on the path."""
+    env = {k: v for k, v in os.environ.items() if k != "POLCHECK_COLOR"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
+
+
 def run_case(argv):
     out = StringIO()
     with redirect_stdout(out), redirect_stderr(StringIO()):
@@ -89,6 +104,11 @@ def test_cli_output_matches_golden(name):
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("script", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_output_matches_golden(script):
+    assert run_demo(script) == (GOLDEN / f"demo_{script.stem}.out").read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     os.environ.pop("POLCHECK_COLOR", None)
     os.chdir(ROOT)
@@ -100,4 +120,6 @@ if __name__ == "__main__":
     (GOLDEN / "exit_codes.json").write_text(
         json.dumps(codes, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    print(f"recorded {len(codes)} cases in {GOLDEN}", file=sys.stderr)
+    for script in DEMOS:
+        (GOLDEN / f"demo_{script.stem}.out").write_text(run_demo(script), encoding="utf-8")
+    print(f"recorded {len(codes)} cases and {len(DEMOS)} demos in {GOLDEN}", file=sys.stderr)
