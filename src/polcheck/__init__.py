@@ -49,7 +49,6 @@ from .ontology import (
     feasible_in,
     is_subclass,
     restricted_subclass_members,
-    space_equals,
     space_join,
     space_meet,
     space_refines,

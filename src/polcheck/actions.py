@@ -21,7 +21,6 @@ supported direction is: checker-accepted implies oracle-accepted.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import (
@@ -32,11 +31,15 @@ from .errors import (
     TaxonomyError,
 )
 from .ontology import (
+    ENTIRE,
     Ontology,
     State,
     StateSpace,
+    _allowed_values,
     expand_space,
     feasible_in,
+    render_constraints,
+    render_space,
     render_state,
     space_join,
     space_meet,
@@ -90,14 +93,23 @@ class ActionClassDef:
     instruments: tuple = ()
 
     def apply(self, state: State, onto: Ontology) -> State:
-        """Total transformer: first matching guarded assignment fires; the
-        fallback applies the final space's fixed constraints."""
+        """Total transformer: first matching guarded assignment fires. The
+        fallback overrides the variables of a final box that gives each one
+        value; otherwise it returns the final space's least state."""
         for rule in self.transform:
             if feasible_in(rule.guard, state, onto):
                 return state.override(dict(rule.effects))
-        if self.final_space.is_concise:
-            return state.override(dict(self.final_space.fixed))
-        return min(self.final_space.states)
+        final = self.final_space
+        if not final.is_concise:
+            if not final.states:
+                raise SchemaError(
+                    f"action {self.name}: no transform rule applies and the final space is empty"
+                )
+            return min(final.states)
+        fixed = dict(final.fixed)
+        if len(fixed) == len(final.fixed):
+            return state.override(fixed)
+        return State.make({var: min(values) for var, values in _allowed_values(final, onto).items()})
 
 
 def validate_action_class(
@@ -114,7 +126,7 @@ def validate_action_class(
     # counting checks both spaces as expanding them would, at any size
     space_size(acd.init_space, onto)
     space_size(acd.final_space, onto)
-    size = math.prod(len(vdef.values) for vdef in onto.variables.values())
+    size = space_size(ENTIRE, onto)
     if size > state_bound:
         return [f"action {acd.name}: universe has {size} states, past the bound; transformer contract unchecked"]
     cone = [s for s in universe(onto) if feasible_in(acd.init_space, s, onto)]
@@ -228,7 +240,6 @@ class RefinementPattern:
 
 
 def render_composition(comp, _prec: int = 0) -> str:
-    from .ontology import render_space
     from .terms import render as render_term
 
     if isinstance(comp, EmptyAction):
@@ -245,7 +256,8 @@ def render_composition(comp, _prec: int = 0) -> str:
     left = render_composition(comp.left, prec)
     right = render_composition(comp.right, prec + 1)
     if comp.guard is not None:
-        gtxt = "[" + ", ".join(f"{v}={val}" for v, val in comp.guard.fixed) + "]" if comp.guard.is_concise else "[" + render_space(comp.guard) + "]"
+        guard = render_constraints(comp.guard) if comp.guard.is_concise else render_space(comp.guard)
+        gtxt = f"[{guard}]"
         if comp.guard_side == "left":
             left = gtxt + left
         else:

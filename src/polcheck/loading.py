@@ -4,8 +4,8 @@ path wrappers here add the file name to any error.
 
 All four formats share one tokenizer (`%` comments, `$`-prefixed variables).
 Declarations are keyword-led, so line breaks are insignificant, but the
-variable table must be declared before any action class: a multi-valued
-state-space constraint expands against the full table.
+variable table must be declared before any action class: every constraint
+block is checked against it.
 
 Ontology grammar:
 
@@ -16,9 +16,10 @@ Ontology grammar:
         [effect formula] [resource id,...] [instrument id,...]
     transform Name when {constraints} set {x=v, ...}
 
-A constraint block is `{x=v, y=v1|v2, ...}`: single-valued blocks stay
-concise, multi-valued ones expand to an explicit space, `{}` is the entire
-space.
+A constraint block is `{x=v, y=v1|v2, ...}` and stays a box: each listed
+variable takes one of its listed values, every other variable any declared
+value, so `{}` is the entire space. A variable is listed at most once per
+block, and a range lists each value once.
 
 Facts grammar: `obj id : Class {prop=value, ...}` emits a type atom and one
 atom per property pair; other lines are ground atoms. Every done atom also
@@ -55,7 +56,6 @@ from .actions import (
 from .compliance import CurrentState
 from .errors import ParseError, PolcheckError, SchemaError, StructuralError
 from .ontology import (
-    ENTIRE,
     ClassDef,
     DataSystem,
     ObjectInstance,
@@ -64,7 +64,6 @@ from .ontology import (
     State,
     StateSpace,
     VariableDef,
-    _state_product,
 )
 from .policy import BUILTIN_SHAPES, OVER_PREDICATES, Policy, parse_policy
 from .terms import Atom, Const, TokenStream, is_ground, parse_formula, parse_term
@@ -89,11 +88,16 @@ def _parse_value(ts: TokenStream) -> str:
 
 def _parse_constraints(ts: TokenStream, close: str) -> list:
     """`x=v` or `x=v1|v2` pairs up to the closing bracket; returns
-    [(variable, (value, ...)), ...]."""
+    [(variable, (value, ...)), ...]. A variable listed twice is an error:
+    alternatives are written with `|`."""
     pairs = []
     if not ts.at(close):
         while True:
             var = ts.expect_kind("ident").value
+            if any(var == seen for seen, _ in pairs):
+                raise SchemaError(
+                    f"variable {var!r} is listed twice in one block; write alternatives as {var}=v1|v2"
+                )
             ts.expect("=")
             values = [_parse_value(ts)]
             while ts.accept("|"):
@@ -115,11 +119,7 @@ def _space_from_pairs(pairs: list, variables: dict, where: str) -> StateSpace:
                 raise SchemaError(
                     f"{where}: value {v!r} is outside the declared range of {var!r}"
                 )
-    if not pairs:
-        return ENTIRE
-    if all(len(values) == 1 for _, values in pairs):
-        return StateSpace.concise({var: values[0] for var, values in pairs})
-    return StateSpace.explicit(_state_product(variables, dict(pairs)))
+    return StateSpace.concise((var, v) for var, values in pairs for v in values)
 
 
 def _parse_space(ts: TokenStream, variables: dict, where: str) -> StateSpace:
@@ -203,7 +203,10 @@ def parse_ontology(text: str, state_bound: int = 4096) -> Ontology:
             ts.expect("{")
             values = [_parse_value(ts)]
             while ts.accept(","):
-                values.append(_parse_value(ts))
+                value = _parse_value(ts)
+                if value in values:
+                    raise SchemaError(f"value {value!r} is listed twice in the range of {name!r}")
+                values.append(value)
             ts.expect("}")
             variables[name] = VariableDef(name, object_id, prop, tuple(values))
         elif ts.accept("action"):

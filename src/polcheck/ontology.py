@@ -6,15 +6,17 @@ action classes loaded from the same file. A data system holds the concrete
 object instances and ground base atoms that policies are evaluated against.
 
 States are total assignments over the declared variable tuple. A state space
-is either an explicit set of states or a concise partial assignment that
-expands over the free variables' declared ranges. Refinement runs from
-abstract to concrete: ``state_refines(g, g2)`` says every variable of g2
-names a value at or below the corresponding value of g in the hierarchy,
-and ``space_refines(G, G2)`` says every state of G2 refines some state of G.
-``feasible_in(G, g)`` is the one membership test: g refines some state of G.
-A concise space is a product over the variables, so membership in it is
-decided one variable at a time, without expanding it; an explicit space is
-scanned. Meet and join are plain intersection and union of the expansions.
+is either an explicit set of states or a concise box: per variable, the
+values it lists, and every declared value for a variable it does not list.
+Refinement runs from abstract to concrete: ``state_refines(g, g2)`` says
+every variable of g2 names a value at or below the corresponding value of g
+in the hierarchy, and ``space_refines(G, G2)`` says every state of G2
+refines some state of G. ``feasible_in(G, g)`` is the one membership test:
+g refines some state of G. A box is a product over the variables, so
+membership in it, its size and its meet with another box are decided one
+variable at a time, without expanding it; an explicit space is scanned.
+Any other meet, and every join, is the intersection or union of the
+expansions.
 """
 
 from __future__ import annotations
@@ -192,7 +194,9 @@ class State:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Either explicit (``states``) or concise (``fixed`` partial assignment)."""
+    """Either explicit (``states``) or a concise box (``fixed``): sorted,
+    distinct (variable, value) pairs, where a variable listed more than once
+    takes any of its listed values."""
 
     states: frozenset = None
     fixed: tuple = None
@@ -201,7 +205,7 @@ class StateSpace:
         if (self.states is None) == (self.fixed is None):
             raise StructuralError("state space must be exactly one of explicit or concise")
         if self.fixed is not None:
-            object.__setattr__(self, "fixed", tuple(sorted(self.fixed)))
+            object.__setattr__(self, "fixed", tuple(sorted(set(self.fixed))))
 
     @staticmethod
     def explicit(states) -> "StateSpace":
@@ -224,9 +228,17 @@ def render_state(state: State) -> str:
     return "{" + ", ".join(f"{v}={val}" for v, val in state.assignments) + "}"
 
 
+def render_constraints(space: StateSpace) -> str:
+    """A box as a constraint block's body: ``a=hi|lo, b=on``."""
+    listed: dict = {}
+    for var, value in space.fixed:
+        listed.setdefault(var, []).append(value)
+    return ", ".join(f"{var}={'|'.join(values)}" for var, values in listed.items())
+
+
 def render_space(space: StateSpace) -> str:
     if space.is_concise:
-        return "(" + ", ".join(f"{v}={val}" for v, val in space.fixed) + ")"
+        return "(" + render_constraints(space) + ")"
     return "{" + "; ".join(render_state(s) for s in sorted(space.states)) + "}"
 
 
@@ -301,14 +313,15 @@ def universe(onto: Ontology) -> tuple:
 
 
 def _allowed_values(space: StateSpace, onto: Ontology) -> dict:
-    """Per declared variable, the values a concise space allows: the fixed
-    value of a constrained variable, else the declared range."""
-    fixed = dict(space.fixed)
-    for var in fixed:
+    """Per declared variable, the values a box allows: the values listed for
+    it, else its declared range."""
+    listed: dict = {}
+    for var, value in space.fixed:
         if var not in onto.variables:
             raise ExpansionError(f"constraint on undeclared variable {var!r}")
+        listed.setdefault(var, []).append(value)
     return {
-        name: (fixed[name],) if name in fixed else vdef.values
+        name: tuple(listed[name]) if name in listed else vdef.values
         for name, vdef in onto.variables.items()
     }
 
@@ -319,8 +332,8 @@ def _check_total(state: State, onto: Ontology) -> None:
 
 
 def expand_space(space: StateSpace, onto: Ontology) -> frozenset:
-    """Expansion of a concise space is the cross product over the free
-    variables' declared ranges; explicit spaces are checked for totality."""
+    """Expansion of a box is the cross product of its per-variable values;
+    explicit spaces are checked for totality."""
     cached = onto._expand_cache.get(space)
     if cached is not None:
         return cached
@@ -336,9 +349,9 @@ def expand_space(space: StateSpace, onto: Ontology) -> frozenset:
 
 def space_size(space: StateSpace, onto: Ontology) -> int:
     """The number of states in the space's expansion, counted without
-    building the states of a concise space. Raises what expansion raises."""
+    building the states of a box. Raises what expansion raises."""
     if space.is_concise:
-        return math.prod(len(set(values)) for values in _allowed_values(space, onto).values())
+        return math.prod(len(values) for values in _allowed_values(space, onto).values())
     return len(expand_space(space, onto))
 
 
@@ -359,6 +372,15 @@ def space_refines_witness(abstract: StateSpace, concrete: StateSpace, onto: Onto
 
 
 def space_meet(a: StateSpace, b: StateSpace, onto: Ontology) -> StateSpace:
+    """The meet of two boxes is the box of their per-variable intersections,
+    or the empty explicit space when one intersection is empty. Any other
+    meet intersects the expansions."""
+    if a.is_concise and b.is_concise:
+        left, right = _allowed_values(a, onto), _allowed_values(b, onto)
+        common = {var: [v for v in left[var] if v in right[var]] for var, _ in a.fixed + b.fixed}
+        if not all(common.values()):
+            return StateSpace.explicit(())
+        return StateSpace.concise((var, v) for var, values in common.items() for v in values)
     return StateSpace.explicit(expand_space(a, onto) & expand_space(b, onto))
 
 
@@ -366,14 +388,10 @@ def space_join(a: StateSpace, b: StateSpace, onto: Ontology) -> StateSpace:
     return StateSpace.explicit(expand_space(a, onto) | expand_space(b, onto))
 
 
-def space_equals(a: StateSpace, b: StateSpace, onto: Ontology) -> bool:
-    return expand_space(a, onto) == expand_space(b, onto)
-
-
 def feasible_in(space: StateSpace, state: State, onto: Ontology) -> bool:
     """The state refines some state of the space, so an action with initial
-    space ``space`` can start from it. A concise space is decided per
-    variable: each value must refine one the space allows for its variable.
+    space ``space`` can start from it. A box is decided per variable: each
+    value must refine one the box allows for its variable.
     An explicit space is scanned. The space is checked before the state."""
     if space.is_concise:
         allowed = _allowed_values(space, onto)

@@ -24,11 +24,12 @@ instead. Dispensation rules are never action-refined.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .actions import ActionLeaf, CHOICE, SEQ, RefinementPattern, pattern_nodes, taxonomy_of
 from .errors import BranchLimitError, CycleError, PatternError, PolicyError
-from .ontology import Ontology, StateSpace, expand_space, universe
+from .ontology import Ontology, StateSpace, _allowed_values, expand_space, space_meet, space_size
 from .policy import Policy, Rule, _check_safety, check_stratification
 from .terms import (
     Atom,
@@ -118,14 +119,14 @@ def derive_authorizations(p: Policy, onto: Ontology = None) -> Policy:
     s, a, q, r, i = Var("s"), Var("a"), Var("q"), Var("r"), Var("i")
     mustdo = Literal(False, Atom("mustdo", (s, a, q)))
     rules = [
-        _mk("auth.execute", Atom("cando", (a, s, _signed("+", Const("execute")))), (mustdo,))
+        _mk("auth.execute", Atom("cando", (a, s, Signed("+", Const("execute")))), (mustdo,))
     ]
     declared = onto.properties if onto is not None else {}
     if "resource" in declared:
         rules.append(
             _mk(
                 "auth.modify",
-                Atom("cando", (r, s, _signed("+", Const("modify")))),
+                Atom("cando", (r, s, Signed("+", Const("modify")))),
                 (mustdo, Literal(False, Atom("resource", (a, r)))),
             )
         )
@@ -133,7 +134,7 @@ def derive_authorizations(p: Policy, onto: Ontology = None) -> Policy:
         rules.append(
             _mk(
                 "auth.read",
-                Atom("cando", (i, s, _signed("+", Const("read")))),
+                Atom("cando", (i, s, Signed("+", Const("read")))),
                 (mustdo, Literal(False, Atom("instrument", (a, i)))),
             )
         )
@@ -146,7 +147,7 @@ def derive_authorizations(p: Policy, onto: Ontology = None) -> Policy:
                 rules.append(
                     _mk(
                         f"auth.modify.{name}.{obj}",
-                        Atom("cando", (Const(obj), s, _signed("+", Const("modify")))),
+                        Atom("cando", (Const(obj), s, Signed("+", Const("modify")))),
                         (must,),
                     )
                 )
@@ -154,15 +155,11 @@ def derive_authorizations(p: Policy, onto: Ontology = None) -> Policy:
                 rules.append(
                     _mk(
                         f"auth.read.{name}.{obj}",
-                        Atom("cando", (Const(obj), s, _signed("+", Const("read")))),
+                        Atom("cando", (Const(obj), s, Signed("+", Const("read")))),
                         (must,),
                     )
                 )
     return _append_unique(p, rules)
-
-
-def _signed(sign, term):
-    return Signed(sign, term)
 
 
 def _class_term(acd) -> ActionTerm:
@@ -201,24 +198,23 @@ def install_conflict_resolution(p: Policy, mode: str = "dispensation-precedence"
 
 def compile_meet_formula(gamma1: StateSpace, delta2: StateSpace, onto: Ontology):
     """The postcondition Γ1 ⊓ Δ2 as a formula over the variable table's rel
-    atoms. The whole space is true, the empty meet is false (warned), and a
-    per-variable rectangle with single values becomes an atom conjunction."""
-    meet = expand_space(gamma1, onto) & expand_space(delta2, onto)
-    univ = set(universe(onto))
-    if meet == univ:
-        return TRUE, None
-    if not meet:
+    atoms. The empty meet is false (warned). A meet that is a product of
+    per-variable value sets becomes the conjunction of the variables held to
+    one value, so the whole space is true; any other meet is weakened to
+    true (warned)."""
+    meet = space_meet(gamma1, delta2, onto)
+    size = space_size(meet, onto)
+    if not size:
         return FALSE, "sequence postcondition is unsatisfiable (empty meet)"
-    names = onto.variable_names()
-    values = {v: sorted({st.value(v) for st in meet}) for v in names}
-    size = 1
-    for v in names:
-        size *= len(values[v])
-    if size != len(meet):
+    if meet.is_concise:
+        values = _allowed_values(meet, onto)
+    else:
+        states = expand_space(meet, onto)
+        values = {v: sorted({st.value(v) for st in states}) for v in onto.variables}
+    if math.prod(len(vals) for vals in values.values()) != size:
         return TRUE, "postcondition meet is not expressible as an atom conjunction; weakened to true"
     conjuncts = []
-    for v in names:
-        vdef = onto.variables[v]
+    for v, vdef in onto.variables.items():
         if len(values[v]) == 1 and tuple(values[v]) != vdef.values:
             conjuncts.append(
                 Literal(False, Atom(vdef.prop, (Const(vdef.object_id), Const(values[v][0]))))

@@ -307,6 +307,40 @@ def test_transformer_falls_back_to_final_space_constraints():
     assert acd.apply(State.make({"sw": "Off"}), onto) == State.make({"sw": "On"})
 
 
+def _two_var_onto() -> Ontology:
+    return Ontology(
+        classes={c: ClassDef(c) for c in ("A", "B", "C", "D")},
+        variables={
+            "x1": VariableDef("x1", "pc", "hw", ("A", "B")),
+            "x2": VariableDef("x2", "pc", "os", ("C", "D")),
+        },
+    )
+
+
+def test_a_final_box_with_alternatives_falls_back_to_its_least_state():
+    onto = _two_var_onto()
+    final = StateSpace.concise((("x1", "B"), ("x2", "C"), ("x2", "D")))
+    acd = ActionClassDef("Set", ENTIRE, final)
+    assert acd.apply(State.make({"x1": "A", "x2": "D"}), onto) == State.make({"x1": "B", "x2": "C"})
+
+
+def test_an_explicit_final_space_falls_back_to_its_least_state():
+    # not a product: per-variable minima would give {x1=A, x2=C}, which is outside
+    onto = _two_var_onto()
+    final = StateSpace.explicit(
+        {State.make({"x1": "A", "x2": "D"}), State.make({"x1": "B", "x2": "C"})}
+    )
+    acd = ActionClassDef("Set", ENTIRE, final)
+    assert acd.apply(State.make({"x1": "B", "x2": "C"}), onto) == State.make({"x1": "A", "x2": "D"})
+
+
+def test_an_empty_final_space_with_no_applicable_rule_is_a_schema_error():
+    onto = _two_var_onto()
+    acd = ActionClassDef("Stuck", ENTIRE, StateSpace.explicit(()))
+    with pytest.raises(SchemaError, match="action Stuck: no transform rule applies"):
+        validate_action_class(acd, onto)
+
+
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
@@ -320,6 +354,9 @@ def test_render_respects_precedence():
         SEQ, a, b, guard=StateSpace.concise({"sw": "On"}), guard_side="right"
     )
     assert render_composition(guarded) == "a ; [sw=On]b"
+    box = StateSpace.concise((("sw", "On"), ("sw", "Off"), ("lid", "up")))
+    alternatives = ActionNode(SEQ, a, b, guard=box, guard_side="right")
+    assert render_composition(alternatives) == "a ; [lid=up, sw=Off|On]b"
 
 
 # ---------------------------------------------------------------------------

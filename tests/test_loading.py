@@ -26,6 +26,7 @@ from polcheck.ontology import (
     State,
     StateSpace,
     VariableDef,
+    expand_space,
     is_subclass,
 )
 from polcheck.terms import ActionTerm, Atom, Const, Var, render
@@ -84,14 +85,13 @@ def test_constraint_block_forms():
     x = onto.action_classes["X"]
     assert x.init_space == ENTIRE
     assert x.final_space == StateSpace.concise({"a": "lo"})
-    # a multi-valued constraint expands against the whole variable table
+    # a multi-valued constraint stays a box, with the same two states
     y = onto.action_classes["Y"]
-    assert y.init_space == StateSpace.explicit(
-        {
-            State((("a", "lo"), ("b", "on"))),
-            State((("a", "hi"), ("b", "on"))),
-        }
-    )
+    assert y.init_space == StateSpace.concise((("a", "hi"), ("a", "lo"), ("b", "on")))
+    assert expand_space(y.init_space, onto) == {
+        State((("a", "lo"), ("b", "on"))),
+        State((("a", "hi"), ("b", "on"))),
+    }
 
 
 ONTO_ERRORS = [
@@ -116,6 +116,12 @@ ONTO_ERRORS = [
     ("action X init {} final {}\naction X init {} final {}\n", SchemaError, "duplicate action"),
     (TWO_VARS + "action X init {c=lo} final {}\n", SchemaError, "undeclared variable 'c'"),
     (TWO_VARS + "action X init {a=zz} final {}\n", SchemaError, "outside the declared range"),
+    (
+        TWO_VARS + "action X init {a=hi, a=lo} final {}\n",
+        SchemaError,
+        "'a' is listed twice in one block; write alternatives as a=v1",
+    ),
+    ("var c maps box.pc range {lo, hi, lo}\n", SchemaError, "'lo' is listed twice in the range"),
     ("transform X when {} set {}\n", SchemaError, "undeclared action"),
     (
         TWO_VARS + "action X init {} final {}\ntransform X when {} set {a=lo|hi}\n",
@@ -346,6 +352,7 @@ STATE_ERRORS = [
     ("state {zz=none, fwv=none, avv=none}.", SchemaError, "undeclared variable"),
     ("state {fwv=sideways, avv=none}.", SchemaError, "outside the range"),
     ("state {fwv=none|installed, avv=none}.", SchemaError, "one value per variable"),
+    ("state {fwv=none, fwv=installed, avv=none}.", SchemaError, "'fwv' is listed twice"),
     (
         "state {fwv=none, avv=none}. state {fwv=none, avv=none}.",
         ParseError,

@@ -1,9 +1,12 @@
 """State, state-space, and refinement-order behavior."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polcheck.actions import ActionClassDef, TransformRule
 from polcheck.errors import (
     CycleError,
     ExpansionError,
@@ -28,15 +31,16 @@ from polcheck.ontology import (
     render_space,
     render_state,
     restricted_subclass_members,
-    space_equals,
     space_join,
     space_meet,
     space_refines,
     space_refines_witness,
+    space_size,
     state_refines,
     universe,
     value_refines,
 )
+from polcheck.refinement import compile_meet_formula
 
 
 def machine_onto() -> Ontology:
@@ -178,13 +182,15 @@ def test_meet_join_are_expansion_set_ops():
     assert expand_space(met, onto) == frozenset({mk("Computer", "Linux")})
     joined = space_join(a, b, onto)
     assert len(expand_space(joined, onto)) == 3
-    assert space_equals(a, StateSpace.explicit(expand_space(a, onto)), onto)
+    assert expand_space(StateSpace.explicit(expand_space(a, onto)), onto) == expand_space(a, onto)
 
 
 def test_render_helpers():
     onto = machine_onto()
     assert render_state(mk("Computer", "Linux")) == "{x1=Computer, x2=Linux}"
     assert render_space(StateSpace.concise({"x1": "Computer"})) == "(x1=Computer)"
+    box = StateSpace.concise((("x2", "Windows"), ("x1", "Notebook"), ("x2", "Linux")))
+    assert render_space(box) == "(x1=Notebook, x2=Linux|Windows)"
     explicit = StateSpace.explicit({mk("Computer", "Linux")})
     assert render_space(explicit) == "{{x1=Computer, x2=Linux}}"
     assert expand_space(explicit, onto) == {mk("Computer", "Linux")}
@@ -258,6 +264,91 @@ def test_meet_is_refined_by_both_operands(a, b):
 def test_empty_space_refines_everything(a):
     empty = StateSpace.explicit(frozenset())
     assert space_refines(a, empty, _ONTO)
+
+
+# ---------------------------------------------------------------------------
+# Boxes against their explicit expansions
+# ---------------------------------------------------------------------------
+
+# Notebook < Computer < Device, Netbook < Notebook, Phone < Device
+_KINDS = ("Computer", "Device", "Netbook", "Notebook", "Phone")
+_KIND_EDGES = (
+    ("Computer", "Device"),
+    ("Notebook", "Computer"),
+    ("Netbook", "Notebook"),
+    ("Phone", "Device"),
+)
+_FLAT = ("hi", "lo", "mid")
+
+
+@st.composite
+def box_ontologies(draw):
+    """One to three variables, each ranging over some kinds of a class
+    hierarchy or over flat values; the pool each range was drawn from."""
+    variables, pools = {}, {}
+    for i in range(draw(st.integers(1, 3))):
+        pool = draw(st.sampled_from((_KINDS, _FLAT)))
+        values = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+        variables[f"x{i}"] = VariableDef(f"x{i}", "pc", f"p{i}", tuple(values))
+        pools[f"x{i}"] = pool
+    onto = Ontology(
+        classes={c: ClassDef(c) for c in _KINDS}, subclass_edges=_KIND_EDGES, variables=variables
+    )
+    return onto, pools
+
+
+def boxes(onto):
+    """A box over the ontology's variables, listing some of them with one or
+    more of their values, and its explicit reference built by enumerating
+    the values it allows."""
+    listed = st.fixed_dictionaries(
+        {},
+        optional={
+            var: st.lists(st.sampled_from(vdef.values), min_size=1, unique=True)
+            for var, vdef in onto.variables.items()
+        },
+    )
+
+    def with_reference(choices):
+        box = StateSpace.concise((var, v) for var, values in choices.items() for v in values)
+        product = itertools.product(
+            *(choices.get(var, vdef.values) for var, vdef in onto.variables.items())
+        )
+        states = (State.make(zip(onto.variables, combo)) for combo in product)
+        return box, StateSpace.explicit(states)
+
+    return listed.map(with_reference)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_box_behaves_as_its_explicit_expansion(data):
+    onto, pools = data.draw(box_ontologies())
+    box, ref = data.draw(boxes(onto))
+    other, other_ref = data.draw(boxes(onto))
+    # every assignment of each variable's pool, so also values below a declared one
+    states = [State.make(zip(pools, combo)) for combo in itertools.product(*pools.values())]
+
+    assert expand_space(box, onto) == ref.states
+    assert space_size(box, onto) == len(ref.states)
+    for s in states:
+        assert feasible_in(box, s, onto) == feasible_in(ref, s, onto)
+    met = expand_space(space_meet(box, other, onto), onto)
+    assert met == ref.states & other_ref.states
+    assert met == expand_space(space_meet(box, other_ref, onto), onto)
+    assert compile_meet_formula(box, other, onto) == compile_meet_formula(ref, other_ref, onto)
+
+    # A box that gives each listed variable one value overrides just those
+    # variables, which no explicit space expresses; with alternatives it
+    # falls back to its least state, as the explicit space does.
+    alternatives = len(dict(box.fixed)) < len(box.fixed)
+    effects = data.draw(st.sampled_from(sorted(ref.states))).assignments[:1]
+    boxed = ActionClassDef("X", ENTIRE, box, transform=(TransformRule(other, effects),))
+    explicit = ActionClassDef(
+        "X", ENTIRE, ref if alternatives else box, transform=(TransformRule(other_ref, effects),)
+    )
+    for s in sorted(expand_space(ENTIRE, onto)):
+        assert boxed.apply(s, onto) == explicit.apply(s, onto)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ rules through sequence, choice, and conjunction, branch enumeration, and
 choice-log replay."""
 
 import random
+import time
 
 import pytest
 
@@ -25,6 +26,7 @@ from polcheck.errors import (
     PolicyError,
     StructuralError,
 )
+from polcheck.loading import parse_ontology, parse_patterns
 from polcheck.ontology import (
     ENTIRE,
     ClassDef,
@@ -640,3 +642,37 @@ def test_meet_formula_weakens_what_it_cannot_express():
     )
     formula2, warn2 = compile_meet_formula(two_of_three, ENTIRE, wide)
     assert formula2.is_true and "weakened to true" in warn2
+
+
+def test_multi_valued_blocks_over_40_variables_are_never_enumerated(monkeypatch):
+    # 2^40 states: enumerating them would never finish, so fail at once instead
+    def no_states(*args):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr("polcheck.ontology._state_product", no_states)
+    started = time.perf_counter()
+    lines = ["class Entity", "prop owns dom Entity range Entity"]
+    lines += [f"prop p{i} dom Entity range Entity" for i in range(40)]
+    lines += [f"var v{i} maps box.p{i} range {{lo, hi}}" for i in range(40)]
+    lines += [
+        "action Top(target) init {v0=lo|hi, v1=lo} final {}",
+        "action A1(target) init {v0=hi|lo} final {v1=lo|hi, v2=hi}",
+        "action A2(target) init {v2=hi|lo, v3=lo} final {v3=hi}",
+        "transform A2 when {v2=lo|hi, v3=lo} set {v3=hi}",
+    ]
+    onto = parse_ontology("\n".join(lines) + "\n")
+    patterns = parse_patterns(
+        "refine Top(target:$x) := A1(target:$x) ; [v4=lo|hi]A2(target:$x) type=adv-seq\n", onto
+    )
+    p = parse_policy("hasObligation($s, Top((target, $x)), true) :- owns($s, $x).")
+    result = refine_policy(p, patterns, onto)
+    assert time.perf_counter() - started < 1
+    assert result.warnings == (
+        "p1: guarded composition refined as its basic counterpart (guards do not reach rules)",
+    )
+    (branch,) = result.branches
+    (first,) = [r for r in branch.policy.rules if r.rule_id == "r1.s1"]
+    # A1's final box meets A2's initial box at v2=hi and v3=lo; v1 keeps both values
+    assert render_rule(first) == (
+        "derhasObligation($s, A1((target,$x)), p2(box, hi) & p3(box, lo)) :- owns($s, $x)."
+    )
