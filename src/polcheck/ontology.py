@@ -364,11 +364,39 @@ def space_refines(abstract: StateSpace, concrete: StateSpace, onto: Ontology) ->
 def space_refines_witness(abstract: StateSpace, concrete: StateSpace, onto: Ontology):
     """None when the refinement holds, otherwise the first sorted concrete
     state that is not feasible in the abstract space. The empty concrete
-    space refines vacuously."""
+    space refines vacuously. Two boxes are decided one variable at a time,
+    without expanding either."""
+    if abstract.is_concise and concrete.is_concise:
+        return _box_witness(abstract, concrete, onto)
     for gamma2 in sorted(expand_space(concrete, onto)):
         if not feasible_in(abstract, gamma2, onto):
             return gamma2
     return None
+
+
+def _box_witness(abstract: StateSpace, concrete: StateSpace, onto: Ontology):
+    """A concrete state is infeasible in a box when one of its values
+    refines none the box allows for that variable. The least such state in
+    sorted order is the all-least state when some variable's least value
+    fails; otherwise it differs from the all-least state only at the last
+    variable with a failing value, which takes its least failing value."""
+    values = _allowed_values(concrete, onto)
+    if not all(values.values()):
+        return None
+    allowed = _allowed_values(abstract, onto)
+    least = {var: min(options) for var, options in values.items()}
+    last_failing = None
+    for var in sorted(values):
+        failing = [
+            v for v in values[var] if not any(value_refines(v, a, onto) for a in allowed[var])
+        ]
+        if least[var] in failing:
+            return State.make(least)
+        if failing:
+            last_failing = (var, min(failing))
+    if last_failing is None:
+        return None
+    return State.make({**least, last_failing[0]: last_failing[1]})
 
 
 def space_meet(a: StateSpace, b: StateSpace, onto: Ontology) -> StateSpace:

@@ -179,26 +179,22 @@ def free_vars(value, include_formulas: bool = False) -> set:
     """Variable names occurring in a value. Formula-internal variables are
     existential and excluded unless asked for."""
     out: set = set()
-
-    def walk(v, in_formula: bool):
+    stack = [value]
+    while stack:
+        v = stack.pop()
         if isinstance(v, Var):
-            if include_formulas or not in_formula:
-                out.add(v.name)
+            out.add(v.name)
         elif isinstance(v, ActionTerm):
-            for _, b in v.bindings:
-                walk(b, in_formula)
+            stack.extend(b for _, b in v.bindings)
         elif isinstance(v, Signed):
-            walk(v.term, in_formula)
+            stack.append(v.term)
         elif isinstance(v, Atom):
-            for a in v.args:
-                walk(a, in_formula)
+            stack.extend(v.args)
         elif isinstance(v, Formula):
-            for c in v.conjuncts:
-                walk(c, True)
+            if include_formulas:
+                stack.extend(c.atom for c in v.conjuncts)
         elif isinstance(v, Literal):
-            walk(v.atom, in_formula)
-
-    walk(value, False)
+            stack.append(v.atom)
     return out
 
 

@@ -5,7 +5,7 @@ current atom pool (classic naive evaluation: enumerate, substitute, test
 membership) and iterates each stratum to a fixpoint. No unification-driven
 joins anywhere; slow but easy to believe. naive_supports grounds the rules
 once more over a finished model to list each head's supports. The module also hosts the random
-program generator used by the equivalence suite.
+program generators used by the equivalence suites.
 """
 
 from __future__ import annotations
@@ -260,5 +260,116 @@ def random_program(rng: random.Random):
             Atom("error", ()),
             pos(Atom("do", (o, s, Signed("-", a)))),
             pos(Atom("p1", (s, o))),
+        )
+    return Policy(tuple(rules)), frozenset(base)
+
+
+def random_recursive_program(rng: random.Random):
+    """A safe, stratified policy plus base atoms whose rows 2, 3 and 6 recurse
+    over a random `link` graph (cycles and self-loops allowed). Each recursive
+    rule puts its recursive literal first, second, or twice in the body (the
+    twice form in a shuffled order); heads reuse the literal's terms, so terms
+    never grow and the model stays small."""
+    subjects = [Const(f"s{i}") for i in range(rng.randint(3, 5))]
+    objects = [Const(f"o{i}") for i in range(rng.randint(2, 4))]
+    actions = [
+        ActionTerm(name, (("target", obj),)) for name in ("Patch", "Scan") for obj in objects[:2]
+    ]
+
+    base: set = set()
+    for nodes in (subjects, objects):
+        for src in nodes:
+            for dst in nodes:
+                if rng.random() < 0.3:
+                    base.add(Atom("link", (src, dst)))
+    for s in subjects:
+        for act in actions:
+            if rng.random() < 0.15:
+                base.add(Atom("duty", (s, act)))
+            if rng.random() < 0.1:
+                base.add(Atom("waive", (s, act)))
+        for o in objects:
+            if rng.random() < 0.3:
+                base.add(Atom("owns", (s, o)))
+
+    s, a, b, q, o = Var("s"), Var("a"), Var("b"), Var("q"), Var("o")
+    n, n2 = Var("n"), Var("n2")
+    rules: list = []
+
+    def add(head, *body):
+        rules.append(Rule(f"r{len(rules) + 1}", head, tuple(body)))
+
+    def pos(atom):
+        return Literal(False, atom)
+
+    def neg(atom):
+        return Literal(True, atom)
+
+    def recurse(make):
+        """One to two recursive rules over make(node, other): the head moves
+        along a link from n to n2; the twice form also asks n2 to hold the
+        predicate already, for a fresh action b."""
+        for _ in range(rng.randint(1, 2)):
+            step = pos(Atom("link", (n, n2)))
+            here = pos(make(n, a))
+            form = rng.choice(("first", "second", "twice"))
+            if form == "first":
+                body = [here, step]
+            elif form == "second":
+                body = [step, here]
+            else:
+                body = [here, step, pos(make(n2, b))]
+                rng.shuffle(body)
+            add(make(n2, a), *body)
+
+    q_options = [Formula(), Formula((Literal(False, Atom("owns", (s, objects[0]))),))]
+    add(Atom("hasObligation", (s, a, rng.choice(q_options))), pos(Atom("duty", (s, a))))
+    add(Atom("hasDispensation", (s, a)), pos(Atom("waive", (s, a))))
+
+    add(Atom("derhasDispensation", (s, a)), pos(Atom("hasDispensation", (s, a))))
+    recurse(lambda node, act: Atom("derhasDispensation", (node, act)))
+
+    obligation = [pos(Atom("hasObligation", (s, a, q)))]
+    if rng.random() < 0.5:
+        obligation.append(neg(Atom("derhasDispensation", (s, a))))
+    add(Atom("derhasObligation", (s, a, q)), *obligation)
+    recurse(lambda node, act: Atom("derhasObligation", (node, act, q)))
+
+    add(
+        Atom("mustdo", (s, a, q)),
+        pos(Atom("derhasObligation", (s, a, q))),
+        neg(Atom("derhasDispensation", (s, a))),
+    )
+    add(
+        Atom("cando", (o, s, Signed("+", a))),
+        pos(Atom("mustdo", (s, a, q))),
+        pos(Atom("owns", (s, o))),
+    )
+    for _ in range(rng.randint(0, 3)):
+        add(
+            Atom(
+                "cando",
+                (
+                    rng.choice(objects),
+                    rng.choice(subjects),
+                    Signed(rng.choice("+-"), Const(rng.choice(("read", "write")))),
+                ),
+            )
+        )
+    add(Atom("dercando", (o, s, Signed("+", a))), pos(Atom("cando", (o, s, Signed("+", a)))))
+    add(Atom("dercando", (o, s, Signed("-", a))), pos(Atom("cando", (o, s, Signed("-", a)))))
+    recurse(lambda node, act: Atom("dercando", (node, s, Signed("+", act))))
+    add(
+        Atom("do", (o, s, Signed("+", a))),
+        pos(Atom("dercando", (o, s, Signed("+", a)))),
+        neg(Atom("dercando", (o, s, Signed("-", a)))),
+    )
+    if rng.random() < 0.7:
+        add(Atom("do", (o, s, Signed("-", a))), neg(Atom("do", (o, s, Signed("+", a)))))
+    if rng.random() < 0.5:
+        add(
+            Atom("error", ()),
+            pos(Atom("mustdo", (s, a, q))),
+            pos(Atom("do", (o, s, Signed("-", a)))),
         )
     return Policy(tuple(rules)), frozenset(base)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import polcheck.datalog
 from polcheck.datalog import (
     Model,
     decision_view,
@@ -17,7 +18,7 @@ from polcheck.ontology import DataSystem
 from polcheck.policy import parse_policy
 from polcheck.terms import ActionTerm, Atom, Const, Formula, Literal, Signed, render, sort_key
 
-from oracle_datalog import naive_model, naive_supports, random_program
+from oracle_datalog import naive_model, naive_supports, random_program, random_recursive_program
 
 
 def C(name):
@@ -215,6 +216,18 @@ def test_ground_negative_do_needs_no_triples():
     assert {render(a) for a in model.atoms} == {"do(o9, s9, -act9)"}
 
 
+def test_open_negative_do_also_ranges_over_a_triple_a_closure_rule_adds():
+    # the ground rule adds the only (d0, eve, read) triple in the stratum
+    # the open rule ranges over, so the head carries both rules' supports
+    text = "do(d0, eve, -read) :- ~do(d0, eve, +read).\ndo($o, $s, -$a) :- ~do($o, $s, +$a).\n"
+    head = Atom("do", (C("d0"), C("eve"), Signed("-", C("read"))))
+    p = parse_policy(text)
+    for rules in (p.rules, p.rules[::-1]):
+        model = evaluate(p.with_rules(rules), DataSystem())
+        assert model.atoms == {head}
+        assert [rule_id for rule_id, _ in model.supports_of(head)] == ["r1", "r2"]
+
+
 def test_error_rule_reports_witnesses():
     p = parse_policy(
         "mustdo(s1, act1, true).\n"
@@ -372,3 +385,81 @@ def test_random_programs_match_the_oracle():
         rng.shuffle(shuffled)
         assert evaluate(p.with_rules(shuffled), DataSystem(base_atoms=base)).atoms == expected
     assert with_errors  # the error witnesses are compared on some program
+
+
+def test_recursive_programs_match_the_oracle():
+    # rows 2, 3 and 6 recurse through the first, the second or two body
+    # literals, so every position a round's delta can reach is exercised
+    rng = random.Random("datalog-recursion")
+    for _ in range(30):
+        p, base = random_recursive_program(rng)
+        ds = DataSystem(base_atoms=base)
+        expected = naive_model(p, base)
+        model = evaluate(p, ds)
+        assert model.atoms == expected
+        assert_supports_match_the_oracle(p, expected, model)
+        shuffled = list(p.rules)
+        rng.shuffle(shuffled)
+        again = evaluate(p.with_rules(shuffled), ds)
+        assert again.atoms == expected
+        assert list(again.supports.items()) == list(model.supports.items())
+        assert again.error_witnesses == model.error_witnesses
+
+
+# ---------------------------------------------------------------------------
+# Join work grows linearly: probes are counted, not timed
+# ---------------------------------------------------------------------------
+
+
+def _probes(monkeypatch, policy_text, base) -> int:
+    """The match_atom calls the evaluator's joins make on one model."""
+    policy, ds = parse_policy(policy_text), DataSystem(base_atoms=frozenset(base))
+    calls = []
+    real = polcheck.datalog.match_atom
+
+    def counting(pattern, value, theta):
+        calls.append(None)
+        return real(pattern, value, theta)
+
+    monkeypatch.setattr(polcheck.datalog, "match_atom", counting)
+    evaluate(policy, ds)
+    monkeypatch.undo()
+    return len(calls)
+
+
+def _under_chain(depth):
+    policy = (
+        "hasObligation(e0, Audit((target,sys1)), true).\n"
+        "derhasObligation($s, $a, $q) :- hasObligation($s, $a, $q).\n"
+        "derhasObligation($s2, $a, $q) :- derhasObligation($s1, $a, $q) & under($s2, $s1).\n"
+        "mustdo($s, $a, $q) :- derhasObligation($s, $a, $q) & ~derhasDispensation($s, $a).\n"
+    )
+    base = [Atom("under", (C(f"e{i + 1}"), C(f"e{i}"))) for i in range(depth)]
+    return policy, base
+
+
+def _guard_join(n):
+    rules = [
+        "hasObligation($s, Backup((target,$x)), true)"
+        " :- type($s, Employee) & guards($s, $x) & type($x, Document)."
+    ]
+    base = []
+    for i in range(n):
+        e, d = f"e{i}", f"d{i}"
+        rules.append(
+            f"cando(Backup((target,{d})), {e}, +execute) :- type({d}, Document) & guards({e}, {d})."
+        )
+        base += [
+            Atom("type", (C(e), C("Employee"))),
+            Atom("type", (C(d), C("Document"))),
+            Atom("guards", (C(e), C(d))),
+        ]
+    return "\n".join(rules) + "\n", base
+
+
+@pytest.mark.parametrize("workload, size", [(_under_chain, 40), (_guard_join, 50)])
+def test_join_probes_grow_linearly_with_the_input(monkeypatch, workload, size):
+    small = _probes(monkeypatch, *workload(size))
+    large = _probes(monkeypatch, *workload(2 * size))
+    assert small > 0
+    assert large <= 2.5 * small, (small, large)

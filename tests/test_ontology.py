@@ -351,6 +351,30 @@ def test_a_box_behaves_as_its_explicit_expansion(data):
         assert boxed.apply(s, onto) == explicit.apply(s, onto)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_box_refinement_witness_is_the_least_uncovered_state(data):
+    onto, _ = data.draw(box_ontologies())
+    abstract, abstract_ref = data.draw(boxes(onto))
+    concrete, concrete_ref = data.draw(boxes(onto))
+    uncovered = [s for s in sorted(concrete_ref.states) if not feasible_in(abstract, s, onto)]
+    expected = uncovered[0] if uncovered else None
+    assert space_refines_witness(abstract, concrete, onto) == expected
+    assert space_refines_witness(abstract_ref, concrete_ref, onto) == expected
+
+
+def test_box_refinement_witness_moves_only_the_last_failing_variable():
+    flat = Ontology(
+        variables={v: VariableDef(v, "pc", v, ("hi", "lo", "mid")) for v in ("a", "b", "c")}
+    )
+    abstract = StateSpace.concise({"a": "hi", "b": "hi"})
+    # a and b fail at lo and mid but pass at their least value, hi
+    expected = State.make({"a": "hi", "b": "lo", "c": "hi"})
+    assert space_refines_witness(abstract, ENTIRE, flat) == expected
+    enumerated = StateSpace.explicit(expand_space(ENTIRE, flat))
+    assert space_refines_witness(abstract, enumerated, flat) == expected
+
+
 # ---------------------------------------------------------------------------
 # Hierarchy plumbing
 # ---------------------------------------------------------------------------

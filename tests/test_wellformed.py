@@ -37,6 +37,7 @@ from polcheck.ontology import (
 from wf_gen import ROWS, make_satisfying, make_violating
 
 import random
+import time
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +402,26 @@ def test_empty_initial_space_is_vacuously_well_formed():
         verdict = checker(p, onto)
         assert verdict.ok
         assert any("vacuously well-formed" in w for w in verdict.warnings)
+
+
+def test_sequence_over_sixteen_variables_checks_without_expanding_the_operands():
+    # the operands' spaces are {} over 2^16 states: the refinement between two
+    # boxes is decided per variable, so the check takes milliseconds
+    names = [f"v{i}" for i in range(16)]
+    onto = Ontology(
+        classes={c: ClassDef(c) for c in ("hi", "lo")},
+        variables={v: VariableDef(v, "obj", v, ("hi", "lo")) for v in names},
+    )
+    onto.action_classes["Top"] = ActionClassDef(
+        "Top", StateSpace.concise({v: "lo" for v in names}), ENTIRE
+    )
+    for name in ("A1", "A2"):
+        onto.action_classes[name] = ActionClassDef(name, ENTIRE, ENTIRE)
+    p = pattern("Top", ActionNode(SEQ, ActionLeaf("A1"), ActionLeaf("A2")), "basic-seq")
+    start = time.perf_counter()
+    verdict = check_well_formed_complex(p, onto)
+    assert time.perf_counter() - start < 1.0
+    assert verdict.ok, verdict.violations
 
 
 def test_state_bound_guards_both_checkers():
