@@ -87,10 +87,12 @@ from .policy import (
     validate_high_level,
 )
 from .datalog import (
+    BranchModels,
     Model,
     decision_view,
     derivation_tree,
     evaluate,
+    evaluate_branches,
     render_derivation,
     render_model,
 )

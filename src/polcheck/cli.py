@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .actions import check_well_formed_complex
 from .compliance import CurrentState, check_compliance
-from .datalog import derivation_tree, evaluate, render_derivation
+from .datalog import derivation_tree, evaluate, evaluate_branches, render_derivation
 from .errors import PolcheckError
 from .loading import load_facts, load_ontology, load_patterns, load_policy, load_state
 from .policy import _parse_atom, check_stratification, to_text, validate_high_level
@@ -272,15 +272,16 @@ def cmd_explain(args) -> int:
     result = refine_policy(
         ph, patterns, onto, ds, mode=args.mode, max_branches=args.max_branches
     )
-    for i, branch in enumerate(result.branches, start=1):
-        model = evaluate(branch.policy, ds, onto)
-        if model.holds(atom):
-            print(f"% derived in refinement branch {i} of {len(result.branches)}")
-            for rid, pid, tag in branch.choice_log:
-                print(f"%   {rid} {pid} {tag}")
-            print(render_derivation(derivation_tree(model, atom)))
-            return 0
-    print("not derivable")
+    shared = evaluate_branches([branch.policy for branch in result.branches], ds, onto)
+    mask = shared.mask_of(atom)
+    if not mask:
+        print("not derivable")
+        return 0
+    i = (mask & -mask).bit_length() - 1  # the first branch that derives the atom
+    print(f"% derived in refinement branch {i + 1} of {len(result.branches)}")
+    for rid, pid, tag in result.branches[i].choice_log:
+        print(f"%   {rid} {pid} {tag}")
+    print(render_derivation(derivation_tree(shared.project(i), atom)))
     return 0
 
 

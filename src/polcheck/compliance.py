@@ -5,31 +5,49 @@ A branch matches when its signed do atoms all appear in the low-level view
 and every branch obligation is either enforced by the low-level view,
 released (its action's initial-space assumptions no longer hold in the
 current state), or already satisfied in the current state (postcondition and
-action effect both entailed). The first matching branch decides compliance;
-otherwise the nearest-miss branch (fewest conflicts, then choice-log order)
-is reported with its conflicts, one per detector category.
+action effect both entailed). The first matching branch in choice-log order
+decides compliance; otherwise the nearest-miss branch (fewest conflicts, then
+choice-log order) is reported with its conflicts, one per detector category.
 
-Each ground obligation is classified once per audit: its status depends
-only on the atom, the current state, the ontology and the data system, so
-check_compliance keeps one table shared by every branch. The obligation
-detectors take a branch's pending (unsatisfied) obligations from it.
+All branches are evaluated in one shared pass (`datalog.evaluate_branches`),
+which gives each atom the mask of the branches whose model holds it. Every
+conflict belongs to one atom of the high view, so the detectors run once per
+distinct atom, in groups of atoms with the same mask, and a branch's conflict
+count is the sum over the groups its bit is in. The branches are then walked
+in choice-log order with integers only; conflicts with their rule ids, and
+the branch statistics, are built for the one branch reported.
+
+Each ground obligation is classified once per audit, when the walk reaches
+the first branch that holds it: its status depends only on the atom, the
+current state, the ontology and the data system.
 
 Entailment against the current state is closed-world atom lookup over the
-state's atoms plus the data system's base atoms; no rule inference runs
-inside the state.
+state's atoms plus the data system's base atoms, indexed by predicate once
+per (state, data system) pair; no rule inference runs inside the state.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
-from .datalog import DecisionView, Model, decision_view, evaluate
+from .datalog import DecisionView, Model, decision_view, evaluate, evaluate_branches
 from .errors import EntailmentError, PolicyError
 from .ontology import DataSystem, Ontology, State, feasible_in
 from .policy import Policy, validate_high_level
 from .refinement import refine_policy
-from .terms import ActionTerm, Atom, Const, Formula, Signed, match_atom, render, substitute
+from .terms import (
+    ActionTerm,
+    Atom,
+    Const,
+    Formula,
+    Signed,
+    match_atom,
+    render,
+    sort_key,
+    substitute,
+)
 
 SCHEMA_VERSION = 1
 
@@ -118,28 +136,44 @@ class ComplianceReport:
 # ---------------------------------------------------------------------------
 
 
+# Predicates a postcondition may name besides the ontology's properties and
+# the predicates of the atoms in the pool.
+_STATE_PREDICATES = frozenset(("done", "done_act", "over", "over_AS", "over_AO"))
+
+
+_by_pred_cache = (None, None, None)  # (state atoms, base atoms, their atoms by predicate)
+
+
+def _atoms_by_pred(state_atoms: frozenset, base_atoms: frozenset) -> dict:
+    """The current state's atoms plus the base atoms, listed per predicate.
+    One audit asks for the same two sets every time, so it is built once;
+    the sets are frozen, so the same objects mean the same atoms."""
+    global _by_pred_cache
+    cached_state, cached_base, by_pred = _by_pred_cache
+    if state_atoms is cached_state and base_atoms is cached_base:
+        return by_pred
+    by_pred = {}
+    for a in state_atoms | base_atoms:
+        by_pred.setdefault(a.pred, []).append(a)
+    _by_pred_cache = (state_atoms, base_atoms, by_pred)
+    return by_pred
+
+
 def entails(sigma: CurrentState, ds: DataSystem, formula: Formula, onto: Ontology = None) -> bool:
     """Existential satisfaction of a conjunction by the current state's atoms
     plus the data system's base atoms: some binding of the formula's
     variables makes every positive conjunct an atom of that pool and no
     negated conjunct one."""
-    pool = frozenset(sigma.atoms) | ds.base_atoms
     if formula.is_false:
         return False
+    by_pred = _atoms_by_pred(frozenset(sigma.atoms), ds.base_atoms)
     if onto is not None:
-        known = {a.pred for a in pool}
-        known.update(onto.properties)
-        known.update(("done", "done_act", "over", "over_AS", "over_AO"))
         for c in formula.conjuncts:
-            if c.atom.pred not in known:
-                raise EntailmentError(
-                    f"cannot resolve predicate {c.atom.pred!r} in a postcondition"
-                )
+            pred = c.atom.pred
+            if not (pred in by_pred or pred in onto.properties or pred in _STATE_PREDICATES):
+                raise EntailmentError(f"cannot resolve predicate {pred!r} in a postcondition")
     positives = [c.atom for c in formula.conjuncts if not c.negated]
     negatives = [c.atom for c in formula.conjuncts if c.negated]
-    by_pred: dict = {}
-    for a in pool:
-        by_pred.setdefault(a.pred, []).append(a)
 
     def search(i: int, theta: dict) -> bool:
         if i == len(positives):
@@ -296,33 +330,73 @@ def check_compliance(
     M_l = set(view_l.mustdo_atoms)
 
     result = refine_policy(ph, patterns, onto, ds, mode=mode, max_branches=max_branches)
+    shared = evaluate_branches([branch.policy for branch in result.branches], ds, onto)
+    sizes = Counter()  # mask -> atoms held by just those branches
+    # The decision atoms of the high views by the first branch that holds
+    # them, mustdo atoms sorted: the walk audits each when it reaches that
+    # branch, and classifies the obligations in the order one branch's view
+    # lists them.
+    first_held: dict = {}  # branch index -> [(atom, mask), ...]
+    mustdo = []
+    for atom, mask in shared.items():
+        sizes[mask] += 1
+        if atom.pred == "do":
+            first_held.setdefault((mask & -mask).bit_length() - 1, []).append((atom, mask))
+        elif atom.pred == "mustdo":
+            mustdo.append((atom, mask))
+    for atom, mask in sorted(mustdo, key=lambda pair: sort_key(pair[0])):
+        first_held.setdefault((mask & -mask).bit_length() - 1, []).append((atom, mask))
+
     status: dict = {}  # ground mustdo atom -> obligation_status, for every branch
-    per_branch = []
-    for branch in result.branches:
-        examined += 1
-        model_h = evaluate(branch.policy, ds, onto)
-        atoms_derived += len(model_h.atoms) - len(ds.base_atoms)
-        if model_h.error_witnesses:
-            detail = "high-level policy is inconsistent (error derivable in a refinement branch)"
-            return ComplianceReport("inconsistent-input", stats=counts(), detail=detail)
+    conflict_count = Counter()  # branch mask -> conflicts of the atoms with that mask
+    nearest = None  # (conflicts, branch index): fewest conflicts, then choice-log order
+
+    def report(verdict, i):
+        """The report on branch i, the only branch whose conflicts and rule
+        ids are built."""
+        model_h = shared.project(i)
         view_h = decision_view(model_h)
-        for m in view_h.mustdo_atoms:
-            if m not in status:
-                status[m] = obligation_status(m, sigma, onto, ds)
         pending = tuple(m for m in view_h.mustdo_atoms if status[m] == "unsatisfied")
-        conflicts = list(detect_modal_authorization_violation(view_h, view_l, model_h))
-        conflicts.extend(detect_obligation_violation(pending, M_l, model_h))
-        conflicts.extend(detect_resource_capability_conflict(pending, ds, onto, model_h))
-        conflicts.extend(detect_modal_capability_conflict(pending, view_l, model_h))
+        conflicts = _conflicts(view_h, pending, view_l, M_l, ds, onto, model_h)
         conflicts.sort(key=Conflict.sort_key)
         stats_extra = _branch_stats(view_h, status, M_l)
-        if not conflicts:
-            return ComplianceReport("compliant", branch.choice_log, (), counts() + stats_extra)
-        per_branch.append((len(conflicts), branch.choice_log, tuple(conflicts), stats_extra))
+        choice_log = result.branches[i].choice_log
+        return ComplianceReport(verdict, choice_log, tuple(conflicts), counts() + stats_extra)
 
-    # the nearest miss: fewest conflicts, then choice-log order
-    _, nearest_log, nearest_conflicts, stats_extra = min(per_branch, key=lambda x: x[:2])
-    return ComplianceReport("non-compliant", nearest_log, nearest_conflicts, counts() + stats_extra)
+    for i in range(len(result.branches)):
+        bit = 1 << i
+        examined += 1
+        atoms_derived += sum(n for mask, n in sizes.items() if mask & bit) - len(ds.base_atoms)
+        if shared.error_mask & bit:
+            detail = "high-level policy is inconsistent (error derivable in a refinement branch)"
+            return ComplianceReport("inconsistent-input", stats=counts(), detail=detail)
+        groups: dict = {}  # mask -> (do atoms, pending mustdo atoms)
+        for atom, mask in first_held.get(i, ()):
+            do_atoms, pending = groups.setdefault(mask, ([], []))
+            if atom.pred == "do":
+                do_atoms.append(atom)
+                continue
+            status[atom] = obligation_status(atom, sigma, onto, ds)
+            if status[atom] == "unsatisfied":
+                pending.append(atom)
+        for mask, (do_atoms, pending) in groups.items():
+            view = DecisionView(tuple(do_atoms), ())
+            conflict_count[mask] += len(_conflicts(view, pending, view_l, M_l, ds, onto))
+        n = sum(c for mask, c in conflict_count.items() if mask & bit)
+        if n == 0:
+            return report("compliant", i)
+        if nearest is None or n < nearest[0]:
+            nearest = (n, i)
+    return report("non-compliant", nearest[1])
+
+
+def _conflicts(view_h, pending, view_l, M_l, ds, onto, model_h=None) -> list:
+    """Every detector's conflicts for a high view and its pending obligations."""
+    conflicts = list(detect_modal_authorization_violation(view_h, view_l, model_h))
+    conflicts.extend(detect_obligation_violation(pending, M_l, model_h))
+    conflicts.extend(detect_resource_capability_conflict(pending, ds, onto, model_h))
+    conflicts.extend(detect_modal_capability_conflict(pending, view_l, model_h))
+    return conflicts
 
 
 def _branch_stats(view_h, status, M_l) -> tuple:

@@ -12,6 +12,18 @@ predicates of strictly lower strata, which are saturated by the time they are
 consulted, so the model is the unique stratified fixpoint and does not depend
 on rule order.
 
+One pass evaluates several policies at once, such as the refinement branches
+of one high-level policy. Bit i of a branch mask stands for the i-th policy.
+A rule's mask is the set of policies that contain it; an instance's mask is
+its rule's mask AND its positive atoms' masks AND NOT its negated atoms'
+masks (final, since they sit in lower strata); an atom's mask is the OR of
+its instances' masks. An atom whose mask grows goes back into the delta with
+the bits it gained, and the join reads, for each literal, the bits the atom
+held before the delta, the bits it gained, or all of them, so each instance
+fires once per branch. Projecting the result on one bit gives exactly that
+policy's model. `evaluate` is the one-policy case: every mask is full, so no
+per-atom masks are kept.
+
 Each predicate's atoms are kept in an append-only list in the order their
 rounds added them, and indexed by the argument positions a probe binds, so a
 probe looks up its candidates; the atoms from before the delta are a prefix
@@ -24,18 +36,19 @@ an instance that fires in any round is an instance over the final model.
 The do(o,s,-a) :- ~do(o,s,+a) form has no positive body literal; its
 variables range over the authorization triples (o, s, a) collected from the
 ground cando/dercando/do atoms, and after the first round over the triples
-the delta brings.
+the delta brings. A triple's mask is the OR of the masks of the atoms that
+bring it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 from .errors import PolicyError
 from .ontology import DataSystem, Ontology
-from .policy import Policy, Rule, _is_row8, check_stratification
+from .policy import Policy, _is_row8, check_stratification
 from .terms import (
     Atom,
     Literal,
@@ -64,31 +77,96 @@ class Model:
 
 
 @dataclass(frozen=True)
+class BranchModels:
+    """The models of several policies over one data system, from one shared
+    pass. `union` holds every atom and support some policy's model holds;
+    bit i of a mask stands for the i-th policy."""
+
+    union: Model
+    full: int  # the mask of every policy
+    error_mask: int  # the policies whose model has error witnesses
+    masks: dict  # Atom -> mask of the policies whose model holds it; None if always full
+    support_masks: dict  # head -> (mask, ...), one per support in union; None if always full
+
+    def mask_of(self, atom: Atom) -> int:
+        if self.masks is None:
+            return self.full if atom in self.union.atoms else 0
+        return self.masks.get(atom, 0)
+
+    def items(self):
+        """(atom, mask) for every atom of the union."""
+        if self.masks is None:
+            return ((a, self.full) for a in self.union.atoms)
+        return self.masks.items()
+
+    def project(self, i: int) -> Model:
+        """The i-th policy's model, as `evaluate` of that policy alone gives it."""
+        if self.masks is None:
+            return self.union
+        bit = 1 << i
+        supports = {}
+        for head, sups in self.union.supports.items():
+            held = tuple(sup for sup, mask in zip(sups, self.support_masks[head]) if mask & bit)
+            if held:
+                supports[head] = held
+        atoms = frozenset(a for a, mask in self.masks.items() if mask & bit)
+        return Model(atoms, supports, _error_witnesses(supports))
+
+
+@dataclass(frozen=True)
 class DecisionView:
     do_atoms: tuple  # sorted ground do atoms, both signs
     mustdo_atoms: tuple  # sorted ground mustdo atoms
 
 
 class _Store:
-    """The atoms derived so far, each stamped with the round that added it
-    (0 for the data system's). Atoms are listed per (predicate, arity) in
+    """The atoms derived so far, each stamped with the round that first added
+    it (0 for the data system's). Atoms are listed per (predicate, arity) in
     stamp order, and each list is indexed, once a probe first asks, by the
     argument positions that probe binds. Lists only grow at the end, so the
-    atoms stamped before a round are a prefix of each of them."""
+    atoms stamped before a round are a prefix of each of them.
 
-    def __init__(self, base):
+    With several policies, each atom also has the mask of the policies that
+    hold it so far; `delta` has the bits the last round added to each atom
+    it touched, and `regrown` lists, per shape, the atoms of the delta that
+    were stamped earlier. With one policy (every mask full) neither is kept."""
+
+    def __init__(self, base, full: int, masked: bool):
+        self.full = full
+        self.masks = dict.fromkeys(base, full) if masked else None  # atom -> policy mask
         self.stamp: dict = {}
         self.lists: dict = {}  # (pred, arity) -> [atom, ...]
         self.indexes: dict = {}  # (pred, arity) -> {positions: {key: [atom, ...]}}
-        self.add(base, 0)
+        self.delta: dict = {}
+        self.regrown: dict = {}
+        for a in base:
+            self._list(a, 0)
 
-    def add(self, atoms, rnd: int) -> None:
-        for a in atoms:
-            self.stamp[a] = rnd
-            shape = (a.pred, len(a.args))
-            self.lists.setdefault(shape, []).append(a)
-            for positions, index in self.indexes.get(shape, {}).items():
-                index.setdefault(tuple(a.args[i] for i in positions), []).append(a)
+    def held(self, atom: Atom) -> int:
+        """The mask of the policies that hold the atom so far."""
+        if self.masks is None:
+            return self.full if atom in self.stamp else 0
+        return self.masks.get(atom, 0)
+
+    def add(self, gained: dict, rnd: int) -> None:
+        """Record the bits each atom gained in round rnd; they are the next
+        round's delta."""
+        self.delta, self.regrown = gained, {}
+        for a, bits in gained.items():
+            if self.masks is not None:
+                if a in self.masks:
+                    self.masks[a] |= bits
+                    self.regrown.setdefault((a.pred, len(a.args)), []).append(a)
+                    continue
+                self.masks[a] = bits
+            self._list(a, rnd)
+
+    def _list(self, a: Atom, rnd: int) -> None:
+        shape = (a.pred, len(a.args))
+        self.stamp[a] = rnd
+        self.lists.setdefault(shape, []).append(a)
+        for positions, index in self.indexes.get(shape, {}).items():
+            index.setdefault(tuple(a.args[i] for i in positions), []).append(a)
 
     def pool(self, pattern: Atom, shape: tuple, positions: tuple, theta: dict):
         """The atoms of the pattern's shape that agree with it, under theta,
@@ -132,140 +210,226 @@ def _join_plan(positive, j=None) -> tuple:
     return tuple(steps)
 
 
-def _join(steps, store: _Store, delta_stamp: int) -> list:
-    """All substitutions matching the join steps in order."""
-    thetas = [{}]
+def _join(steps, store: _Store, delta_stamp: int, mask: int) -> list:
+    """All (substitution, mask) pairs matching the join steps in order. With
+    several policies, a pair's mask is the given mask ANDed with each of its
+    atoms' masks as the step's view sees them: the bits held before the
+    delta, the bits the delta added, or all bits. Pairs whose mask is empty
+    are dropped."""
+    masks, delta = store.masks, store.delta
+    rows = [({}, mask)]
     for atom, shape, positions, view in steps:
         nxt = []
-        for th in thetas:
+        for th, m in rows:
             pool = store.pool(atom, shape, positions, th)
             if view is not _ALL:
                 cut = bisect_left(pool, delta_stamp, key=store.stamp.__getitem__)
-                pool = islice(pool, cut) if view is _OLD else islice(pool, cut, None)
+                if view is _OLD:
+                    pool = islice(pool, cut)
+                else:
+                    pool = chain(islice(pool, cut, None), store.regrown.get(shape, ()))
             for ga in pool:
                 th2 = match_atom(atom, ga, th)
-                if th2 is not None:
-                    nxt.append(th2)
-        thetas = nxt
-        if not thetas:
+                if th2 is None:
+                    continue
+                if masks is None:
+                    nxt.append((th2, m))
+                    continue
+                if view is _ALL:
+                    held = m & masks[ga]
+                elif view is _OLD:
+                    held = m & masks[ga] & ~delta.get(ga, 0)
+                else:
+                    held = m & delta[ga]
+                if held:
+                    nxt.append((th2, held))
+        rows = nxt
+        if not rows:
             break
-    return thetas
+    return rows
 
 
-def _negatives_ok(body, atoms, theta) -> bool:
+def _unblocked(body, store: _Store, theta, mask: int) -> int:
+    """The instance's mask less the policies that hold one of its negated
+    atoms."""
     for lit in body:
         if not lit.negated:
             continue
         ga = substitute(lit.atom, theta)
         if not is_ground(ga):
             raise PolicyError(f"negated literal {render(ga)} not ground at check time")
-        if ga in atoms:
-            return False
-    return True
+        mask &= ~store.held(ga)
+        if not mask:
+            break
+    return mask
 
 
 _AUTHORIZATIONS = ("cando", "dercando", "do")
 
 
-def _auth_triples(atoms) -> set:
-    triples = set()
-    for a in atoms:
+def _auth_triples(atoms: dict) -> dict:
+    """(o, s, a) -> the OR of the masks of the authorization atoms bringing it."""
+    triples: dict = {}
+    for a, bits in atoms.items():
         if a.pred in _AUTHORIZATIONS and len(a.args) == 3:
             act = a.args[2]
             if isinstance(act, Signed):
-                triples.add((a.args[0], a.args[1], act.term))
+                triple = (a.args[0], a.args[1], act.term)
+                triples[triple] = triples.get(triple, 0) | bits
     return triples
 
 
-def _row8_matches(rule: Rule, triples) -> list:
-    """The substitutions that instantiate a do-minus rule over the
-    authorization triples."""
+def _row8_matches(rule, triples: dict, mask: int) -> list:
+    """The (substitution, mask) pairs that instantiate a do-minus rule over
+    the authorization triples."""
     head = rule.head
     pattern = (head.args[0], head.args[1], head.args[2].term)
     out = []
-    for triple in triples:
+    for triple, bits in triples.items():
         th = {}
         for pat, val in zip(pattern, triple):
             th = match(pat, val, th)
             if th is None:
                 break
-        if th is not None:
-            out.append(th)
+        if th is not None and mask & bits:
+            out.append((th, mask & bits))
     return out
 
 
-def evaluate(p: Policy, ds: DataSystem, onto: Ontology = None) -> Model:
-    strat = check_stratification(p, onto)
+def _fixpoint(policies, ds: DataSystem, onto: Ontology):
+    """Evaluate the policies in one pass. Returns the store and, per head,
+    {(rule_id, ground body): mask of the policies with that support}."""
+    full = (1 << len(policies)) - 1
+    if len(policies) == 1:
+        rules, rule_masks = policies[0].rules, (full,) * len(policies[0].rules)
+    else:
+        # Branch policies share most rule objects, and hashing a rule walks
+        # all its terms, so rules are grouped by object before by value.
+        by_object: dict = {}  # id(rule) -> (rule, mask)
+        for i, p in enumerate(policies):
+            for rule in p.rules:
+                _, mask = by_object.get(id(rule), (rule, 0))
+                by_object[id(rule)] = (rule, mask | 1 << i)
+        by_value: dict = {}  # Rule -> mask of the policies that contain it, first seen first
+        for rule, mask in by_object.values():
+            by_value[rule] = by_value.get(rule, 0) | mask
+        rules, rule_masks = tuple(by_value), tuple(by_value.values())
+    strat = check_stratification(Policy(rules), onto)
     if not strat.ok:
         first = strat.violations[0]
         raise PolicyError(f"policy is not stratified: {first.rule_id}: {first.message}")
-    strata = dict(strat.strata)
 
-    store = _Store(ds.base_atoms)
-    acc: dict = {}  # head -> {(rule_id, ground body), ...}
+    masked = any(m != full for m in rule_masks)
+    store = _Store(ds.base_atoms, full, masked)
+    acc: dict = {}  # head -> {(rule_id, ground body): mask}
     rnd = 0
     for k in range(1, 10):
-        rules_k = [r for r in p.rules if strata[r.rule_id] == k]
-        if not rules_k:
-            continue
         # An open do(o,s,-a) rule ranges over the authorization triples (None
         # below); every other rule joins its positive body literals.
         compiled = [
             (
                 rule,
+                rule_mask,
                 None
                 if rule.body and _is_row8(rule) and not is_ground(rule.head)
                 else [l.atom for l in rule.body if not l.negated],
             )
-            for rule in rules_k
+            for rule, rule_mask, (_, stratum) in zip(rules, rule_masks, strat.strata)
+            if stratum == k
         ]
+        if not compiled:
+            continue
         delta_plans: dict = {}  # (rule position, literal position) -> steps, built on first use
-        has_open_rule = any(positive is None for _, positive in compiled)
-        seen_triples: set = set()
-        delta = None  # the atoms the last round added; None before the first
-        while delta is None or delta:
+        has_open_rule = any(positive is None for _, _, positive in compiled)
+        seen_triples: dict = {}  # triple -> mask
+        first_round = True
+        while first_round or store.delta:
             rnd += 1
-            shapes = None if delta is None else {(a.pred, len(a.args)) for a in delta}
+            shapes = () if first_round else {(a.pred, len(a.args)) for a in store.delta}
             if has_open_rule:
-                fresh = delta
-                if delta is None:
-                    fresh = [a for pred in _AUTHORIZATIONS for a in store.lists.get((pred, 3), ())]
-                triples = _auth_triples(fresh) - seen_triples
-                seen_triples |= triples
-            new: dict = {}  # atoms first derived this round, in order
-            for i, (rule, positive) in enumerate(compiled):
+                fresh = store.delta
+                if first_round:
+                    fresh = {
+                        a: store.held(a)
+                        for pred in _AUTHORIZATIONS
+                        for a in store.lists.get((pred, 3), ())
+                    }
+                triples = {}
+                for triple, bits in _auth_triples(fresh).items():
+                    bits &= ~seen_triples.get(triple, 0)
+                    if bits:
+                        triples[triple] = bits
+                        seen_triples[triple] = seen_triples.get(triple, 0) | bits
+            new: dict = {}  # atom -> the bits it gained this round, in order
+            for i, (rule, rule_mask, positive) in enumerate(compiled):
                 if positive is None:
-                    thetas = _row8_matches(rule, triples)
-                elif delta is None:
-                    thetas = _join(_join_plan(positive), store, rnd - 1)
+                    rows = _row8_matches(rule, triples, rule_mask)
+                elif first_round:
+                    rows = _join(_join_plan(positive), store, rnd - 1, rule_mask)
                 else:
-                    thetas = []
+                    rows = []
                     for j, atom in enumerate(positive):
                         if (atom.pred, len(atom.args)) in shapes:
                             if (i, j) not in delta_plans:
                                 delta_plans[i, j] = _join_plan(positive, j)
-                            thetas += _join(delta_plans[i, j], store, rnd - 1)
-                for th in thetas:
-                    if not _negatives_ok(rule.body, store.stamp, th):
+                            rows += _join(delta_plans[i, j], store, rnd - 1, rule_mask)
+                for th, m in rows:
+                    m = _unblocked(rule.body, store, th, m)
+                    if not m:
                         continue
                     derived = substitute(rule.head, th)
                     if not is_ground(derived):
                         raise PolicyError(f"{rule.rule_id}: ungrounded head {render(derived)}")
-                    if derived not in store.stamp:
-                        new[derived] = None
+                    gained = m & ~store.held(derived)
+                    if gained:
+                        new[derived] = new.get(derived, 0) | gained if masked else gained
                     body = tuple(Literal(l.negated, substitute(l.atom, th)) for l in rule.body)
-                    acc.setdefault(derived, set()).add((rule.rule_id, body))
+                    sup = (rule.rule_id, body)
+                    sups = acc.setdefault(derived, {})
+                    sups[sup] = sups.get(sup, 0) | m if masked else m
             store.add(new, rnd)
-            delta = new
+            first_round = False
+    return store, acc
+
+
+def _model(store: _Store, acc: dict) -> Model:
+    """Every atom and support held in some policy, heads and each head's
+    supports in a fixed order."""
 
     def by_rule_then_body(sup):
         return sup[0], tuple(render(l.atom) for l in sup[1])
 
-    supports = {h: tuple(sorted(acc[h], key=by_rule_then_body)) for h in sorted(acc, key=sort_key)}
-    error_witnesses = tuple(
-        sup for head, sups in supports.items() for sup in sups if head.pred == "error"
-    )
-    return Model(frozenset(store.stamp), supports, error_witnesses)
+    supports = {
+        h: tuple(sorted(acc[h], key=by_rule_then_body)) for h in sorted(acc, key=sort_key)
+    }
+    return Model(frozenset(store.stamp), supports, _error_witnesses(supports))
+
+
+def _error_witnesses(supports: dict) -> tuple:
+    return tuple(sup for head, sups in supports.items() for sup in sups if head.pred == "error")
+
+
+def evaluate(p: Policy, ds: DataSystem, onto: Ontology = None) -> Model:
+    return _model(*_fixpoint((p,), ds, onto))
+
+
+def evaluate_branches(policies, ds: DataSystem, onto: Ontology = None) -> BranchModels:
+    """Evaluate several policies in one shared pass; project(i) of the result
+    is evaluate(policies[i], ds, onto). A policy that makes `evaluate` raise
+    makes this raise too, even when the other policies alone would not."""
+    store, acc = _fixpoint(tuple(policies), ds, onto)
+    union = _model(store, acc)
+    error_mask = 0
+    for head, sups in acc.items():
+        if head.pred == "error":
+            for mask in sups.values():
+                error_mask |= mask
+    support_masks = None
+    if store.masks is not None:
+        support_masks = {
+            h: tuple(acc[h][sup] for sup in sups) for h, sups in union.supports.items()
+        }
+    return BranchModels(union, store.full, error_mask, store.masks, support_masks)
 
 
 def decision_view(m: Model) -> DecisionView:

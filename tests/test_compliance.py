@@ -6,6 +6,7 @@ line at a time; each mutation must flip the verdict through exactly one
 detector category.
 """
 
+import random
 from collections import Counter
 from pathlib import Path
 
@@ -28,11 +29,24 @@ from polcheck.compliance import (
     obligation_status,
 )
 from polcheck.datalog import DecisionView
-from polcheck.errors import EntailmentError, PolicyError
+from polcheck.errors import EntailmentError, PolcheckError, PolicyError
 from polcheck.loading import parse_facts, parse_ontology, parse_patterns, parse_state
 from polcheck.ontology import DataSystem
-from polcheck.policy import parse_policy
-from polcheck.terms import ActionTerm, Atom, Const, Signed, TokenStream, parse_formula, render
+from polcheck.policy import Rule, parse_policy
+from polcheck.refinement import RefinementBranch, RefinementResult
+from polcheck.terms import (
+    ActionTerm,
+    Atom,
+    Const,
+    Signed,
+    TokenStream,
+    Var,
+    parse_formula,
+    render,
+)
+
+import oracle_compliance
+from oracle_compliance import branch_outcomes, random_audit, reference_check_compliance
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
@@ -104,6 +118,25 @@ def test_entails_pools_state_and_base_atoms(audit):
     onto, ds = audit[0], audit[1]
     # guards(bob, report1) lives in the facts, not the state
     assert entails(CurrentState(), ds, F("guards(bob, report1)"), onto)
+
+
+def test_entails_indexes_each_state_and_data_system_once(audit):
+    onto, ds = audit[0], audit[1]
+
+    def index():
+        return polcheck.compliance._by_pred_cache[2]
+
+    assert entails(POOL, ds, F("guards(bob, report1) & archived(report1, $t)"), onto)
+    first = index()
+    for _ in range(3):
+        assert not entails(POOL, ds, F("guards(zoe, report1)"), onto)
+        with pytest.raises(EntailmentError, match="audited"):
+            entails(POOL, ds, F("audited(report1, bob)"), onto)
+    assert index() is first
+    # the same atoms in another set object are indexed anew
+    other = DataSystem(ds.objects, frozenset(set(ds.base_atoms)))
+    assert entails(POOL, other, F("guards(bob, report1) & archived(report1, $t)"), onto)
+    assert index() is not first
 
 
 def test_entails_rejects_unresolvable_predicates(audit):
@@ -553,3 +586,83 @@ def test_released_obligations_show_up_in_stats():
         "released_obligations",
         ("mustdo(al, Reboot((target,box1)), rebooted(box1, $w))",),
     ) in report.stats
+
+
+# ---------------------------------------------------------------------------
+# The shared branch pass against the per-branch reference audit
+# ---------------------------------------------------------------------------
+
+
+def _audit_shapes(report, outcomes) -> set:
+    """The cases of the search order a random audit exercises."""
+    shapes = set()
+    stats = dict(report.stats)
+    stop = stats["branches_examined"] - 1
+    if report.verdict == "compliant" and stop > 0:
+        shapes.add("match after branch 1")
+    if report.verdict == "compliant" and "error" in outcomes[stop + 1 :]:
+        shapes.add("error after the match")
+    if report.detail and "refinement branch" in report.detail and 0 in outcomes[stop + 1 :]:
+        shapes.add("error before a match")
+    if report.verdict == "non-compliant":
+        fewest = min(outcomes)
+        if outcomes.count(fewest) > 1:
+            shapes.add("tied nearest miss")
+        if outcomes.index(fewest) > 0:
+            shapes.add("nearest miss after branch 1")
+    return shapes
+
+
+def test_shared_pass_audit_matches_the_per_branch_reference():
+    rng = random.Random("compliance-oracle")
+    seen = set()
+    for _ in range(250):
+        ph, pl, ds, patterns, sigma, onto = random_audit(rng)
+        reports = []
+        for audit in (check_compliance, reference_check_compliance):
+            try:
+                reports.append(audit(ph, pl, ds, patterns, sigma, onto))
+            except PolcheckError as exc:
+                reports.append((type(exc), str(exc)))
+        fast, slow = reports
+        if isinstance(slow, tuple):
+            assert fast == slow
+            continue
+        assert fast.to_json() == slow.to_json()
+        seen.add(slow.verdict)
+        if slow.detail != "low-level policy is inconsistent (error derivable)":
+            seen |= _audit_shapes(slow, branch_outcomes(ph, pl, ds, patterns, sigma, onto))
+    assert seen >= {
+        "compliant",
+        "non-compliant",
+        "inconsistent-input",
+        "match after branch 1",
+        "error after the match",
+        "error before a match",
+        "tied nearest miss",
+        "nearest miss after branch 1",
+    }, seen
+
+
+def test_a_later_branch_that_cannot_be_evaluated_fails_the_audit_after_a_match(
+    audit, monkeypatch
+):
+    # Decided: the shared pass evaluates every branch, so a rule that makes
+    # `evaluate` raise in any branch fails the audit, even when an earlier
+    # branch complies. The per-branch reference stops at the match. Parsed
+    # rules and refinement's rules pass the safety check, so only a policy
+    # built in code can do this.
+    onto, ds, ph, pl, patterns, sigma = audit
+    real = polcheck.compliance.refine_policy(ph, patterns, onto, ds)
+    assert check_compliance(ph, pl, ds, patterns, sigma, onto).verdict == "compliant"
+    first = real.branches[0]
+    unsafe = Rule("unsafe", Atom("hasDispensation", (Var("s"), Var("a"))))
+    later = RefinementBranch(
+        first.policy.with_rules(first.policy.rules + (unsafe,)), (("r", "p", "x"),)
+    )
+    forked = RefinementResult((first, later), real.warnings)
+    for module in (polcheck.compliance, oracle_compliance):
+        monkeypatch.setattr(module, "refine_policy", lambda *args, **kwargs: forked)
+    assert reference_check_compliance(ph, pl, ds, patterns, sigma, onto).verdict == "compliant"
+    with pytest.raises(PolicyError, match=r"^unsafe: ungrounded head hasDispensation\(\$s, \$a\)$"):
+        check_compliance(ph, pl, ds, patterns, sigma, onto)

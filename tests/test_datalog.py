@@ -10,15 +10,18 @@ from polcheck.datalog import (
     decision_view,
     derivation_tree,
     evaluate,
+    evaluate_branches,
     render_derivation,
     render_model,
 )
-from polcheck.errors import PolicyError
+from polcheck.errors import PolcheckError, PolicyError
 from polcheck.ontology import DataSystem
-from polcheck.policy import parse_policy
+from polcheck.policy import Rule, parse_policy
+from polcheck.refinement import refine_policy
 from polcheck.terms import ActionTerm, Atom, Const, Formula, Literal, Signed, render, sort_key
 
 from oracle_datalog import naive_model, naive_supports, random_program, random_recursive_program
+from oracle_refinement import random_instance
 
 
 def C(name):
@@ -463,3 +466,96 @@ def test_join_probes_grow_linearly_with_the_input(monkeypatch, workload, size):
     large = _probes(monkeypatch, *workload(2 * size))
     assert small > 0
     assert large <= 2.5 * small, (small, large)
+
+
+# ---------------------------------------------------------------------------
+# One shared pass over several policies: each branch's projection is the
+# model that evaluating that policy alone gives
+# ---------------------------------------------------------------------------
+
+
+def assert_projections_match(policies, ds):
+    shared = evaluate_branches(policies, ds)
+    for i, policy in enumerate(policies):
+        alone = evaluate(policy, ds)
+        projected = shared.project(i)
+        assert projected.atoms == alone.atoms
+        assert list(projected.supports.items()) == list(alone.supports.items())
+        assert projected.error_witnesses == alone.error_witnesses
+
+
+def _split(rng, policy, base):
+    """The policy's rules dealt over 2-8 branches: each branch keeps each
+    rule with probability 0.7, so rules, and the atoms they derive, hold in
+    some branches only. Some branches also get a few of the policy's
+    recursive atoms as facts, so recursion starts earlier there and the
+    other branches reach those atoms rounds later."""
+    recursive = [
+        a
+        for a in sorted(evaluate(policy, DataSystem(base_atoms=base)).atoms, key=sort_key)
+        if a.pred in ("derhasDispensation", "derhasObligation", "dercando")
+    ]
+    seeds = rng.sample(recursive, min(3, len(recursive)))
+    return [
+        policy.with_rules(
+            [r for r in policy.rules if rng.random() < 0.7]
+            + [Rule(f"seed{k}", a) for k, a in enumerate(seeds) if rng.random() < 0.3]
+        )
+        for _ in range(rng.randint(2, 8))
+    ]
+
+
+def _owned(rng):
+    return frozenset(
+        Atom("owns", (C(f"s{i}"), C(f"x{j}")))
+        for i in range(3)
+        for j in range(3)
+        if rng.random() < 0.5
+    )
+
+
+def test_shared_pass_projects_to_each_branch_model(monkeypatch):
+    regrown, partly_blocked = [], []
+    real_add, real_unblocked = polcheck.datalog._Store.add, polcheck.datalog._unblocked
+
+    def add(store, gained, rnd):
+        real_add(store, gained, rnd)
+        regrown.extend(a for atoms in store.regrown.values() for a in atoms)
+
+    def unblocked(body, store, theta, mask):
+        out = real_unblocked(body, store, theta, mask)
+        if 0 != out != mask:
+            partly_blocked.append(theta)
+        return out
+
+    monkeypatch.setattr(polcheck.datalog._Store, "add", add)
+    monkeypatch.setattr(polcheck.datalog, "_unblocked", unblocked)
+    rng = random.Random("shared-pass")
+    for generate in (random_program, random_recursive_program):
+        for _ in range(40):
+            p, base = generate(rng)
+            assert_projections_match(_split(rng, p, base), DataSystem(base_atoms=base))
+    branchy = 0
+    for _ in range(120):
+        p, patterns, onto, limit = random_instance(rng)
+        try:
+            result = refine_policy(p, patterns, onto, max_branches=limit)
+        except PolcheckError:
+            continue
+        branchy += len(result.branches) > 1
+        policies = [b.policy for b in result.branches]
+        assert_projections_match(policies, DataSystem(base_atoms=_owned(rng)))
+    assert branchy >= 10
+    # recursive atoms gained branches in a later round than they first
+    # held, and negated atoms held in some branches only
+    assert len(regrown) >= 10, len(regrown)
+    assert len(partly_blocked) >= 10, len(partly_blocked)
+
+
+def test_shared_pass_of_one_policy_keeps_no_masks():
+    p, base = random_recursive_program(random.Random(3))
+    ds = DataSystem(base_atoms=base)
+    shared = evaluate_branches([p, p], ds)
+    assert shared.masks is None and shared.support_masks is None
+    assert {shared.mask_of(a) for a in shared.union.atoms} == {0b11}
+    assert shared.project(1) is shared.union == evaluate(p, ds)

@@ -58,9 +58,11 @@ _COMMANDS = [
     ("nested", "validate", NESTED, []),
     ("nested", "refine", NESTED, []),
     ("nested", "check", NESTED, []),
+    ("nested", "explain", NESTED, ["mustdo(carol, BoardReview((target,sys1)), true)"]),
     ("labeled", "validate", LABELED, []),
     ("labeled", "refine", LABELED, []),
     ("labeled", "check", LABELED, []),
+    ("labeled", "explain", LABELED, ["derhasObligation(carol, Prepare((target,sys1)), true)"]),
 ]
 
 CASES = {
