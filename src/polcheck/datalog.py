@@ -14,7 +14,8 @@ on rule order.
 
 One pass evaluates several policies at once, such as the refinement branches
 of one high-level policy. Bit i of a branch mask stands for the i-th policy.
-A rule's mask is the set of policies that contain it; an instance's mask is
+Rules are grouped by object: a rule's mask is the set of policies that hold
+that rule object (refinement branches share theirs). An instance's mask is
 its rule's mask AND its positive atoms' masks AND NOT its negated atoms'
 masks (final, since they sit in lower strata); an atom's mask is the OR of
 its instances' masks. An atom whose mask grows goes back into the delta with
@@ -300,20 +301,12 @@ def _fixpoint(policies, ds: DataSystem, onto: Ontology):
     """Evaluate the policies in one pass. Returns the store and, per head,
     {(rule_id, ground body): mask of the policies with that support}."""
     full = (1 << len(policies)) - 1
-    if len(policies) == 1:
-        rules, rule_masks = policies[0].rules, (full,) * len(policies[0].rules)
-    else:
-        # Branch policies share most rule objects, and hashing a rule walks
-        # all its terms, so rules are grouped by object before by value.
-        by_object: dict = {}  # id(rule) -> (rule, mask)
-        for i, p in enumerate(policies):
-            for rule in p.rules:
-                _, mask = by_object.get(id(rule), (rule, 0))
-                by_object[id(rule)] = (rule, mask | 1 << i)
-        by_value: dict = {}  # Rule -> mask of the policies that contain it, first seen first
-        for rule, mask in by_object.values():
-            by_value[rule] = by_value.get(rule, 0) | mask
-        rules, rule_masks = tuple(by_value), tuple(by_value.values())
+    grouped: dict = {}  # id(rule) -> [rule, mask of the policies that hold it]
+    for i, p in enumerate(policies):
+        for rule in p.rules:
+            grouped.setdefault(id(rule), [rule, 0])[1] |= 1 << i
+    rules = tuple(rule for rule, _ in grouped.values())
+    rule_masks = tuple(mask for _, mask in grouped.values())
     strat = check_stratification(Policy(rules), onto)
     if not strat.ok:
         first = strat.violations[0]

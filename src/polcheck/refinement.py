@@ -13,6 +13,10 @@ pattern applies to a rule depends on that rule alone, so the rules already
 visited are final and the walk never goes back over them. A refined rule's
 outcome rules are visited next; a fork copies the branch once per extra
 outcome. Enumeration follows every outcome, replay the one its log names.
+Enumeration applies each pattern once per rule object, so branches share
+outcome rules. Obligations on atomic actions are lifted once, before the
+walk, as refinement never makes or drops one. Stratification judges each
+rule alone, so it is checked once, over the distinct rules in walk order.
 
 Sequence refinement of an authored obligation rule keeps the source rule and
 adds a pair of derived rules: the first sub-obligation inherits the source
@@ -468,19 +472,23 @@ def enumerate_refinements(
 ) -> RefinementResult:
     """Exhaustively apply the B rules in deterministic rule/pattern order
     until every obligation action is atomic. Choice and conjunction fork;
-    multiple patterns on one action fork across patterns."""
+    multiple patterns on one action fork across patterns. Each warning is
+    listed once, in the order first seen."""
     pats = _flatten_patterns(patterns)
     _check_acyclic(pats)
     by_root = _by_root(pats)
     warnings: list[str] = []
     multiplying: set = set()
+    applied: dict = {}  # (id(rule), id(pattern)) -> (rule, outcomes)
 
     def every_outcome(rule, applicable, waiting):
         if len(applicable) > 1:
             multiplying.update(x.pattern_id for x in applicable)
         nxt = []
         for pat in applicable:
-            outcomes = _apply_pattern(rule, pat, onto, warnings)
+            if (id(rule), id(pat)) not in applied:
+                applied[id(rule), id(pat)] = rule, _apply_pattern(rule, pat, onto, warnings)
+            outcomes = applied[id(rule), id(pat)][1]
             if len(outcomes) > 1:
                 multiplying.add(pat.pattern_id)
             nxt.extend(outcomes)
@@ -488,19 +496,17 @@ def enumerate_refinements(
             raise BranchLimitError(max_branches, tuple(sorted(multiplying)))
         return nxt
 
-    finished = [
-        RefinementBranch(_lift_atomic_obligations(p.with_rules(rules), by_root), clog)
-        for rules, clog in _walk(p, by_root, every_outcome)
-    ]
-    for br in finished:
-        result = check_stratification(br.policy, onto)
-        if not result.ok:
-            first = result.violations[0]
-            raise PolicyError(
-                f"refinement produced an unstratified rule: {first.rule_id}: {first.message}"
-            )
-    finished.sort(key=lambda b: b.choice_log)
-    return RefinementResult(tuple(finished), tuple(warnings))
+    walked = _walk(_lift_atomic_obligations(p, by_root), by_root, every_outcome)
+    distinct = {id(r): r for rules, _ in walked for r in rules}
+    result = check_stratification(p.with_rules(distinct.values()), onto)
+    if not result.ok:
+        first = result.violations[0]
+        raise PolicyError(
+            f"refinement produced an unstratified rule: {first.rule_id}: {first.message}"
+        )
+    walked.sort(key=lambda branch: branch[1])
+    finished = tuple(RefinementBranch(p.with_rules(r), clog) for r, clog in walked)
+    return RefinementResult(finished, tuple(dict.fromkeys(warnings)))
 
 
 def replay(p: Policy, patterns, choice_log, onto: Ontology) -> Policy:
@@ -524,10 +530,10 @@ def replay(p: Policy, patterns, choice_log, onto: Ontology) -> Policy:
             raise PolicyError(f"choice log tag {tag!r} matches no outcome of {pid!r}")
         return selected[:1]
 
-    ((rules, _),) = _walk(p, by_root, logged_outcome)
+    ((rules, _),) = _walk(_lift_atomic_obligations(p, by_root), by_root, logged_outcome)
     for _ in entries:
         raise PolicyError("choice log has unused entries")
-    return _lift_atomic_obligations(p.with_rules(rules), by_root)
+    return p.with_rules(rules)
 
 
 def refine_policy(

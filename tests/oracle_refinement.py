@@ -93,24 +93,27 @@ ACTIONS = tuple(f"A{i}" for i in range(8))
 _OPS = (SEQ, CHOICE, CONJ)
 
 
-def _leaf(name):
-    return ActionLeaf(name, (("target", Var("x")),))
+def _leaf(name, deeper=False):
+    x = ActionTerm("Wrap", (("k", Var("x")),)) if deeper else Var("x")
+    return ActionLeaf(name, (("target", x),))
 
 
 def random_instance(rng):
     """(policy, patterns, ontology, max_branches): 0-7 sequence, choice and
     conjunction patterns over eight actions A0-A7, of which A7 is undeclared.
     Patterns mostly point from lower to higher action numbers, so cycles are
-    rare; some are guarded and some have a labeled inner composition. 1-4
-    obligation rules, a few with a binding no pattern unifies with, and
-    sometimes a decision rule among them."""
+    rare; some are guarded, some have a labeled inner composition and some
+    leaves nest $x one level deeper. 1-4 obligation rules, a few with a
+    binding no pattern unifies with, some derived ones with a recursive body
+    literal (which a deeper leaf makes unstratified), and sometimes a
+    decision rule among them."""
     onto = Ontology(properties={"owns": PropertyDef("owns")})
     for name in ACTIONS[:7]:
         onto.action_classes[name] = ActionClassDef(name, ENTIRE, ENTIRE, params=("target",))
     def operand(low):
         roll = rng.random()
         number = 7 if roll < 0.04 else rng.randint(0, 6) if roll < 0.07 else rng.randint(low, 6)
-        return _leaf(ACTIONS[number])
+        return _leaf(ACTIONS[number], deeper=rng.random() < 0.1)
 
     patterns = []
     for k in range(rng.randint(0, 7)):
@@ -131,7 +134,10 @@ def random_instance(rng):
         head = rng.choice(("hasObligation", "derhasObligation"))
         prop = "host" if rng.random() < 0.05 else "target"
         action = ACTIONS[rng.randint(0, 7)]
-        lines.append(f"{head}($s, {action}(({prop}, $x)), true) :- owns($s, $x).")
+        body = "owns($s, $x)"
+        if head == "derhasObligation" and rng.random() < 0.3:
+            body += f" & derhasObligation($s, {ACTIONS[rng.randint(0, 7)]}((target, $x)), true)"
+        lines.append(f"{head}($s, {action}(({prop}, $x)), true) :- {body}.")
     if rng.random() < 0.5:
         decide = "mustdo($s, $a, $q) :- derhasObligation($s, $a, $q) & ~derhasDispensation($s, $a)."
         lines.insert(rng.randint(0, len(lines)), decide)

@@ -157,6 +157,32 @@ def test_refine_surfaces_guard_warnings(capsys):
     assert "guarded composition refined as its basic counterpart" in err
 
 
+def test_refine_lists_each_warning_once(capsys, tmp_path):
+    # a second Protect obligation doubles the branches and meets the guarded
+    # pattern again; the warning is still listed once
+    high = tmp_path / "compose_high.pol"
+    high.write_text(
+        (SAMPLES / "compose_high.pol").read_text(encoding="utf-8")
+        + "hasObligation($s, Protect((target,$x)), true) :- owns($s, $x).\n",
+        encoding="utf-8",
+    )
+    argv = [
+        "refine",
+        "--onto", SAMPLES / "compose.onto",
+        "--facts", SAMPLES / "compose.facts",
+        "--high", high,
+        "--patterns", SAMPLES / "compose.rp",
+    ]
+    warning = "p1: guarded composition refined as its basic counterpart (guards do not reach rules)"
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    assert [line for line in err.splitlines() if "guarded" in line] == [f"warning: {warning}"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    assert len(doc["branches"]) == 4
+    assert doc["warnings"] == [warning]
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+import polcheck.refinement
 from polcheck.actions import (
     CHOICE,
     CONJ,
@@ -47,7 +48,7 @@ from polcheck.refinement import (
     refine_policy,
     replay,
 )
-from polcheck.terms import Atom, Const, Formula, render
+from polcheck.terms import ActionTerm, Atom, Const, Formula, Var, render
 
 from oracle_refinement import random_instance, reference_refinements
 
@@ -55,8 +56,6 @@ TRUE = Formula()
 
 
 def tleaf(name):
-    from polcheck.terms import Var
-
     return ActionLeaf(name, (("target", Var("x")),))
 
 
@@ -72,7 +71,6 @@ def simple_onto(*names) -> Ontology:
 
 def pat(pid, root, body):
     from polcheck.actions import taxonomy_of
-    from polcheck.terms import Var
 
     return RefinementPattern(pid, root, (("target", Var("x")),), body, taxonomy_of(body))
 
@@ -430,6 +428,49 @@ def test_competing_patterns_fork_across_patterns():
     ]
 
 
+def test_branches_share_each_pattern_application(monkeypatch):
+    # k independent choices make 2^k branches, but each rule meets its
+    # pattern once and every branch holds the outcome rules it reaches as
+    # the same objects
+    k = 5
+    onto = simple_onto(*(f"{kind}{i}" for i in range(k) for kind in "TAB"))
+    p = parse_policy(
+        "\n".join(f"hasObligation($s, T{i}((target, $x)), true) :- owns($s, $x)." for i in range(k))
+    )
+    patterns = tuple(
+        pat(f"p{i}", f"T{i}", ActionNode(CHOICE, tleaf(f"A{i}"), tleaf(f"B{i}"))) for i in range(k)
+    )
+    calls = []
+    apply_pattern = polcheck.refinement._apply_pattern
+
+    def counted(rule, pattern, *rest):
+        calls.append((rule.rule_id, pattern.pattern_id))
+        return apply_pattern(rule, pattern, *rest)
+
+    monkeypatch.setattr(polcheck.refinement, "_apply_pattern", counted)
+    result = refine_policy(p, patterns, onto)
+    assert len(result.branches) == 2**k
+    assert calls == [(f"r{i + 1}", f"p{i}") for i in range(k)]
+    rules = [r for b in result.branches for r in b.policy.rules]
+    assert len({id(r) for r in rules}) == len(set(rules))
+
+
+def test_an_unstratified_refinement_names_the_first_failing_branch():
+    # only the second choice nests $x deeper than the recursive literal, so
+    # only branch 2 violates, and the error names its rule
+    onto = simple_onto("Top", "Base", "A", "B")
+    deeper = ActionLeaf("B", (("target", ActionTerm("Wrap", (("k", Var("x")),))),))
+    pattern = pat("p", "Top", ActionNode(CHOICE, tleaf("A"), deeper))
+    p = parse_policy(
+        "derhasObligation($s, Top((target, $x)), true)"
+        " :- owns($s, $x) & derhasObligation($s, Base((target, $x)), true)."
+    )
+    for enumerate_ in (enumerate_refinements, reference_refinements):
+        with pytest.raises(PolicyError) as err:
+            enumerate_(p, (pattern,), onto)
+        assert str(err.value).startswith("refinement produced an unstratified rule: r1.c2: row 3:")
+
+
 def test_enumeration_matches_the_reference_on_random_instances():
     rng = random.Random(20261018)
     outcomes = set()
@@ -446,7 +487,8 @@ def test_enumeration_matches_the_reference_on_random_instances():
             assert fast == slow
             outcomes.add(slow[0].__name__)
             continue
-        assert fast.warnings == slow.warnings
+        # the reference repeats a warning once per branch; the engine lists it once
+        assert fast.warnings == tuple(dict.fromkeys(slow.warnings))
         assert [b.choice_log for b in fast.branches] == [b.choice_log for b in slow.branches]
         assert [to_text(b.policy) for b in fast.branches] == [
             to_text(b.policy) for b in slow.branches
@@ -457,7 +499,13 @@ def test_enumeration_matches_the_reference_on_random_instances():
         outcomes.add(f"{min(len(fast.branches), 4)} branches")
     # the instances reach every outcome the comparison is meant to cover
     assert outcomes >= {
-        "1 branches", "2 branches", "4 branches", "BranchLimitError", "CycleError", "PatternError"
+        "1 branches",
+        "2 branches",
+        "4 branches",
+        "BranchLimitError",
+        "CycleError",
+        "PatternError",
+        "PolicyError",
     }
 
 
