@@ -87,7 +87,6 @@ from .policy import (
     validate_high_level,
 )
 from .datalog import (
-    BranchModels,
     Model,
     decision_view,
     derivation_tree,

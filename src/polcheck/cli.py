@@ -24,7 +24,13 @@ from .compliance import CurrentState, check_compliance
 from .datalog import derivation_tree, evaluate, evaluate_branches, render_derivation
 from .errors import PolcheckError
 from .loading import load_facts, load_ontology, load_patterns, load_policy, load_state
-from .policy import _parse_atom, check_stratification, to_text, validate_high_level
+from .policy import (
+    _check_atom_shape,
+    _parse_atom,
+    check_stratification,
+    to_text,
+    validate_high_level,
+)
 from .refinement import refine_policy
 from .terms import TokenStream, is_ground, render
 from .ontology import render_state
@@ -259,6 +265,7 @@ def cmd_explain(args) -> int:
     atom = _parse_atom(ts, onto)
     if not ts.at_end():
         ts.fail("trailing input after the atom")
+    _check_atom_shape(atom, "explain", "atom", onto)
     if not is_ground(atom):
         raise PolcheckError(f"explain takes a ground atom; {render(atom)} has variables")
 

@@ -323,7 +323,7 @@ def check_compliance(
     examined = 0
     model_l = evaluate(pl, ds, onto)
     atoms_derived = len(model_l.atoms) - len(ds.base_atoms)
-    if model_l.error_witnesses:
+    if model_l.error_mask():
         detail = "low-level policy is inconsistent (error derivable)"
         return ComplianceReport("inconsistent-input", stats=counts(), detail=detail)
     view_l = decision_view(model_l)
@@ -331,6 +331,7 @@ def check_compliance(
 
     result = refine_policy(ph, patterns, onto, ds, mode=mode, max_branches=max_branches)
     shared = evaluate_branches([branch.policy for branch in result.branches], ds, onto)
+    error_mask = shared.error_mask()
     sizes = Counter()  # mask -> atoms held by just those branches
     # The decision atoms of the high views by the first branch that holds
     # them, mustdo atoms sorted: the walk audits each when it reaches that
@@ -338,7 +339,7 @@ def check_compliance(
     # lists them.
     first_held: dict = {}  # branch index -> [(atom, mask), ...]
     mustdo = []
-    for atom, mask in shared.items():
+    for atom, mask in shared.masks.items():
         sizes[mask] += 1
         if atom.pred == "do":
             first_held.setdefault((mask & -mask).bit_length() - 1, []).append((atom, mask))
@@ -367,7 +368,7 @@ def check_compliance(
         bit = 1 << i
         examined += 1
         atoms_derived += sum(n for mask, n in sizes.items() if mask & bit) - len(ds.base_atoms)
-        if shared.error_mask & bit:
+        if error_mask & bit:
             detail = "high-level policy is inconsistent (error derivable in a refinement branch)"
             return ComplianceReport("inconsistent-input", stats=counts(), detail=detail)
         groups: dict = {}  # mask -> (do atoms, pending mustdo atoms)

@@ -22,8 +22,8 @@ its instances' masks. An atom whose mask grows goes back into the delta with
 the bits it gained, and the join reads, for each literal, the bits the atom
 held before the delta, the bits it gained, or all of them, so each instance
 fires once per branch. Projecting the result on one bit gives exactly that
-policy's model. `evaluate` is the one-policy case: every mask is full, so no
-per-atom masks are kept.
+policy's model. `evaluate` is the one-policy case of the same pass, with
+every mask 1.
 
 Each predicate's atoms are kept in an append-only list in the order their
 rounds added them, and indexed by the argument positions a probe binds, so a
@@ -33,6 +33,7 @@ of every list.
 Supports (why-provenance) are recorded as instances fire. Positive atoms are
 never removed and negated literals are decided against saturated strata, so
 an instance that fires in any round is an instance over the final model.
+They are kept in firing order and sorted only when read (`supports_of`).
 
 The do(o,s,-a) :- ~do(o,s,+a) form has no positive body literal; its
 variables range over the authorization triples (o, s, a) collected from the
@@ -64,54 +65,59 @@ from .terms import (
 )
 
 
+def _by_rule_then_body(sup) -> tuple:
+    return sup[0], tuple(render(l.atom) for l in sup[1])
+
+
 @dataclass(frozen=True)
 class Model:
-    atoms: frozenset
-    supports: dict  # head Atom -> ((rule_id, (ground body Literal, ...)), ...), heads sorted
-    error_witnesses: tuple  # ((rule_id, (ground body Literal, ...)), ...)
+    """The models of one or more policies over one data system, from one
+    pass: every atom and support some policy's model holds, each with the
+    mask of the policies that hold it (bit i for the i-th policy)."""
+
+    masks: dict  # Atom -> mask of the policies whose model holds it
+    supports: dict  # head Atom -> ((rule_id, (ground body Literal, ...), mask), ...)
+    full: int  # the mask of every policy
+
+    @property
+    def atoms(self):
+        return self.masks.keys()
 
     def holds(self, atom: Atom) -> bool:
-        return atom in self.atoms
-
-    def supports_of(self, atom: Atom) -> tuple:
-        return self.supports.get(atom, ())
-
-
-@dataclass(frozen=True)
-class BranchModels:
-    """The models of several policies over one data system, from one shared
-    pass. `union` holds every atom and support some policy's model holds;
-    bit i of a mask stands for the i-th policy."""
-
-    union: Model
-    full: int  # the mask of every policy
-    error_mask: int  # the policies whose model has error witnesses
-    masks: dict  # Atom -> mask of the policies whose model holds it; None if always full
-    support_masks: dict  # head -> (mask, ...), one per support in union; None if always full
+        return atom in self.masks
 
     def mask_of(self, atom: Atom) -> int:
-        if self.masks is None:
-            return self.full if atom in self.union.atoms else 0
         return self.masks.get(atom, 0)
 
-    def items(self):
-        """(atom, mask) for every atom of the union."""
-        if self.masks is None:
-            return ((a, self.full) for a in self.union.atoms)
-        return self.masks.items()
+    def supports_of(self, atom: Atom) -> tuple:
+        """The atom's supports, (rule_id, ground body) each, by rule id and
+        then rendered body."""
+        sups = self.supports.get(atom, ())
+        return tuple(sorted(((r, body) for r, body, _ in sups), key=_by_rule_then_body))
+
+    def error_mask(self) -> int:
+        """The policies whose model derives an error."""
+        mask = 0
+        for head, sups in self.supports.items():
+            if head.pred == "error":
+                for _, _, m in sups:
+                    mask |= m
+        return mask
+
+    def error_witnesses(self) -> tuple:
+        """The supports of every error head, in supports_of order."""
+        heads = sorted((h for h in self.supports if h.pred == "error"), key=sort_key)
+        return tuple(sup for h in heads for sup in self.supports_of(h))
 
     def project(self, i: int) -> Model:
         """The i-th policy's model, as `evaluate` of that policy alone gives it."""
-        if self.masks is None:
-            return self.union
         bit = 1 << i
         supports = {}
-        for head, sups in self.union.supports.items():
-            held = tuple(sup for sup, mask in zip(sups, self.support_masks[head]) if mask & bit)
+        for head, sups in self.supports.items():
+            held = tuple((r, body, 1) for r, body, m in sups if m & bit)
             if held:
                 supports[head] = held
-        atoms = frozenset(a for a, mask in self.masks.items() if mask & bit)
-        return Model(atoms, supports, _error_witnesses(supports))
+        return Model({a: 1 for a, m in self.masks.items() if m & bit}, supports, 1)
 
 
 @dataclass(frozen=True)
@@ -127,14 +133,12 @@ class _Store:
     argument positions that probe binds. Lists only grow at the end, so the
     atoms stamped before a round are a prefix of each of them.
 
-    With several policies, each atom also has the mask of the policies that
-    hold it so far; `delta` has the bits the last round added to each atom
-    it touched, and `regrown` lists, per shape, the atoms of the delta that
-    were stamped earlier. With one policy (every mask full) neither is kept."""
+    Each atom also has the mask of the policies that hold it so far; `delta`
+    has the bits the last round added to each atom it touched, and `regrown`
+    lists, per shape, the atoms of the delta that were stamped earlier."""
 
-    def __init__(self, base, full: int, masked: bool):
-        self.full = full
-        self.masks = dict.fromkeys(base, full) if masked else None  # atom -> policy mask
+    def __init__(self, base, full: int):
+        self.masks = dict.fromkeys(base, full)  # atom -> policy mask
         self.stamp: dict = {}
         self.lists: dict = {}  # (pred, arity) -> [atom, ...]
         self.indexes: dict = {}  # (pred, arity) -> {positions: {key: [atom, ...]}}
@@ -145,8 +149,6 @@ class _Store:
 
     def held(self, atom: Atom) -> int:
         """The mask of the policies that hold the atom so far."""
-        if self.masks is None:
-            return self.full if atom in self.stamp else 0
         return self.masks.get(atom, 0)
 
     def add(self, gained: dict, rnd: int) -> None:
@@ -154,13 +156,12 @@ class _Store:
         round's delta."""
         self.delta, self.regrown = gained, {}
         for a, bits in gained.items():
-            if self.masks is not None:
-                if a in self.masks:
-                    self.masks[a] |= bits
-                    self.regrown.setdefault((a.pred, len(a.args)), []).append(a)
-                    continue
+            if a in self.masks:
+                self.masks[a] |= bits
+                self.regrown.setdefault((a.pred, len(a.args)), []).append(a)
+            else:
                 self.masks[a] = bits
-            self._list(a, rnd)
+                self._list(a, rnd)
 
     def _list(self, a: Atom, rnd: int) -> None:
         shape = (a.pred, len(a.args))
@@ -212,11 +213,10 @@ def _join_plan(positive, j=None) -> tuple:
 
 
 def _join(steps, store: _Store, delta_stamp: int, mask: int) -> list:
-    """All (substitution, mask) pairs matching the join steps in order. With
-    several policies, a pair's mask is the given mask ANDed with each of its
-    atoms' masks as the step's view sees them: the bits held before the
-    delta, the bits the delta added, or all bits. Pairs whose mask is empty
-    are dropped."""
+    """All (substitution, mask) pairs matching the join steps in order. A
+    pair's mask is the given mask ANDed with each of its atoms' masks as the
+    step's view sees them: the bits held before the delta, the bits the delta
+    added, or all bits. Pairs whose mask is empty are dropped."""
     masks, delta = store.masks, store.delta
     rows = [({}, mask)]
     for atom, shape, positions, view in steps:
@@ -232,9 +232,6 @@ def _join(steps, store: _Store, delta_stamp: int, mask: int) -> list:
             for ga in pool:
                 th2 = match_atom(atom, ga, th)
                 if th2 is None:
-                    continue
-                if masks is None:
-                    nxt.append((th2, m))
                     continue
                 if view is _ALL:
                     held = m & masks[ga]
@@ -297,9 +294,10 @@ def _row8_matches(rule, triples: dict, mask: int) -> list:
     return out
 
 
-def _fixpoint(policies, ds: DataSystem, onto: Ontology):
-    """Evaluate the policies in one pass. Returns the store and, per head,
-    {(rule_id, ground body): mask of the policies with that support}."""
+def evaluate_branches(policies, ds: DataSystem, onto: Ontology = None) -> Model:
+    """Evaluate several policies in one shared pass; project(i) of the result
+    is evaluate(policies[i], ds, onto). A policy that makes `evaluate` raise
+    makes this raise too, even when the other policies alone would not."""
     full = (1 << len(policies)) - 1
     grouped: dict = {}  # id(rule) -> [rule, mask of the policies that hold it]
     for i, p in enumerate(policies):
@@ -312,8 +310,7 @@ def _fixpoint(policies, ds: DataSystem, onto: Ontology):
         first = strat.violations[0]
         raise PolicyError(f"policy is not stratified: {first.rule_id}: {first.message}")
 
-    masked = any(m != full for m in rule_masks)
-    store = _Store(ds.base_atoms, full, masked)
+    store = _Store(ds.base_atoms, full)
     acc: dict = {}  # head -> {(rule_id, ground body): mask}
     rnd = 0
     for k in range(1, 10):
@@ -375,54 +372,23 @@ def _fixpoint(policies, ds: DataSystem, onto: Ontology):
                         raise PolicyError(f"{rule.rule_id}: ungrounded head {render(derived)}")
                     gained = m & ~store.held(derived)
                     if gained:
-                        new[derived] = new.get(derived, 0) | gained if masked else gained
+                        new[derived] = new.get(derived, 0) | gained
                     body = tuple(Literal(l.negated, substitute(l.atom, th)) for l in rule.body)
                     sup = (rule.rule_id, body)
                     sups = acc.setdefault(derived, {})
-                    sups[sup] = sups.get(sup, 0) | m if masked else m
+                    sups[sup] = sups.get(sup, 0) | m
             store.add(new, rnd)
             first_round = False
-    return store, acc
-
-
-def _model(store: _Store, acc: dict) -> Model:
-    """Every atom and support held in some policy, heads and each head's
-    supports in a fixed order."""
-
-    def by_rule_then_body(sup):
-        return sup[0], tuple(render(l.atom) for l in sup[1])
-
+    # a tuple per head holds the supports in less memory than the dict
     supports = {
-        h: tuple(sorted(acc[h], key=by_rule_then_body)) for h in sorted(acc, key=sort_key)
+        head: tuple((rule_id, body, m) for (rule_id, body), m in sups.items())
+        for head, sups in acc.items()
     }
-    return Model(frozenset(store.stamp), supports, _error_witnesses(supports))
-
-
-def _error_witnesses(supports: dict) -> tuple:
-    return tuple(sup for head, sups in supports.items() for sup in sups if head.pred == "error")
+    return Model(store.masks, supports, full)
 
 
 def evaluate(p: Policy, ds: DataSystem, onto: Ontology = None) -> Model:
-    return _model(*_fixpoint((p,), ds, onto))
-
-
-def evaluate_branches(policies, ds: DataSystem, onto: Ontology = None) -> BranchModels:
-    """Evaluate several policies in one shared pass; project(i) of the result
-    is evaluate(policies[i], ds, onto). A policy that makes `evaluate` raise
-    makes this raise too, even when the other policies alone would not."""
-    store, acc = _fixpoint(tuple(policies), ds, onto)
-    union = _model(store, acc)
-    error_mask = 0
-    for head, sups in acc.items():
-        if head.pred == "error":
-            for mask in sups.values():
-                error_mask |= mask
-    support_masks = None
-    if store.masks is not None:
-        support_masks = {
-            h: tuple(acc[h][sup] for sup in sups) for h, sups in union.supports.items()
-        }
-    return BranchModels(union, store.full, error_mask, store.masks, support_masks)
+    return evaluate_branches((p,), ds, onto)
 
 
 def decision_view(m: Model) -> DecisionView:

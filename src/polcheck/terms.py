@@ -307,12 +307,13 @@ def tokenize(text: str) -> list:
 
 class TokenStream:
     def __init__(self, text: str):
-        self.tokens = tokenize(text)
+        tokens = tokenize(text)
+        # two more eof tokens, so a lookahead of up to 2 past the end reads eof
+        self.tokens = tokens + tokens[-1:] * 2
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+        return self.tokens[self.pos + ahead]
 
     def at_end(self) -> bool:
         return self.peek().kind == "eof"

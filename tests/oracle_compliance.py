@@ -42,7 +42,7 @@ def reference_check_compliance(
     examined = 0
     model_l = evaluate(pl, ds, onto)
     atoms_derived = len(model_l.atoms) - len(ds.base_atoms)
-    if model_l.error_witnesses:
+    if model_l.error_witnesses():
         detail = "low-level policy is inconsistent (error derivable)"
         return ComplianceReport("inconsistent-input", stats=counts(), detail=detail)
     view_l = decision_view(model_l)
@@ -70,7 +70,7 @@ def _audits(result, ds, sigma, onto, view_l, M_l):
     status: dict = {}
     for branch in result.branches:
         model_h = evaluate(branch.policy, ds, onto)
-        if model_h.error_witnesses:
+        if model_h.error_witnesses():
             yield branch, model_h, None, ()
             continue
         view_h = decision_view(model_h)

@@ -305,6 +305,21 @@ def test_explain_rejects_unparseable_atoms(capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "atom, message",
+    [
+        ("mustdo(alice, x)", "mustdo takes 3 argument(s), got 2"),
+        ("nosuchpred(a, b)", "unknown predicate 'nosuchpred'"),
+        ("do(report1, eve, read)", "do requires a signed (+/-) action argument"),
+    ],
+)
+def test_explain_rejects_atoms_no_policy_can_hold(capsys, atom, message):
+    code, out, err = run(capsys, *audit_args("explain"), atom)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:")
+    assert message in err
+
+
 # ---------------------------------------------------------------------------
 # Failure modes and determinism
 # ---------------------------------------------------------------------------

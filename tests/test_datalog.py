@@ -119,14 +119,17 @@ def full_model():
 
 
 def assert_supports_match_the_oracle(p, atoms, model):
-    """Each head's supports, as a set, and the error witnesses agree with the
-    oracle's grounding of the finished model; heads come in sorted order."""
+    """Each head's supports and the error witnesses agree with the oracle's
+    grounding of the finished model; supports_of reads them sorted."""
     expected = naive_supports(p, atoms)
-    assert {head: set(sups) for head, sups in model.supports.items()} == expected
-    assert list(model.supports) == sorted(model.supports, key=sort_key)
+    assert set(model.supports) == set(expected)
+    for head, sups in expected.items():
+        read = model.supports_of(head)
+        assert set(read) == sups and len(read) == len(sups)
+        assert list(read) == sorted(read, key=lambda s: (s[0], [render(l.atom) for l in s[1]]))
     errors = {sup for head, sups in expected.items() if head.pred == "error" for sup in sups}
-    assert set(model.error_witnesses) == errors
-    assert len(model.error_witnesses) == len(errors)
+    assert set(model.error_witnesses()) == errors
+    assert len(model.error_witnesses()) == len(errors)
 
 
 def test_every_stratum_derives_what_the_hand_calculation_says():
@@ -165,7 +168,7 @@ def test_every_stratum_derives_what_the_hand_calculation_says():
         for g in ("lab", "site")
         for s in ("emp1", "boss")
     }
-    assert not model.error_witnesses
+    assert not model.error_witnesses()
 
 
 def test_rule_order_does_not_change_the_model():
@@ -241,7 +244,7 @@ def test_error_rule_reports_witnesses():
     model = evaluate(p, DataSystem())
     assert Atom("error", ()) in model.atoms
     assert_supports_match_the_oracle(p, naive_model(p, ()), model)
-    (witness,) = model.error_witnesses
+    (witness,) = model.error_witnesses()
     assert witness[0] == "r4"
     assert [render(l.atom) for l in witness[1]] == [
         "mustdo(s1, act1, true)",
@@ -307,12 +310,13 @@ def test_derivation_tree_marks_absent_and_cyclic_atoms():
 
 
 def _hand_model(supports):
-    """A Model over the given head -> ((rule_id, body), ...) table, whose atoms
-    are the heads and every positive body atom."""
+    """A one-policy Model over the given head -> ((rule_id, body), ...) table,
+    whose atoms are the heads and every positive body atom."""
     atoms = set(supports)
     for sups in supports.values():
         atoms.update(l.atom for _, body in sups for l in body if not l.negated)
-    return Model(frozenset(atoms), supports, ())
+    masked = {head: tuple((r, body, 1) for r, body in sups) for head, sups in supports.items()}
+    return Model(dict.fromkeys(atoms, 1), masked, 1)
 
 
 def test_derivation_tree_walks_a_long_chain_without_recursion():
@@ -383,7 +387,7 @@ def test_random_programs_match_the_oracle():
         model = evaluate(p, DataSystem(base_atoms=base))
         assert model.atoms == expected
         assert_supports_match_the_oracle(p, expected, model)
-        with_errors += bool(model.error_witnesses)
+        with_errors += bool(model.error_witnesses())
         shuffled = list(p.rules)
         rng.shuffle(shuffled)
         assert evaluate(p.with_rules(shuffled), DataSystem(base_atoms=base)).atoms == expected
@@ -405,8 +409,8 @@ def test_recursive_programs_match_the_oracle():
         rng.shuffle(shuffled)
         again = evaluate(p.with_rules(shuffled), ds)
         assert again.atoms == expected
-        assert list(again.supports.items()) == list(model.supports.items())
-        assert again.error_witnesses == model.error_witnesses
+        assert all(again.supports_of(head) == model.supports_of(head) for head in expected)
+        assert again.error_witnesses() == model.error_witnesses()
 
 
 # ---------------------------------------------------------------------------
@@ -480,8 +484,9 @@ def assert_projections_match(policies, ds):
         alone = evaluate(policy, ds)
         projected = shared.project(i)
         assert projected.atoms == alone.atoms
-        assert list(projected.supports.items()) == list(alone.supports.items())
-        assert projected.error_witnesses == alone.error_witnesses
+        assert all(projected.supports_of(a) == alone.supports_of(a) for a in alone.atoms)
+        assert set(projected.supports) == set(alone.supports)
+        assert projected.error_witnesses() == alone.error_witnesses()
 
 
 def _split(rng, policy, base):
@@ -552,10 +557,9 @@ def test_shared_pass_projects_to_each_branch_model(monkeypatch):
     assert len(partly_blocked) >= 10, len(partly_blocked)
 
 
-def test_shared_pass_of_one_policy_keeps_no_masks():
+def test_shared_pass_of_one_policy_twice_holds_everything_in_both():
     p, base = random_recursive_program(random.Random(3))
     ds = DataSystem(base_atoms=base)
     shared = evaluate_branches([p, p], ds)
-    assert shared.masks is None and shared.support_masks is None
-    assert {shared.mask_of(a) for a in shared.union.atoms} == {0b11}
-    assert shared.project(1) is shared.union == evaluate(p, ds)
+    assert {shared.mask_of(a) for a in shared.atoms} == {0b11}
+    assert shared.project(1) == evaluate(p, ds)

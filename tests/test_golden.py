@@ -75,12 +75,15 @@ CASES = {
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-def run_demo(script):
-    """A demo's stdout, run as its own process with polcheck on the path."""
+def run_python(argv, **env_overrides):
+    """The stdout of a Python process run at the repository root with
+    polcheck and the tests on the path."""
     env = {k: v for k, v in os.environ.items() if k != "POLCHECK_COLOR"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    path = [str(ROOT / "src"), str(ROOT / "tests"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    env.update(env_overrides)
     done = subprocess.run(
-        [sys.executable, str(script)], cwd=ROOT, env=env, capture_output=True, text=True, check=True
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, check=True
     )
     return done.stdout
 
@@ -106,9 +109,29 @@ def test_cli_output_matches_golden(name):
     assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
 
 
+# Every CLI case in one process: {name: [exit code, stdout]} as JSON.
+_ALL_CASES = (
+    "import json; from test_golden import CASES, run_case; "
+    "print(json.dumps({name: run_case(argv) for name, argv in CASES.items()}))"
+)
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_cli_output_does_not_depend_on_the_hash_seed(seed):
+    # Atoms and supports are kept in the order sets and dicts give them, so
+    # only the sorting where the output reads them keeps it byte-identical.
+    outputs = json.loads(run_python(["-c", _ALL_CASES], PYTHONHASHSEED=seed))
+    expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    assert sorted(outputs) == sorted(CASES)
+    for name, (code, out) in outputs.items():
+        assert code == expected_codes[name], name
+        assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8"), name
+
+
 @pytest.mark.parametrize("script", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_output_matches_golden(script):
-    assert run_demo(script) == (GOLDEN / f"demo_{script.stem}.out").read_text(encoding="utf-8")
+    expected = (GOLDEN / f"demo_{script.stem}.out").read_text(encoding="utf-8")
+    assert run_python([str(script)]) == expected
 
 
 if __name__ == "__main__":
@@ -123,5 +146,6 @@ if __name__ == "__main__":
         json.dumps(codes, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     for script in DEMOS:
-        (GOLDEN / f"demo_{script.stem}.out").write_text(run_demo(script), encoding="utf-8")
+        out = run_python([str(script)])
+        (GOLDEN / f"demo_{script.stem}.out").write_text(out, encoding="utf-8")
     print(f"recorded {len(codes)} cases and {len(DEMOS)} demos in {GOLDEN}", file=sys.stderr)
