@@ -45,6 +45,9 @@ PROTECT = _inputs("protect", "protect_high")
 COMPOSE = _inputs("compose", "compose_high")
 NESTED = _inputs("nested", "nested_high", "nested_low")
 LABELED = _inputs("labeled", "labeled_high", "labeled_low")
+# The audit domain with a low policy in which one atom has several supports:
+# two rules, each with two instances.
+TWOPATHS = _inputs("audit", "audit_high", "audit_twopaths_low")
 
 _COMMANDS = [
     ("audit", "validate", AUDIT, []),
@@ -63,6 +66,7 @@ _COMMANDS = [
     ("labeled", "refine", LABELED, []),
     ("labeled", "check", LABELED, []),
     ("labeled", "explain", LABELED, ["derhasObligation(carol, Prepare((target,sys1)), true)"]),
+    ("twopaths", "explain", TWOPATHS, ["do(Backup((target,report1)), bob, +execute)"]),
 ]
 
 CASES = {
