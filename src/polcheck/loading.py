@@ -66,7 +66,7 @@ from .ontology import (
     VariableDef,
 )
 from .policy import BUILTIN_SHAPES, OVER_PREDICATES, Policy, parse_policy
-from .terms import Atom, Const, TokenStream, is_ground, parse_formula, parse_term
+from .terms import Atom, Const, TokenStream, bind_property, is_ground, parse_formula, parse_term
 
 log = logging.getLogger(__name__)
 
@@ -348,7 +348,7 @@ class _Guarded:
         self.space = space
 
 
-def _parse_bindings(ts: TokenStream) -> tuple:
+def _parse_bindings(ts: TokenStream, name: str) -> tuple:
     """Optional `(prop:term, ...)` after an action name."""
     if not ts.at("("):
         return ()
@@ -356,9 +356,9 @@ def _parse_bindings(ts: TokenStream) -> tuple:
     bindings = []
     if not ts.at(")"):
         while True:
-            prop = ts.expect_kind("ident").value
+            prop = ts.expect_kind("ident")
             ts.expect(":")
-            bindings.append((prop, parse_term(ts)))
+            bind_property(bindings, name, prop, parse_term(ts))
             if not ts.accept(","):
                 break
     ts.expect(")")
@@ -429,7 +429,7 @@ def _parse_primary(ts: TokenStream, onto: Ontology):
         ts.expect("}")
         return EMPTY
     name = ts.expect_kind("ident").value
-    return ActionLeaf(name, _parse_bindings(ts))
+    return ActionLeaf(name, _parse_bindings(ts, name))
 
 
 def parse_patterns(text: str, onto: Ontology) -> tuple:
@@ -440,7 +440,7 @@ def parse_patterns(text: str, onto: Ontology) -> tuple:
         ts.expect("refine")
         n += 1
         root = ts.expect_kind("ident").value
-        root_bindings = _parse_bindings(ts)
+        root_bindings = _parse_bindings(ts, root)
         ts.expect(":")
         ts.expect("=")
         body = _parse_choice(ts, onto)

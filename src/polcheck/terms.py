@@ -1,19 +1,23 @@
 """Shared term language: constants, variables, action terms, signed actions,
 atoms, and postcondition formulas.
 
-Action terms carry property bindings, e.g. ``Protect((target,$x))``. Bindings
-are canonicalized (sorted by property name) at construction so structural
-equality does not depend on authoring order. Formula conjunct order, by
-contrast, is preserved as written.
+Terms are interned for the life of the process: building a term returns the
+one object with its fields, so equality is identity, and memory grows with
+the distinct terms built, not with the number of loads. Action terms carry
+property bindings, e.g. ``Protect((target,$x))``, each property at most once.
+Bindings are sorted by property name at construction so equality does not
+depend on authoring order. Formula conjunct order is preserved as written.
 
 A "ground" value may still contain variables inside a formula argument: those
 are existential and get closed at satisfaction-check time, not at grounding.
+``free_vars`` returns a frozenset computed once per term, with or without them.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
+from functools import total_ordering
 
 from .errors import ParseError
 
@@ -21,25 +25,84 @@ from .errors import ParseError
 # AST
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True, order=True)
-class Const:
-    value: str
-    quoted: bool = False
+_TABLE: dict = {}  # every term ever built, by its class name and fields
+_NO_VARS = frozenset()
 
 
-@dataclass(frozen=True, order=True)
-class Var:
-    name: str
+class Term:
+    """Base of the interned terms; a subclass's fields are its ``__slots__``.
+    Each distinct term is built once, with its content hash and its free
+    variables without (``_vars``) and with (``_fvars``) formula interiors."""
+
+    __slots__ = ("_hash", "_vars", "_fvars")
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class ActionTerm:
-    name: str
-    bindings: tuple = ()  # tuple[tuple[str, Term], ...], sorted by property
+def _intern(cls, key: tuple, parts=(), names: frozenset = _NO_VARS):
+    """The term of class cls with fields key[1:], built on a table miss. Its
+    variables are names plus those of parts, its subterms; a formula has
+    none outside its interior."""
+    term = object.__new__(cls)
+    for name, value in zip(cls.__slots__, key[1:]):
+        object.__setattr__(term, name, value)
+    vs = fvs = names  # an empty or single operand is shared, not copied
+    for p in parts:
+        vs = vs | p._vars if vs and p._vars else vs or p._vars
+        fvs = fvs | p._fvars if fvs and p._fvars else fvs or p._fvars
+    object.__setattr__(term, "_hash", hash(key))
+    object.__setattr__(term, "_vars", _NO_VARS if cls is Formula else vs)
+    object.__setattr__(term, "_fvars", fvs)
+    return _TABLE.setdefault(key, term)
 
-    def __post_init__(self):
-        object.__setattr__(self, "bindings", tuple(sorted(self.bindings, key=lambda b: b[0])))
+
+@total_ordering
+class _Ordered(Term):
+    __slots__ = ()
+
+    def __lt__(self, other):  # by fields, against terms of the same class only
+        return self._fields() < other._fields() if type(other) is type(self) else NotImplemented
+
+
+class Const(_Ordered):
+    __slots__ = ("value", "quoted")
+
+    def __new__(cls, value: str, quoted: bool = False):
+        key = ("Const", value, quoted)
+        return _TABLE.get(key) or _intern(cls, key)
+
+
+class Var(_Ordered):
+    __slots__ = ("name",)
+
+    def __new__(cls, name: str):
+        key = ("Var", name)
+        return _TABLE.get(key) or _intern(cls, key, (), frozenset((name,)))
+
+
+class ActionTerm(Term):
+    __slots__ = ("name", "bindings")  # bindings: ((property, Term), ...), sorted
+
+    def __new__(cls, name: str, bindings=()):
+        bindings = tuple(sorted(bindings, key=lambda b: b[0]) if len(bindings) > 1 else bindings)
+        key = ("ActionTerm", name, bindings)
+        return _TABLE.get(key) or _intern(cls, key, [v for _, v in bindings])
 
     def binding(self, prop: str):
         for p, v in self.bindings:
@@ -48,35 +111,41 @@ class ActionTerm:
         return None
 
 
-@dataclass(frozen=True)
-class Signed:
-    sign: str  # '+' or '-'
-    term: "Term"
+class Signed(Term):
+    __slots__ = ("sign", "term")  # sign: '+' or '-'
 
-    def __post_init__(self):
-        if self.sign not in ("+", "-"):
-            raise ValueError(f"bad sign {self.sign!r}")
-
-
-@dataclass(frozen=True)
-class Atom:
-    pred: str
-    args: tuple = ()
+    def __new__(cls, sign: str, term):
+        if sign != "+" and sign != "-":
+            raise ValueError(f"bad sign {sign!r}")
+        key = ("Signed", sign, term)
+        return _TABLE.get(key) or _intern(cls, key, (term,))
 
 
-@dataclass(frozen=True)
-class Literal:
+class Atom(Term):
+    __slots__ = ("pred", "args")
+
+    def __new__(cls, pred: str, args: tuple = ()):
+        key = ("Atom", pred, args)
+        return _TABLE.get(key) or _intern(cls, key, args)
+
+
+class Literal(Term):
     """A possibly negated atom: a rule-body literal, or one conjunct of a
     formula (negated formula conjuncts are experimental)."""
 
-    negated: bool
-    atom: Atom
+    __slots__ = ("negated", "atom")
+
+    def __new__(cls, negated: bool, atom: Atom):
+        key = ("Literal", negated, atom)
+        return _TABLE.get(key) or _intern(cls, key, (atom,))
 
 
-@dataclass(frozen=True)
-class Formula:
-    conjuncts: tuple = ()  # tuple[Literal, ...]
-    contradiction: bool = False
+class Formula(Term):
+    __slots__ = ("conjuncts", "contradiction")  # conjuncts: (Literal, ...)
+
+    def __new__(cls, conjuncts: tuple = (), contradiction: bool = False):
+        key = ("Formula", conjuncts, contradiction)
+        return _TABLE.get(key) or _intern(cls, key, conjuncts)
 
     @property
     def is_true(self) -> bool:
@@ -90,8 +159,6 @@ class Formula:
 TRUE = Formula()
 FALSE = Formula(contradiction=True)
 
-Term = object  # Const | Var | ActionTerm; args may also be Signed | Formula
-
 
 # ---------------------------------------------------------------------------
 # Substitution and matching
@@ -100,11 +167,12 @@ Term = object  # Const | Var | ActionTerm; args may also be Signed | Formula
 
 def substitute(value, theta: dict):
     """Replace variables by their bindings, recursively, everywhere
-    (including inside formulas)."""
+    (including inside formulas). A subterm without variables is returned
+    as it is."""
+    if not value._fvars:
+        return value
     if isinstance(value, Var):
         return theta.get(value.name, value)
-    if isinstance(value, Const):
-        return value
     if isinstance(value, ActionTerm):
         return ActionTerm(value.name, tuple((p, substitute(v, theta)) for p, v in value.bindings))
     if isinstance(value, Signed):
@@ -112,9 +180,7 @@ def substitute(value, theta: dict):
     if isinstance(value, Atom):
         return Atom(value.pred, tuple(substitute(a, theta) for a in value.args))
     if isinstance(value, Formula):
-        if value.contradiction:
-            return value
-        return Formula(tuple(substitute(c, theta) for c in value.conjuncts))
+        return Formula(tuple(substitute(c, theta) for c in value.conjuncts), value.contradiction)
     if isinstance(value, Literal):
         return Literal(value.negated, substitute(value.atom, theta))
     raise TypeError(f"cannot substitute into {type(value).__name__}")
@@ -123,6 +189,8 @@ def substitute(value, theta: dict):
 def match(pattern, value, theta: dict):
     """Extend theta so that substitute(pattern, theta) == value.
     Returns the extended dict or None. theta is not mutated."""
+    if not pattern._fvars:
+        return theta if pattern is value else None
     if isinstance(pattern, Var):
         bound = theta.get(pattern.name)
         if bound is None:
@@ -130,8 +198,6 @@ def match(pattern, value, theta: dict):
             out[pattern.name] = value
             return out
         return theta if bound == value else None
-    if isinstance(pattern, Const):
-        return theta if pattern == value else None
     if isinstance(pattern, ActionTerm):
         if not isinstance(value, ActionTerm) or pattern.name != value.name:
             return None
@@ -175,32 +241,15 @@ def match_atom(pattern: Atom, value: Atom, theta: dict):
     return theta
 
 
-def free_vars(value, include_formulas: bool = False) -> set:
+def free_vars(value, include_formulas: bool = False) -> frozenset:
     """Variable names occurring in a value. Formula-internal variables are
     existential and excluded unless asked for."""
-    out: set = set()
-    stack = [value]
-    while stack:
-        v = stack.pop()
-        if isinstance(v, Var):
-            out.add(v.name)
-        elif isinstance(v, ActionTerm):
-            stack.extend(b for _, b in v.bindings)
-        elif isinstance(v, Signed):
-            stack.append(v.term)
-        elif isinstance(v, Atom):
-            stack.extend(v.args)
-        elif isinstance(v, Formula):
-            if include_formulas:
-                stack.extend(c.atom for c in v.conjuncts)
-        elif isinstance(v, Literal):
-            stack.append(v.atom)
-    return out
+    return value._fvars if include_formulas else value._vars
 
 
 def is_ground(value) -> bool:
     """True when no variable occurs outside formula positions."""
-    return not free_vars(value, include_formulas=False)
+    return not value._vars
 
 
 # ---------------------------------------------------------------------------
@@ -259,49 +308,43 @@ _OPEN = frozenset("([{")
 _CLOSE = frozenset(")]}")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # 'var' | 'ident' | 'number' | 'string' | 'sym' | 'eof'
-    value: str
-    line: int
-    col: int
+Token = namedtuple("Token", "kind value line col")  # kind: var|ident|number|string|sym|eof
 
 
 def tokenize(text: str) -> list:
     tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    depth = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
+    line, line_start = 1, 0  # line_start: the offset just past the last newline
+    end = depth = 0
+    for m in _TOKEN_RE.finditer(text):
+        start, kind = m.start(), m.lastgroup
+        if start != end:  # the scan skipped a character no token matches
+            break
+        end = m.end()
+        if kind == "ws" or kind == "comment":
+            last = text.rfind("\n", start, end)
+            if last >= 0:
+                line += text.count("\n", start, end)
+                line_start = last + 1
+            continue
         value = m.group()
-        if kind not in ("ws", "comment"):
-            tok_value = value
-            if kind == "var":
-                tok_value = value[1:]
-            elif kind == "string":
-                tok_value = value[1:-1]
-            elif kind == "sym":
-                if value == "¬":
-                    tok_value = "~"
-                elif value in _OPEN:
-                    depth += 1
-                    if depth > MAX_NESTING:
-                        raise ParseError(f"brackets nest deeper than {MAX_NESTING} levels", line, col)
-                elif value in _CLOSE:
-                    depth -= 1
-            tokens.append(Token(kind, tok_value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        col = start - line_start + 1
+        if kind == "var":
+            value = value[1:]
+        elif kind == "string":
+            value = value[1:-1]
+        elif kind == "sym":
+            if value == "¬":
+                value = "~"
+            elif value in _OPEN:
+                depth += 1
+                if depth > MAX_NESTING:
+                    raise ParseError(f"brackets nest deeper than {MAX_NESTING} levels", line, col)
+            elif value in _CLOSE:
+                depth -= 1
+        tokens.append(Token(kind, value, line, col))
+    if end < len(text):
+        raise ParseError(f"unexpected character {text[end]!r}", line, end - line_start + 1)
+    tokens.append(Token("eof", "", line, end - line_start + 1))
     return tokens
 
 
@@ -375,6 +418,13 @@ def parse_term(ts: TokenStream):
     ts.fail(f"expected a term, found {tok.value!r}")
 
 
+def bind_property(bindings: list, name: str, prop: Token, value) -> None:
+    """Add (property, value) to action name's bindings; a property bound twice is an error."""
+    if any(p == prop.value for p, _ in bindings):
+        raise ParseError(f"{name} binds property {prop.value!r} twice", prop.line, prop.col)
+    bindings.append((prop.value, value))
+
+
 def parse_action_term(ts: TokenStream) -> ActionTerm:
     name = ts.expect_kind("ident").value
     ts.expect("(")
@@ -382,11 +432,10 @@ def parse_action_term(ts: TokenStream) -> ActionTerm:
     if not ts.at(")"):
         while True:
             ts.expect("(")
-            prop = ts.expect_kind("ident").value
+            prop = ts.expect_kind("ident")
             ts.expect(",")
-            value = parse_term(ts)
+            bind_property(bindings, name, prop, parse_term(ts))
             ts.expect(")")
-            bindings.append((prop, value))
             if not ts.accept(","):
                 break
     ts.expect(")")

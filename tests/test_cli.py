@@ -421,6 +421,46 @@ def test_deep_nesting_is_a_parse_error(capsys, tmp_path, flag, depth):
     assert err == f"error: {bad}: line 1, col {col}: brackets nest deeper than {MAX_NESTING} levels\n"
 
 
+@pytest.mark.parametrize(
+    "flag,text,action,prop",
+    [
+        (
+            "--high",
+            "hasObligation($s, Backup((target,$x),(target,report1)), true)\n"
+            "    :- type($s, Employee) & guards($s, $x).\n",
+            "Backup",
+            "target",
+        ),
+        (
+            "--patterns",
+            "refine Audit(target:$x) := Backup(target:$x) ; Encrypt(target:$x, target:$x)\n"
+            "    type=basic-seq\n",
+            "Encrypt",
+            "target",
+        ),
+        (
+            "--patterns",
+            "refine Audit(target:$x) := Backup(target:$x) ; Encrypt(target:Key((of,$x),(of,$x)))\n"
+            "    type=basic-seq\n",
+            "Key",
+            "of",
+        ),
+    ],
+    ids=["policy", "pattern", "pattern-term"],
+)
+def test_a_property_bound_twice_is_a_parse_error(capsys, tmp_path, flag, text, action, prop):
+    # Equality of action terms must not depend on the order bindings are
+    # written in, so a term may bind each property once.
+    bad = tmp_path / "twice.txt"
+    bad.write_text(text)
+    argv = audit_args("check")
+    argv[argv.index(flag) + 1] = bad
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    col = text.rindex(prop) + 1  # the second binding's property, on line 1
+    assert err == f"error: {bad}: line 1, col {col}: {action} binds property '{prop}' twice\n"
+
+
 @pytest.mark.parametrize("flag,depth", [("--patterns", MAX_NESTING - 1), ("--high", MAX_NESTING // 2 - 1)])
 def test_nesting_up_to_the_bound_is_accepted(capsys, tmp_path, flag, depth):
     text = _nested_input(flag, depth)
