@@ -174,22 +174,24 @@ def entails(sigma: CurrentState, ds: DataSystem, formula: Formula, onto: Ontolog
                 raise EntailmentError(f"cannot resolve predicate {pred!r} in a postcondition")
     positives = [c.atom for c in formula.conjuncts if not c.negated]
     negatives = [c.atom for c in formula.conjuncts if c.negated]
+    return _search(positives, negatives, by_pred, 0, {})
 
-    def search(i: int, theta: dict) -> bool:
-        if i == len(positives):
-            for neg in negatives:
-                pat = substitute(neg, theta)
-                if any(match_atom(pat, ga, {}) is not None for ga in by_pred.get(pat.pred, ())):
-                    return False
+
+def _search(positives: list, negatives: list, by_pred: dict, i: int, theta: dict) -> bool:
+    """Whether theta extends to match positives[i:] in by_pred and no negative.
+    Not a closure: a recursive one is a reference cycle left per call."""
+    if i == len(positives):
+        for neg in negatives:
+            pat = substitute(neg, theta)
+            if any(match_atom(pat, ga, {}) is not None for ga in by_pred.get(pat.pred, ())):
+                return False
+        return True
+    pat = substitute(positives[i], theta)
+    for ga in by_pred.get(pat.pred, ()):
+        theta2 = match_atom(pat, ga, theta)
+        if theta2 is not None and _search(positives, negatives, by_pred, i + 1, theta2):
             return True
-        pat = substitute(positives[i], theta)
-        for ga in by_pred.get(pat.pred, ()):
-            theta2 = match_atom(pat, ga, theta)
-            if theta2 is not None and search(i + 1, theta2):
-                return True
-        return False
-
-    return search(0, {})
+    return False
 
 
 def effect_formula(action: ActionTerm, onto: Ontology) -> Formula:

@@ -67,6 +67,7 @@ from .ontology import (
 )
 from .policy import BUILTIN_SHAPES, OVER_PREDICATES, Policy, parse_policy
 from .terms import Atom, Const, TokenStream, bind_property, is_ground, parse_formula, parse_term
+from .terms import token_kind, token_value
 
 log = logging.getLogger(__name__)
 
@@ -80,10 +81,10 @@ _RESERVED = frozenset(BUILTIN_SHAPES) | frozenset(OVER_PREDICATES)
 
 def _parse_value(ts: TokenStream) -> str:
     tok = ts.peek()
-    if tok.kind in ("ident", "number", "string"):
+    if token_kind(tok) in ("ident", "number", "string"):
         ts.next()
-        return tok.value
-    ts.fail(f"expected a value, found {tok.value!r}")
+        return token_value(tok)
+    ts.fail(f"expected a value, found {token_value(tok)!r}")
 
 
 def _parse_constraints(ts: TokenStream, close: str) -> list:
@@ -93,7 +94,7 @@ def _parse_constraints(ts: TokenStream, close: str) -> list:
     pairs = []
     if not ts.at(close):
         while True:
-            var = ts.expect_kind("ident").value
+            var = ts.expect_ident()
             if any(var == seen for seen, _ in pairs):
                 raise SchemaError(
                     f"variable {var!r} is listed twice in one block; write alternatives as {var}=v1|v2"
@@ -128,7 +129,7 @@ def _parse_space(ts: TokenStream, variables: dict, where: str) -> StateSpace:
 
 
 def _parse_ground_atom(ts: TokenStream) -> Atom:
-    name = ts.expect_kind("ident").value
+    name = ts.expect_ident()
     ts.expect("(")
     args = []
     if not ts.at(")"):
@@ -161,44 +162,44 @@ def parse_ontology(text: str, state_bound: int = 4096) -> Ontology:
 
     while not ts.at_end():
         if ts.accept("class"):
-            name = ts.expect_kind("ident").value
+            name = ts.expect_ident()
             if name in classes:
                 raise SchemaError(f"duplicate class {name!r}")
             classes[name] = ClassDef(name)
             if ts.accept("subclassOf"):
-                subclass_edges.append((name, ts.expect_kind("ident").value))
+                subclass_edges.append((name, ts.expect_ident()))
         elif ts.accept("prop"):
-            name = ts.expect_kind("ident").value
+            name = ts.expect_ident()
             if name in properties:
                 raise SchemaError(f"duplicate property {name!r}")
             if name in _RESERVED:
                 raise SchemaError(f"property name {name!r} is reserved by the policy language")
             ts.expect("dom")
-            dom = [ts.expect_kind("ident").value]
+            dom = [ts.expect_ident()]
             while ts.accept(","):
-                dom.append(ts.expect_kind("ident").value)
+                dom.append(ts.expect_ident())
             ts.expect("range")
-            rng = [ts.expect_kind("ident").value]
+            rng = [ts.expect_ident()]
             while ts.accept(","):
-                rng.append(ts.expect_kind("ident").value)
+                rng.append(ts.expect_ident())
             family = "rel"
             if ts.accept("family"):
-                family = ts.expect_kind("ident").value
+                family = ts.expect_ident()
                 if family not in ("hie", "rel"):
                     ts.fail(f"family must be hie or rel, not {family!r}")
             if ts.accept("subpropOf"):
-                subprop_edges.append((name, ts.expect_kind("ident").value))
+                subprop_edges.append((name, ts.expect_ident()))
             properties[name] = PropertyDef(name, tuple(dom), tuple(rng), family)
         elif ts.accept("var"):
             if actions:
                 ts.fail("the variable table must be declared before any action class")
-            name = ts.expect_kind("ident").value
+            name = ts.expect_ident()
             if name in variables:
                 raise SchemaError(f"duplicate variable {name!r}")
             ts.expect("maps")
-            object_id = ts.expect_kind("ident").value
+            object_id = ts.expect_ident()
             ts.expect(".")
-            prop = ts.expect_kind("ident").value
+            prop = ts.expect_ident()
             ts.expect("range")
             ts.expect("{")
             values = [_parse_value(ts)]
@@ -210,15 +211,15 @@ def parse_ontology(text: str, state_bound: int = 4096) -> Ontology:
             ts.expect("}")
             variables[name] = VariableDef(name, object_id, prop, tuple(values))
         elif ts.accept("action"):
-            name = ts.expect_kind("ident").value
+            name = ts.expect_ident()
             if name in actions:
                 raise SchemaError(f"duplicate action class {name!r}")
             params: list = []
             if ts.accept("("):
                 if not ts.at(")"):
-                    params.append(ts.expect_kind("ident").value)
+                    params.append(ts.expect_ident())
                     while ts.accept(","):
-                        params.append(ts.expect_kind("ident").value)
+                        params.append(ts.expect_ident())
                 ts.expect(")")
             ts.expect("init")
             init_space = _parse_space(ts, variables, f"action {name} init")
@@ -231,13 +232,13 @@ def parse_ontology(text: str, state_bound: int = 4096) -> Ontology:
                 if ts.accept("effect"):
                     effect = parse_formula(ts)
                 elif ts.accept("resource"):
-                    resources.append(ts.expect_kind("ident").value)
+                    resources.append(ts.expect_ident())
                     while ts.accept(","):
-                        resources.append(ts.expect_kind("ident").value)
+                        resources.append(ts.expect_ident())
                 elif ts.accept("instrument"):
-                    instruments.append(ts.expect_kind("ident").value)
+                    instruments.append(ts.expect_ident())
                     while ts.accept(","):
-                        instruments.append(ts.expect_kind("ident").value)
+                        instruments.append(ts.expect_ident())
                 else:
                     break
             kwargs = {"effect": effect} if effect is not None else {}
@@ -251,7 +252,7 @@ def parse_ontology(text: str, state_bound: int = 4096) -> Ontology:
                 **kwargs,
             )
         elif ts.accept("transform"):
-            name = ts.expect_kind("ident").value
+            name = ts.expect_ident()
             if name not in actions:
                 raise SchemaError(f"transform for undeclared action {name!r}")
             ts.expect("when")
@@ -272,7 +273,7 @@ def parse_ontology(text: str, state_bound: int = 4096) -> Ontology:
                 effects.append((var, values[0]))
             transforms.setdefault(name, []).append(TransformRule(guard, tuple(effects)))
         else:
-            ts.fail(f"expected a declaration keyword, found {ts.peek().value!r}")
+            ts.fail(f"expected a declaration keyword, found {token_value(ts.peek())!r}")
 
     merged = {
         name: replace(acd, transform=tuple(transforms.get(name, ())))
@@ -303,18 +304,18 @@ def parse_facts(text: str, onto: Ontology = None) -> DataSystem:
     atoms: set = set()
     while not ts.at_end():
         if ts.accept("obj"):
-            object_id = ts.expect_kind("ident").value
+            object_id = ts.expect_ident()
             if object_id in objects:
                 raise SchemaError(f"duplicate object {object_id!r}")
             ts.expect(":")
-            type_name = ts.expect_kind("ident").value
+            type_name = ts.expect_ident()
             if onto is not None and type_name not in onto.classes:
                 raise SchemaError(f"object {object_id} has undeclared class {type_name!r}")
             props: list = []
             if ts.accept("{"):
                 if not ts.at("}"):
                     while True:
-                        prop = ts.expect_kind("ident").value
+                        prop = ts.expect_ident()
                         if onto is not None and prop not in onto.properties:
                             raise SchemaError(
                                 f"object {object_id} uses undeclared property {prop!r}"
@@ -356,9 +357,10 @@ def _parse_bindings(ts: TokenStream, name: str) -> tuple:
     bindings = []
     if not ts.at(")"):
         while True:
-            prop = ts.expect_kind("ident")
+            at = ts.pos
+            ts.expect_ident()
             ts.expect(":")
-            bind_property(bindings, name, prop, parse_term(ts))
+            bind_property(ts, at, name, bindings, parse_term(ts))
             if not ts.accept(","):
                 break
     ts.expect(")")
@@ -420,7 +422,7 @@ def _parse_primary(ts: TokenStream, onto: Ontology):
         ts.expect(")")
         if ts.at(":"):
             ts.next()
-            label = ts.expect_kind("ident").value
+            label = ts.expect_ident()
             if isinstance(inner, _Guarded) or not isinstance(inner, ActionNode):
                 ts.fail("only a composite operand can carry a label")
             inner = replace(inner, label=label)
@@ -428,7 +430,7 @@ def _parse_primary(ts: TokenStream, onto: Ontology):
     if ts.accept("{"):
         ts.expect("}")
         return EMPTY
-    name = ts.expect_kind("ident").value
+    name = ts.expect_ident()
     return ActionLeaf(name, _parse_bindings(ts, name))
 
 
@@ -439,7 +441,7 @@ def parse_patterns(text: str, onto: Ontology) -> tuple:
     while not ts.at_end():
         ts.expect("refine")
         n += 1
-        root = ts.expect_kind("ident").value
+        root = ts.expect_ident()
         root_bindings = _parse_bindings(ts, root)
         ts.expect(":")
         ts.expect("=")
@@ -448,9 +450,9 @@ def parse_patterns(text: str, onto: Ontology) -> tuple:
             ts.fail("a guard must attach to an operand of a composition")
         ts.expect("type")
         ts.expect("=")
-        parts = [ts.expect_kind("ident").value]
+        parts = [ts.expect_ident()]
         while ts.accept("-"):
-            parts.append(ts.expect_kind("ident").value)
+            parts.append(ts.expect_ident())
         patterns.append(RefinementPattern(f"p{n}", root, root_bindings, body, "-".join(parts)))
     for pat in patterns:
         validate_pattern(pat, onto)

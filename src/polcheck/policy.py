@@ -29,6 +29,8 @@ from .terms import (
     free_vars,
     parse_argument,
     render,
+    token_kind,
+    token_value,
 )
 
 log = logging.getLogger(__name__)
@@ -237,17 +239,17 @@ def parse_policy(text: str, onto: Ontology = None) -> Policy:
     n = 0
     while not ts.at_end():
         if ts.accept("scope"):
-            scope.append(ts.expect_kind("ident").value)
+            scope.append(ts.expect_ident())
             while ts.accept(","):
-                scope.append(ts.expect_kind("ident").value)
+                scope.append(ts.expect_ident())
             ts.expect(".")
             continue
         if ts.accept("env"):
-            key = ts.expect_kind("ident").value
+            key = ts.expect_ident()
             val = ts.next()
-            if val.kind not in ("ident", "number", "string"):
-                ts.fail(f"env value must be a plain token, got {val.value!r}")
-            env.append((key, val.value))
+            if token_kind(val) not in ("ident", "number", "string"):
+                ts.fail(f"env value must be a plain token, got {token_value(val)!r}")
+            env.append((key, token_value(val)))
             ts.expect(".")
             continue
         n += 1
@@ -276,8 +278,7 @@ def _parse_literal(ts: TokenStream, onto: Ontology) -> Literal:
 
 
 def _parse_atom(ts: TokenStream, onto: Ontology) -> Atom:
-    name_tok = ts.expect_kind("ident")
-    name = name_tok.value
+    name = ts.expect_ident()
     if name == "error" and not ts.at("("):
         return Atom("error", ())
     shape = BUILTIN_SHAPES.get(name)

@@ -16,8 +16,9 @@ are existential and get closed at satisfaction-check time, not at grounding.
 from __future__ import annotations
 
 import re
-from collections import namedtuple
+import string
 from functools import total_ordering
+from itertools import accumulate, islice
 
 from .errors import ParseError
 
@@ -286,112 +287,113 @@ def render(value) -> str:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>%[^\n]*)
-  | (?P<var>\$[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<number>\d+(?:\.\d+)?)
-  | (?P<string>"[^"\n]*")
-  | (?P<sym>:-|/\\|\\/|¬|[(){}\[\],.&~+\-=;:|])
-    """,
-    re.VERBOSE,
+# A token is its source text: a variable, identifier, number, string or symbol,
+# tried in that order. Its kind follows from its first character (see
+# token_kind), so a string token '"("' never equals the symbol '('.
+_TOKEN = (
+    r'\$[A-Za-z_][A-Za-z0-9_]*|[A-Za-z_][A-Za-z0-9_]*|[0-9]+(?:\.[0-9]+)?|"[^"\n]*"'
+    r"|:-|/\\|\\/|¬|[(){}\[\],.&~+\-=;:|]"
 )
+# One match per token, after the whitespace and `%` comments before it. A
+# character that starts no token takes the rest of the text, so it can only be
+# the last token, and the end of the text matches as the empty token.
+_TOKEN_RE = re.compile(rf"(?:\s+|%[^\n]*)*({_TOKEN}|.[\s\S]*|\Z)")
+_ONE_TOKEN = re.compile(_TOKEN)
 
+_KINDS = {"": "eof", "$": "var", '"': "string", **dict.fromkeys(string.digits, "number")}
+_KINDS.update(dict.fromkeys(string.ascii_letters + "_", "ident"))
 
 # Brackets of every kind, counted together, nest at most this deep in any
 # input. The parsers and the term walkers recurse once per level, so deeper
 # input is refused here with a position instead of exhausting the stack.
 MAX_NESTING = 100
-_OPEN = frozenset("([{")
-_CLOSE = frozenset(")]}")
+_DEPTH = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
 
 
-Token = namedtuple("Token", "kind value line col")  # kind: var|ident|number|string|sym|eof
+def token_kind(tok: str) -> str:
+    """var, ident, number, string or sym; eof for the empty end token."""
+    return _KINDS.get(tok[:1], "sym")
+
+
+def token_value(tok: str) -> str:
+    """A token without a variable's `$` or a string's quotes."""
+    kind = token_kind(tok)
+    return tok[1:] if kind == "var" else tok[1:-1] if kind == "string" else tok
+
+
+def _position(text: str, index: int) -> tuple:
+    """Line and column of the token at index, or of the end of the text."""
+    m = next(islice(_TOKEN_RE.finditer(text), index, None), None)
+    offset = m.start(1) if m else len(text)
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def tokenize(text: str) -> list:
-    tokens: list[Token] = []
-    line, line_start = 1, 0  # line_start: the offset just past the last newline
-    end = depth = 0
-    for m in _TOKEN_RE.finditer(text):
-        start, kind = m.start(), m.lastgroup
-        if start != end:  # the scan skipped a character no token matches
-            break
-        end = m.end()
-        if kind == "ws" or kind == "comment":
-            last = text.rfind("\n", start, end)
-            if last >= 0:
-                line += text.count("\n", start, end)
-                line_start = last + 1
-            continue
-        value = m.group()
-        col = start - line_start + 1
-        if kind == "var":
-            value = value[1:]
-        elif kind == "string":
-            value = value[1:-1]
-        elif kind == "sym":
-            if value == "¬":
-                value = "~"
-            elif value in _OPEN:
-                depth += 1
-                if depth > MAX_NESTING:
-                    raise ParseError(f"brackets nest deeper than {MAX_NESTING} levels", line, col)
-            elif value in _CLOSE:
-                depth -= 1
-        tokens.append(Token(kind, value, line, col))
-    if end < len(text):
-        raise ParseError(f"unexpected character {text[end]!r}", line, end - line_start + 1)
-    tokens.append(Token("eof", "", line, end - line_start + 1))
+    """The tokens of text, ending with one empty end token. The first
+    bracket nested past MAX_NESTING and the first character that starts no
+    token are errors, whichever comes first in the text."""
+    tokens = _TOKEN_RE.findall(text)
+    if len(tokens) > 1 and not tokens[-2]:
+        del tokens[-1]  # after trailing whitespace the end matches twice
+    if "¬" in text:
+        tokens = ["~" if tok == "¬" else tok for tok in tokens]
+    # a bad last token is never a bracket, so it cannot change the depth
+    brackets = map(_DEPTH.__getitem__, filter(_DEPTH.__contains__, tokens))
+    if max(accumulate(brackets), default=0) > MAX_NESTING:
+        depths = accumulate(_DEPTH.get(tok, 0) for tok in tokens)
+        i = next(i for i, depth in enumerate(depths) if depth > MAX_NESTING)
+        raise ParseError(f"brackets nest deeper than {MAX_NESTING} levels", *_position(text, i))
+    if len(tokens) > 1 and not _ONE_TOKEN.fullmatch(tokens[-2]):
+        raise ParseError(f"unexpected character {tokens[-2][0]!r}", *_position(text, len(tokens) - 2))
     return tokens
 
 
 class TokenStream:
+    """The tokens of a text, read front to back. A ParseError finds the line
+    and column of the token it is raised at by scanning the text again."""
+
     def __init__(self, text: str):
-        tokens = tokenize(text)
-        # two more eof tokens, so a lookahead of up to 2 past the end reads eof
-        self.tokens = tokens + tokens[-1:] * 2
+        self.text = text
+        self.tokens = tokenize(text)
+        self.tokens += ("", "")  # so a lookahead of up to 2 past the end reads eof
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> Token:
+    def peek(self, ahead: int = 0) -> str:
         return self.tokens[self.pos + ahead]
 
     def at_end(self) -> bool:
-        return self.peek().kind == "eof"
+        return not self.tokens[self.pos]
 
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "eof":
+    def next(self) -> str:
+        tok = self.tokens[self.pos]
+        if tok:
             self.pos += 1
         return tok
 
     def at(self, value: str, ahead: int = 0) -> bool:
-        tok = self.peek(ahead)
-        return tok.kind in ("sym", "ident") and tok.value == value
+        return self.tokens[self.pos + ahead] == value
 
     def accept(self, value: str) -> bool:
-        if self.at(value):
-            self.next()
+        if self.tokens[self.pos] == value:
+            self.pos += 1
             return True
         return False
 
-    def expect(self, value: str) -> Token:
-        tok = self.peek()
-        if not self.at(value):
-            self.fail(f"expected {value!r}, found {tok.value!r}")
-        return self.next()
+    def expect(self, value: str) -> None:
+        if self.tokens[self.pos] != value:
+            self.fail(f"expected {value!r}, found {token_value(self.tokens[self.pos])!r}")
+        self.pos += 1
 
-    def expect_kind(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {kind}, found {tok.value!r}")
-        return self.next()
+    def expect_ident(self) -> str:
+        tok = self.tokens[self.pos]
+        if token_kind(tok) != "ident":
+            self.fail(f"expected ident, found {token_value(tok)!r}")
+        self.pos += 1
+        return tok
 
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.col)
+    def fail(self, message: str, index: int | None = None):
+        """Raise a ParseError at the token at index, by default the next one."""
+        raise ParseError(message, *_position(self.text, self.pos if index is None else index))
 
 
 # ---------------------------------------------------------------------------
@@ -401,40 +403,37 @@ class TokenStream:
 
 def parse_term(ts: TokenStream):
     tok = ts.peek()
-    if tok.kind == "var":
-        ts.next()
-        return Var(tok.value)
-    if tok.kind == "number":
-        ts.next()
-        return Const(tok.value)
-    if tok.kind == "string":
-        ts.next()
-        return Const(tok.value, quoted=True)
-    if tok.kind == "ident":
-        if ts.peek(1).kind == "sym" and ts.peek(1).value == "(":
-            return parse_action_term(ts)
-        ts.next()
-        return Const(tok.value)
-    ts.fail(f"expected a term, found {tok.value!r}")
+    kind = token_kind(tok)
+    if kind == "ident" and ts.at("(", 1):
+        return parse_action_term(ts)
+    if kind == "sym" or kind == "eof":
+        ts.fail(f"expected a term, found {tok!r}")
+    ts.next()
+    if kind == "var":
+        return Var(tok[1:])
+    return Const(tok[1:-1], quoted=True) if kind == "string" else Const(tok)
 
 
-def bind_property(bindings: list, name: str, prop: Token, value) -> None:
-    """Add (property, value) to action name's bindings; a property bound twice is an error."""
-    if any(p == prop.value for p, _ in bindings):
-        raise ParseError(f"{name} binds property {prop.value!r} twice", prop.line, prop.col)
-    bindings.append((prop.value, value))
+def bind_property(ts: TokenStream, at: int, name: str, bindings: list, value) -> None:
+    """Add (the property at token index at, value) to action name's
+    bindings; a property bound twice is an error."""
+    prop = ts.tokens[at]
+    if any(p == prop for p, _ in bindings):
+        ts.fail(f"{name} binds property {prop!r} twice", at)
+    bindings.append((prop, value))
 
 
 def parse_action_term(ts: TokenStream) -> ActionTerm:
-    name = ts.expect_kind("ident").value
+    name = ts.expect_ident()
     ts.expect("(")
     bindings = []
     if not ts.at(")"):
         while True:
             ts.expect("(")
-            prop = ts.expect_kind("ident")
+            at = ts.pos
+            ts.expect_ident()
             ts.expect(",")
-            bind_property(bindings, name, prop, parse_term(ts))
+            bind_property(ts, at, name, bindings, parse_term(ts))
             ts.expect(")")
             if not ts.accept(","):
                 break
@@ -443,7 +442,7 @@ def parse_action_term(ts: TokenStream) -> ActionTerm:
 
 
 def parse_formula_atom(ts: TokenStream) -> Atom:
-    name = ts.expect_kind("ident").value
+    name = ts.expect_ident()
     args = []
     if ts.accept("("):
         if not ts.at(")"):
@@ -456,12 +455,9 @@ def parse_formula_atom(ts: TokenStream) -> Atom:
 
 
 def parse_formula(ts: TokenStream) -> Formula:
-    tok = ts.peek()
-    if tok.kind == "ident" and tok.value == "true":
-        ts.next()
+    if ts.accept("true"):
         return TRUE
-    if tok.kind == "ident" and tok.value == "false":
-        ts.next()
+    if ts.accept("false"):
         return FALSE
     conjuncts = []
     while True:
@@ -476,15 +472,13 @@ def parse_argument(ts: TokenStream, allow_formula: bool):
     """Parse one atom argument. In formula positions an identifier followed by
     a single '(' starts a formula atom; ``Name((`` always starts an action term."""
     tok = ts.peek()
-    if tok.kind == "sym" and tok.value in ("+", "-"):
+    if tok == "+" or tok == "-":
         ts.next()
-        return Signed(tok.value, parse_term(ts))
+        return Signed(tok, parse_term(ts))
     if allow_formula:
-        if tok.kind == "sym" and tok.value == "~":
+        if tok == "~" or tok == "true" or tok == "false":
             return parse_formula(ts)
-        if tok.kind == "ident" and tok.value in ("true", "false"):
-            return parse_formula(ts)
-        if tok.kind == "ident" and ts.at("(", 1) and not ts.at("(", 2):
+        if token_kind(tok) == "ident" and ts.at("(", 1) and not ts.at("(", 2):
             return parse_formula(ts)
     return parse_term(ts)
 

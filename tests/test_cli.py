@@ -372,6 +372,18 @@ def test_load_errors_keep_their_position(capsys, tmp_path):
     assert (exc.value.path, exc.value.line, exc.value.column) == (bad, 2, 1)
 
 
+@pytest.mark.parametrize("flag,name", [("--high", "digit.pol"), ("--facts", "digit.facts")])
+def test_a_non_ascii_digit_is_an_unexpected_character(capsys, tmp_path, flag, name):
+    # identifiers and numbers are ASCII, so U+0663 ARABIC-INDIC DIGIT THREE is no number
+    bad = tmp_path / name
+    bad.write_text("p(\u0663).\n", encoding="utf-8")
+    argv = audit_args("check")
+    argv[argv.index(flag) + 1] = bad
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: line 1, col 3: unexpected character '\u0663'\n"
+
+
 def test_non_utf8_input_exits_two(capsys, tmp_path):
     facts = (SAMPLES / "audit.facts").read_bytes()
     bad = tmp_path / "latin1.facts"

@@ -7,6 +7,7 @@ import pickle
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -236,3 +237,22 @@ def test_hash_depends_on_content_and_seed_only():
         for n in ("0", "5000")
     }
     assert len(hashes) == 1
+
+
+def test_a_token_stream_holds_few_bytes_per_character():
+    # Tokens are their source strings: one object per token with a kind and
+    # a position would make the low policy's tokens the peak heap of `check`.
+    text = "".join(
+        f"cando(Encrypt((target,d{i})), e{i}, +execute) :- type(d{i}, Document) & guards(e{i}, d{i}).\n"
+        for i in range(300)
+    )
+    assert 20_000 < len(text) < 30_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ts = TokenStream(text)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(ts.tokens) > 9_000
+    assert held <= 25 * len(text)

@@ -1,0 +1,231 @@
+"""The token stream against the reference tokenizer in oracle_tokenize.py.
+
+Both must give the same tokens, and every ParseError with the same message,
+line and column: one raised while tokenizing, and one a parser raises at some
+token, whose position the stream finds only then by scanning the text again.
+The parsers run once over the stream and once over the reference tokens with
+the positions they were scanned at.
+"""
+
+import contextlib
+import io
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import polcheck.cli
+import polcheck.loading
+import polcheck.policy
+from polcheck.errors import ParseError, PolcheckError
+from polcheck.loading import parse_facts
+from polcheck.policy import parse_policy
+from polcheck.terms import MAX_NESTING, TokenStream, token_kind, token_value, tokenize
+
+import oracle_tokenize
+from test_parser_fuzz import ALPHABET, NESTED, ONTOS, PARSERS, TEXTS, edits, mutate
+
+SAMPLES = Path(__file__).resolve().parents[1] / "samples"
+
+
+def source(tok) -> str:
+    """A reference token as the text the stream holds for it."""
+    if tok.kind == "var":
+        return "$" + tok.value
+    if tok.kind == "string":
+        return f'"{tok.value}"'
+    return tok.value
+
+
+class ReferenceStream(TokenStream):
+    """The stream over the reference tokens, failing at their scanned positions."""
+
+    def __init__(self, text: str):
+        tokens = oracle_tokenize.tokenize(text)
+        self.text = text
+        self.tokens = [source(t) for t in tokens] + ["", ""]
+        self.where = [(t.line, t.col) for t in tokens + tokens[-1:] * 2]
+        self.pos = 0
+
+    def fail(self, message: str, index: int | None = None):
+        raise ParseError(message, *self.where[self.pos if index is None else index])
+
+
+def error(e: ParseError) -> tuple:
+    return str(e), e.line, e.column
+
+
+def outcome(parse, *args):
+    try:
+        parse(*args)
+    except ParseError as e:
+        return error(e)
+    except PolcheckError as e:
+        return type(e).__name__, str(e)
+    return "ok"
+
+
+def explain(atom: str) -> tuple:
+    """Exit code and stderr of `polcheck explain` on the audit sample."""
+    argv = ["explain", "--onto", SAMPLES / "audit.onto", "--facts", SAMPLES / "audit.facts",
+            "--high", SAMPLES / "audit_high.pol", "--patterns", SAMPLES / "audit.rp", atom]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = polcheck.cli.main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+@contextlib.contextmanager
+def reference_streams():
+    with contextlib.ExitStack() as stack:
+        for module in (polcheck.loading, polcheck.policy, polcheck.cli):
+            stack.enter_context(mock.patch.object(module, "TokenStream", ReferenceStream))
+        yield
+
+
+def assert_same_tokens(text: str) -> None:
+    """Kinds, values and positions of every token, or the same error."""
+    try:
+        want = oracle_tokenize.tokenize(text)
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            tokenize(text)
+        assert error(got.value) == error(e)
+        return
+    tokens = tokenize(text)
+    assert [(token_kind(t), token_value(t)) for t in tokens] == [(t.kind, t.value) for t in want]
+    ts = TokenStream(text)
+    for i, t in enumerate(want + want[-1:] * 2):  # the padding past the end too
+        with pytest.raises(ParseError) as got:
+            ts.fail("here", i)
+        assert (got.value.line, got.value.column) == (t.line, t.col)
+
+
+def assert_same_parse(kind: str, text: str, onto_name: str = "audit") -> None:
+    parse, onto = PARSERS[kind], ONTOS.get(onto_name)
+    got = outcome(parse, text, onto)
+    with reference_streams():
+        assert got == outcome(parse, text, onto)
+
+
+@pytest.mark.parametrize("name", sorted(TEXTS))
+def test_samples_tokenize_as_the_reference(name):
+    assert_same_tokens(TEXTS[name])
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.text(max_size=200) | st.text(ALPHABET, max_size=200))
+def test_arbitrary_text_tokenizes_as_the_reference(text):
+    assert_same_tokens(text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(sorted(PARSERS)), text=st.text(ALPHABET, max_size=200))
+def test_arbitrary_text_parses_as_over_the_reference(kind, text):
+    assert_same_parse(kind, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(sorted(TEXTS)), changes=edits)
+def test_mutated_samples_tokenize_and_parse_as_the_reference(name, changes):
+    stem, kind = name.split(".")
+    text = mutate(TEXTS[name], changes)
+    assert_same_tokens(text)
+    assert_same_parse(kind, text, stem.split("_")[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(NESTED)),
+    depth=st.integers(MAX_NESTING // 2 - 5, MAX_NESTING + 5),
+    changes=st.none() | edits,
+)
+def test_nesting_around_the_bound_is_refused_as_by_the_reference(kind, depth, changes):
+    prefix, opener, core, closer, suffix = NESTED[kind]
+    text = prefix + opener * depth + core + closer * depth + suffix
+    text = mutate(text, changes) if changes else text
+    assert_same_tokens(text)
+    assert_same_parse(kind, text)
+
+
+ATOMS = ["do(report1, eve, -read)", "mustdo(eve, Backup((target,report1)), archived(report1,$t))"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(atom=st.sampled_from(ATOMS), changes=edits)
+def test_explain_parses_its_atom_as_over_the_reference(atom, changes):
+    atom = mutate(atom, changes)
+    got = explain(atom)
+    with reference_streams():
+        assert got == explain(atom)
+
+
+# ---------------------------------------------------------------------------
+# Edge cases, pinned
+# ---------------------------------------------------------------------------
+
+
+def raised(parse, text: str) -> tuple:
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    return error(e.value)
+
+
+@pytest.mark.parametrize(
+    "text,message,col",
+    [
+        ("(" * (MAX_NESTING + 1) + "#", f"brackets nest deeper than {MAX_NESTING} levels", MAX_NESTING + 1),
+        ("#" + "(" * (MAX_NESTING + 1), "unexpected character '#'", 1),
+        ("(" * MAX_NESTING + "#" + "(", "unexpected character '#'", MAX_NESTING + 1),
+        ("[" * MAX_NESTING + "{" + '"(', f"brackets nest deeper than {MAX_NESTING} levels", MAX_NESTING + 1),
+    ],
+    ids=["nesting-first", "character-first", "character-at-the-bound", "string-after-nesting"],
+)
+def test_the_first_lexical_error_in_the_text_is_reported(text, message, col):
+    assert raised(tokenize, text) == (f"line 1, col {col}: {message}", 1, col)
+    assert_same_tokens(text)
+
+
+@pytest.mark.parametrize(
+    "text,where",
+    [
+        ("scope audit\n% trailing comment\n", (3, 1)),
+        ("scope audit   ", (1, 15)),
+        ("scope audit % no newline", (1, 25)),
+    ],
+    ids=["comment", "whitespace", "comment-at-the-end"],
+)
+def test_an_early_end_is_reported_at_the_end_of_the_text(text, where):
+    line, col = where
+    assert raised(parse_policy, text) == (f"line {line}, col {col}: expected '.', found ''", line, col)
+    assert_same_parse("pol", text)
+
+
+@pytest.mark.parametrize(
+    "text,char,col",
+    [
+        ("p($1).", "$", 3),
+        ("p(a) :- q($).", "$", 11),
+        ('p("abc).', '"', 3),
+        ('p("a\nb").', '"', 3),
+        ("p(٣).", "٣", 3),
+    ],
+    ids=["dollar-digit", "dollar-alone", "unclosed-string", "string-over-a-newline", "arabic-digit"],
+)
+def test_a_character_that_starts_no_token_is_an_error_there(text, char, col):
+    for parse in (parse_policy, parse_facts):
+        assert raised(parse, text) == (f"line 1, col {col}: unexpected character {char!r}", 1, col)
+    assert_same_tokens(text)
+
+
+def test_not_sign_is_the_negation_symbol():
+    assert tokenize("~p & ¬q") == ["~", "p", "&", "~", "q", ""]
+    assert tokenize('"¬"') == ['"¬"', ""]
+
+
+def test_a_quoted_token_never_equals_a_symbol_or_keyword():
+    ts = TokenStream('"(" "class" $x')
+    assert not ts.at("(") and not ts.at("class", 1) and not ts.at("x", 2)
+    assert [token_kind(t) for t in ts.tokens] == ["string", "string", "var", "eof", "eof", "eof"]
