@@ -22,17 +22,29 @@ the first branch that holds it: its status depends only on the atom, the
 current state, the ontology and the data system.
 
 Entailment against the current state is closed-world atom lookup over the
-state's atoms plus the data system's base atoms, indexed by predicate once
-per (state, data system) pair; no rule inference runs inside the state.
+state's atoms plus the data system's base atoms; no rule inference runs
+inside the state. Those atoms go into one evaluator store (`datalog._Store`)
+per (state, data system) pair, kept on the state, and a postcondition's
+positive conjuncts are matched against it by the evaluator's indexed join
+(`datalog._join`), then each negated conjunct by one more join per binding.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .datalog import DecisionView, Model, decision_view, evaluate, evaluate_branches
+from .datalog import (
+    DecisionView,
+    Model,
+    _join,
+    _join_plan,
+    _Store,
+    decision_view,
+    evaluate,
+    evaluate_branches,
+)
 from .errors import EntailmentError, PolicyError
 from .ontology import DataSystem, Ontology, State, feasible_in
 from .policy import Policy, validate_high_level
@@ -43,7 +55,6 @@ from .terms import (
     Const,
     Formula,
     Signed,
-    match_atom,
     render,
     sort_key,
     substitute,
@@ -61,6 +72,8 @@ CATEGORY_MODAL_CAP = "modal-capability-conflict"
 class CurrentState:
     atoms: frozenset = frozenset()  # ground rel/done atoms observed now
     state: State = None  # optional variable-table assignment
+    # (base atoms, _Store of atoms | base atoms): the pool entailment last read
+    _pool: tuple = field(default=(None, None), init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -141,57 +154,33 @@ class ComplianceReport:
 _STATE_PREDICATES = frozenset(("done", "done_act", "over", "over_AS", "over_AO"))
 
 
-_by_pred_cache = (None, None, None)  # (state atoms, base atoms, their atoms by predicate)
-
-
-def _atoms_by_pred(state_atoms: frozenset, base_atoms: frozenset) -> dict:
-    """The current state's atoms plus the base atoms, listed per predicate.
-    One audit asks for the same two sets every time, so it is built once;
-    the sets are frozen, so the same objects mean the same atoms."""
-    global _by_pred_cache
-    cached_state, cached_base, by_pred = _by_pred_cache
-    if state_atoms is cached_state and base_atoms is cached_base:
-        return by_pred
-    by_pred = {}
-    for a in state_atoms | base_atoms:
-        by_pred.setdefault(a.pred, []).append(a)
-    _by_pred_cache = (state_atoms, base_atoms, by_pred)
-    return by_pred
-
-
 def entails(sigma: CurrentState, ds: DataSystem, formula: Formula, onto: Ontology = None) -> bool:
     """Existential satisfaction of a conjunction by the current state's atoms
     plus the data system's base atoms: some binding of the formula's
     variables makes every positive conjunct an atom of that pool and no
-    negated conjunct one."""
+    negated conjunct one. The pool is indexed once per (state, data system)
+    pair; the sets are frozen, so the same objects mean the same atoms."""
     if formula.is_false:
         return False
-    by_pred = _atoms_by_pred(frozenset(sigma.atoms), ds.base_atoms)
+    base, store = sigma._pool
+    if base is not ds.base_atoms:
+        store = _Store(sigma.atoms | ds.base_atoms, 1)
+        object.__setattr__(sigma, "_pool", (ds.base_atoms, store))
     if onto is not None:
         for c in formula.conjuncts:
             pred = c.atom.pred
-            if not (pred in by_pred or pred in onto.properties or pred in _STATE_PREDICATES):
+            if not (
+                pred in onto.properties
+                or pred in _STATE_PREDICATES
+                or any(shape[0] == pred for shape in store.lists)
+            ):
                 raise EntailmentError(f"cannot resolve predicate {pred!r} in a postcondition")
     positives = [c.atom for c in formula.conjuncts if not c.negated]
     negatives = [c.atom for c in formula.conjuncts if c.negated]
-    return _search(positives, negatives, by_pred, 0, {})
-
-
-def _search(positives: list, negatives: list, by_pred: dict, i: int, theta: dict) -> bool:
-    """Whether theta extends to match positives[i:] in by_pred and no negative.
-    Not a closure: a recursive one is a reference cycle left per call."""
-    if i == len(positives):
-        for neg in negatives:
-            pat = substitute(neg, theta)
-            if any(match_atom(pat, ga, {}) is not None for ga in by_pred.get(pat.pred, ())):
-                return False
-        return True
-    pat = substitute(positives[i], theta)
-    for ga in by_pred.get(pat.pred, ()):
-        theta2 = match_atom(pat, ga, theta)
-        if theta2 is not None and _search(positives, negatives, by_pred, i + 1, theta2):
-            return True
-    return False
+    return any(
+        not any(_join(_join_plan([substitute(neg, theta)]), store, 0, 1) for neg in negatives)
+        for theta, _ in _join(_join_plan(positives), store, 0, 1)
+    )
 
 
 def effect_formula(action: ActionTerm, onto: Ontology) -> Formula:

@@ -36,10 +36,12 @@ an instance that fires in any round is an instance over the final model.
 They are kept in firing order and sorted only when read (`supports_of`).
 
 The do(o,s,-a) :- ~do(o,s,+a) form has no positive body literal; its
-variables range over the authorization triples (o, s, a) collected from the
-ground cando/dercando/do atoms, and after the first round over the triples
-the delta brings. A triple's mask is the OR of the masks of the atoms that
-bring it.
+variables range over the authorization triples (o, s, a) of the ground
+cando/dercando/do atoms. Such a rule joins as six one-literal bodies
+P(o, s, +a) and P(o, s, -a), one per authorization predicate P and sign, each
+instantiating the same rule through the same plans as any other body. A
+triple that several atoms bring fires the rule once per atom, and the
+instance's support and head take the OR of their masks.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from .terms import (
     Signed,
     free_vars,
     is_ground,
-    match,
     match_atom,
     render,
     sort_key,
@@ -262,36 +263,18 @@ def _unblocked(body, store: _Store, theta, mask: int) -> int:
     return mask
 
 
-_AUTHORIZATIONS = ("cando", "dercando", "do")
-
-
-def _auth_triples(atoms: dict) -> dict:
-    """(o, s, a) -> the OR of the masks of the authorization atoms bringing it."""
-    triples: dict = {}
-    for a, bits in atoms.items():
-        if a.pred in _AUTHORIZATIONS and len(a.args) == 3:
-            act = a.args[2]
-            if isinstance(act, Signed):
-                triple = (a.args[0], a.args[1], act.term)
-                triples[triple] = triples.get(triple, 0) | bits
-    return triples
-
-
-def _row8_matches(rule, triples: dict, mask: int) -> list:
-    """The (substitution, mask) pairs that instantiate a do-minus rule over
-    the authorization triples."""
-    head = rule.head
-    pattern = (head.args[0], head.args[1], head.args[2].term)
-    out = []
-    for triple, bits in triples.items():
-        th = {}
-        for pat, val in zip(pattern, triple):
-            th = match(pat, val, th)
-            if th is None:
-                break
-        if th is not None and mask & bits:
-            out.append((th, mask & bits))
-    return out
+def _join_bodies(rule) -> list:
+    """The positive bodies the rule joins: its positive body literals, or for
+    an open do(o,s,-a) rule one one-literal body per authorization atom shape
+    that can bring an (o, s, a) triple."""
+    if rule.body and _is_row8(rule) and not is_ground(rule.head):
+        o, s, act = rule.head.args
+        return [
+            [Atom(pred, (o, s, Signed(sign, act.term)))]
+            for pred in ("cando", "dercando", "do")
+            for sign in "+-"
+        ]
+    return [[l.atom for l in rule.body if not l.negated]]
 
 
 def evaluate_branches(policies, ds: DataSystem, onto: Ontology = None) -> Model:
@@ -314,47 +297,22 @@ def evaluate_branches(policies, ds: DataSystem, onto: Ontology = None) -> Model:
     acc: dict = {}  # head -> {(rule_id, ground body): mask}
     rnd = 0
     for k in range(1, 10):
-        # An open do(o,s,-a) rule ranges over the authorization triples (None
-        # below); every other rule joins its positive body literals.
         compiled = [
-            (
-                rule,
-                rule_mask,
-                None
-                if rule.body and _is_row8(rule) and not is_ground(rule.head)
-                else [l.atom for l in rule.body if not l.negated],
-            )
+            (rule, rule_mask, positive)
             for rule, rule_mask, (_, stratum) in zip(rules, rule_masks, strat.strata)
             if stratum == k
+            for positive in _join_bodies(rule)
         ]
         if not compiled:
             continue
-        delta_plans: dict = {}  # (rule position, literal position) -> steps, built on first use
-        has_open_rule = any(positive is None for _, _, positive in compiled)
-        seen_triples: dict = {}  # triple -> mask
+        delta_plans: dict = {}  # (body position, literal position) -> steps, built on first use
         first_round = True
         while first_round or store.delta:
             rnd += 1
             shapes = () if first_round else {(a.pred, len(a.args)) for a in store.delta}
-            if has_open_rule:
-                fresh = store.delta
-                if first_round:
-                    fresh = {
-                        a: store.held(a)
-                        for pred in _AUTHORIZATIONS
-                        for a in store.lists.get((pred, 3), ())
-                    }
-                triples = {}
-                for triple, bits in _auth_triples(fresh).items():
-                    bits &= ~seen_triples.get(triple, 0)
-                    if bits:
-                        triples[triple] = bits
-                        seen_triples[triple] = seen_triples.get(triple, 0) | bits
             new: dict = {}  # atom -> the bits it gained this round, in order
             for i, (rule, rule_mask, positive) in enumerate(compiled):
-                if positive is None:
-                    rows = _row8_matches(rule, triples, rule_mask)
-                elif first_round:
+                if first_round:
                     rows = _join(_join_plan(positive), store, rnd - 1, rule_mask)
                 else:
                     rows = []

@@ -14,7 +14,7 @@ restriction on authored positive authorizations.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParseError, PolicyError
 from .ontology import Ontology

@@ -7,6 +7,7 @@ detector category.
 """
 
 import random
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -124,7 +125,7 @@ def test_entails_indexes_each_state_and_data_system_once(audit):
     onto, ds = audit[0], audit[1]
 
     def index():
-        return polcheck.compliance._by_pred_cache[2]
+        return POOL._pool[1]
 
     assert entails(POOL, ds, F("guards(bob, report1) & archived(report1, $t)"), onto)
     first = index()
@@ -139,10 +140,41 @@ def test_entails_indexes_each_state_and_data_system_once(audit):
     assert index() is not first
 
 
+def test_an_audit_leaves_no_state_atoms_in_module_globals(audit):
+    # the pool that entailment indexes lives on the state, so the module
+    # keeps nothing of one audit's state
+    onto, ds, ph, pl, patterns, sigma = audit
+    check_compliance(ph, pl, ds, patterns, sigma, onto)
+    assert sigma.atoms
+    seen = set()
+    stack = [
+        v
+        for v in vars(polcheck.compliance).values()
+        if not (callable(v) or isinstance(v, types.ModuleType))
+    ]
+    while stack:
+        v = stack.pop()
+        if id(v) in seen:
+            continue
+        seen.add(id(v))
+        assert v is not sigma.atoms
+        assert not (isinstance(v, Atom) and v in sigma.atoms), render(v)
+        if isinstance(v, dict):
+            stack.extend(v)
+            stack.extend(v.values())
+        elif isinstance(v, (tuple, list, set, frozenset)):
+            stack.extend(v)
+        elif hasattr(v, "__dict__"):
+            stack.extend(vars(v).values())
+
+
 def test_entails_rejects_unresolvable_predicates(audit):
     onto = audit[0]
     with pytest.raises(EntailmentError, match="audited"):
         entails(POOL, EMPTY_DS, F("audited(report1, bob)"), onto)
+    # a predicate the pool holds resolves, declared or not
+    audited = CurrentState(frozenset({A("audited", Const("report1"), BOB)}))
+    assert entails(audited, EMPTY_DS, F("audited(report1, bob)"), onto)
 
 
 def test_entails_declared_predicate_without_atoms_is_false(audit):

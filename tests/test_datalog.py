@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+import polcheck.compliance
 import polcheck.datalog
+from polcheck.compliance import check_compliance
 from polcheck.datalog import (
     Model,
     decision_view,
@@ -15,8 +17,9 @@ from polcheck.datalog import (
     render_model,
 )
 from polcheck.errors import PolcheckError, PolicyError
+from polcheck.loading import parse_facts, parse_ontology, parse_state
 from polcheck.ontology import DataSystem
-from polcheck.policy import Rule, parse_policy
+from polcheck.policy import Policy, Rule, parse_policy
 from polcheck.refinement import refine_policy
 from polcheck.terms import ActionTerm, Atom, Const, Formula, Literal, Signed, render, sort_key
 
@@ -418,9 +421,8 @@ def test_recursive_programs_match_the_oracle():
 # ---------------------------------------------------------------------------
 
 
-def _probes(monkeypatch, policy_text, base) -> int:
-    """The match_atom calls the evaluator's joins make on one model."""
-    policy, ds = parse_policy(policy_text), DataSystem(base_atoms=frozenset(base))
+def _count_probes(monkeypatch, run) -> int:
+    """The match_atom calls the evaluator and the audit make during run()."""
     calls = []
     real = polcheck.datalog.match_atom
 
@@ -428,10 +430,18 @@ def _probes(monkeypatch, policy_text, base) -> int:
         calls.append(None)
         return real(pattern, value, theta)
 
-    monkeypatch.setattr(polcheck.datalog, "match_atom", counting)
-    evaluate(policy, ds)
+    # the audit's own calls count too, should it call match_atom directly
+    for module in (polcheck.datalog, polcheck.compliance):
+        monkeypatch.setattr(module, "match_atom", counting, raising=False)
+    run()
     monkeypatch.undo()
     return len(calls)
+
+
+def _probes(monkeypatch, policy_text, base) -> int:
+    """The match_atom calls the evaluator's joins make on one model."""
+    policy, ds = parse_policy(policy_text), DataSystem(base_atoms=frozenset(base))
+    return _count_probes(monkeypatch, lambda: evaluate(policy, ds))
 
 
 def _under_chain(depth):
@@ -468,6 +478,58 @@ def _guard_join(n):
 def test_join_probes_grow_linearly_with_the_input(monkeypatch, workload, size):
     small = _probes(monkeypatch, *workload(size))
     large = _probes(monkeypatch, *workload(2 * size))
+    assert small > 0
+    assert large <= 2.5 * small, (small, large)
+
+
+_ARCHIVE_ONTO = """\
+class Entity
+class Employee subclassOf Entity
+class Document subclassOf Entity
+class Tape subclassOf Entity
+class Cipher subclassOf Entity
+
+prop type dom Entity range Entity family hie
+prop guards dom Employee range Document
+prop cipherOf dom Cipher range Document
+prop archived dom Document range Tape
+
+action Backup(target) init {} final {}
+    effect archived($target, $t)
+action Encrypt(target) init {} final {}
+    effect cipherOf($c, $target)
+"""
+
+
+def _audit_probes(monkeypatch, n) -> int:
+    """The match_atom calls of one audit of n employees, each guarding a
+    document and obliged to back it up and encrypt it. The current state
+    shows every other document archived and encrypted, so each obligation's
+    postcondition is looked up in a state that grows with n."""
+    onto = parse_ontology(_ARCHIVE_ONTO)
+    facts = (f"obj e{i} : Employee\nobj d{i} : Document\nguards(e{i}, d{i}).\n" for i in range(n))
+    ds = parse_facts("".join(facts), onto)
+    guard = "type($s, Employee) & guards($s, $x) & type($x, Document)"
+    high = parse_policy(
+        f"hasObligation($s, Backup((target,$x)), archived($x,$t)) :- {guard}.\n"
+        f"hasObligation($s, Encrypt((target,$x)), cipherOf($c,$x)) :- {guard}.\n"
+        "mustdo($s, $a, $q) :- derhasObligation($s, $a, $q) & ~derhasDispensation($s, $a).\n",
+        onto,
+    )
+    low = parse_policy(
+        f"cando(Backup((target,$x)), $s, +execute) :- {guard}.\n"
+        f"cando(Encrypt((target,$x)), $s, +execute) :- {guard}.\n"
+        "do($o, $s, +$a) :- cando($o, $s, +$a).\n",
+        onto,
+    )
+    state = (f"archived(d{i}, tape{i}).\ncipherOf(k{i}, d{i}).\n" for i in range(0, n, 2))
+    sigma = parse_state("".join(state), onto)
+    return _count_probes(monkeypatch, lambda: check_compliance(high, low, ds, (), sigma, onto))
+
+
+def test_audit_probes_grow_linearly_with_the_input(monkeypatch):
+    small = _audit_probes(monkeypatch, 40)
+    large = _audit_probes(monkeypatch, 80)
     assert small > 0
     assert large <= 2.5 * small, (small, large)
 
@@ -555,6 +617,23 @@ def test_shared_pass_projects_to_each_branch_model(monkeypatch):
     # held, and negated atoms held in some branches only
     assert len(regrown) >= 10, len(regrown)
     assert len(partly_blocked) >= 10, len(partly_blocked)
+
+
+def test_shared_pass_ors_the_masks_of_the_atoms_bringing_an_open_do_minus_triple():
+    # the (o1, s1, read) triple comes through cando in branch 0, dercando in
+    # branch 1 and both in branch 2; branch 3 grants it, so the rule is blocked
+    r1, r2, r3, r4 = parse_policy(
+        "cando(o1, s1, +read).\n"
+        "dercando(o1, s1, +read).\n"
+        "do(o1, s1, +read) :- dercando(o1, s1, +read).\n"
+        "do($o, $s, -$a) :- ~do($o, $s, +$a).\n"
+    ).rules
+    policies = [Policy(rules) for rules in ([r1, r4], [r2, r4], [r1, r2, r4], [r2, r3, r4])]
+    assert_projections_match(policies, DataSystem())
+    shared = evaluate_branches(policies, DataSystem())
+    grant, head = (Atom("do", (C("o1"), C("s1"), Signed(sign, C("read")))) for sign in "+-")
+    assert shared.mask_of(head) == 0b0111
+    assert shared.supports[head] == (("r4", (Literal(True, grant),), 0b0111),)
 
 
 def test_shared_pass_of_one_policy_twice_holds_everything_in_both():
