@@ -30,10 +30,10 @@ rounds added them, and indexed by the argument positions a probe binds, so a
 probe looks up its candidates; the atoms from before the delta are a prefix
 of every list.
 
-Supports (why-provenance) are recorded as instances fire. Positive atoms are
-never removed and negated literals are decided against saturated strata, so
-an instance that fires in any round is an instance over the final model.
-They are kept in firing order and sorted only when read (`supports_of`).
+Supports (why-provenance) are not recorded: positive atoms are never removed
+and negated literals name saturated strata, so the instances that fire are
+the instances over the final model, and `supports_of` recomputes an atom's
+from the final atoms, each rule's join starting under the head's binding.
 
 The do(o,s,-a) :- ~do(o,s,+a) form has no positive body literal; its
 variables range over the authorization triples (o, s, a) of the ground
@@ -47,7 +47,7 @@ instance's support and head take the OR of their masks.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice
 
 from .errors import PolicyError
@@ -70,15 +70,17 @@ def _by_rule_then_body(sup) -> tuple:
     return sup[0], tuple(render(l.atom) for l in sup[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Model:
     """The models of one or more policies over one data system, from one
-    pass: every atom and support some policy's model holds, each with the
-    mask of the policies that hold it (bit i for the i-th policy)."""
+    pass: every atom some policy's model holds, with the mask of the policies
+    that hold it (bit i for the i-th policy). Models compare by identity:
+    the same masks from other rules would have other supports."""
 
     masks: dict  # Atom -> mask of the policies whose model holds it
-    supports: dict  # head Atom -> ((rule_id, (ground body Literal, ...), mask), ...)
-    full: int  # the mask of every policy
+    rules: tuple  # ((rule, mask of the policies that hold it), ...)
+    # (_Atoms of masks, (pred, arity) -> [(rule, mask, plans)]), by the first supports_of
+    _index: tuple = field(default=None, init=False, repr=False)
 
     @property
     def atoms(self):
@@ -92,33 +94,42 @@ class Model:
 
     def supports_of(self, atom: Atom) -> tuple:
         """The atom's supports, (rule_id, ground body) each, by rule id and
-        then rendered body."""
-        sups = self.supports.get(atom, ())
-        return tuple(sorted(((r, body) for r, body, _ in sups), key=_by_rule_then_body))
+        then rendered body: the unblocked instances of each rule whose head
+        matches it, from one join per body under the head's binding."""
+        if self._index is None:
+            heads: dict = {}
+            for rule, mask in self.rules:
+                bound = free_vars(rule.head, include_formulas=True)
+                # per join body, one plan per literal the join can start from
+                plans = [
+                    [_join_plan(body, j, bound, delta=False) for j in range(len(body))] or [()]
+                    for body in _join_bodies(rule)
+                ]
+                heads.setdefault((rule.head.pred, len(rule.head.args)), []).append((rule, mask, plans))
+            object.__setattr__(self, "_index", (_Atoms(self.masks, self.masks), heads))
+        store, heads = self._index
+        found = set()
+        for rule, mask, bodies in heads.get((atom.pred, len(atom.args)), ()):
+            theta = match_atom(rule.head, atom, {})
+            for plans in bodies if theta is not None else ():
+                # start from the literal with the fewest candidates under theta
+                pools = [store.pool(*steps[0][:3], theta) if steps else () for steps in plans]
+                k = min(range(len(plans)), key=lambda k: len(pools[k]))
+                for th, m in _join(plans[k], store, 0, mask, theta, pools[k]):
+                    if _unblocked(rule.body, store, th, m):
+                        body = tuple(Literal(l.negated, substitute(l.atom, th)) for l in rule.body)
+                        found.add((rule.rule_id, body))
+        return tuple(sorted(found, key=_by_rule_then_body))
 
     def error_mask(self) -> int:
         """The policies whose model derives an error."""
-        mask = 0
-        for head, sups in self.supports.items():
-            if head.pred == "error":
-                for _, _, m in sups:
-                    mask |= m
-        return mask
-
-    def error_witnesses(self) -> tuple:
-        """The supports of every error head, in supports_of order."""
-        heads = sorted((h for h in self.supports if h.pred == "error"), key=sort_key)
-        return tuple(sup for h in heads for sup in self.supports_of(h))
+        return self.masks.get(Atom("error", ()), 0)
 
     def project(self, i: int) -> Model:
         """The i-th policy's model, as `evaluate` of that policy alone gives it."""
         bit = 1 << i
-        supports = {}
-        for head, sups in self.supports.items():
-            held = tuple((r, body, 1) for r, body, m in sups if m & bit)
-            if held:
-                supports[head] = held
-        return Model({a: 1 for a, m in self.masks.items() if m & bit}, supports, 1)
+        masks = {a: 1 for a, m in self.masks.items() if m & bit}
+        return Model(masks, tuple((rule, 1) for rule, m in self.rules if m & bit))
 
 
 @dataclass(frozen=True)
@@ -127,30 +138,48 @@ class DecisionView:
     mustdo_atoms: tuple  # sorted ground mustdo atoms
 
 
-class _Store:
-    """The atoms derived so far, each stamped with the round that first added
-    it (0 for the data system's). Atoms are listed per (predicate, arity) in
-    stamp order, and each list is indexed, once a probe first asks, by the
-    argument positions that probe binds. Lists only grow at the end, so the
-    atoms stamped before a round are a prefix of each of them.
+class _Atoms:
+    """Atoms with the masks of the policies that hold them (no masks: one
+    policy holds each), listed per (predicate, arity) and each list indexed,
+    once a probe first asks, by the argument positions that probe binds."""
 
-    Each atom also has the mask of the policies that hold it so far; `delta`
+    delta = None  # no rounds: every join step reads all atoms
+
+    def __init__(self, atoms, masks):
+        self.masks = masks  # atom -> policy mask
+        self.lists: dict = {}  # (pred, arity) -> [atom, ...]
+        self.indexes: dict = {}  # (pred, arity) -> {positions: {key: [atom, ...]}}
+        for a in atoms:
+            self.lists.setdefault((a.pred, len(a.args)), []).append(a)
+
+    def held(self, atom: Atom) -> int:
+        """The mask of the policies that hold the atom."""
+        return self.masks.get(atom, 0)
+
+    def pool(self, pattern: Atom, shape: tuple, positions: tuple, theta: dict):
+        """The atoms of the pattern's shape that agree with it, under theta,
+        at the given positions, in list order."""
+        if not positions:
+            return self.lists.get(shape, ())
+        by_positions = self.indexes.setdefault(shape, {})
+        index = by_positions.get(positions)
+        if index is None:
+            index = by_positions[positions] = {}
+            for a in self.lists.get(shape, ()):
+                index.setdefault(tuple(a.args[i] for i in positions), []).append(a)
+        return index.get(tuple([substitute(pattern.args[i], theta) for i in positions]), ())
+
+
+class _Store(_Atoms):
+    """The atoms derived so far, each stamped with the round that first added
+    it (0 for the data system's). Lists only grow at the end, in stamp order,
+    so the atoms stamped before a round are a prefix of each of them. `delta`
     has the bits the last round added to each atom it touched, and `regrown`
     lists, per shape, the atoms of the delta that were stamped earlier."""
 
     def __init__(self, base, full: int):
-        self.masks = dict.fromkeys(base, full)  # atom -> policy mask
-        self.stamp: dict = {}
-        self.lists: dict = {}  # (pred, arity) -> [atom, ...]
-        self.indexes: dict = {}  # (pred, arity) -> {positions: {key: [atom, ...]}}
-        self.delta: dict = {}
-        self.regrown: dict = {}
-        for a in base:
-            self._list(a, 0)
-
-    def held(self, atom: Atom) -> int:
-        """The mask of the policies that hold the atom so far."""
-        return self.masks.get(atom, 0)
+        super().__init__(base, dict.fromkeys(base, full))
+        self.stamp, self.delta, self.regrown = dict.fromkeys(base, 0), {}, {}
 
     def add(self, gained: dict, rnd: int) -> None:
         """Record the bits each atom gained in round rnd; they are the next
@@ -171,39 +200,25 @@ class _Store:
         for positions, index in self.indexes.get(shape, {}).items():
             index.setdefault(tuple(a.args[i] for i in positions), []).append(a)
 
-    def pool(self, pattern: Atom, shape: tuple, positions: tuple, theta: dict):
-        """The atoms of the pattern's shape that agree with it, under theta,
-        at the given positions, in stamp order."""
-        if not positions:
-            return self.lists.get(shape, ())
-        by_positions = self.indexes.setdefault(shape, {})
-        index = by_positions.get(positions)
-        if index is None:
-            index = by_positions[positions] = {}
-            for a in self.lists.get(shape, ()):
-                index.setdefault(tuple(a.args[i] for i in positions), []).append(a)
-        return index.get(tuple(substitute(pattern.args[i], theta) for i in positions), ())
-
 
 # Which atoms a join step reads: all of them, those stamped before the
 # delta, or the delta.
 _ALL, _OLD, _DELTA = "all", "old", "delta"
 
 
-def _join_plan(positive, j=None) -> tuple:
+def _join_plan(positive, j=None, bound=frozenset(), delta=True) -> tuple:
     """Join steps over a rule's positive body literals: each pattern with
     its (predicate, arity) shape, the argument positions that constants and
-    the variables of the steps before it make ground, and the atoms it
-    reads. In a stratum's first round (no j) every literal reads all atoms,
-    in body order. Otherwise literal j reads the delta and goes first, the
-    literals before it read the atoms from before the delta, and those after
-    it read all atoms."""
+    the variables bound before it make ground, and the atoms it reads. With
+    no j every literal reads all atoms, in body order. Otherwise literal j
+    goes first; with delta it reads the delta and the literals before j read
+    the atoms from before the delta, and every other literal reads all atoms."""
     if j is None:
         order, views = positive, [_ALL] * len(positive)
     else:
         order = [positive[j]] + positive[:j] + positive[j + 1 :]
-        views = [_DELTA] + [_OLD] * j + [_ALL] * (len(positive) - j - 1)
-    bound, steps = set(), []
+        views = ([_DELTA] + [_OLD] * j if delta else [_ALL] * (j + 1)) + [_ALL] * (len(positive) - j - 1)
+    steps = []
     for atom, view in zip(order, views):
         positions = tuple(
             i for i, arg in enumerate(atom.args) if free_vars(arg, include_formulas=True) <= bound
@@ -213,17 +228,18 @@ def _join_plan(positive, j=None) -> tuple:
     return tuple(steps)
 
 
-def _join(steps, store: _Store, delta_stamp: int, mask: int) -> list:
-    """All (substitution, mask) pairs matching the join steps in order. A
-    pair's mask is the given mask ANDed with each of its atoms' masks as the
-    step's view sees them: the bits held before the delta, the bits the delta
-    added, or all bits. Pairs whose mask is empty are dropped."""
+def _join(steps, store: _Atoms, delta_stamp: int, mask: int, theta=None, first=None) -> list:
+    """All (substitution, non-empty mask) pairs extending theta (default
+    empty) to match the join steps in order; `first` is the first step's
+    pool, if known. A pair's mask is the given mask ANDed with each of its
+    atoms' masks as the step's view sees them: the bits held before the
+    delta, the bits the delta added, or all bits."""
     masks, delta = store.masks, store.delta
-    rows = [({}, mask)]
+    rows = [({} if theta is None else theta, mask)]
     for atom, shape, positions, view in steps:
         nxt = []
         for th, m in rows:
-            pool = store.pool(atom, shape, positions, th)
+            pool = store.pool(atom, shape, positions, th) if first is None else first
             if view is not _ALL:
                 cut = bisect_left(pool, delta_stamp, key=store.stamp.__getitem__)
                 if view is _OLD:
@@ -235,20 +251,20 @@ def _join(steps, store: _Store, delta_stamp: int, mask: int) -> list:
                 if th2 is None:
                     continue
                 if view is _ALL:
-                    held = m & masks[ga]
+                    held = m & masks[ga] if masks is not None else m
                 elif view is _OLD:
                     held = m & masks[ga] & ~delta.get(ga, 0)
                 else:
                     held = m & delta[ga]
                 if held:
                     nxt.append((th2, held))
-        rows = nxt
+        rows, first = nxt, None
         if not rows:
             break
     return rows
 
 
-def _unblocked(body, store: _Store, theta, mask: int) -> int:
+def _unblocked(body, store: _Atoms, theta, mask: int) -> int:
     """The instance's mask less the policies that hold one of its negated
     atoms."""
     for lit in body:
@@ -294,7 +310,6 @@ def evaluate_branches(policies, ds: DataSystem, onto: Ontology = None) -> Model:
         raise PolicyError(f"policy is not stratified: {first.rule_id}: {first.message}")
 
     store = _Store(ds.base_atoms, full)
-    acc: dict = {}  # head -> {(rule_id, ground body): mask}
     rnd = 0
     for k in range(1, 10):
         compiled = [
@@ -331,18 +346,9 @@ def evaluate_branches(policies, ds: DataSystem, onto: Ontology = None) -> Model:
                     gained = m & ~store.held(derived)
                     if gained:
                         new[derived] = new.get(derived, 0) | gained
-                    body = tuple(Literal(l.negated, substitute(l.atom, th)) for l in rule.body)
-                    sup = (rule.rule_id, body)
-                    sups = acc.setdefault(derived, {})
-                    sups[sup] = sups.get(sup, 0) | m
             store.add(new, rnd)
             first_round = False
-    # a tuple per head holds the supports in less memory than the dict
-    supports = {
-        head: tuple((rule_id, body, m) for (rule_id, body), m in sups.items())
-        for head, sups in acc.items()
-    }
-    return Model(store.masks, supports, full)
+    return Model(store.masks, tuple(zip(rules, rule_masks)))
 
 
 def evaluate(p: Policy, ds: DataSystem, onto: Ontology = None) -> Model:
@@ -382,7 +388,7 @@ def derivation_tree(m: Model, atom: Atom) -> DerivationNode:
     on_path = set()
 
     def build(a):
-        if a not in m.atoms:
+        if a not in m.masks:
             return DerivationNode(a, "absent")
         if a in on_path:
             return DerivationNode(a, "cycle")

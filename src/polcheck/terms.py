@@ -33,9 +33,10 @@ _NO_VARS = frozenset()
 class Term:
     """Base of the interned terms; a subclass's fields are its ``__slots__``.
     Each distinct term is built once, with its content hash and its free
-    variables without (``_vars``) and with (``_fvars``) formula interiors."""
+    variables without (``_vars``) and with (``_fvars``) formula interiors;
+    ``_text`` holds its rendering once ``render`` first makes it."""
 
-    __slots__ = ("_hash", "_vars", "_fvars")
+    __slots__ = ("_hash", "_vars", "_fvars", "_text")
 
     def __hash__(self):
         return self._hash
@@ -259,6 +260,14 @@ def is_ground(value) -> bool:
 
 
 def render(value) -> str:
+    text = getattr(value, "_text", None)
+    if text is None:
+        text = _render(value)
+        object.__setattr__(value, "_text", text)
+    return text
+
+
+def _render(value) -> str:
     if isinstance(value, Const):
         return f'"{value.value}"' if value.quoted else value.value
     if isinstance(value, Var):

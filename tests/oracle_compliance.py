@@ -28,6 +28,8 @@ from polcheck.loading import parse_facts, parse_ontology, parse_patterns, parse_
 from polcheck.policy import parse_policy, validate_high_level
 from polcheck.refinement import refine_policy
 
+from oracle_datalog import error_witnesses
+
 
 def reference_check_compliance(
     ph, pl, ds, patterns, sigma, onto, mode="dispensation-precedence", max_branches=1024
@@ -42,7 +44,7 @@ def reference_check_compliance(
     examined = 0
     model_l = evaluate(pl, ds, onto)
     atoms_derived = len(model_l.atoms) - len(ds.base_atoms)
-    if model_l.error_witnesses():
+    if error_witnesses(model_l):
         detail = "low-level policy is inconsistent (error derivable)"
         return ComplianceReport("inconsistent-input", stats=counts(), detail=detail)
     view_l = decision_view(model_l)
@@ -70,7 +72,7 @@ def _audits(result, ds, sigma, onto, view_l, M_l):
     status: dict = {}
     for branch in result.branches:
         model_h = evaluate(branch.policy, ds, onto)
-        if model_h.error_witnesses():
+        if error_witnesses(model_h):
             yield branch, model_h, None, ()
             continue
         view_h = decision_view(model_h)

@@ -5,7 +5,8 @@ current atom pool (classic naive evaluation: enumerate, substitute, test
 membership) and iterates each stratum to a fixpoint. No unification-driven
 joins anywhere; slow but easy to believe. naive_supports grounds the rules
 once more over a finished model to list each head's supports. The module also hosts the random
-program generators used by the equivalence suites.
+program generators used by the equivalence suites, and error_witnesses, which
+reads an evaluated model's error supports.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from polcheck.terms import (
     Var,
     is_ground,
     match,
+    sort_key,
     substitute,
 )
 
@@ -147,6 +149,13 @@ def naive_supports(policy: Policy, atoms) -> dict:
                 body = tuple(Literal(l.negated, substitute(l.atom, theta)) for l in rule.body)
                 out.setdefault(head, set()).add((rule.rule_id, body))
     return out
+
+
+def error_witnesses(model) -> tuple:
+    """The supports of every error atom an evaluated model holds, in
+    supports_of order."""
+    heads = sorted((a for a in model.atoms if a.pred == "error"), key=sort_key)
+    return tuple(sup for h in heads for sup in model.supports_of(h))
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,11 @@ def test_entails_binds_shared_variables_consistently():
 def test_entails_negation_is_closed_world():
     assert entails(POOL, EMPTY_DS, F("archived(report1, $t) & ~cipherOf(key2, report1)"))
     assert not entails(POOL, EMPTY_DS, F("archived(report1, $t) & ~cipherOf(key1, report1)"))
+    # a negated conjunct reads the positive conjuncts' bindings; its own
+    # variables stay existential
+    assert not entails(POOL, EMPTY_DS, F("archived($d, $t) & ~cipherOf(key1, $d)"))
+    assert entails(POOL, EMPTY_DS, F("archived($d, $t) & ~cipherOf(key2, $d)"))
+    assert not entails(POOL, EMPTY_DS, F("archived($d, $t) & ~cipherOf($k, $d)"))
 
 
 def test_entails_truth_constants():

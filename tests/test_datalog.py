@@ -8,7 +8,6 @@ import polcheck.compliance
 import polcheck.datalog
 from polcheck.compliance import check_compliance
 from polcheck.datalog import (
-    Model,
     decision_view,
     derivation_tree,
     evaluate,
@@ -23,7 +22,13 @@ from polcheck.policy import Policy, Rule, parse_policy
 from polcheck.refinement import refine_policy
 from polcheck.terms import ActionTerm, Atom, Const, Formula, Literal, Signed, render, sort_key
 
-from oracle_datalog import naive_model, naive_supports, random_program, random_recursive_program
+from oracle_datalog import (
+    error_witnesses,
+    naive_model,
+    naive_supports,
+    random_program,
+    random_recursive_program,
+)
 from oracle_refinement import random_instance
 
 
@@ -122,17 +127,21 @@ def full_model():
 
 
 def assert_supports_match_the_oracle(p, atoms, model):
-    """Each head's supports and the error witnesses agree with the oracle's
-    grounding of the finished model; supports_of reads them sorted."""
+    """Each atom's supports, none for an atom no rule instance derives, and
+    the error witnesses agree with the oracle's grounding of the finished
+    model; supports_of reads them sorted."""
     expected = naive_supports(p, atoms)
-    assert set(model.supports) == set(expected)
-    for head, sups in expected.items():
-        read = model.supports_of(head)
+    assert set(expected) <= set(atoms)
+    for atom in atoms:
+        read = model.supports_of(atom)
+        sups = expected.get(atom, set())
         assert set(read) == sups and len(read) == len(sups)
         assert list(read) == sorted(read, key=lambda s: (s[0], [render(l.atom) for l in s[1]]))
+    if Atom("error", ()) not in atoms:
+        assert model.supports_of(Atom("error", ())) == ()
     errors = {sup for head, sups in expected.items() if head.pred == "error" for sup in sups}
-    assert set(model.error_witnesses()) == errors
-    assert len(model.error_witnesses()) == len(errors)
+    witnesses = error_witnesses(model)
+    assert set(witnesses) == errors and len(witnesses) == len(errors)
 
 
 def test_every_stratum_derives_what_the_hand_calculation_says():
@@ -171,7 +180,7 @@ def test_every_stratum_derives_what_the_hand_calculation_says():
         for g in ("lab", "site")
         for s in ("emp1", "boss")
     }
-    assert not model.error_witnesses()
+    assert not error_witnesses(model)
 
 
 def test_rule_order_does_not_change_the_model():
@@ -247,7 +256,7 @@ def test_error_rule_reports_witnesses():
     model = evaluate(p, DataSystem())
     assert Atom("error", ()) in model.atoms
     assert_supports_match_the_oracle(p, naive_model(p, ()), model)
-    (witness,) = model.error_witnesses()
+    (witness,) = error_witnesses(model)
     assert witness[0] == "r4"
     assert [render(l.atom) for l in witness[1]] == [
         "mustdo(s1, act1, true)",
@@ -312,58 +321,49 @@ def test_derivation_tree_marks_absent_and_cyclic_atoms():
     assert render_derivation(missing).endswith("(absent)")
 
 
-def _hand_model(supports):
-    """A one-policy Model over the given head -> ((rule_id, body), ...) table,
-    whose atoms are the heads and every positive body atom."""
-    atoms = set(supports)
-    for sups in supports.values():
-        atoms.update(l.atom for _, body in sups for l in body if not l.negated)
-    masked = {head: tuple((r, body, 1) for r, body in sups) for head, sups in supports.items()}
-    return Model(dict.fromkeys(atoms, 1), masked, 1)
-
-
 def test_derivation_tree_walks_a_long_chain_without_recursion():
-    # chain0 <- chain1 <- ... <- chain2999, a fact: deeper than the
+    # derhasObligation of e3000 <- e2999 <- ... <- e0: deeper than the
     # interpreter's recursion limit
-    chain = [Atom("chain", (C(f"n{i}"),)) for i in range(3000)]
-    model = _hand_model(
-        {head: (("r1", (Literal(False, body),)),) for head, body in zip(chain, chain[1:])}
-    )
-    node = derivation_tree(model, chain[0])
-    for _ in range(2999):
-        assert node.status == "derived"
-        ((_, (node,)),) = node.supports
-    assert (node.atom, node.status) == (chain[-1], "fact")
-    lines = render_derivation(derivation_tree(model, chain[0])).split("\n")
-    assert len(lines) == 2 * 2999 + 1
-    assert lines[-1] == "    " * 2999 + "chain(n2999) [fact]"
+    policy, base = _under_chain(3000)
+    model = evaluate(parse_policy(policy), DataSystem(base_atoms=frozenset(base)))
+    top = Atom("derhasObligation", (C("e3000"), ActionTerm("Audit", (("target", C("sys1")),)), TRUE))
+    node = derivation_tree(model, top)
+    for i in range(3000, 0, -1):
+        assert (node.atom.args[0], node.status) == (C(f"e{i}"), "derived")
+        ((rule_id, (node, under)),) = node.supports
+        assert (rule_id, under.status) == ("r3", "fact")
+    assert node.atom.args[0] == C("e0")
+    ((_, (obliged,)),) = node.supports
+    assert obliged.supports == (("r1", ()),)
+    lines = render_derivation(derivation_tree(model, top)).split("\n")
+    assert len(lines) == 3 * 3000 + 4
+    assert lines[6003] == "  " * 6003 + "by r1"
+    assert lines[-1] == "    under(e3000, e2999) [fact]"
 
 
 def test_derivation_tree_expands_an_atom_on_two_paths_twice():
-    # top <- left & right, both <- shared <- base: shared is not a cycle
-    top, left, right, shared, base = (Atom(n, ()) for n in ("top", "left", "right", "shared", "base"))
-    pos = lambda a: Literal(False, a)  # noqa: E731
-    model = _hand_model(
-        {
-            top: (("r1", (pos(left), pos(right))),),
-            left: (("r2", (pos(shared),)),),
-            right: (("r3", (pos(shared),)),),
-            shared: (("r4", (pos(base),)),),
-        }
+    # error <- mustdo & derhasObligation, both <- one hasObligation <- one
+    # assignment: the obligation is not a cycle
+    p = parse_policy(
+        "hasObligation($e, Protect((target, $m)), true) :- assigned($e, $m).\n"
+        "derhasObligation($s, $a, $q) :- hasObligation($s, $a, $q).\n"
+        "mustdo($s, $a, $q) :- hasObligation($s, $a, $q).\n"
+        "error :- mustdo($s, $a, $q) & derhasObligation($s, $a, $q).\n"
     )
-    assert render_derivation(derivation_tree(model, top)) == (
-        "top\n"
-        "  by r1\n"
-        "    left\n"
-        "      by r2\n"
-        "        shared\n"
-        "          by r4\n"
-        "            base [fact]\n"
-        "    right\n"
+    ds = DataSystem(base_atoms=frozenset({Atom("assigned", (C("emp1"), C("pc1")))}))
+    assert render_derivation(derivation_tree(evaluate(p, ds), Atom("error", ()))) == (
+        "error\n"
+        "  by r4\n"
+        "    mustdo(emp1, Protect((target,pc1)), true)\n"
         "      by r3\n"
-        "        shared\n"
-        "          by r4\n"
-        "            base [fact]"
+        "        hasObligation(emp1, Protect((target,pc1)), true)\n"
+        "          by r1\n"
+        "            assigned(emp1, pc1) [fact]\n"
+        "    derhasObligation(emp1, Protect((target,pc1)), true)\n"
+        "      by r2\n"
+        "        hasObligation(emp1, Protect((target,pc1)), true)\n"
+        "          by r1\n"
+        "            assigned(emp1, pc1) [fact]"
     )
 
 
@@ -390,7 +390,7 @@ def test_random_programs_match_the_oracle():
         model = evaluate(p, DataSystem(base_atoms=base))
         assert model.atoms == expected
         assert_supports_match_the_oracle(p, expected, model)
-        with_errors += bool(model.error_witnesses())
+        with_errors += bool(error_witnesses(model))
         shuffled = list(p.rules)
         rng.shuffle(shuffled)
         assert evaluate(p.with_rules(shuffled), DataSystem(base_atoms=base)).atoms == expected
@@ -413,7 +413,7 @@ def test_recursive_programs_match_the_oracle():
         again = evaluate(p.with_rules(shuffled), ds)
         assert again.atoms == expected
         assert all(again.supports_of(head) == model.supports_of(head) for head in expected)
-        assert again.error_witnesses() == model.error_witnesses()
+        assert error_witnesses(again) == error_witnesses(model)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +482,21 @@ def test_join_probes_grow_linearly_with_the_input(monkeypatch, workload, size):
     assert large <= 2.5 * small, (small, large)
 
 
+def test_derivation_tree_probes_grow_linearly_with_the_depth(monkeypatch):
+    # with the head bound, each link's supports start from its one under
+    # atom, not from every derhasObligation atom
+    def tree_probes(depth):
+        policy, base = _under_chain(depth)
+        model = evaluate(parse_policy(policy), DataSystem(base_atoms=frozenset(base)))
+        top = Atom("mustdo", (C(f"e{depth}"), ActionTerm("Audit", (("target", C("sys1")),)), TRUE))
+        assert model.holds(top)
+        return _count_probes(monkeypatch, lambda: derivation_tree(model, top))
+
+    small, large = tree_probes(500), tree_probes(1000)
+    assert small >= 500
+    assert large <= 2.5 * small, (small, large)
+
+
 _ARCHIVE_ONTO = """\
 class Entity
 class Employee subclassOf Entity
@@ -545,10 +560,9 @@ def assert_projections_match(policies, ds):
     for i, policy in enumerate(policies):
         alone = evaluate(policy, ds)
         projected = shared.project(i)
-        assert projected.atoms == alone.atoms
+        assert projected.masks == alone.masks
         assert all(projected.supports_of(a) == alone.supports_of(a) for a in alone.atoms)
-        assert set(projected.supports) == set(alone.supports)
-        assert projected.error_witnesses() == alone.error_witnesses()
+        assert_supports_match_the_oracle(policy, alone.atoms, projected)
 
 
 def _split(rng, policy, base):
@@ -633,7 +647,9 @@ def test_shared_pass_ors_the_masks_of_the_atoms_bringing_an_open_do_minus_triple
     shared = evaluate_branches(policies, DataSystem())
     grant, head = (Atom("do", (C("o1"), C("s1"), Signed(sign, C("read")))) for sign in "+-")
     assert shared.mask_of(head) == 0b0111
-    assert shared.supports[head] == (("r4", (Literal(True, grant),), 0b0111),)
+    support = ("r4", (Literal(True, grant),))
+    assert shared.supports_of(head) == (support,)
+    assert [shared.project(i).supports_of(head) for i in range(4)] == [(support,)] * 3 + [()]
 
 
 def test_shared_pass_of_one_policy_twice_holds_everything_in_both():
@@ -641,4 +657,9 @@ def test_shared_pass_of_one_policy_twice_holds_everything_in_both():
     ds = DataSystem(base_atoms=base)
     shared = evaluate_branches([p, p], ds)
     assert {shared.mask_of(a) for a in shared.atoms} == {0b11}
-    assert shared.project(1) == evaluate(p, ds)
+    projected, alone = shared.project(1), evaluate(p, ds)
+    assert projected.masks == alone.masks
+    assert all(projected.supports_of(a) == alone.supports_of(a) for a in alone.atoms)
+    # models compare by identity: the same masks from other rules would have
+    # other supports
+    assert projected != alone and projected == projected

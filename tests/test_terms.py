@@ -28,6 +28,7 @@ from polcheck.terms import (
     free_vars,
     is_ground,
     parse_formula,
+    render,
     substitute,
 )
 
@@ -196,6 +197,25 @@ def test_sign_check_ordering_and_repr_are_kept():
     assert repr(Atom("p", (Const("a"), Var("x")))) == (
         "Atom(pred='p', args=(Const(value='a', quoted=False), Var(name='x')))"
     )
+
+
+def test_a_term_keeps_its_rendering_and_stays_the_same_term():
+    action = ActionTerm("Backup", (("target", Var("x")),))
+    atom = Atom("p", (Const("a", quoted=True), Signed("+", action)))
+    text = render(atom)
+    assert text == 'p("a", +Backup((target,$x)))'
+    assert render(atom) is text and render(action) is render(action)
+    assert repr(atom) == (
+        "Atom(pred='p', args=(Const(value='a', quoted=True), Signed(sign='+', term="
+        "ActionTerm(name='Backup', bindings=(('target', Var(name='x')),)))))"
+    )
+    for round_trip in ROUND_TRIPS.values():
+        assert round_trip(atom) is atom
+    with pytest.raises(AttributeError):
+        atom._text = "q"
+    assert render(atom) is text
+    with pytest.raises(TypeError, match="cannot render str"):
+        render("p")
 
 
 def _load_every_sample():
