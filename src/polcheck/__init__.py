@@ -54,7 +54,6 @@ from .ontology import (
     space_refines,
     space_refines_witness,
     state_refines,
-    universe,
     value_refines,
 )
 from .actions import (

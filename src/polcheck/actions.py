@@ -8,6 +8,9 @@ carries a state-space guard: when the guard space abstracts the state at the
 point the guarded action would run, that action is mandatory, otherwise it
 may be skipped.
 
+validate_action_class checks each transformer at load over guard regions:
+boxes of declared values on which one guarded assignment or the fallback fires.
+
 Well-formedness of a refinement pattern is decided two ways, over the same
 nodes: pattern_nodes yields the root and every labeled inner composition,
 and refinement flattens complex patterns along the same walk.
@@ -24,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    ExpansionError,
     NameResolutionError,
     OracleScaleError,
     SchemaError,
@@ -31,7 +35,6 @@ from .errors import (
     TaxonomyError,
 )
 from .ontology import (
-    ENTIRE,
     Ontology,
     State,
     StateSpace,
@@ -46,7 +49,6 @@ from .ontology import (
     space_refines_witness,
     space_size,
     state_refines,
-    universe,
     value_refines,
 )
 from .terms import Formula, TRUE
@@ -93,71 +95,145 @@ class ActionClassDef:
     instruments: tuple = ()
 
     def apply(self, state: State, onto: Ontology) -> State:
-        """Total transformer: first matching guarded assignment fires. The
-        fallback overrides the variables of a final box that gives each one
-        value; otherwise it returns the final space's least state."""
+        """Total transformer: the first matching guarded assignment, else the fallback."""
         for rule in self.transform:
             if feasible_in(rule.guard, state, onto):
                 return state.override(dict(rule.effects))
+        effects = self._fallback(onto)
+        if effects is None:
+            raise SchemaError(f"action {self.name}: no transform rule applies and the final space is empty")
+        return state.override(effects)
+
+    def _fallback(self, onto: Ontology):
+        """A final box's variables if it gives each one value, else every variable at the
+        final space's least state; None for an empty explicit final space."""
         final = self.final_space
         if not final.is_concise:
-            if not final.states:
-                raise SchemaError(
-                    f"action {self.name}: no transform rule applies and the final space is empty"
-                )
-            return min(final.states)
+            return dict(min(final.states).assignments) if final.states else None
         fixed = dict(final.fixed)
         if len(fixed) == len(final.fixed):
-            return state.override(fixed)
-        return State.make({var: min(values) for var, values in _allowed_values(final, onto).items()})
+            return fixed
+        return {var: min(values) for var, values in _allowed_values(final, onto).items()}
 
 
-def validate_action_class(
-    acd: ActionClassDef, onto: Ontology, state_bound: int = 4096
-) -> list:
-    """Enumerative load check: the transformer must send every state in the
-    initial cone into the final space's cone, and monotonically: lowering
-    one variable of a cone state to a declared value below it must lower
-    the output or leave it equal. The universe is counted before any state
-    is built; past ``state_bound`` states the contract is left unchecked.
-    Returns warning strings; raises SchemaError on a contract violation,
-    reporting an output outside the final space before any break in
-    monotonicity."""
-    # counting checks both spaces as expanding them would, at any size
-    space_size(acd.init_space, onto)
-    space_size(acd.final_space, onto)
-    size = space_size(ENTIRE, onto)
-    if size > state_bound:
-        return [f"action {acd.name}: universe has {size} states, past the bound; transformer contract unchecked"]
-    cone = [s for s in universe(onto) if feasible_in(acd.init_space, s, onto)]
-    outputs = {}
-    for delta in cone:
+def _boxes(space: StateSpace, onto: Ontology, fixed: dict) -> list:
+    """The declared states that refine a state of the space once ``fixed``
+    overrides their variables, as non-empty boxes (a frozenset of values per
+    variable, in sorted order): one for a concise space, one per state of an
+    explicit one. Raises what feasible_in raises on the space."""
+    if not space.is_concise:  # the union of its states' cones
+        points = (StateSpace.concise(s.assignments) for s in expand_space(space, onto))
+        return [box for point in points for box in _boxes(point, onto, fixed)]
+    allowed, box = _allowed_values(space, onto), {}
+    for var, d in sorted(onto.variables.items()):
+        box[var] = frozenset(
+            w for w in d.values if any(value_refines(fixed.get(var, w), a, onto) for a in allowed[var])
+        )
+    return [box] if all(box.values()) else []
+
+
+def _outside(boxes: list, cuts: list) -> list:
+    """The states of the boxes in none of the cuts, as boxes split where they leave a cut."""
+    for cut in cuts:
+        pieces = []
+        for box in boxes:
+            split, inside = [], dict(box)
+            for var, values in box.items():
+                if values - cut[var]:
+                    split.append({**inside, var: values - cut[var]})
+                inside[var] = values & cut[var]
+                if not inside[var]:  # the cut misses the box
+                    split = [box]
+                    break
+            pieces += split
+        boxes = pieces
+    return boxes
+
+
+def _split(boxes: list, guards: list) -> tuple:
+    """Each guard's boxes of the states no earlier guard holds, and the boxes no guard holds."""
+    parts = []
+    for guard in guards:
+        met = ({var: b[var] & g[var] for var in b} for b in boxes for g in guard)
+        parts.append([m for m in met if all(m.values())])
+        boxes = _outside(boxes, guard)
+    return parts, boxes
+
+
+def _breaks(s: dict, var: str, w: str, e: dict, f: dict, onto: Ontology) -> list:
+    """Boxes of s's states, e laid over, that their lowering of var to w, f laid over, fails to refine."""
+    return [
+        {**s, u: failing}
+        for u in s.keys() & (e.keys() | f.keys() | {var})
+        if (failing := {
+            x for x in s[u] if not value_refines(f.get(u, w if u == var else x), e.get(u, x), onto)
+        })
+    ]
+
+
+def validate_action_class(acd: ActionClassDef, onto: Ontology) -> None:
+    """The transformer contract, decided over guard regions without listing a state: each
+    cone state lands in the final space's cone, and lowering one of its variables to a
+    declared value below lowers the output or leaves it equal. The least violating state
+    in sorted order is replayed through ``apply`` to word the error, final space first."""
+    cone = _boxes(acd.init_space, onto, {})
+    space_size(acd.final_space, onto)  # its errors come before a guard's
+    guards = []
+    for rule in acd.transform:
+        try:
+            guards.append(_boxes(rule.guard, onto, {}))
+        except ExpansionError:  # apply raises it on every state that reaches this guard
+            break
+    parts, rest = _split(cone, guards)
+    effects = [dict(rule.effects) for rule in acd.transform[: len(guards)]]
+    fallback = acd._fallback(onto) if len(guards) == len(acd.transform) else None
+    regions = list(zip(parts, effects)) + [(rest, fallback)]  # with None where apply raises
+
+    outside = []
+    for boxes, e in regions:
+        total = e is not None and e.keys() <= onto.variables.keys()
+        outside += _outside(boxes, _boxes(acd.final_space, onto, e) if total else [])
+    if outside:
+        delta = State(min(tuple((var, min(values)) for var, values in box.items()) for box in outside))
         gamma = acd.apply(delta, onto)
-        outputs[delta] = gamma
-        if not feasible_in(acd.final_space, gamma, onto):
-            raise SchemaError(
-                f"action {acd.name}: transformer output {render_state(gamma)} falls outside the final space"
-            )
-    # feasible_in is closed under refinement, so the cone is a down-set of
-    # the product order; value_refines is transitive, so any ordered pair of
-    # cone states is joined by one-variable lowerings that stay in the cone.
+        feasible_in(acd.final_space, gamma, onto)  # raises if gamma is not total
+        raise SchemaError(
+            f"action {acd.name}: transformer output {render_state(gamma)} falls outside the final space"
+        )
+
     below = {
-        var: {
-            v: [w for w in vdef.values if w != v and value_refines(w, v, onto)]
-            for v in vdef.values
-        }
+        var: {v: [w for w in vdef.values if w != v and value_refines(w, v, onto)] for v in vdef.values}
         for var, vdef in onto.variables.items()
     }
-    for delta in cone:
-        for i, (var, value) in enumerate(delta.assignments):
+    breaks = []
+    for i, (boxes, e) in enumerate(regions):
+        for b in boxes:
+            # guards are closed downwards: a state of b lowered at var fires rule i again, where
+            # the order holds, or the first earlier rule with a guard box apart from b at var alone
+            near = {}
+            for g, f in ((g, f) for guard, f in zip(guards[:i], effects) for g in guard):
+                apart = [u for u in b if not b[u] & g[u]]
+                if len(apart) == 1:
+                    near.setdefault(apart[0], []).append((g, f))
+            for var, touching in near.items():
+                for w in {w for v in b[var] for w in below[var][v]}:
+                    above = {v for v in b[var] if w in below[var][v]}
+                    landed, _ = _split([{**b, var: frozenset((w,))}], [[g] for g, _ in touching])
+                    for (_, f), part in zip(touching, landed):
+                        for m in part:
+                            breaks += _breaks({**m, var: above}, var, w, e, f, onto)
+    if breaks:
+        delta = State(min(tuple((var, min(values)) for var, values in box.items()) for box in breaks))
+        out = acd.apply(delta, onto)
+        for k, (var, value) in enumerate(delta.assignments):
             for lower in below[var][value]:
-                lowered = State(delta.assignments[:i] + ((var, lower),) + delta.assignments[i + 1 :])
-                if not state_refines(outputs[delta], outputs[lowered], onto):
+                lowered = State(delta.assignments[:k] + ((var, lower),) + delta.assignments[k + 1 :])
+                if not state_refines(out, acd.apply(lowered, onto), onto):
                     raise SchemaError(
                         f"action {acd.name}: transformer is not monotone between "
                         f"{render_state(delta)} and {render_state(lowered)}"
                     )
-    return []
+        raise AssertionError(f"action {acd.name}: no lowering of {render_state(delta)} breaks the order")
 
 
 # ---------------------------------------------------------------------------

@@ -74,8 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--oracle-bound",
             type=_positive,
             default=4096,
-            help="most states to enumerate: past it, load-time transformer checks are skipped "
-            "with a warning and a pattern node's initial space is an error",
+            help="most states of a pattern node's initial space that validate enumerates; "
+            "past it the node is an error",
         )
         p.add_argument(
             "--mode",
@@ -109,7 +109,7 @@ def _load_inputs(args):
     """Every input file named on the command line, in dependency order:
     (ontology, facts, high policy, low policy or None, patterns, state).
     Without a state file the current state is empty."""
-    onto = load_ontology(args.onto, state_bound=args.oracle_bound)
+    onto = load_ontology(args.onto)
     ds = load_facts(args.facts, onto)
     ph = load_policy(args.high, onto)
     pl = load_policy(args.low, onto) if args.low else None

@@ -24,8 +24,8 @@ current state, the ontology and the data system.
 Entailment against the current state is closed-world atom lookup over the
 state's atoms plus the data system's base atoms; no rule inference runs
 inside the state. Those atoms go into one read-only pool (`datalog._Atoms`)
-per (state, data system) pair, kept on the state with each postcondition's
-join plans. The evaluator's indexed join (`datalog._join`) matches the
+per (state, data system) pair, kept on the state; each postcondition keeps
+its join plans. The evaluator's indexed join (`datalog._join`) matches the
 positive conjuncts, then each negated conjunct from each of their bindings.
 """
 
@@ -72,8 +72,8 @@ CATEGORY_MODAL_CAP = "modal-capability-conflict"
 class CurrentState:
     atoms: frozenset = frozenset()  # ground rel/done atoms observed now
     state: State = None  # optional variable-table assignment
-    # (base atoms, _Atoms of atoms | base atoms, join plans by formula) last read
-    _pool: tuple = field(default=(None, None, None), init=False, compare=False, repr=False)
+    # (base atoms, _Atoms of atoms | base atoms) last read
+    _pool: tuple = field(default=(None, None), init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -162,10 +162,10 @@ def entails(sigma: CurrentState, ds: DataSystem, formula: Formula, onto: Ontolog
     pair; the sets are frozen, so the same objects mean the same atoms."""
     if formula.is_false:
         return False
-    base, store, plans = sigma._pool
+    base, store = sigma._pool
     if base is not ds.base_atoms:
-        store, plans = _Atoms(sigma.atoms | ds.base_atoms, None), {}
-        object.__setattr__(sigma, "_pool", (ds.base_atoms, store, plans))
+        store = _Atoms(sigma.atoms | ds.base_atoms, None)
+        object.__setattr__(sigma, "_pool", (ds.base_atoms, store))
     if onto is not None:
         for c in formula.conjuncts:
             pred = c.atom.pred
@@ -175,12 +175,13 @@ def entails(sigma: CurrentState, ds: DataSystem, formula: Formula, onto: Ontolog
                 or any(shape[0] == pred for shape in store.lists)
             ):
                 raise EntailmentError(f"cannot resolve predicate {pred!r} in a postcondition")
-    plan = plans.get(formula)
+    plan = getattr(formula, "_plan", None)
     if plan is None:
         positives = [c.atom for c in formula.conjuncts if not c.negated]
         # a negated conjunct's step after the positives, which bind its variables
         negatives = [_join_plan(positives + [c.atom])[-1:] for c in formula.conjuncts if c.negated]
-        plan = plans[formula] = (_join_plan(positives), negatives)
+        plan = (_join_plan(positives), negatives)
+        object.__setattr__(formula, "_plan", plan)
     positive, negatives = plan
     return any(
         not any(_join(negative, store, 0, 1, theta) for negative in negatives)

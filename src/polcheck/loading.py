@@ -36,7 +36,6 @@ atoms.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import replace
 from pathlib import Path
 
@@ -68,8 +67,6 @@ from .ontology import (
 from .policy import BUILTIN_SHAPES, OVER_PREDICATES, Policy, parse_policy
 from .terms import Atom, Const, TokenStream, bind_property, is_ground, parse_formula, parse_term
 from .terms import token_kind, token_value
-
-log = logging.getLogger(__name__)
 
 _RESERVED = frozenset(BUILTIN_SHAPES) | frozenset(OVER_PREDICATES)
 
@@ -150,7 +147,7 @@ def _parse_ground_atom(ts: TokenStream) -> Atom:
 # ---------------------------------------------------------------------------
 
 
-def parse_ontology(text: str, state_bound: int = 4096) -> Ontology:
+def parse_ontology(text: str) -> Ontology:
     ts = TokenStream(text)
     classes: dict = {}
     properties: dict = {}
@@ -288,8 +285,7 @@ def parse_ontology(text: str, state_bound: int = 4096) -> Ontology:
         merged,
     )
     for acd in merged.values():
-        for warning in validate_action_class(acd, onto, state_bound=state_bound):
-            log.warning("%s", warning)
+        validate_action_class(acd, onto)
     return onto
 
 
@@ -516,8 +512,8 @@ def _load(path, parser, *args, **kwargs):
         raise
 
 
-def load_ontology(path, state_bound: int = 4096) -> Ontology:
-    return _load(path, parse_ontology, state_bound=state_bound)
+def load_ontology(path) -> Ontology:
+    return _load(path, parse_ontology)
 
 
 def load_facts(path, onto: Ontology = None) -> DataSystem:

@@ -91,7 +91,6 @@ class Ontology:
     _parents: dict = field(default_factory=dict, repr=False, compare=False)
     _ancestors: dict = field(default_factory=dict, repr=False, compare=False)
     _expand_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _universe: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self._parents = _parent_map(self.classes, self.subclass_edges, "subclass")
@@ -119,9 +118,6 @@ class Ontology:
 
     def hie_predicates(self) -> tuple:
         return tuple(sorted(p.name for p in self.properties.values() if p.family == "hie"))
-
-    def rel_predicates(self) -> tuple:
-        return tuple(sorted(p.name for p in self.properties.values() if p.family == "rel"))
 
     def variable_names(self) -> tuple:
         return tuple(self.variables)
@@ -302,14 +298,6 @@ def _state_product(variables: dict, choices: dict) -> list:
         options = choices.get(name, vdef.values)
         states = [State(s.assignments + ((name, v),)) for s in states for v in options]
     return states
-
-
-def universe(onto: Ontology) -> tuple:
-    """All total states over the declared variable table, in lexicographic
-    order."""
-    if onto._universe is None:
-        onto._universe = tuple(sorted(_state_product(onto.variables, {})))
-    return onto._universe
 
 
 def _allowed_values(space: StateSpace, onto: Ontology) -> dict:

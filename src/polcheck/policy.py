@@ -171,33 +171,12 @@ class Rule:
     head: Atom
     body: tuple = ()  # tuple[Literal, ...]
 
-    def is_fact(self) -> bool:
-        return not self.body
-
 
 @dataclass(frozen=True)
 class Policy:
     rules: tuple = ()
     scope: tuple = ()
     environment: tuple = ()  # ((key, value), ...)
-
-    def partition(self):
-        """H (obligation/dispensation family), A (authorization family),
-        M (decision and integrity rules)."""
-        h, a, m = [], [], []
-        for r in self.rules:
-            if r.head.pred in (
-                "hasObligation",
-                "hasDispensation",
-                "derhasObligation",
-                "derhasDispensation",
-            ):
-                h.append(r)
-            elif r.head.pred in ("cando", "dercando", "do"):
-                a.append(r)
-            else:
-                m.append(r)
-        return tuple(h), tuple(a), tuple(m)
 
     def with_rules(self, rules) -> "Policy":
         return Policy(tuple(rules), self.scope, self.environment)
@@ -408,9 +387,6 @@ class StratificationResult:
     ok: bool
     strata: tuple = ()  # ((rule_id, stratum), ...)
     violations: tuple = ()
-
-    def stratum_of(self, rule_id: str) -> int:
-        return dict(self.strata)[rule_id]
 
 
 def check_stratification(p: Policy, onto: Ontology = None) -> StratificationResult:

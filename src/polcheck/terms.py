@@ -142,7 +142,11 @@ class Literal(Term):
         return _TABLE.get(key) or _intern(cls, key, (atom,))
 
 
-class Formula(Term):
+class _Planned(Term):
+    __slots__ = ("_plan",)  # join plans, once ``entails`` first needs them; not a field
+
+
+class Formula(_Planned):
     __slots__ = ("conjuncts", "contradiction")  # conjuncts: (Literal, ...)
 
     def __new__(cls, conjuncts: tuple = (), contradiction: bool = False):

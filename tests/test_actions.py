@@ -31,7 +31,13 @@ from polcheck.actions import (
     traces,
     validate_action_class,
 )
-from polcheck.errors import NameResolutionError, OracleScaleError, SchemaError, StructuralError
+from polcheck.errors import (
+    NameResolutionError,
+    OracleScaleError,
+    PolcheckError,
+    SchemaError,
+    StructuralError,
+)
 from polcheck.loading import parse_ontology
 from polcheck.ontology import (
     ENTIRE,
@@ -40,9 +46,10 @@ from polcheck.ontology import (
     State,
     StateSpace,
     VariableDef,
+    render_state,
 )
 
-from oracle_actions import random_transformer, validate_all_pairs
+from oracle_actions import random_transformer, validate_all_pairs, validate_enumerated
 
 a, b, c = ActionLeaf("a"), ActionLeaf("b"), ActionLeaf("c")
 
@@ -473,32 +480,101 @@ def test_one_step_check_agrees_with_all_pairs_on_seeded_transformers():
     assert all(kinds[k] for k in ("ok", "final space", "not monotone", "all-pairs names two variables apart"))
 
 
-def _binary_ontology(n: int) -> str:
-    lines = [f"var v{i} maps box.p{i} range {{lo, hi}}" for i in range(n)]
+def _outcome(check, acd, onto):
+    """(error class, message) of what the check raises, or None."""
+    try:
+        check(acd, onto)
+    except PolcheckError as err:
+        return type(err).__name__, str(err)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_region_check_matches_the_enumeration(rng):
+    acd, onto = random_transformer(rng)
+    assert _outcome(validate_action_class, acd, onto) == _outcome(validate_enumerated, acd, onto)
+
+
+def test_region_check_matches_the_enumeration_on_seeded_transformers():
+    rng = random.Random(20261019)
+    kinds = Counter()
+    for _ in range(3000):
+        acd, onto = random_transformer(rng)
+        outcome = _outcome(validate_action_class, acd, onto)
+        assert outcome == _outcome(validate_enumerated, acd, onto), (acd, onto.variables)
+        kinds[outcome and re.sub(r"\{.*", "", outcome[1])] += 1
+        # a final box with alternatives makes the fallback its least state
+        final = acd.final_space
+        if final.is_concise and len(dict(final.fixed)) < len(final.fixed):
+            kinds["least-state fallback"] += 1
+    assert set(kinds) == {
+        None,
+        "action A: transformer output ",
+        "action A: transformer is not monotone between ",
+        "action A: no transform rule applies and the final space is empty",
+        "least-state fallback",
+    }, kinds
+
+
+def _scale_ontology(transforms: str) -> str:
+    """40 variables: 37 binary literals, two class-valued and a switch."""
+    lines = ["class Computer", "class Notebook subclassOf Computer"]
+    lines += [f"var v{i} maps box.p{i} range {{lo, hi}}" for i in range(37)]
     lines += [
+        "var x1 maps pc.hw range {Computer, Notebook}",
+        "var x2 maps pc.dock range {Computer, Notebook}",
+        "var y maps pc.power range {on, off}",
         "action Top init {} final {}",
         "action A1 init {} final {}",
         "action A2 init {v0=lo} final {v0=hi}",
         "transform A2 when {} set {v0=hi}",
     ]
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + transforms
 
 
-def test_the_state_bound_is_checked_before_any_state_is_built(monkeypatch, caplog):
-    # 2^40 states: enumerating them would never finish, so fail at once instead
+def test_forty_variables_are_checked_without_building_a_state(monkeypatch, caplog):
+    # 2^40 states: enumerating them would never finish
     def no_states(*args):
-        raise AssertionError("a state was built past the bound")
+        raise AssertionError("a state was built")
 
     monkeypatch.setattr("polcheck.ontology._state_product", no_states)
+    least = {f"v{i}": "hi" for i in range(37)}  # "hi" sorts before "lo"
+
     started = time.perf_counter()
     with caplog.at_level(logging.WARNING, logger="polcheck"):
-        onto = parse_ontology(_binary_ontology(40))
-    assert [r.getMessage() for r in caplog.records] == [
-        f"action {name}: universe has {2 ** 40} states, past the bound; transformer contract unchecked"
-        for name in ("Top", "A1", "A2")
-    ]
+        onto = parse_ontology(_scale_ontology(""))
+    assert caplog.records == []
+    assert time.perf_counter() - started < 1
+
+    started = time.perf_counter()
+    with pytest.raises(SchemaError) as err:
+        parse_ontology(_scale_ontology(
+            "action A init {} final {}\n"
+            "transform A when {x1=Notebook, x2=Notebook} set {y=on}\n"
+            "transform A when {} set {y=off}\n"
+        ))
+    delta = State.make({**least, "x1": "Computer", "x2": "Notebook", "y": "off"})
+    lowered = State.make({**least, "x1": "Notebook", "x2": "Notebook", "y": "off"})
+    assert str(err.value) == (
+        f"action A: transformer is not monotone between {render_state(delta)} and {render_state(lowered)}"
+    )
+    assert time.perf_counter() - started < 1
+
+    started = time.perf_counter()
+    with pytest.raises(SchemaError) as err:
+        parse_ontology(_scale_ontology(
+            "action B init {v3=lo} final {x2=Notebook}\n"
+            "transform B when {x1=Notebook} set {x2=Notebook}\n"
+            "transform B when {} set {y=on}\n"
+        ))
+    gamma = State.make({**least, "v3": "lo", "x1": "Computer", "x2": "Computer", "y": "on"})
+    assert str(err.value) == (
+        f"action B: transformer output {render_state(gamma)} falls outside the final space"
+    )
+    assert time.perf_counter() - started < 1
+
     pattern = RefinementPattern("p1", "Top", (), ActionNode(SEQ, ActionLeaf("A1"), ActionLeaf("A2")), "basic-seq")
     with pytest.raises(OracleScaleError) as err:
         check_well_formed_complex(pattern, onto)
     assert str(err.value) == f"root: initial space has {2 ** 40} states, past the bound of 4096"
-    assert time.perf_counter() - started < 5

@@ -173,6 +173,25 @@ def test_an_audit_leaves_no_state_atoms_in_module_globals(audit):
             stack.extend(vars(v).values())
 
 
+def test_a_second_audit_reuses_the_entailment_plans(audit, monkeypatch):
+    # plans live on the interned postconditions, not on the state
+    onto, ds, ph, pl, patterns, _ = audit
+    text = (SAMPLES / "audit.state").read_text()
+    check_compliance(ph, pl, ds, patterns, parse_state(text, onto), onto)
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return join_plan(*args, **kwargs)
+
+    join_plan = polcheck.compliance._join_plan
+    monkeypatch.setattr(polcheck.compliance, "_join_plan", counting)
+    entailed = []
+    monkeypatch.setattr(polcheck.compliance, "entails", lambda *a: entailed.append(a) or entails(*a))
+    check_compliance(ph, pl, ds, patterns, parse_state(text, onto), onto)
+    assert entailed and not built
+
+
 def test_entails_rejects_unresolvable_predicates(audit):
     onto = audit[0]
     with pytest.raises(EntailmentError, match="audited"):

@@ -37,7 +37,6 @@ from polcheck.ontology import (
     space_refines_witness,
     space_size,
     state_refines,
-    universe,
     value_refines,
 )
 from polcheck.refinement import compile_meet_formula
@@ -153,9 +152,10 @@ def test_space_must_be_exactly_one_representation():
 
 def test_universe_order_and_size():
     onto = machine_onto()
-    u = universe(onto)
+    u = sorted(expand_space(ENTIRE, onto))
     assert len(u) == 4
-    assert u == tuple(sorted(u))
+    assert [s.variables() for s in u] == [tuple(sorted(onto.variables))] * 4
+    assert u[0] == State.make({var: min(vdef.values) for var, vdef in onto.variables.items()})
 
 
 def test_feasibility_is_cone_membership():
@@ -202,7 +202,7 @@ def test_render_helpers():
 
 
 _ONTO = machine_onto()
-_UNIVERSE = sorted(universe(_ONTO))
+_UNIVERSE = sorted(expand_space(ENTIRE, _ONTO))
 # the universe plus states holding a class below a declared value
 _STATES = [
     mk(hw, os) for hw in ("Computer", "Notebook", "Netbook") for os in ("Linux", "Ubuntu", "Windows")
@@ -418,7 +418,7 @@ def test_predicate_families():
         }
     )
     assert onto.hie_predicates() == ("type",)
-    assert onto.rel_predicates() == ("owns",)
+    assert onto.properties["owns"].family == "rel"
 
 
 def test_restricted_subclass_members():

@@ -42,7 +42,7 @@ def test_scope_env_and_ids():
     assert p.scope == ("acme", "branch_two")
     assert p.environment == (("horizon", "30"), ("owner", "security team"))
     assert [r.rule_id for r in p.rules] == ["r1", "r2"]
-    assert p.rules[0].is_fact()
+    assert not p.rules[0].body  # a fact
     assert p.rule("r2").head.pred == "hasObligation"
     with pytest.raises(PolicyError):
         p.rule("r9")
@@ -151,17 +151,24 @@ def test_predicate_kind_uses_declared_families():
 
 
 def test_partition_groups_the_three_families():
+    # the stratification rows split the rules into the obligation family
+    # (rows 1-3), the authorization family (rows 5-8) and the decision and
+    # integrity rules (rows 4 and 9)
     p = parse_policy(FIXTURE)
-    h, a, m = p.partition()
-    assert {r.head.pred for r in h} <= {
+    rows = dict(check_stratification(p).strata)
+    families = {}
+    for r in p.rules:
+        family = "H" if rows[r.rule_id] <= 3 else "A" if 5 <= rows[r.rule_id] <= 8 else "M"
+        families.setdefault(family, set()).add(r.head.pred)
+    assert families["H"] <= {
         "hasObligation",
         "hasDispensation",
         "derhasObligation",
         "derhasDispensation",
     }
-    assert {r.head.pred for r in a} == {"cando", "dercando", "do"}
-    assert {r.head.pred for r in m} == {"mustdo", "error"}
-    assert len(h) + len(a) + len(m) == len(p.rules)
+    assert families["A"] == {"cando", "dercando", "do"}
+    assert families["M"] == {"mustdo", "error"}
+    assert len(rows) == len(p.rules)
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +180,9 @@ def test_reference_policy_is_stratified():
     result = check_stratification(parse_policy(FIXTURE))
     assert result.ok
     assert not result.violations
+    strata = dict(result.strata)
     for rid, row in FIXTURE_ROWS.items():
-        assert result.stratum_of(rid) == row
+        assert strata[rid] == row
 
 
 @pytest.mark.parametrize(

@@ -30,8 +30,8 @@ from polcheck.ontology import (
     Ontology,
     StateSpace,
     VariableDef,
+    expand_space,
     state_refines,
-    universe,
 )
 
 ROWS = (
@@ -78,7 +78,7 @@ class Kit:
     def __init__(self, rng: random.Random, onto: Ontology):
         self.rng = rng
         self.onto = onto
-        self.U = sorted(universe(onto))
+        self.U = sorted(expand_space(ENTIRE, onto))
 
     def cone(self, states):
         return [u for u in self.U if any(state_refines(s, u, self.onto) for s in states)]
