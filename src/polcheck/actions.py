@@ -9,7 +9,8 @@ point the guarded action would run, that action is mandatory, otherwise it
 may be skipped.
 
 validate_action_class checks each transformer at load over guard regions:
-boxes of declared values on which one guarded assignment or the fallback fires.
+boxes of declared values on which one guarded assignment or the fallback fires,
+at most MAX_REGION_BOXES of them.
 
 Well-formedness of a refinement pattern is decided two ways, over the same
 nodes: pattern_nodes yields the root and every labeled inner composition,
@@ -150,6 +151,10 @@ def _outside(boxes: list, cuts: list) -> list:
     return boxes
 
 
+# The boxes a transformer's guard regions may take: each guard on new variables can triple them.
+MAX_REGION_BOXES = 4096
+
+
 def _split(boxes: list, guards: list) -> tuple:
     """Each guard's boxes of the states no earlier guard holds, and the boxes no guard holds."""
     parts = []
@@ -184,7 +189,15 @@ def validate_action_class(acd: ActionClassDef, onto: Ontology) -> None:
             guards.append(_boxes(rule.guard, onto, {}))
         except ExpansionError:  # apply raises it on every state that reaches this guard
             break
-    parts, rest = _split(cone, guards)
+    parts, rest = [], cone
+    for k, guard in enumerate(guards, 1):
+        (part,), rest = _split(rest, [guard])
+        parts.append(part)
+        if (count := len(rest) + sum(map(len, parts))) > MAX_REGION_BOXES:
+            raise SchemaError(
+                f"action {acd.name}: its first {k} transform guards cut the initial space into "
+                f"{count} boxes of declared values, past the bound of {MAX_REGION_BOXES}"
+            )
     effects = [dict(rule.effects) for rule in acd.transform[: len(guards)]]
     fallback = acd._fallback(onto) if len(guards) == len(acd.transform) else None
     regions = list(zip(parts, effects)) + [(rest, fallback)]  # with None where apply raises

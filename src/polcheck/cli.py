@@ -270,7 +270,7 @@ def cmd_explain(args) -> int:
         raise PolcheckError(f"explain takes a ground atom; {render(atom)} has variables")
 
     if pl is not None:
-        model_l = evaluate(pl, ds, onto)
+        model_l = evaluate(pl, ds, onto, goal=atom.pred)
         if model_l.holds(atom):
             print(f"% derived by the low-level policy {args.low}")
             print(render_derivation(derivation_tree(model_l, atom)))
@@ -279,7 +279,7 @@ def cmd_explain(args) -> int:
     result = refine_policy(
         ph, patterns, onto, ds, mode=args.mode, max_branches=args.max_branches
     )
-    shared = evaluate_branches([branch.policy for branch in result.branches], ds, onto)
+    shared = evaluate_branches([b.policy for b in result.branches], ds, onto, goal=atom.pred)
     mask = shared.mask_of(atom)
     if not mask:
         print("not derivable")

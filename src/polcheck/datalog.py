@@ -293,29 +293,48 @@ def _join_bodies(rule) -> list:
     return [[l.atom for l in rule.body if not l.negated]]
 
 
-def evaluate_branches(policies, ds: DataSystem, onto: Ontology = None) -> Model:
+def _cone(rules, goal: str) -> set:
+    """The goal and every predicate it depends on: the transitive closure of
+    head -> body predicates, negated literals and open do(-) join bodies included."""
+    deps: dict = {}
+    for rule in rules:
+        body = chain((l.atom for l in rule.body), *_join_bodies(rule))
+        deps.setdefault(rule.head.pred, set()).update(a.pred for a in body)
+    cone, todo = {goal}, [goal]
+    while todo:
+        fresh = deps.get(todo.pop(), set()) - cone
+        cone |= fresh
+        todo += fresh
+    return cone
+
+
+def evaluate_branches(policies, ds: DataSystem, onto: Ontology = None, *, goal: str = None) -> Model:
     """Evaluate several policies in one shared pass; project(i) of the result
     is evaluate(policies[i], ds, onto). A policy that makes `evaluate` raise
-    makes this raise too, even when the other policies alone would not."""
+    makes this raise too, even when the other policies alone would not. With
+    a goal predicate, stratification is still checked over every rule, but
+    only the rules whose head the goal depends on are evaluated: the model
+    holds the same atoms, masks and supports for every predicate of that
+    cone, and no derived atom outside it."""
     full = (1 << len(policies)) - 1
     grouped: dict = {}  # id(rule) -> [rule, mask of the policies that hold it]
     for i, p in enumerate(policies):
         for rule in p.rules:
             grouped.setdefault(id(rule), [rule, 0])[1] |= 1 << i
     rules = tuple(rule for rule, _ in grouped.values())
-    rule_masks = tuple(mask for _, mask in grouped.values())
     strat = check_stratification(Policy(rules), onto)
     if not strat.ok:
         first = strat.violations[0]
         raise PolicyError(f"policy is not stratified: {first.rule_id}: {first.message}")
+    cone = None if goal is None else _cone(rules, goal)
 
     store = _Store(ds.base_atoms, full)
     rnd = 0
     for k in range(1, 10):
         compiled = [
             (rule, rule_mask, positive)
-            for rule, rule_mask, (_, stratum) in zip(rules, rule_masks, strat.strata)
-            if stratum == k
+            for (rule, rule_mask), (_, stratum) in zip(grouped.values(), strat.strata)
+            if stratum == k and (cone is None or rule.head.pred in cone)
             for positive in _join_bodies(rule)
         ]
         if not compiled:
@@ -348,11 +367,12 @@ def evaluate_branches(policies, ds: DataSystem, onto: Ontology = None) -> Model:
                         new[derived] = new.get(derived, 0) | gained
             store.add(new, rnd)
             first_round = False
-    return Model(store.masks, tuple(zip(rules, rule_masks)))
+    kept = (entry for entry in grouped.values() if cone is None or entry[0].head.pred in cone)
+    return Model(store.masks, tuple((rule, mask) for rule, mask in kept))
 
 
-def evaluate(p: Policy, ds: DataSystem, onto: Ontology = None) -> Model:
-    return evaluate_branches((p,), ds, onto)
+def evaluate(p: Policy, ds: DataSystem, onto: Ontology = None, *, goal: str = None) -> Model:
+    return evaluate_branches((p,), ds, onto, goal=goal)
 
 
 def decision_view(m: Model) -> DecisionView:

@@ -6,6 +6,7 @@ import random
 import re
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from polcheck.actions import (
     CHOICE,
+    MAX_REGION_BOXES,
     CONJ,
     EMPTY,
     SEQ,
@@ -31,6 +33,7 @@ from polcheck.actions import (
     traces,
     validate_action_class,
 )
+from polcheck.cli import main
 from polcheck.errors import (
     NameResolutionError,
     OracleScaleError,
@@ -578,3 +581,42 @@ def test_forty_variables_are_checked_without_building_a_state(monkeypatch, caplo
     with pytest.raises(OracleScaleError) as err:
         check_well_formed_complex(pattern, onto)
     assert str(err.value) == f"root: initial space has {2 ** 40} states, past the bound of 4096"
+
+
+def _guard_regions_ontology(guards: int) -> str:
+    """24 variables over {Computer, Notebook} and one transformer whose
+    guards each name three variables no other guard names, then a catch-all:
+    each guard triples the boxes of the states no earlier guard holds."""
+    lines = ["class Computer", "class Notebook subclassOf Computer"]
+    lines += [f"var v{i} maps pc{i}.hw range {{Computer, Notebook}}" for i in range(24)]
+    lines.append("action A init {} final {}")
+    for g in range(guards):
+        names = ", ".join(f"v{3 * g + j}=Notebook" for j in range(3))
+        lines.append(f"transform A when {{{names}}} set {{}}")
+    lines.append("transform A when {} set {}")
+    return "\n".join(lines) + "\n"
+
+
+def test_guard_regions_past_the_box_bound_are_refused(tmp_path, capsys):
+    # six guards give 1,093 boxes and load; eight give 9,841, past the bound,
+    # and are refused before the contract is checked on any of them
+    assert MAX_REGION_BOXES == 4096
+    parse_ontology(_guard_regions_ontology(6))
+
+    message = (
+        "action A: its first 8 transform guards cut the initial space into 9841 boxes"
+        " of declared values, past the bound of 4096"
+    )
+    started = time.perf_counter()
+    with pytest.raises(SchemaError) as err:
+        parse_ontology(_guard_regions_ontology(8))
+    assert time.perf_counter() - started < 1
+    assert str(err.value) == message
+
+    onto = tmp_path / "regions.onto"
+    onto.write_text(_guard_regions_ontology(8))
+    samples = Path(__file__).resolve().parents[1] / "samples"
+    argv = ["validate", "--onto", onto, "--facts", samples / "audit.facts",
+            "--high", samples / "audit_high.pol", "--patterns", samples / "audit.rp"]
+    assert main([str(a) for a in argv]) == 2
+    assert capsys.readouterr().err.endswith(f"{message}\n")

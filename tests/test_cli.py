@@ -305,6 +305,23 @@ def test_explain_rejects_unparseable_atoms(capsys):
     assert err.startswith("error:")
 
 
+def test_explain_refuses_an_unstratified_low_rule_outside_the_atoms_cone(capsys, tmp_path):
+    # decided: explain evaluates only the rules its atom depends on, but
+    # checks every rule for stratification first; the mustdo rule cannot
+    # reach the do atom and still fails the command
+    low = tmp_path / "low.pol"
+    low.write_text(
+        (SAMPLES / "audit_low.pol").read_text()
+        + "mustdo($s, $a, $q) :- mustdo($s, $a, $q) & cando($o, $s, +$a).\n"
+    )
+    code, out, err = run(capsys, *audit_args("explain", low=low, state=None), "do(report1, eve, -read)")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: policy is not stratified: r6: row 4 bodies admit hasObligation, derhasObligation,"
+        " hasDispensation, derhasDispensation, done, hie- and rel- literals; found mustdo\n"
+    )
+
+
 @pytest.mark.parametrize(
     "atom, message",
     [

@@ -1,11 +1,15 @@
 """Stratified bottom-up evaluation, grounding, and derivation reporting."""
 
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polcheck.compliance
 import polcheck.datalog
+from polcheck.cli import main
 from polcheck.compliance import check_compliance
 from polcheck.datalog import (
     decision_view,
@@ -18,9 +22,20 @@ from polcheck.datalog import (
 from polcheck.errors import PolcheckError, PolicyError
 from polcheck.loading import parse_facts, parse_ontology, parse_state
 from polcheck.ontology import DataSystem
-from polcheck.policy import Policy, Rule, parse_policy
+from polcheck.policy import Policy, Rule, head_stratum, parse_policy
 from polcheck.refinement import refine_policy
-from polcheck.terms import ActionTerm, Atom, Const, Formula, Literal, Signed, render, sort_key
+from polcheck.terms import (
+    ActionTerm,
+    Atom,
+    Const,
+    Formula,
+    Literal,
+    Signed,
+    Var,
+    is_ground,
+    render,
+    sort_key,
+)
 
 from oracle_datalog import (
     error_witnesses,
@@ -663,3 +678,146 @@ def test_shared_pass_of_one_policy_twice_holds_everything_in_both():
     # models compare by identity: the same masks from other rules would have
     # other supports
     assert projected != alone and projected == projected
+
+
+# ---------------------------------------------------------------------------
+# Goal-directed evaluation: only the rules the goal predicate depends on
+# ---------------------------------------------------------------------------
+
+
+def _depends_on(rules, goal) -> set:
+    """The goal and every predicate it depends on, by a plain fixpoint: the
+    body predicates of each rule whose head is in the set, and for an open
+    do(-) rule the predicates that bring its (o, s, a) triples."""
+    cone, grown = {goal}, True
+    while grown:
+        grown = False
+        for rule in rules:
+            if rule.head.pred not in cone:
+                continue
+            body = {l.atom.pred for l in rule.body}
+            if head_stratum(rule.head) == 8 and not is_ground(rule.head):
+                body |= {"cando", "dercando", "do"}
+            grown |= not body <= cone
+            cone |= body
+    return cone
+
+
+def assert_goal_slices_match(policies, ds, every_atom=True):
+    """With every predicate as the goal, the goal-directed pass holds the
+    full pass's atoms and masks on the goal's cone and derives nothing
+    outside it, and on that cone each branch's projection holds the full
+    projection's atoms with the oracle's supports, read in the full
+    projection's order. Without every_atom, only the goal predicate's own
+    atoms have their supports read, and only against the oracle."""
+    rules = list({id(r): r for p in policies for r in p.rules}.values())
+    preds = {a.pred for a in ds.base_atoms} | {
+        a.pred for r in rules for a in (r.head, *(l.atom for l in r.body))
+    }
+    full = evaluate_branches(policies, ds)
+    alone = [full.project(i) for i in range(len(policies))]
+    expected = [naive_supports(p, m.atoms) for p, m in zip(policies, alone)]
+    for goal in sorted(preds):
+        cone = _depends_on(rules, goal)
+        sliced = (
+            evaluate(policies[0], ds, goal=goal)
+            if len(policies) == 1
+            else evaluate_branches(policies, ds, goal=goal)
+        )
+        assert {a: m for a, m in sliced.masks.items() if a.pred in cone} == {
+            a: m for a, m in full.masks.items() if a.pred in cone
+        }
+        assert all(a.pred in cone or a in ds.base_atoms for a in sliced.atoms)
+        for i, whole in enumerate(alone):
+            part = sliced.project(i) if len(policies) > 1 else sliced
+            held = {a for a in whole.atoms if a.pred in cone}
+            assert {a for a in part.atoms if a.pred in cone} == held
+            for atom in held if every_atom else (a for a in held if a.pred == goal):
+                read = part.supports_of(atom)
+                assert set(read) == expected[i].get(atom, set())
+                assert not every_atom or read == whole.supports_of(atom)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_goal_directed_pass_matches_the_full_pass(rng):
+    p, base = random_program(rng)
+    ds = DataSystem(base_atoms=base)
+    assert_goal_slices_match([p], ds)
+    assert_goal_slices_match(_split(rng, p, base)[:3], ds)
+
+
+def test_goal_directed_pass_matches_the_full_pass_on_seeded_programs():
+    # branch 0 is the program itself, as evaluate gives it
+    rng = random.Random(20261019)
+    for _ in range(1000):
+        p, base = random_program(rng)
+        branches = [p] + _split(rng, p, base)[:1]
+        assert_goal_slices_match(branches, DataSystem(base_atoms=base), every_atom=False)
+
+
+def test_goal_reaches_do_minus_only_through_an_open_closure_rule():
+    # do(-) atoms come from the open closure rule alone, whose triples the
+    # cando and dercando rules bring; no do(+) rule links do to them
+    p = parse_policy(
+        "cando($o, $s, +read) :- owns($s, $o).\n"
+        "dercando($o, $s, -write) :- cando($o, $s, +read) & owns($s, $o).\n"
+        "do($o, $s, -$a) :- ~do($o, $s, +$a).\n"
+        "mustdo($s, Scan((target,$o)), true) :- owns($s, $o).\n"
+    )
+    ds = DataSystem(base_atoms=frozenset({Atom("owns", (C("s1"), C("o1")))}))
+    full, sliced = evaluate(p, ds), evaluate(p, ds, goal="do")
+    minus = [Atom("do", (C("o1"), C("s1"), Signed("-", C(a)))) for a in ("read", "write")]
+    assert all(sliced.holds(a) and sliced.supports_of(a) == full.supports_of(a) for a in minus)
+    assert [sliced.supports_of(a)[0][0] for a in minus] == ["r3", "r3"]
+    assert not any(a.pred == "mustdo" for a in sliced.atoms)
+    assert_goal_slices_match([p], ds)
+
+
+def test_explain_probes_no_rule_outside_the_goal_cone(monkeypatch, tmp_path, capsys):
+    # the cando atom does not depend on mustdo, so n more mustdo rules in the
+    # low policy cost explain no join probe
+    samples = Path(__file__).resolve().parents[1] / "samples"
+    inputs = [("--onto", "audit.onto"), ("--facts", "audit.facts"),
+              ("--high", "audit_high.pol"), ("--patterns", "audit.rp")]
+    mustdo = "mustdo(bob, Backup((target,report1)), true) :- guards(bob, report1) & type(bob, Employee).\n"
+
+    def probes(n):
+        low = tmp_path / f"low{n}.pol"
+        low.write_text((samples / "audit_low.pol").read_text() + mustdo * n)
+        argv = [a for flag, name in inputs for a in (flag, str(samples / name))]
+        argv = ["explain", *argv, "--low", str(low), "cando(Backup((target,report1)), bob, +execute)"]
+        count = _count_probes(monkeypatch, lambda: main(argv))
+        assert capsys.readouterr().out.startswith(f"% derived by the low-level policy {low}\n")
+        return count
+
+    small, large = probes(20), probes(40)
+    assert small > 0
+    assert small == large, (small, large)
+
+
+def test_a_goal_skips_an_unsafe_rule_outside_its_cone():
+    # decided: a rule the goal does not depend on is not evaluated, so a
+    # code-built rule whose head stays ungrounded fails only the passes that
+    # need it; check_compliance evaluates without a goal and still raises
+    unsafe = Rule("unsafe", Atom("hasDispensation", (Var("s"), Var("a"))))
+    p = parse_policy(
+        "cando(o1, s1, +read).\n"
+        "mustdo($s, $a, $q) :- hasObligation($s, $a, $q) & ~hasDispensation($s, $a).\n"
+    )
+    p = p.with_rules(p.rules + (unsafe,))
+    with pytest.raises(PolicyError, match=r"^unsafe: ungrounded head hasDispensation\(\$s, \$a\)$"):
+        evaluate(p, DataSystem())
+    with pytest.raises(PolicyError, match=r"^unsafe: ungrounded head"):
+        evaluate(p, DataSystem(), goal="mustdo")
+    model = evaluate(p, DataSystem(), goal="cando")
+    assert model.holds(Atom("cando", (C("o1"), C("s1"), Signed("+", C("read")))))
+
+
+def test_a_goal_still_checks_every_rule_for_stratification():
+    p = parse_policy(
+        "cando(o1, s1, +read).\n"
+        "mustdo($s, $a, $q) :- mustdo($s, $a, $q) & cando($o, $s, +$a).\n"
+    )
+    with pytest.raises(PolicyError, match="^policy is not stratified: r2: "):
+        evaluate(p, DataSystem(), goal="cando")
