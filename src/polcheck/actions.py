@@ -10,7 +10,9 @@ may be skipped.
 
 validate_action_class checks each transformer at load over guard regions:
 boxes of declared values on which one guarded assignment or the fallback fires,
-at most MAX_REGION_BOXES of them.
+at most MAX_REGION_BOXES of them. The box algebra it cuts them with lives in
+ontology.py, and so does the witness routine that decides every refinement
+constraint between spaces, joins included, without expanding an operand.
 
 Well-formedness of a refinement pattern is decided two ways, over the same
 nodes: pattern_nodes yields the root and every labeled inner composition,
@@ -40,14 +42,17 @@ from .ontology import (
     State,
     StateSpace,
     _allowed_values,
+    _boxes,
+    _least,
+    _outside,
+    _split,
+    _uncovered,
     expand_space,
     feasible_in,
     render_constraints,
     render_space,
     render_state,
-    space_join,
     space_meet,
-    space_refines_witness,
     space_size,
     state_refines,
     value_refines,
@@ -117,52 +122,10 @@ class ActionClassDef:
         return {var: min(values) for var, values in _allowed_values(final, onto).items()}
 
 
-def _boxes(space: StateSpace, onto: Ontology, fixed: dict) -> list:
-    """The declared states that refine a state of the space once ``fixed``
-    overrides their variables, as non-empty boxes (a frozenset of values per
-    variable, in sorted order): one for a concise space, one per state of an
-    explicit one. Raises what feasible_in raises on the space."""
-    if not space.is_concise:  # the union of its states' cones
-        points = (StateSpace.concise(s.assignments) for s in expand_space(space, onto))
-        return [box for point in points for box in _boxes(point, onto, fixed)]
-    allowed, box = _allowed_values(space, onto), {}
-    for var, d in sorted(onto.variables.items()):
-        box[var] = frozenset(
-            w for w in d.values if any(value_refines(fixed.get(var, w), a, onto) for a in allowed[var])
-        )
-    return [box] if all(box.values()) else []
-
-
-def _outside(boxes: list, cuts: list) -> list:
-    """The states of the boxes in none of the cuts, as boxes split where they leave a cut."""
-    for cut in cuts:
-        pieces = []
-        for box in boxes:
-            split, inside = [], dict(box)
-            for var, values in box.items():
-                if values - cut[var]:
-                    split.append({**inside, var: values - cut[var]})
-                inside[var] = values & cut[var]
-                if not inside[var]:  # the cut misses the box
-                    split = [box]
-                    break
-            pieces += split
-        boxes = pieces
-    return boxes
-
-
 # The boxes a transformer's guard regions may take: each guard on new variables can triple them.
 MAX_REGION_BOXES = 4096
-
-
-def _split(boxes: list, guards: list) -> tuple:
-    """Each guard's boxes of the states no earlier guard holds, and the boxes no guard holds."""
-    parts = []
-    for guard in guards:
-        met = ({var: b[var] & g[var] for var in b} for b in boxes for g in guard)
-        parts.append([m for m in met if all(m.values())])
-        boxes = _outside(boxes, guard)
-    return parts, boxes
+# The default most states of a pattern node's initial space that well-formedness enumerates.
+ORACLE_BOUND = 4096
 
 
 def _breaks(s: dict, var: str, w: str, e: dict, f: dict, onto: Ontology) -> list:
@@ -181,17 +144,16 @@ def validate_action_class(acd: ActionClassDef, onto: Ontology) -> None:
     cone state lands in the final space's cone, and lowering one of its variables to a
     declared value below lowers the output or leaves it equal. The least violating state
     in sorted order is replayed through ``apply`` to word the error, final space first."""
-    cone = _boxes(acd.init_space, onto, {})
+    parts, rest = [], _boxes(acd.init_space, onto)  # the cone, cut into regions below
     space_size(acd.final_space, onto)  # its errors come before a guard's
     guards = []
     for rule in acd.transform:
         try:
-            guards.append(_boxes(rule.guard, onto, {}))
+            guards.append(_boxes(rule.guard, onto))
         except ExpansionError:  # apply raises it on every state that reaches this guard
             break
-    parts, rest = [], cone
     for k, guard in enumerate(guards, 1):
-        (part,), rest = _split(rest, [guard])
+        part, rest = _split(rest, guard)
         parts.append(part)
         if (count := len(rest) + sum(map(len, parts))) > MAX_REGION_BOXES:
             raise SchemaError(
@@ -205,9 +167,9 @@ def validate_action_class(acd: ActionClassDef, onto: Ontology) -> None:
     outside = []
     for boxes, e in regions:
         total = e is not None and e.keys() <= onto.variables.keys()
-        outside += _outside(boxes, _boxes(acd.final_space, onto, e) if total else [])
+        outside += _outside(boxes, _boxes(acd.final_space, onto, fixed=e) if total else [])
     if outside:
-        delta = State(min(tuple((var, min(values)) for var, values in box.items()) for box in outside))
+        delta = _least(outside)
         gamma = acd.apply(delta, onto)
         feasible_in(acd.final_space, gamma, onto)  # raises if gamma is not total
         raise SchemaError(
@@ -231,12 +193,13 @@ def validate_action_class(acd: ActionClassDef, onto: Ontology) -> None:
             for var, touching in near.items():
                 for w in {w for v in b[var] for w in below[var][v]}:
                     above = {v for v in b[var] if w in below[var][v]}
-                    landed, _ = _split([{**b, var: frozenset((w,))}], [[g] for g, _ in touching])
-                    for (_, f), part in zip(touching, landed):
-                        for m in part:
+                    lowered = [{**b, var: frozenset((w,))}]
+                    for g, f in touching:  # the first guard box that holds fires
+                        met, lowered = _split(lowered, [g])
+                        for m in met:
                             breaks += _breaks({**m, var: above}, var, w, e, f, onto)
     if breaks:
-        delta = State(min(tuple((var, min(values)) for var, values in box.items()) for box in breaks))
+        delta = _least(breaks)
         out = acd.apply(delta, onto)
         for k, (var, value) in enumerate(delta.assignments):
             for lower in below[var][value]:
@@ -569,7 +532,7 @@ def _node_verdicts(pattern: RefinementPattern, onto: Ontology, state_bound: int,
 
 
 def check_well_formed_complex(
-    pattern: RefinementPattern, onto: Ontology, state_bound: int = 4096
+    pattern: RefinementPattern, onto: Ontology, state_bound: int = ORACLE_BOUND
 ) -> WellFormedVerdict:
     """Symbolic constraint check of the root composition and of every
     labeled inner composition, each as its own pattern node, with node paths
@@ -587,8 +550,8 @@ def _check_node(parent: ActionClassDef, node: ActionNode, a1, a2, delta_states, 
     first, second = ActionTrace((a1.name,)), ActionTrace((a2.name,))
     row = taxonomy_of(node)
 
-    def need(constraint_id: str, abstract, concrete):
-        w = space_refines_witness(abstract, concrete, onto)
+    def need(constraint_id: str, *spaces):  # the last space refines the join of the others
+        w = _uncovered(spaces[:-1], spaces[-1], onto)
         if w is not None:
             violations.append(ConstraintViolation(path, constraint_id, w))
 
@@ -611,11 +574,10 @@ def _check_node(parent: ActionClassDef, node: ActionNode, a1, a2, delta_states, 
         need("Γ⊑Γ2", G, G2)
 
     elif row == "basic-flex-choice":
-        need("Δ1⊔Δ2⊑Δ", space_join(D1, D2, onto), D)
-        if not expand_space(space_meet(D1, D, onto), onto):
-            violations.append(ConstraintViolation(path, "Δ1⊓Δ≠{}"))
-        if not expand_space(space_meet(D2, D, onto), onto):
-            violations.append(ConstraintViolation(path, "Δ2⊓Δ≠{}"))
+        need("Δ1⊔Δ2⊑Δ", D1, D2, D)
+        for constraint_id, Di in (("Δ1⊓Δ≠{}", D1), ("Δ2⊓Δ≠{}", D2)):
+            if not space_size(space_meet(Di, D, onto), onto):
+                violations.append(ConstraintViolation(path, constraint_id))
         need("Γ⊑Γ1", G, G1)
         need("Γ⊑Γ2", G, G2)
 
@@ -629,7 +591,7 @@ def _check_node(parent: ActionClassDef, node: ActionNode, a1, a2, delta_states, 
             need_at("Γ⊑a2(a1(δ))", G, apply_trace(order12, delta, onto), delta)
 
     elif row == "basic-flex-conj":
-        need("Δ1⊔Δ2⊑Δ", space_join(D1, D2, onto), D)
+        need("Δ1⊔Δ2⊑Δ", D1, D2, D)
         for delta in delta_states:
             if feasible_in(D1, delta, onto):
                 m = a1.apply(delta, onto)
@@ -656,7 +618,7 @@ def _check_node(parent: ActionClassDef, node: ActionNode, a1, a2, delta_states, 
         need("Δ2⊑Δ'", D2, Dg)
         need("Δ1⊑Δ", D1, D)
         core = space_meet(D, Dg, onto)
-        if not expand_space(core, onto):
+        if not space_size(core, onto):
             violations.append(ConstraintViolation(path, "Δ⊓Δ'≠{}"))
         for delta in delta_states:
             if feasible_in(core, delta, onto):
@@ -672,7 +634,7 @@ def _check_node(parent: ActionClassDef, node: ActionNode, a1, a2, delta_states, 
 
     elif row == "adv-flex-conj":
         need("Δ2⊑Δ'", D2, Dg)
-        need("Δ1⊔Δ'⊑Δ", space_join(D1, Dg, onto), D)
+        need("Δ1⊔Δ'⊑Δ", D1, Dg, D)
         for delta in delta_states:
             g_now = feasible_in(Dg, delta, onto)
             if feasible_in(D1, delta, onto):
@@ -698,7 +660,7 @@ def _check_node(parent: ActionClassDef, node: ActionNode, a1, a2, delta_states, 
 
 
 def oracle_well_formed(
-    pattern: RefinementPattern, onto: Ontology, state_bound: int = 4096
+    pattern: RefinementPattern, onto: Ontology, state_bound: int = ORACLE_BOUND
 ) -> WellFormedVerdict:
     """Brute-force reference: from every state of the initial space, run the
     trace set the composition semantics requires there and demand every run

@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .actions import check_well_formed_complex
+from .actions import ORACLE_BOUND, check_well_formed_complex
 from .compliance import CurrentState, check_compliance
 from .datalog import derivation_tree, evaluate, evaluate_branches, render_derivation
 from .errors import PolcheckError
@@ -31,7 +31,7 @@ from .policy import (
     to_text,
     validate_high_level,
 )
-from .refinement import refine_policy
+from .refinement import MAX_BRANCHES, refine_policy
 from .terms import TokenStream, is_ground, render
 from .ontology import render_state
 
@@ -67,13 +67,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-branches",
             type=_positive,
-            default=1024,
+            default=MAX_BRANCHES,
             help="most refinement branches to enumerate before giving up",
         )
         p.add_argument(
             "--oracle-bound",
             type=_positive,
-            default=4096,
+            default=ORACLE_BOUND,
             help="most states of a pattern node's initial space that validate enumerates; "
             "past it the node is an error",
         )

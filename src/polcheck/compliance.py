@@ -48,7 +48,7 @@ from .datalog import (
 from .errors import EntailmentError, PolicyError
 from .ontology import DataSystem, Ontology, State, feasible_in
 from .policy import Policy, validate_high_level
-from .refinement import refine_policy
+from .refinement import MAX_BRANCHES, refine_policy
 from .terms import (
     ActionTerm,
     Atom,
@@ -308,7 +308,7 @@ def check_compliance(
     sigma: CurrentState,
     onto: Ontology,
     mode: str = "dispensation-precedence",
-    max_branches: int = 1024,
+    max_branches: int = MAX_BRANCHES,
 ) -> ComplianceReport:
     hl = validate_high_level(ph)
     if hl:

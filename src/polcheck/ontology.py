@@ -15,8 +15,11 @@ refines some state of G. ``feasible_in(G, g)`` is the one membership test:
 g refines some state of G. A box is a product over the variables, so
 membership in it, its size and its meet with another box are decided one
 variable at a time, without expanding it; an explicit space is scanned.
-Any other meet, and every join, is the intersection or union of the
-expansions.
+Any other meet is the intersection of the expansions. Box reasoning lives
+here alone: a space's cone, the states that refine one of its states, is a
+list of boxes, cut apart by set difference and read by their least state.
+Refinement between spaces, a join of abstract spaces included, is decided
+on cones; only the public ``space_join`` expands a join.
 """
 
 from __future__ import annotations
@@ -90,7 +93,6 @@ class Ontology:
     action_classes: dict = field(default_factory=dict)  # name -> actions.ActionClassDef
     _parents: dict = field(default_factory=dict, repr=False, compare=False)
     _ancestors: dict = field(default_factory=dict, repr=False, compare=False)
-    _expand_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self._parents = _parent_map(self.classes, self.subclass_edges, "subclass")
@@ -322,17 +324,11 @@ def _check_total(state: State, onto: Ontology) -> None:
 def expand_space(space: StateSpace, onto: Ontology) -> frozenset:
     """Expansion of a box is the cross product of its per-variable values;
     explicit spaces are checked for totality."""
-    cached = onto._expand_cache.get(space)
-    if cached is not None:
-        return cached
     if space.is_concise:
-        result = frozenset(_state_product(onto.variables, _allowed_values(space, onto)))
-    else:
-        for s in space.states:
-            _check_total(s, onto)
-        result = frozenset(space.states)
-    onto._expand_cache[space] = result
-    return result
+        return frozenset(_state_product(onto.variables, _allowed_values(space, onto)))
+    for s in space.states:
+        _check_total(s, onto)
+    return frozenset(space.states)
 
 
 def space_size(space: StateSpace, onto: Ontology) -> int:
@@ -341,6 +337,67 @@ def space_size(space: StateSpace, onto: Ontology) -> int:
     if space.is_concise:
         return math.prod(len(values) for values in _allowed_values(space, onto).values())
     return len(expand_space(space, onto))
+
+
+def _boxes(space: StateSpace, onto: Ontology, values: dict = None, fixed: dict = None) -> list:
+    """The space's cone over candidate values per variable, the declared ones
+    where ``values`` gives none, once ``fixed`` overrides their variables: as
+    non-empty boxes (a frozenset of values per variable, in sorted variable
+    order), one for a box and one per state of an explicit space. Raises what
+    expansion raises on the space."""
+    if not space.is_concise:
+        points = (StateSpace.concise(s.assignments) for s in expand_space(space, onto))
+        return [box for point in points for box in _boxes(point, onto, values, fixed)]
+    allowed, box, fixed = _allowed_values(space, onto), {}, fixed or {}
+    for var, d in sorted(onto.variables.items()):
+        vals = (values or {}).get(var, d.values)
+        box[var] = frozenset(w for a in allowed[var] for w in vals if value_refines(fixed.get(var, w), a, onto))
+    return [box] if all(box.values()) else []
+
+
+def _outside(boxes: list, cuts: list) -> list:
+    """The states of the boxes in none of the cuts, as boxes split where they leave a cut."""
+    for cut in cuts:
+        pieces = []
+        for box in boxes:
+            split, inside = [], dict(box)
+            for var, values in box.items():
+                if values - cut[var]:
+                    split.append({**inside, var: values - cut[var]})
+                inside[var] = values & cut[var]
+                if not inside[var]:  # the cut misses the box
+                    split = [box]
+                    break
+            pieces += split
+        boxes = pieces
+    return boxes
+
+
+def _split(boxes: list, cuts: list) -> tuple:
+    """The boxes' meets with the cuts, and their states in none of the cuts."""
+    met = ({var: b[var] & c[var] for var in b} for b in boxes for c in cuts)
+    return [m for m in met if all(m.values())], _outside(boxes, cuts)
+
+
+def _least(boxes: list):
+    """The least state of the boxes in sorted order, or None for no boxes."""
+    return min((State(tuple((var, min(vals)) for var, vals in box.items())) for box in boxes), default=None)
+
+
+def _uncovered(abstracts, concrete: StateSpace, onto: Ontology):
+    """The least state of the concrete space that refines a state of none of
+    the abstract spaces, or None: the concrete box, or each point of an
+    explicit space, less the abstract cones over its own values. An empty
+    concrete space is covered before the abstract spaces are read."""
+    if concrete.is_concise:
+        allowed = _allowed_values(concrete, onto)
+        points = [{var: frozenset(vals) for var, vals in allowed.items()}] if all(allowed.values()) else []
+    else:
+        points = [{var: frozenset((v,)) for var, v in s.assignments} for s in expand_space(concrete, onto)]
+    outside = []
+    for point in points:
+        outside += _outside([point], [cut for space in abstracts for cut in _boxes(space, onto, point)])
+    return _least(outside)
 
 
 def space_refines(abstract: StateSpace, concrete: StateSpace, onto: Ontology) -> bool:
@@ -352,39 +409,8 @@ def space_refines(abstract: StateSpace, concrete: StateSpace, onto: Ontology) ->
 def space_refines_witness(abstract: StateSpace, concrete: StateSpace, onto: Ontology):
     """None when the refinement holds, otherwise the first sorted concrete
     state that is not feasible in the abstract space. The empty concrete
-    space refines vacuously. Two boxes are decided one variable at a time,
-    without expanding either."""
-    if abstract.is_concise and concrete.is_concise:
-        return _box_witness(abstract, concrete, onto)
-    for gamma2 in sorted(expand_space(concrete, onto)):
-        if not feasible_in(abstract, gamma2, onto):
-            return gamma2
-    return None
-
-
-def _box_witness(abstract: StateSpace, concrete: StateSpace, onto: Ontology):
-    """A concrete state is infeasible in a box when one of its values
-    refines none the box allows for that variable. The least such state in
-    sorted order is the all-least state when some variable's least value
-    fails; otherwise it differs from the all-least state only at the last
-    variable with a failing value, which takes its least failing value."""
-    values = _allowed_values(concrete, onto)
-    if not all(values.values()):
-        return None
-    allowed = _allowed_values(abstract, onto)
-    least = {var: min(options) for var, options in values.items()}
-    last_failing = None
-    for var in sorted(values):
-        failing = [
-            v for v in values[var] if not any(value_refines(v, a, onto) for a in allowed[var])
-        ]
-        if least[var] in failing:
-            return State.make(least)
-        if failing:
-            last_failing = (var, min(failing))
-    if last_failing is None:
-        return None
-    return State.make({**least, last_failing[0]: last_failing[1]})
+    space refines vacuously. No box is expanded."""
+    return _uncovered((abstract,), concrete, onto)
 
 
 def space_meet(a: StateSpace, b: StateSpace, onto: Ontology) -> StateSpace:
@@ -401,6 +427,7 @@ def space_meet(a: StateSpace, b: StateSpace, onto: Ontology) -> StateSpace:
 
 
 def space_join(a: StateSpace, b: StateSpace, onto: Ontology) -> StateSpace:
+    """The union of the expansions, for callers that want the states."""
     return StateSpace.explicit(expand_space(a, onto) | expand_space(b, onto))
 
 

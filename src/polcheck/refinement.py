@@ -49,6 +49,9 @@ from .terms import (
     substitute,
 )
 
+# The default most refinement branches to enumerate before giving up.
+MAX_BRANCHES = 1024
+
 
 @dataclass(frozen=True)
 class RefinementBranch:
@@ -468,7 +471,7 @@ def enumerate_refinements(
     p: Policy,
     patterns,
     onto: Ontology,
-    max_branches: int = 1024,
+    max_branches: int = MAX_BRANCHES,
 ) -> RefinementResult:
     """Exhaustively apply the B rules in deterministic rule/pattern order
     until every obligation action is atomic. Choice and conjunction fork;
@@ -542,7 +545,7 @@ def refine_policy(
     onto: Ontology,
     ds=None,
     mode: str = "dispensation-precedence",
-    max_branches: int = 1024,
+    max_branches: int = MAX_BRANCHES,
 ) -> RefinementResult:
     """The full high-level refinement pipeline: hierarchy templates,
     authorization templates, conflict resolution, then pattern enumeration.

@@ -1,5 +1,6 @@
-"""Every name a polcheck module imports is used in that module. The package's
-`__init__.py` re-exports names, so it is exempt."""
+"""Every name a polcheck module imports is used in that module, and every
+private top-level name a module defines is read by some module. The
+package's `__init__.py` re-exports names, so it is exempt from the first."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,45 @@ def test_unused_imports_finds_plain_dotted_and_aliased_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_a_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: dict) -> list:
+    """The private top-level names (`_x`) that a module of ``sources`` (file
+    name -> source) defines and no module reads outside that definition, as
+    `file:name`, sorted. A load, an attribute and an import all read a name."""
+    defined, reads = [], []
+    for name, source in sources.items():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                bound = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                targets = [t.id for t in bound if isinstance(t, ast.Name)]
+            else:
+                targets = []
+            defined += [(name, t, stmt) for t in targets if t.startswith("_") and not t.startswith("__")]
+            read = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    read.update(alias.name for alias in node.names)
+            reads.append((stmt, read))
+    return sorted(
+        f"{name}:{t}" for name, t, stmt in defined if not any(t in read for s, read in reads if s is not stmt)
+    )
+
+
+def test_unread_private_names_finds_a_definition_no_module_reads():
+    sources = {
+        "a.py": "def _used():\n    return _left()\ndef _left():\n    return _left()\n_unused = 1\n",
+        "b.py": "from .a import _used\n_used()\ndef _orphan():\n    _orphan()\n",
+    }
+    assert unread_private_names(sources) == ["a.py:_unused", "b.py:_orphan"]
+
+
+def test_every_private_top_level_name_is_read():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_private_names(sources) == []

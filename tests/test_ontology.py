@@ -25,6 +25,7 @@ from polcheck.ontology import (
     State,
     StateSpace,
     VariableDef,
+    _uncovered,
     expand_space,
     feasible_in,
     is_subclass,
@@ -354,13 +355,23 @@ def test_a_box_behaves_as_its_explicit_expansion(data):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_box_refinement_witness_is_the_least_uncovered_state(data):
-    onto, _ = data.draw(box_ontologies())
-    abstract, abstract_ref = data.draw(boxes(onto))
+    onto, pools = data.draw(box_ontologies())
+    (a1, a1_ref), (a2, a2_ref) = data.draw(boxes(onto)), data.draw(boxes(onto))
     concrete, concrete_ref = data.draw(boxes(onto))
-    uncovered = [s for s in sorted(concrete_ref.states) if not feasible_in(abstract, s, onto)]
-    expected = uncovered[0] if uncovered else None
-    assert space_refines_witness(abstract, concrete, onto) == expected
-    assert space_refines_witness(abstract_ref, concrete_ref, onto) == expected
+    # an explicit space over each variable's pool, so also values below a declared one
+    pooled = [State.make(zip(pools, combo)) for combo in itertools.product(*pools.values())]
+    drawn = StateSpace.explicit(data.draw(st.lists(st.sampled_from(pooled), max_size=4)))
+    for space in (concrete, concrete_ref, drawn):
+        states = sorted(expand_space(space, onto))
+
+        def least(*abstract):
+            """The least concrete state feasible in none of the abstract spaces."""
+            return next((s for s in states if not any(feasible_in(a, s, onto) for a in abstract)), None)
+
+        assert space_refines_witness(a1, space, onto) == least(a1)
+        assert space_refines_witness(a1_ref, space, onto) == least(a1)
+        assert _uncovered((a1, a2), space, onto) == least(a1, a2)
+        assert _uncovered((a1_ref, a2_ref), space, onto) == least(a1, a2)
 
 
 def test_box_refinement_witness_moves_only_the_last_failing_variable():
