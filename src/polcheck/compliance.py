@@ -25,8 +25,9 @@ Entailment against the current state is closed-world atom lookup over the
 state's atoms plus the data system's base atoms; no rule inference runs
 inside the state. Those atoms go into one read-only pool (`datalog._Atoms`)
 per (state, data system) pair, kept on the state; each postcondition keeps
-its join plans. The evaluator's indexed join (`datalog._join`) matches the
-positive conjuncts, then each negated conjunct from each of their bindings.
+its join plans. The evaluator's compiled join (`datalog._join`) matches the
+positive conjuncts, then each negated conjunct from each of their bindings:
+a conjunct they make ground is a membership probe, with no index.
 """
 
 from __future__ import annotations

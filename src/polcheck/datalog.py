@@ -26,9 +26,12 @@ policy's model. `evaluate` is the one-policy case of the same pass, with
 every mask 1.
 
 Each predicate's atoms are kept in an append-only list in the order their
-rounds added them, and indexed by the argument positions a probe binds, so a
-probe looks up its candidates; the atoms from before the delta are a prefix
-of every list.
+rounds added them, so the atoms from before the delta are a prefix of it.
+Each join step is compiled once: a literal ground under the variables bound
+before it is a membership probe, and any other looks its candidates up in an
+index on the arguments it binds, fills its bind slots (each variable's first
+unindexed occurrence) and matches only the rest. Heads and negated atoms are
+templates, built once per pass.
 
 Supports (why-provenance) are not recorded: positive atoms are never removed
 and negated literals name saturated strata, so the instances that fire are
@@ -38,8 +41,7 @@ from the final atoms, each rule's join starting under the head's binding.
 The do(o,s,-a) :- ~do(o,s,+a) form has no positive body literal; its
 variables range over the authorization triples (o, s, a) of the ground
 cando/dercando/do atoms. Such a rule joins as six one-literal bodies
-P(o, s, +a) and P(o, s, -a), one per authorization predicate P and sign, each
-instantiating the same rule through the same plans as any other body. A
+P(o, s, +a) and P(o, s, -a), one per authorization predicate P and sign. A
 triple that several atoms bring fires the rule once per atom, and the
 instance's support and head take the OR of their masks.
 """
@@ -57,17 +59,15 @@ from .terms import (
     Atom,
     Literal,
     Signed,
+    Var,
     free_vars,
     is_ground,
+    match,
     match_atom,
     render,
     sort_key,
     substitute,
 )
-
-
-def _by_rule_then_body(sup) -> tuple:
-    return sup[0], tuple(render(l.atom) for l in sup[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +79,7 @@ class Model:
 
     masks: dict  # Atom -> mask of the policies whose model holds it
     rules: tuple  # ((rule, mask of the policies that hold it), ...)
-    # (_Atoms of masks, (pred, arity) -> [(rule, mask, plans)]), by the first supports_of
+    # (_Atoms of masks, (pred, arity) -> [(rule, mask, plans, negated)]), by the first supports_of
     _index: tuple = field(default=None, init=False, repr=False)
 
     @property
@@ -100,26 +100,25 @@ class Model:
             heads: dict = {}
             for rule, mask in self.rules:
                 bound = free_vars(rule.head, include_formulas=True)
-                # per join body, one plan per literal the join can start from
-                plans = [
-                    [_join_plan(body, j, bound, delta=False) for j in range(len(body))] or [()]
-                    for body in _join_bodies(rule)
-                ]
-                heads.setdefault((rule.head.pred, len(rule.head.args)), []).append((rule, mask, plans))
+                for body in _join_bodies(rule):
+                    # one plan per literal the join can start from
+                    plans = [_join_plan(body, j, bound, delta=False) for j in range(len(body))] or [()]
+                    entry = (rule, mask, plans, _templates(rule, body)[1])
+                    heads.setdefault((rule.head.pred, len(rule.head.args)), []).append(entry)
             object.__setattr__(self, "_index", (_Atoms(self.masks, self.masks), heads))
         store, heads = self._index
         found = set()
-        for rule, mask, bodies in heads.get((atom.pred, len(atom.args)), ()):
+        for rule, mask, plans, negated in heads.get((atom.pred, len(atom.args)), ()):
             theta = match_atom(rule.head, atom, {})
-            for plans in bodies if theta is not None else ():
-                # start from the literal with the fewest candidates under theta
-                pools = [store.pool(*steps[0][:3], theta) if steps else () for steps in plans]
-                k = min(range(len(plans)), key=lambda k: len(pools[k]))
-                for th, m in _join(plans[k], store, 0, mask, theta, pools[k]):
-                    if _unblocked(rule.body, store, th, m):
-                        body = tuple(Literal(l.negated, substitute(l.atom, th)) for l in rule.body)
-                        found.add((rule.rule_id, body))
-        return tuple(sorted(found, key=_by_rule_then_body))
+            if theta is None:
+                continue
+            # start from the literal with the fewest candidates under theta
+            sizes = [len(store.pool(*steps[0][:2], _instance(steps[0][2], theta))) if steps else 0 for steps in plans]
+            for th, m in _join(plans[sizes.index(min(sizes))], store, 0, mask, theta):
+                if _unblocked(negated, store, th, m):
+                    body = tuple(Literal(l.negated, substitute(l.atom, th)) for l in rule.body)
+                    found.add((rule.rule_id, body))
+        return tuple(sorted(found, key=lambda sup: (sup[0], tuple(render(l.atom) for l in sup[1]))))
 
     def error_mask(self) -> int:
         """The policies whose model derives an error."""
@@ -147,18 +146,17 @@ class _Atoms:
 
     def __init__(self, atoms, masks):
         self.masks = masks  # atom -> policy mask
+        self.members = atoms if masks is None else masks
         self.lists: dict = {}  # (pred, arity) -> [atom, ...]
         self.indexes: dict = {}  # (pred, arity) -> {positions: {key: [atom, ...]}}
         for a in atoms:
             self.lists.setdefault((a.pred, len(a.args)), []).append(a)
 
-    def held(self, atom: Atom) -> int:
-        """The mask of the policies that hold the atom."""
-        return self.masks.get(atom, 0)
-
-    def pool(self, pattern: Atom, shape: tuple, positions: tuple, theta: dict):
-        """The atoms of the pattern's shape that agree with it, under theta,
-        at the given positions, in list order."""
+    def pool(self, shape: tuple, positions, key):
+        """The atoms of the shape with the key at the given positions, in list
+        order; with positions None, the key atom if held."""
+        if positions is None:
+            return (key,) if key in self.members else ()
         if not positions:
             return self.lists.get(shape, ())
         by_positions = self.indexes.setdefault(shape, {})
@@ -166,8 +164,8 @@ class _Atoms:
         if index is None:
             index = by_positions[positions] = {}
             for a in self.lists.get(shape, ()):
-                index.setdefault(tuple(a.args[i] for i in positions), []).append(a)
-        return index.get(tuple([substitute(pattern.args[i], theta) for i in positions]), ())
+                index.setdefault(tuple([a.args[i] for i in positions]), []).append(a)
+        return index.get(key, ())
 
 
 class _Store(_Atoms):
@@ -186,19 +184,15 @@ class _Store(_Atoms):
         round's delta."""
         self.delta, self.regrown = gained, {}
         for a, bits in gained.items():
+            shape = (a.pred, len(a.args))
             if a in self.masks:
                 self.masks[a] |= bits
-                self.regrown.setdefault((a.pred, len(a.args)), []).append(a)
-            else:
-                self.masks[a] = bits
-                self._list(a, rnd)
-
-    def _list(self, a: Atom, rnd: int) -> None:
-        shape = (a.pred, len(a.args))
-        self.stamp[a] = rnd
-        self.lists.setdefault(shape, []).append(a)
-        for positions, index in self.indexes.get(shape, {}).items():
-            index.setdefault(tuple(a.args[i] for i in positions), []).append(a)
+                self.regrown.setdefault(shape, []).append(a)
+                continue
+            self.masks[a], self.stamp[a] = bits, rnd
+            self.lists.setdefault(shape, []).append(a)
+            for positions, index in self.indexes.get(shape, {}).items():
+                index.setdefault(tuple([a.args[i] for i in positions]), []).append(a)
 
 
 # Which atoms a join step reads: all of them, those stamped before the
@@ -206,13 +200,34 @@ class _Store(_Atoms):
 _ALL, _OLD, _DELTA = "all", "old", "delta"
 
 
+def _template(atom: Atom, bound: frozenset, positions=None):
+    """The atom's template under a binding of `bound`, or its arguments' at
+    the given positions: the atom if they share no variable, else (predicate
+    or None, arguments with each variable of `bound` as its name)."""
+    if positions is None and not free_vars(atom, include_formulas=True) & bound:
+        return atom
+    args = atom.args if positions is None else [atom.args[i] for i in positions]
+    names = tuple(a.name if isinstance(a, Var) and a.name in bound else a for a in args)
+    return (atom.pred if positions is None else None), names
+
+
+def _instance(template, theta: dict):
+    """What a template builds under theta: its names looked up, the rest substituted."""
+    if template.__class__ is Atom:
+        return template
+    pred, parts = template
+    args = tuple([theta[p] if p.__class__ is str else substitute(p, theta) for p in parts])
+    return args if pred is None else Atom(pred, args)
+
+
 def _join_plan(positive, j=None, bound=frozenset(), delta=True) -> tuple:
-    """Join steps over a rule's positive body literals: each pattern with
-    its (predicate, arity) shape, the argument positions that constants and
-    the variables bound before it make ground, and the atoms it reads. With
-    no j every literal reads all atoms, in body order. Otherwise literal j
-    goes first; with delta it reads the delta and the literals before j read
-    the atoms from before the delta, and every other literal reads all atoms."""
+    """Compiled join steps over a rule's positive body literals: (shape,
+    positions, key template, (bind slots, residual patterns), view), the
+    positions those made ground by constants and earlier variables, or None
+    if all are. With no j every literal reads all atoms, in body order.
+    Otherwise literal j goes first; with delta it reads the delta and the
+    literals before j read the atoms from before the delta, and every other
+    literal reads all atoms."""
     if j is None:
         order, views = positive, [_ALL] * len(positive)
     else:
@@ -220,34 +235,58 @@ def _join_plan(positive, j=None, bound=frozenset(), delta=True) -> tuple:
         views = ([_DELTA] + [_OLD] * j if delta else [_ALL] * (j + 1)) + [_ALL] * (len(positive) - j - 1)
     steps = []
     for atom, view in zip(order, views):
-        positions = tuple(
-            i for i, arg in enumerate(atom.args) if free_vars(arg, include_formulas=True) <= bound
-        )
-        steps.append((atom, (atom.pred, len(atom.args)), positions, view))
-        bound |= free_vars(atom, include_formulas=True)
+        shape, names = (atom.pred, len(atom.args)), free_vars(atom, include_formulas=True)
+        if names <= bound:  # a membership probe
+            steps.append((shape, None, _template(atom, bound), ((), ()), view))
+            continue
+        positions, slots, residual = [], {}, []
+        for i, arg in enumerate(atom.args):
+            if free_vars(arg, include_formulas=True) <= bound:
+                positions.append(i)
+            elif isinstance(arg, Var) and arg.name not in slots:
+                slots[arg.name] = i
+            else:
+                residual.append((i, arg))
+        ops = (tuple(slots.items()), tuple(residual))
+        steps.append((shape, tuple(positions), _template(atom, bound, positions), ops, view))
+        bound |= names
     return tuple(steps)
 
 
-def _join(steps, store: _Atoms, delta_stamp: int, mask: int, theta=None, first=None) -> list:
+def _extend(ops, atom: Atom, theta: dict):
+    """Theta extended by a candidate's bind slots, then its residual patterns;
+    None if one fails. Every candidate a join examines goes through here."""
+    slots, residual = ops
+    if slots:
+        theta = theta.copy()
+        for name, i in slots:
+            theta[name] = atom.args[i]
+    for i, pattern in residual:
+        theta = match(pattern, atom.args[i], theta)
+        if theta is None:
+            break
+    return theta
+
+
+def _join(steps, store: _Atoms, delta_stamp: int, mask: int, theta=None) -> list:
     """All (substitution, non-empty mask) pairs extending theta (default
-    empty) to match the join steps in order; `first` is the first step's
-    pool, if known. A pair's mask is the given mask ANDed with each of its
-    atoms' masks as the step's view sees them: the bits held before the
-    delta, the bits the delta added, or all bits."""
+    empty) to match the join steps in order. A pair's mask is the given mask
+    ANDed with each of its atoms' masks as the step's view sees them: the
+    bits held before the delta, the bits the delta added, or all bits."""
     masks, delta = store.masks, store.delta
     rows = [({} if theta is None else theta, mask)]
-    for atom, shape, positions, view in steps:
+    for shape, positions, key, ops, view in steps:
         nxt = []
         for th, m in rows:
-            pool = store.pool(atom, shape, positions, th) if first is None else first
-            if view is not _ALL:
+            pool = store.pool(shape, positions, k := _instance(key, th))
+            if view is _OLD and positions is not None:  # a membership probe's masks give its view
+                pool = islice(pool, bisect_left(pool, delta_stamp, key=store.stamp.__getitem__))
+            elif view is _DELTA and positions is not None:
                 cut = bisect_left(pool, delta_stamp, key=store.stamp.__getitem__)
-                if view is _OLD:
-                    pool = islice(pool, cut)
-                else:
-                    pool = chain(islice(pool, cut, None), store.regrown.get(shape, ()))
+                regrown = [a for a in store.regrown.get(shape, ()) if tuple([a.args[i] for i in positions]) == k]
+                pool = chain(islice(pool, cut, None), regrown)
             for ga in pool:
-                th2 = match_atom(atom, ga, th)
+                th2 = _extend(ops, ga, th)
                 if th2 is None:
                     continue
                 if view is _ALL:
@@ -255,28 +294,29 @@ def _join(steps, store: _Atoms, delta_stamp: int, mask: int, theta=None, first=N
                 elif view is _OLD:
                     held = m & masks[ga] & ~delta.get(ga, 0)
                 else:
-                    held = m & delta[ga]
+                    held = m & delta.get(ga, 0)
                 if held:
                     nxt.append((th2, held))
-        rows, first = nxt, None
-        if not rows:
-            break
+        rows = nxt
     return rows
 
 
-def _unblocked(body, store: _Atoms, theta, mask: int) -> int:
-    """The instance's mask less the policies that hold one of its negated
-    atoms."""
-    for lit in body:
-        if not lit.negated:
-            continue
-        ga = substitute(lit.atom, theta)
+def _unblocked(negated, store: _Atoms, theta, mask: int) -> int:
+    """The instance's mask less the policies that hold a negated atom."""
+    for template in negated:
+        ga = _instance(template, theta)
         if not is_ground(ga):
             raise PolicyError(f"negated literal {render(ga)} not ground at check time")
-        mask &= ~store.held(ga)
+        mask &= ~store.masks.get(ga, 0)
         if not mask:
             break
     return mask
+
+
+def _templates(rule, positive) -> tuple:
+    """The rule's head and negated atoms as templates over a join body."""
+    bound = frozenset().union(*(free_vars(a, include_formulas=True) for a in positive))
+    return _template(rule.head, bound), tuple(_template(l.atom, bound) for l in rule.body if l.negated)
 
 
 def _join_bodies(rule) -> list:
@@ -332,7 +372,7 @@ def evaluate_branches(policies, ds: DataSystem, onto: Ontology = None, *, goal: 
     rnd = 0
     for k in range(1, 10):
         compiled = [
-            (rule, rule_mask, positive)
+            (rule, rule_mask, positive, *_templates(rule, positive))
             for (rule, rule_mask), (_, stratum) in zip(grouped.values(), strat.strata)
             if stratum == k and (cone is None or rule.head.pred in cone)
             for positive in _join_bodies(rule)
@@ -345,7 +385,7 @@ def evaluate_branches(policies, ds: DataSystem, onto: Ontology = None, *, goal: 
             rnd += 1
             shapes = () if first_round else {(a.pred, len(a.args)) for a in store.delta}
             new: dict = {}  # atom -> the bits it gained this round, in order
-            for i, (rule, rule_mask, positive) in enumerate(compiled):
+            for i, (rule, rule_mask, positive, head, negated) in enumerate(compiled):
                 if first_round:
                     rows = _join(_join_plan(positive), store, rnd - 1, rule_mask)
                 else:
@@ -356,13 +396,13 @@ def evaluate_branches(policies, ds: DataSystem, onto: Ontology = None, *, goal: 
                                 delta_plans[i, j] = _join_plan(positive, j)
                             rows += _join(delta_plans[i, j], store, rnd - 1, rule_mask)
                 for th, m in rows:
-                    m = _unblocked(rule.body, store, th, m)
+                    m = _unblocked(negated, store, th, m) if negated else m
                     if not m:
                         continue
-                    derived = substitute(rule.head, th)
+                    derived = _instance(head, th)
                     if not is_ground(derived):
                         raise PolicyError(f"{rule.rule_id}: ungrounded head {render(derived)}")
-                    gained = m & ~store.held(derived)
+                    gained = m & ~store.masks.get(derived, 0)
                     if gained:
                         new[derived] = new.get(derived, 0) | gained
             store.add(new, rnd)

@@ -15,7 +15,8 @@ refines some state of G. ``feasible_in(G, g)`` is the one membership test:
 g refines some state of G. A box is a product over the variables, so
 membership in it, its size and its meet with another box are decided one
 variable at a time, without expanding it; an explicit space is scanned.
-Any other meet is the intersection of the expansions. Box reasoning lives
+A box met with an explicit space keeps the explicit states the box allows,
+and two explicit spaces intersect. Box reasoning lives
 here alone: a space's cone, the states that refine one of its states, is a
 list of boxes, cut apart by set difference and read by their least state.
 Refinement between spaces, a join of abstract spaces included, is decided
@@ -415,15 +416,21 @@ def space_refines_witness(abstract: StateSpace, concrete: StateSpace, onto: Onto
 
 def space_meet(a: StateSpace, b: StateSpace, onto: Ontology) -> StateSpace:
     """The meet of two boxes is the box of their per-variable intersections,
-    or the empty explicit space when one intersection is empty. Any other
-    meet intersects the expansions."""
+    or the empty explicit space when one intersection is empty. A box met
+    with an explicit space keeps the explicit states whose values the box
+    allows, and is never expanded. Two explicit spaces intersect."""
     if a.is_concise and b.is_concise:
         left, right = _allowed_values(a, onto), _allowed_values(b, onto)
         common = {var: [v for v in left[var] if v in right[var]] for var, _ in a.fixed + b.fixed}
         if not all(common.values()):
             return StateSpace.explicit(())
         return StateSpace.concise((var, v) for var, values in common.items() for v in values)
-    return StateSpace.explicit(expand_space(a, onto) & expand_space(b, onto))
+    # each operand checked in order: a box's variables, an explicit space's totality
+    left, right = (_allowed_values(sp, onto) if sp.is_concise else expand_space(sp, onto) for sp in (a, b))
+    if a.is_concise or b.is_concise:
+        box, states = (left, right) if a.is_concise else (right, left)
+        return StateSpace.explicit(s for s in states if all(v in box[var] for var, v in s.assignments))
+    return StateSpace.explicit(left & right)
 
 
 def space_join(a: StateSpace, b: StateSpace, onto: Ontology) -> StateSpace:

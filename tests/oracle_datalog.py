@@ -382,3 +382,108 @@ def random_recursive_program(rng: random.Random):
             pos(Atom("do", (o, s, Signed("-", a)))),
         )
     return Policy(tuple(rules)), frozenset(base)
+
+
+def random_join_shapes_program(rng: random.Random):
+    """A safe, stratified policy plus base atoms that reach every kind of
+    compiled join step: ground-bodied rules shaped like concrete low-level
+    policies (membership probes only, some with an existential variable in a
+    head formula), a variable repeated in one literal, variables first bound
+    inside an action term or a signed action at an argument that no index
+    covers, and a recursive literal whose index key is a constant action."""
+    subjects = [Const(f"s{i}") for i in range(rng.randint(2, 4))]
+    objects = [Const(f"o{i}") for i in range(rng.randint(2, 4))]
+    names = ("Patch", "Scan")
+
+    def act(name, obj):
+        return ActionTerm(name, (("target", obj),))
+
+    base: set = set()
+    for pred in ("p0", "p1"):
+        for left in subjects + objects:
+            for right in subjects + objects:
+                if rng.random() < (0.5 if left == right else 0.25):
+                    base.add(Atom(pred, (left, right)))
+    for s in subjects:
+        for o in objects:
+            for name in names:
+                if rng.random() < 0.3:
+                    base.add(Atom("duty", (s, act(name, o))))
+                if rng.random() < 0.15:
+                    base.add(Atom("waive", (s, act(name, o))))
+
+    for src in subjects:
+        for dst in subjects:
+            if rng.random() < 0.3:
+                base.add(Atom("link", (src, dst)))
+
+    s, x, a, q, o, t = Var("s"), Var("x"), Var("a"), Var("q"), Var("o"), Var("t")
+    rules: list = []
+
+    def add(head, *body):
+        rules.append(Rule(f"r{len(rules) + 1}", head, tuple(body)))
+
+    def pos(atom):
+        return Literal(False, atom)
+
+    def neg(atom):
+        return Literal(True, atom)
+
+    # ground rules, as a concrete policy writes them; some bodies fail
+    for _ in range(rng.randint(2, 6)):
+        si, oi, name = rng.choice(subjects), rng.choice(objects), rng.choice(names)
+        body = [pos(Atom("p0", (si, oi))), pos(Atom(rng.choice(("p0", "p1")), (oi, oi)))]
+        if rng.random() < 0.5:
+            add(Atom("cando", (act(name, oi), si, Signed("+", Const("execute")))), *body)
+        else:
+            post = Formula((Literal(False, Atom("p1", (oi, t))),))
+            add(Atom("mustdo", (si, act(name, oi), post)), *body)
+    # a variable repeated in one literal, alone or after a bound one
+    add(Atom("hasObligation", (s, act("Scan", s), Formula())), pos(Atom("p0", (s, s))))
+    add(
+        Atom("hasDispensation", (s, act("Patch", x))),
+        pos(Atom("p1", (s, x))),
+        pos(Atom("p0", (x, x))),
+    )
+    # $x first bound inside an action term, after $s indexes the literal;
+    # the head's formula keeps the existential $t
+    post = Formula((Literal(False, Atom("p1", (x, t))),))
+    add(
+        Atom("hasObligation", (s, act("Patch", x), post)),
+        pos(Atom("p0", (s, o))),
+        pos(Atom("duty", (s, act("Patch", x)))),
+    )
+    add(Atom("hasDispensation", (s, a)), pos(Atom("waive", (s, a))))
+    add(Atom("derhasDispensation", (s, a)), pos(Atom("hasDispensation", (s, a))))
+    # recursion through a literal that indexes a constant action, beside one
+    # over any action: atoms that regrow under another action must not join
+    # the first rule's delta
+    fixed = act("Patch", objects[0])
+    add(
+        Atom("derhasDispensation", (x, fixed)),
+        pos(Atom("derhasDispensation", (s, fixed))),
+        pos(Atom("link", (s, x))),
+    )
+    add(
+        Atom("derhasDispensation", (x, a)),
+        pos(Atom("p1", (s, x))),
+        pos(Atom("derhasDispensation", (s, a))),
+    )
+    add(Atom("derhasObligation", (s, a, q)), pos(Atom("hasObligation", (s, a, q))))
+    add(
+        Atom("mustdo", (s, a, q)),
+        pos(Atom("derhasObligation", (s, a, q))),
+        neg(Atom("derhasDispensation", (s, a))),
+    )
+    add(Atom("cando", (a, s, Signed("+", Const("execute")))), pos(Atom("mustdo", (s, a, q))))
+    # $a first bound inside a signed action, the other arguments bound slots
+    for sign in "+-" if rng.random() < 0.5 else "+":
+        add(Atom("dercando", (o, s, Signed(sign, a))), pos(Atom("cando", (o, s, Signed(sign, a)))))
+    add(
+        Atom("do", (o, s, Signed("+", a))),
+        pos(Atom("dercando", (o, s, Signed("+", a)))),
+        neg(Atom("dercando", (o, s, Signed("-", a)))),
+    )
+    if rng.random() < 0.5:
+        add(Atom("do", (o, s, Signed("-", a))), neg(Atom("do", (o, s, Signed("+", a)))))
+    return Policy(tuple(rules)), frozenset(base)

@@ -41,6 +41,7 @@ from oracle_datalog import (
     error_witnesses,
     naive_model,
     naive_supports,
+    random_join_shapes_program,
     random_program,
     random_recursive_program,
 )
@@ -431,30 +432,66 @@ def test_recursive_programs_match_the_oracle():
         assert error_witnesses(again) == error_witnesses(model)
 
 
+def _step_kinds(policy) -> set:
+    """The kinds of compiled join step the policy's rule bodies reach, each
+    body planned from every literal."""
+    kinds = set()
+    for rule in policy.rules:
+        positive = [l.atom for l in rule.body if not l.negated]
+        for j in range(len(positive)):
+            for _, positions, _, (slots, residual), _ in polcheck.datalog._join_plan(positive, j):
+                if positions is None:
+                    kinds.add("membership")
+                elif positions and slots:
+                    kinds.add("slot after index")
+                kinds.update(type(pattern).__name__ for _, pattern in residual)
+    return kinds
+
+
+def test_compiled_join_steps_match_the_oracle():
+    # ground bodies probe by membership, a repeated variable leaves a residual
+    # Var, variables first bound inside an action term or a signed action
+    # leave residual ActionTerm and Signed patterns, and a recursive literal
+    # keyed by a constant action must drop regrown atoms of other actions;
+    # evaluate, each branch's projection and the supports agree with the oracle
+    rng = random.Random("compiled-steps")
+    kinds = set()
+    for _ in range(40):
+        p, base = random_join_shapes_program(rng)
+        kinds |= _step_kinds(p)
+        ds = DataSystem(base_atoms=base)
+        expected = naive_model(p, base)
+        model = evaluate(p, ds)
+        assert model.atoms == expected
+        assert_supports_match_the_oracle(p, expected, model)
+        assert_projections_match(_split(rng, p, base), ds)
+    assert kinds == {"membership", "slot after index", "Var", "ActionTerm", "Signed"}, kinds
+
+
 # ---------------------------------------------------------------------------
 # Join work grows linearly: probes are counted, not timed
 # ---------------------------------------------------------------------------
 
 
 def _count_probes(monkeypatch, run) -> int:
-    """The match_atom calls the evaluator and the audit make during run()."""
+    """The join candidates the evaluator and the audit examine during run():
+    every one goes through `datalog._extend`, the audit's entailment joins
+    included."""
     calls = []
-    real = polcheck.datalog.match_atom
+    real = polcheck.datalog._extend
 
-    def counting(pattern, value, theta):
+    def counting(ops, atom, theta):
         calls.append(None)
-        return real(pattern, value, theta)
+        return real(ops, atom, theta)
 
-    # the audit's own calls count too, should it call match_atom directly
-    for module in (polcheck.datalog, polcheck.compliance):
-        monkeypatch.setattr(module, "match_atom", counting, raising=False)
+    monkeypatch.setattr(polcheck.datalog, "_extend", counting)
     run()
     monkeypatch.undo()
     return len(calls)
 
 
 def _probes(monkeypatch, policy_text, base) -> int:
-    """The match_atom calls the evaluator's joins make on one model."""
+    """The join candidates the evaluator examines on one model."""
     policy, ds = parse_policy(policy_text), DataSystem(base_atoms=frozenset(base))
     return _count_probes(monkeypatch, lambda: evaluate(policy, ds))
 
@@ -532,7 +569,7 @@ action Encrypt(target) init {} final {}
 
 
 def _audit_probes(monkeypatch, n) -> int:
-    """The match_atom calls of one audit of n employees, each guarding a
+    """The join candidates of one audit of n employees, each guarding a
     document and obliged to back it up and encrypt it. The current state
     shows every other document archived and encrypted, so each obligation's
     postcondition is looked up in a state that grows with n."""

@@ -25,7 +25,7 @@ from polcheck.errors import (
     StructuralError,
     TaxonomyError,
 )
-from polcheck import ontology
+from polcheck import actions, ontology
 from polcheck.ontology import (
     ENTIRE,
     ClassDef,
@@ -33,6 +33,7 @@ from polcheck.ontology import (
     State,
     StateSpace,
     VariableDef,
+    expand_space,
 )
 
 from wf_gen import ROWS, make_satisfying, make_violating
@@ -438,6 +439,67 @@ def test_a_node_over_forty_variables_checks_without_expanding_the_operands(node,
         onto.action_classes[name] = ActionClassDef(name, ENTIRE, ENTIRE)
     verdict = check_well_formed_complex(pattern("Top", node, taxonomy_of(node)), onto)
     assert verdict.ok, verdict.violations
+
+
+def _explicit_parent_onto(n, operand_init):
+    """n binary variables; Top starts from the one explicit state with every
+    variable lo, A1 and A2 from operand_init."""
+    names = [f"v{i}" for i in range(n)]
+    onto = Ontology(
+        classes={c: ClassDef(c) for c in ("hi", "lo")},
+        variables={v: VariableDef(v, "obj", v, ("hi", "lo")) for v in names},
+    )
+    top = StateSpace.explicit([State.make({v: "lo" for v in names})])
+    onto.action_classes["Top"] = ActionClassDef("Top", top, ENTIRE)
+    for name in ("A1", "A2"):
+        onto.action_classes[name] = ActionClassDef(name, operand_init, ENTIRE)
+    return onto
+
+
+_OPERAND_NODES = [
+    ActionNode(SEQ, ActionLeaf("A1"), ActionLeaf("A2")),
+    ActionNode(CHOICE, ActionLeaf("A1"), ActionLeaf("A2")),
+    ActionNode(CHOICE, ActionLeaf("A1"), ActionLeaf("A2"), strict=True),
+    ActionNode(CONJ, ActionLeaf("A1"), ActionLeaf("A2")),
+    ActionNode(CONJ, ActionLeaf("A1"), ActionLeaf("A2"), strict=True),
+]
+
+
+@pytest.mark.parametrize("node", _OPERAND_NODES, ids=taxonomy_of)
+def test_box_operands_meet_an_explicit_parent_without_expanding(node, monkeypatch):
+    # {} operands over 2^16 states meet Top's one explicit state: the meet
+    # keeps the explicit states the box allows and builds no box's states
+    calls = []
+    expand = ontology._state_product
+
+    def counting(variables, choices):
+        calls.append(choices)
+        return expand(variables, choices)
+
+    monkeypatch.setattr(ontology, "_state_product", counting)
+    onto = _explicit_parent_onto(16, ENTIRE)
+    verdict = check_well_formed_complex(pattern("Top", node, taxonomy_of(node)), onto)
+    assert verdict.ok, verdict.violations
+    assert calls == []
+
+
+@pytest.mark.parametrize("node", _OPERAND_NODES, ids=taxonomy_of)
+@pytest.mark.parametrize("operand_init", [ENTIRE, StateSpace.concise({"v0": "hi"})], ids=["all", "v0=hi"])
+def test_box_explicit_meet_keeps_the_expanding_verdicts(node, operand_init, monkeypatch):
+    # at 10 variables the verdict, its witnesses and its warnings are those
+    # the meet gave when it intersected both expansions
+    def check():
+        onto = _explicit_parent_onto(10, operand_init)
+        return check_well_formed_complex(pattern("Top", node, taxonomy_of(node)), onto)
+
+    verdict = check()
+    monkeypatch.setattr(
+        actions,
+        "space_meet",
+        lambda a, b, onto: StateSpace.explicit(expand_space(a, onto) & expand_space(b, onto)),
+    )
+    assert verdict == check()
+    assert verdict.ok == (operand_init is ENTIRE)
 
 
 def test_state_bound_guards_both_checkers():
