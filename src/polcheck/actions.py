@@ -506,8 +506,11 @@ def _operand_name(comp) -> str:
 def _node_verdicts(pattern: RefinementPattern, onto: Ontology, state_bound: int, row_check):
     """Run ``row_check(parent, node, a1, a2, delta_states, onto, path)`` on
     every node of the pattern and collect its violations. The guarded
-    operand always plays the a2 role. A node whose parent's initial space is
-    empty is vacuously well-formed and only warned about."""
+    operand always plays the a2 role. ``delta_states()`` lists the parent's
+    initial space in sorted order, or raises OracleScaleError past
+    ``state_bound`` states, so only a row that reads states builds them. A
+    node whose parent's initial space is empty is vacuously well-formed and
+    only warned about."""
     validate_pattern(pattern, onto)
     violations: list[ConstraintViolation] = []
     warnings: list[str] = []
@@ -518,14 +521,17 @@ def _node_verdicts(pattern: RefinementPattern, onto: Ontology, state_bound: int,
         if node.guard_side == "left":
             a1, a2 = a2, a1
         size = space_size(parent.init_space, onto)
-        if size > state_bound:
-            raise OracleScaleError(
-                f"{path}: initial space has {size} states, past the bound of {state_bound}"
-            )
-        delta_states = sorted(expand_space(parent.init_space, onto))
-        if not delta_states:
+        if not size:
             warnings.append(f"{path}: empty initial space; vacuously well-formed")
             continue
+
+        def delta_states():
+            if size > state_bound:
+                raise OracleScaleError(
+                    f"{path}: initial space has {size} states, past the bound of {state_bound}"
+                )
+            return sorted(expand_space(parent.init_space, onto))
+
         violations.extend(row_check(parent, node, a1, a2, delta_states, onto, path))
     violations.sort(key=ConstraintViolation.sort_key)
     return WellFormedVerdict(not violations, tuple(violations), tuple(warnings))
@@ -586,13 +592,13 @@ def _check_node(parent: ActionClassDef, node: ActionNode, a1, a2, delta_states, 
         need("Δ2⊑Δ", D2, D)
         order21 = ActionTrace((a2.name, a1.name))
         order12 = ActionTrace((a1.name, a2.name))
-        for delta in delta_states:
+        for delta in delta_states():
             need_at("Γ⊑a1(a2(δ))", G, apply_trace(order21, delta, onto), delta)
             need_at("Γ⊑a2(a1(δ))", G, apply_trace(order12, delta, onto), delta)
 
     elif row == "basic-flex-conj":
         need("Δ1⊔Δ2⊑Δ", D1, D2, D)
-        for delta in delta_states:
+        for delta in delta_states():
             if feasible_in(D1, delta, onto):
                 m = a1.apply(delta, onto)
                 if need_at("Δ1⊑δ⇒Δ2⊑a1(δ)", D2, m, delta):
@@ -605,7 +611,7 @@ def _check_node(parent: ActionClassDef, node: ActionNode, a1, a2, delta_states, 
     elif row == "adv-seq":
         need("Δ2⊑Δ'", D2, Dg)
         need("Δ1⊑Δ", D1, D)
-        for delta in delta_states:
+        for delta in delta_states():
             m = apply_trace(first, delta, onto)
             if isinstance(m, Infeasible):
                 violations.append(ConstraintViolation(path, "Δ1⊑Δ", delta))
@@ -620,7 +626,7 @@ def _check_node(parent: ActionClassDef, node: ActionNode, a1, a2, delta_states, 
         core = space_meet(D, Dg, onto)
         if not space_size(core, onto):
             violations.append(ConstraintViolation(path, "Δ⊓Δ'≠{}"))
-        for delta in delta_states:
+        for delta in delta_states():
             if feasible_in(core, delta, onto):
                 need_at("Δ⊓Δ'⊑δ⇒Δ1⊑δ", D1, delta, delta)
                 m = apply_trace(first, delta, onto)
@@ -635,7 +641,7 @@ def _check_node(parent: ActionClassDef, node: ActionNode, a1, a2, delta_states, 
     elif row == "adv-flex-conj":
         need("Δ2⊑Δ'", D2, Dg)
         need("Δ1⊔Δ'⊑Δ", D1, Dg, D)
-        for delta in delta_states:
+        for delta in delta_states():
             g_now = feasible_in(Dg, delta, onto)
             if feasible_in(D1, delta, onto):
                 m = a1.apply(delta, onto)
@@ -685,7 +691,7 @@ def _oracle_node(parent: ActionClassDef, node: ActionNode, a1, a2, delta_states,
             violations.append(ConstraintViolation(path, tid + " misses Γ", delta))
 
     feasible_somewhere = {a1.name: False, a2.name: False}
-    for delta in delta_states:
+    for delta in delta_states():
         f1 = feasible_in(a1.init_space, delta, onto)
         f2 = feasible_in(a2.init_space, delta, onto)
         feasible_somewhere[a1.name] |= f1

@@ -279,14 +279,14 @@ def cmd_explain(args) -> int:
     result = refine_policy(
         ph, patterns, onto, ds, mode=args.mode, max_branches=args.max_branches
     )
-    shared = evaluate_branches([b.policy for b in result.branches], ds, onto, goal=atom.pred)
+    shared = evaluate_branches(result.rules, result.count, ds, onto, goal=atom.pred)
     mask = shared.mask_of(atom)
     if not mask:
         print("not derivable")
         return 0
     i = (mask & -mask).bit_length() - 1  # the first branch that derives the atom
-    print(f"% derived in refinement branch {i + 1} of {len(result.branches)}")
-    for rid, pid, tag in result.branches[i].choice_log:
+    print(f"% derived in refinement branch {i + 1} of {result.count}")
+    for rid, pid, tag in result.choice_log(i):
         print(f"%   {rid} {pid} {tag}")
     print(render_derivation(derivation_tree(shared.project(i), atom)))
     return 0

@@ -9,13 +9,14 @@ action effect both entailed). The first matching branch in choice-log order
 decides compliance; otherwise the nearest-miss branch (fewest conflicts, then
 choice-log order) is reported with its conflicts, one per detector category.
 
-All branches are evaluated in one shared pass (`datalog.evaluate_branches`),
-which gives each atom the mask of the branches whose model holds it. Every
-conflict belongs to one atom of the high view, so the detectors run once per
-distinct atom, in groups of atoms with the same mask, and a branch's conflict
-count is the sum over the groups its bit is in. The branches are then walked
-in choice-log order with integers only; conflicts with their rule ids, and
-the branch statistics, are built for the one branch reported.
+All branches are evaluated in one shared pass (`datalog.evaluate_branches`)
+over refinement's rule table, which gives each atom the mask of the branches
+whose model holds it; no branch policy is built. Every conflict belongs to
+one atom of the high view, so the detectors run once per distinct atom, in
+groups of atoms with the same mask, and a branch's conflict count is the sum
+over the groups its bit is in. The branches are then walked in choice-log
+order with integers only; conflicts with their rule ids, the branch
+statistics and the choice log are built for the one branch reported.
 
 Each ground obligation is classified once per audit, when the walk reaches
 the first branch that holds it: its status depends only on the atom, the
@@ -328,7 +329,7 @@ def check_compliance(
     M_l = set(view_l.mustdo_atoms)
 
     result = refine_policy(ph, patterns, onto, ds, mode=mode, max_branches=max_branches)
-    shared = evaluate_branches([branch.policy for branch in result.branches], ds, onto)
+    shared = evaluate_branches(result.rules, result.count, ds, onto)
     error_mask = shared.error_mask()
     sizes = Counter()  # mask -> atoms held by just those branches
     # The decision atoms of the high views by the first branch that holds
@@ -359,10 +360,9 @@ def check_compliance(
         conflicts = _conflicts(view_h, pending, view_l, M_l, ds, onto, model_h)
         conflicts.sort(key=Conflict.sort_key)
         stats_extra = _branch_stats(view_h, status, M_l)
-        choice_log = result.branches[i].choice_log
-        return ComplianceReport(verdict, choice_log, tuple(conflicts), counts() + stats_extra)
+        return ComplianceReport(verdict, result.choice_log(i), tuple(conflicts), counts() + stats_extra)
 
-    for i in range(len(result.branches)):
+    for i in range(result.count):
         bit = 1 << i
         examined += 1
         atoms_derived += sum(n for mask, n in sizes.items() if mask & bit) - len(ds.base_atoms)

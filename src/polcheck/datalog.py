@@ -14,10 +14,10 @@ on rule order.
 
 One pass evaluates several policies at once, such as the refinement branches
 of one high-level policy. Bit i of a branch mask stands for the i-th policy.
-Rules are grouped by object: a rule's mask is the set of policies that hold
-that rule object (refinement branches share theirs). An instance's mask is
-its rule's mask AND its positive atoms' masks AND NOT its negated atoms'
-masks (final, since they sit in lower strata); an atom's mask is the OR of
+The pass reads one rule table, each rule once with the mask of the policies
+that hold it, as refinement builds it. An instance's mask is its rule's
+mask AND its positive atoms' masks AND NOT its negated atoms' masks
+(final, since they sit in lower strata); an atom's mask is the OR of
 its instances' masks. An atom whose mask grows goes back into the delta with
 the bits it gained, and the join reads, for each literal, the bits the atom
 held before the delta, the bits it gained, or all of them, so each instance
@@ -348,32 +348,28 @@ def _cone(rules, goal: str) -> set:
     return cone
 
 
-def evaluate_branches(policies, ds: DataSystem, onto: Ontology = None, *, goal: str = None) -> Model:
-    """Evaluate several policies in one shared pass; project(i) of the result
-    is evaluate(policies[i], ds, onto). A policy that makes `evaluate` raise
-    makes this raise too, even when the other policies alone would not. With
-    a goal predicate, stratification is still checked over every rule, but
-    only the rules whose head the goal depends on are evaluated: the model
-    holds the same atoms, masks and supports for every predicate of that
-    cone, and no derived atom outside it."""
-    full = (1 << len(policies)) - 1
-    grouped: dict = {}  # id(rule) -> [rule, mask of the policies that hold it]
-    for i, p in enumerate(policies):
-        for rule in p.rules:
-            grouped.setdefault(id(rule), [rule, 0])[1] |= 1 << i
-    rules = tuple(rule for rule, _ in grouped.values())
-    strat = check_stratification(Policy(rules), onto)
+def evaluate_branches(rules, count: int, ds: DataSystem, onto: Ontology = None, *, goal: str = None) -> Model:
+    """Evaluate `count` policies in one shared pass over their rule table,
+    ((rule, mask of the policies that hold it), ...); project(i) of the
+    result is evaluate of the i-th policy. A policy that makes `evaluate`
+    raise makes this raise too, even when the other policies alone would
+    not. With a goal predicate, stratification is still checked over every
+    rule, but only the rules whose head the goal depends on are evaluated:
+    the model holds the same atoms, masks and supports for every predicate
+    of that cone, and no derived atom outside it."""
+    full = (1 << count) - 1
+    strat = check_stratification(Policy(tuple(rule for rule, _ in rules)), onto)
     if not strat.ok:
         first = strat.violations[0]
         raise PolicyError(f"policy is not stratified: {first.rule_id}: {first.message}")
-    cone = None if goal is None else _cone(rules, goal)
+    cone = None if goal is None else _cone((rule for rule, _ in rules), goal)
 
     store = _Store(ds.base_atoms, full)
     rnd = 0
     for k in range(1, 10):
         compiled = [
             (rule, rule_mask, positive, *_templates(rule, positive))
-            for (rule, rule_mask), (_, stratum) in zip(grouped.values(), strat.strata)
+            for (rule, rule_mask), (_, stratum) in zip(rules, strat.strata)
             if stratum == k and (cone is None or rule.head.pred in cone)
             for positive in _join_bodies(rule)
         ]
@@ -407,12 +403,11 @@ def evaluate_branches(policies, ds: DataSystem, onto: Ontology = None, *, goal: 
                         new[derived] = new.get(derived, 0) | gained
             store.add(new, rnd)
             first_round = False
-    kept = (entry for entry in grouped.values() if cone is None or entry[0].head.pred in cone)
-    return Model(store.masks, tuple((rule, mask) for rule, mask in kept))
+    return Model(store.masks, tuple(entry for entry in rules if cone is None or entry[0].head.pred in cone))
 
 
 def evaluate(p: Policy, ds: DataSystem, onto: Ontology = None, *, goal: str = None) -> Model:
-    return evaluate_branches((p,), ds, onto, goal=goal)
+    return evaluate_branches(tuple((rule, 1) for rule in p.rules), 1, ds, onto, goal=goal)
 
 
 def decision_view(m: Model) -> DecisionView:

@@ -172,13 +172,9 @@ def parse_ontology(text: str) -> Ontology:
             if name in _RESERVED:
                 raise SchemaError(f"property name {name!r} is reserved by the policy language")
             ts.expect("dom")
-            dom = [ts.expect_ident()]
-            while ts.accept(","):
-                dom.append(ts.expect_ident())
+            dom = ts.expect_idents()
             ts.expect("range")
-            rng = [ts.expect_ident()]
-            while ts.accept(","):
-                rng.append(ts.expect_ident())
+            rng = ts.expect_idents()
             family = "rel"
             if ts.accept("family"):
                 family = ts.expect_ident()
@@ -214,9 +210,7 @@ def parse_ontology(text: str) -> Ontology:
             params: list = []
             if ts.accept("("):
                 if not ts.at(")"):
-                    params.append(ts.expect_ident())
-                    while ts.accept(","):
-                        params.append(ts.expect_ident())
+                    params = ts.expect_idents()
                 ts.expect(")")
             ts.expect("init")
             init_space = _parse_space(ts, variables, f"action {name} init")
@@ -229,13 +223,9 @@ def parse_ontology(text: str) -> Ontology:
                 if ts.accept("effect"):
                     effect = parse_formula(ts)
                 elif ts.accept("resource"):
-                    resources.append(ts.expect_ident())
-                    while ts.accept(","):
-                        resources.append(ts.expect_ident())
+                    resources += ts.expect_idents()
                 elif ts.accept("instrument"):
-                    instruments.append(ts.expect_ident())
-                    while ts.accept(","):
-                        instruments.append(ts.expect_ident())
+                    instruments += ts.expect_idents()
                 else:
                     break
             kwargs = {"effect": effect} if effect is not None else {}

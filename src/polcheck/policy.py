@@ -218,9 +218,7 @@ def parse_policy(text: str, onto: Ontology = None) -> Policy:
     n = 0
     while not ts.at_end():
         if ts.accept("scope"):
-            scope.append(ts.expect_ident())
-            while ts.accept(","):
-                scope.append(ts.expect_ident())
+            scope += ts.expect_idents()
             ts.expect(".")
             continue
         if ts.accept("env"):

@@ -7,16 +7,18 @@ branches. Each branch carries a choice log of (rule id, pattern id, branch
 tag) entries; replaying a log against the original inputs reproduces the
 branch policy byte for byte.
 
-Enumeration and replay share one walk that visits each branch's rules once,
-from left to right. Refining a rule rewrites that rule alone, and whether a
-pattern applies to a rule depends on that rule alone, so the rules already
-visited are final and the walk never goes back over them. A refined rule's
-outcome rules are visited next; a fork copies the branch once per extra
-outcome. Enumeration follows every outcome, replay the one its log names.
-Enumeration applies each pattern once per rule object, so branches share
+Refining a rule rewrites that rule alone, and whether a pattern applies to a
+rule depends on that rule alone, so each top-level rule is walked once, on
+its own: a refined rule's outcome rules are visited next, and a fork copies
+the walk once per extra outcome. The walk's leaves are the rule's outcomes,
+and the branches are their product, the first rule most significant. The
+result keeps one table of the distinct rules, each with the mask of the
+branches that hold it, for the evaluator; a branch's policy and choice log
+are built from its leaves on demand. Replay walks the whole policy along
+its log. Each pattern is applied once per rule object, so leaves share
 outcome rules. Obligations on atomic actions are lifted once, before the
-walk, as refinement never makes or drops one. Stratification judges each
-rule alone, so it is checked once, over the distinct rules in walk order.
+walks, as refinement never makes or drops one. Stratification judges each
+rule alone, so it is checked once, over the table.
 
 Sequence refinement of an authored obligation rule keeps the source rule and
 adds a pair of derived rules: the first sub-obligation inherits the source
@@ -30,6 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import chain, product
 
 from .actions import ActionLeaf, CHOICE, SEQ, RefinementPattern, pattern_nodes, taxonomy_of
 from .errors import BranchLimitError, CycleError, PatternError, PolicyError
@@ -61,8 +65,36 @@ class RefinementBranch:
 
 @dataclass(frozen=True)
 class RefinementResult:
-    branches: tuple  # tuple[RefinementBranch, ...]
+    """The refinement branches of a policy as a product: branch b takes, of
+    each top-level rule, leaf (b // inner) % n, where n is the rule's leaf
+    count and inner the product of the later rules' counts."""
+
+    policy: Policy  # whose scope and environment every branch keeps
+    outcomes: tuple  # per top-level rule: ((rules, choice log), ...), its leaves
+    rules: tuple  # ((rule, mask of the branches that hold it), ...), each rule object once
     warnings: tuple = ()
+
+    @property
+    def count(self) -> int:
+        return math.prod(map(len, self.outcomes))
+
+    def choice_log(self, i: int) -> tuple:
+        logs = []
+        for leaves in reversed(self.outcomes):
+            i, leaf = divmod(i, len(leaves))
+            logs.append(leaves[leaf][1])
+        return tuple(chain.from_iterable(reversed(logs)))
+
+    @cached_property
+    def branches(self) -> tuple:
+        """Every branch's policy and choice log, in choice-log order."""
+        return tuple(
+            RefinementBranch(
+                self.policy.with_rules(chain.from_iterable(rules for rules, _ in leaves)),
+                tuple(chain.from_iterable(log for _, log in leaves)),
+            )
+            for leaves in product(*self.outcomes)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -89,31 +121,11 @@ def propagate_hierarchy(p: Policy, onto: Ontology) -> Policy:
     s1, s2, a, q = Var("s1"), Var("s2"), Var("a"), Var("q")
     rules = []
     for h in onto.hie_predicates():
-        below = Atom(h, (s2, s1))
-        rules.extend(
-            [
-                _mk(
-                    f"hier.{h}.obl",
-                    Atom("derhasObligation", (s2, a, q)),
-                    (Literal(False, Atom("hasObligation", (s1, a, q))), Literal(False, below)),
-                ),
-                _mk(
-                    f"hier.{h}.obl.der",
-                    Atom("derhasObligation", (s2, a, q)),
-                    (Literal(False, Atom("derhasObligation", (s1, a, q))), Literal(False, below)),
-                ),
-                _mk(
-                    f"hier.{h}.disp",
-                    Atom("derhasDispensation", (s2, a)),
-                    (Literal(False, Atom("hasDispensation", (s1, a))), Literal(False, below)),
-                ),
-                _mk(
-                    f"hier.{h}.disp.der",
-                    Atom("derhasDispensation", (s2, a)),
-                    (Literal(False, Atom("derhasDispensation", (s1, a))), Literal(False, below)),
-                ),
-            ]
-        )
+        below = Literal(False, Atom(h, (s2, s1)))
+        for kind, pred, args in (("obl", "hasObligation", (a, q)), ("disp", "hasDispensation", (a,))):
+            for rid, source in ((kind, pred), (f"{kind}.der", f"der{pred}")):
+                upper = Literal(False, Atom(source, (s1, *args)))
+                rules.append(_mk(f"hier.{h}.{rid}", Atom(f"der{pred}", (s2, *args)), (upper, below)))
     return _append_unique(p, rules)
 
 
@@ -123,54 +135,29 @@ def derive_authorizations(p: Policy, onto: Ontology = None) -> Policy:
     The resource/instrument forms are specialized per action class from the
     ontology declarations; the generic forms fire only against explicitly
     asserted resource/instrument atoms."""
-    s, a, q, r, i = Var("s"), Var("a"), Var("q"), Var("r"), Var("i")
+    s, a, q = Var("s"), Var("a"), Var("q")
+
+    def grant(obj, right, *body):
+        return Atom("cando", (obj, s, Signed("+", Const(right)))), body
+
     mustdo = Literal(False, Atom("mustdo", (s, a, q)))
-    rules = [
-        _mk("auth.execute", Atom("cando", (a, s, Signed("+", Const("execute")))), (mustdo,))
-    ]
+    rules = [_mk("auth.execute", *grant(a, "execute", mustdo))]
     declared = onto.properties if onto is not None else {}
-    if "resource" in declared:
-        rules.append(
-            _mk(
-                "auth.modify",
-                Atom("cando", (r, s, Signed("+", Const("modify")))),
-                (mustdo, Literal(False, Atom("resource", (a, r)))),
-            )
-        )
-    if "instrument" in declared:
-        rules.append(
-            _mk(
-                "auth.read",
-                Atom("cando", (i, s, Signed("+", Const("read")))),
-                (mustdo, Literal(False, Atom("instrument", (a, i)))),
-            )
-        )
-    if onto is not None:
-        for name in sorted(onto.action_classes):
-            acd = onto.action_classes[name]
-            shape = _class_term(acd)
-            must = Literal(False, Atom("mustdo", (s, shape, q)))
-            for obj in acd.resources:
-                rules.append(
-                    _mk(
-                        f"auth.modify.{name}.{obj}",
-                        Atom("cando", (Const(obj), s, Signed("+", Const("modify")))),
-                        (must,),
-                    )
-                )
-            for obj in acd.instruments:
-                rules.append(
-                    _mk(
-                        f"auth.read.{name}.{obj}",
-                        Atom("cando", (Const(obj), s, Signed("+", Const("read")))),
-                        (must,),
-                    )
-                )
+    for prop, right, var in (("resource", "modify", "r"), ("instrument", "read", "i")):
+        if prop in declared:
+            x = Var(var)
+            rules.append(_mk(f"auth.{right}", *grant(x, right, mustdo, Literal(False, Atom(prop, (a, x))))))
+    for name in sorted(onto.action_classes if onto is not None else ()):
+        acd = onto.action_classes[name]
+        must = Literal(False, Atom("mustdo", (s, _shape(name, acd.params), q)))
+        for objs, right in ((acd.resources, "modify"), (acd.instruments, "read")):
+            rules.extend(_mk(f"auth.{right}.{name}.{obj}", *grant(Const(obj), right, must)) for obj in objs)
     return _append_unique(p, rules)
 
 
-def _class_term(acd) -> ActionTerm:
-    return ActionTerm(acd.name, tuple((prop, Var(f"v_{prop}")) for prop in acd.params))
+def _shape(name: str, params) -> ActionTerm:
+    """The action term of a class with a fresh variable per parameter."""
+    return ActionTerm(name, tuple((prop, Var(f"v_{prop}")) for prop in params))
 
 
 def install_conflict_resolution(p: Policy, mode: str = "dispensation-precedence") -> Policy:
@@ -182,19 +169,10 @@ def install_conflict_resolution(p: Policy, mode: str = "dispensation-precedence"
     if mode != "dispensation-precedence":
         raise PolicyError(f"unknown conflict resolution mode {mode!r}")
     s, a, q = Var("s"), Var("a"), Var("q")
-    lift = _mk(
-        "cr.lift",
-        Atom("derhasDispensation", (s, a)),
-        (Literal(False, Atom("hasDispensation", (s, a))),),
-    )
-    decide = _mk(
-        "cr.mustdo",
-        Atom("mustdo", (s, a, q)),
-        (
-            Literal(False, Atom("derhasObligation", (s, a, q))),
-            Literal(True, Atom("derhasDispensation", (s, a))),
-        ),
-    )
+    dispensed = Atom("derhasDispensation", (s, a))
+    lift = _mk("cr.lift", dispensed, (Literal(False, Atom("hasDispensation", (s, a))),))
+    obliged = Literal(False, Atom("derhasObligation", (s, a, q)))
+    decide = _mk("cr.mustdo", Atom("mustdo", (s, a, q)), (obliged, Literal(True, dispensed)))
     return _append_unique(p, (lift, decide))
 
 
@@ -408,8 +386,8 @@ def _patterns_for(rule: Rule, by_root: dict):
     return by_root.get(action.name, ()) if isinstance(action, ActionTerm) else ()
 
 
-def _walk(p: Policy, by_root: dict, expand) -> list:
-    """Refine ``p`` in one left-to-right pass over each branch's rules.
+def _walk(rules, by_root: dict, expand) -> list:
+    """Refine ``rules`` in one left-to-right pass over each branch's rules.
 
     A branch is the rules already visited, a stack of rules still to visit
     and its choice log. A rule no pattern applies to moves to the visited
@@ -418,9 +396,10 @@ def _walk(p: Policy, by_root: dict, expand) -> list:
     ``waiting`` counts the branches finished or not yet resumed. The kept
     source moves to the visited list and the new rules are visited next. A
     fork copies the branch once per extra outcome. Branches run depth first,
-    first outcome first. Returns (rules, choice log) per finished branch."""
+    first outcome first, which is choice-log order. Returns [rules, choice
+    log] lists per finished branch."""
     finished = []
-    stack = [([], list(reversed(p.rules)), [])]
+    stack = [([], list(reversed(rules)), [])]
     while stack:
         visited, todo, clog = stack.pop()
         while todo:
@@ -430,7 +409,7 @@ def _walk(p: Policy, by_root: dict, expand) -> list:
                 break
             visited.append(rule)
         else:
-            finished.append((visited, tuple(clog)))
+            finished.append((visited, clog))
             continue
         outcomes = expand(rule, applicable, len(finished) + len(stack))
         forks = [(visited, todo, clog)] + [(visited[:], todo[:], clog[:]) for _ in outcomes[1:]]
@@ -441,6 +420,23 @@ def _walk(p: Policy, by_root: dict, expand) -> list:
             c.append(entry)
             stack.append((v, t, c))
     return finished
+
+
+def _table(outcomes) -> tuple:
+    """(rule, branch mask) per distinct rule object, in the order the
+    branches, taken in turn, first hold it. Leaf l of a top-level rule with n
+    leaves and `inner` branches per leaf is held by the block of `inner` bits
+    at l * inner, repeated every n * inner bits, so branch l * inner is its first."""
+    total = inner = math.prod(map(len, outcomes))
+    entries: dict = {}  # id(rule) -> [first branch, rule, mask], in the order met
+    for leaves in outcomes:
+        inner //= len(leaves)
+        repeat = ((1 << total) - 1) // ((1 << len(leaves) * inner) - 1)
+        for leaf, (rules, _) in enumerate(leaves):
+            held = (((1 << inner) - 1) << leaf * inner) * repeat
+            for rule in rules:
+                entries.setdefault(id(rule), [leaf * inner, rule, 0])[2] |= held
+    return tuple((rule, mask) for _, rule, mask in sorted(entries.values(), key=lambda e: e[0]))
 
 
 def _lift_atomic_obligations(policy: Policy, by_root: dict) -> Policy:
@@ -456,14 +452,9 @@ def _lift_atomic_obligations(policy: Policy, by_root: dict) -> Policy:
     s, q = Var("s"), Var("q")
     lifts = []
     for name in sorted(classes):
-        shape = ActionTerm(name, tuple((p, Var(f"v_{p}")) for p in classes[name]))
-        lifts.append(
-            _mk(
-                f"lift.{name}",
-                Atom("derhasObligation", (s, shape, q)),
-                (Literal(False, Atom("hasObligation", (s, shape, q))),),
-            )
-        )
+        shape = _shape(name, classes[name])
+        obliged = Literal(False, Atom("hasObligation", (s, shape, q)))
+        lifts.append(_mk(f"lift.{name}", Atom("derhasObligation", (s, shape, q)), (obliged,)))
     return _append_unique(policy, lifts)
 
 
@@ -475,14 +466,19 @@ def enumerate_refinements(
 ) -> RefinementResult:
     """Exhaustively apply the B rules in deterministic rule/pattern order
     until every obligation action is atomic. Choice and conjunction fork;
-    multiple patterns on one action fork across patterns. Each warning is
-    listed once, in the order first seen."""
+    multiple patterns on one action fork across patterns. Each top-level
+    rule is walked on its own, in policy order, under the limit divided by
+    the branches of the rules before it: so BranchLimitError comes exactly
+    when the branch count passes max_branches, and names the multiplying
+    patterns met before it did. Each warning is listed once, in the order
+    first seen."""
     pats = _flatten_patterns(patterns)
     _check_acyclic(pats)
     by_root = _by_root(pats)
     warnings: list[str] = []
     multiplying: set = set()
     applied: dict = {}  # (id(rule), id(pattern)) -> (rule, outcomes)
+    room = max_branches
 
     def every_outcome(rule, applicable, waiting):
         if len(applicable) > 1:
@@ -491,25 +487,27 @@ def enumerate_refinements(
         for pat in applicable:
             if (id(rule), id(pat)) not in applied:
                 applied[id(rule), id(pat)] = rule, _apply_pattern(rule, pat, onto, warnings)
-            outcomes = applied[id(rule), id(pat)][1]
-            if len(outcomes) > 1:
+            given = applied[id(rule), id(pat)][1]
+            if len(given) > 1:
                 multiplying.add(pat.pattern_id)
-            nxt.extend(outcomes)
-        if waiting + len(nxt) > max_branches:
+            nxt.extend(given)
+        if waiting + len(nxt) > room:
             raise BranchLimitError(max_branches, tuple(sorted(multiplying)))
         return nxt
 
-    walked = _walk(_lift_atomic_obligations(p, by_root), by_root, every_outcome)
-    distinct = {id(r): r for rules, _ in walked for r in rules}
-    result = check_stratification(p.with_rules(distinct.values()), onto)
+    outcomes = []
+    for rule in _lift_atomic_obligations(p, by_root).rules:
+        leaves = _walk((rule,), by_root, every_outcome)
+        room //= len(leaves)
+        outcomes.append(tuple((tuple(rules), tuple(log)) for rules, log in leaves))
+    table = _table(outcomes)
+    result = check_stratification(p.with_rules(rule for rule, _ in table), onto)
     if not result.ok:
         first = result.violations[0]
         raise PolicyError(
             f"refinement produced an unstratified rule: {first.rule_id}: {first.message}"
         )
-    walked.sort(key=lambda branch: branch[1])
-    finished = tuple(RefinementBranch(p.with_rules(r), clog) for r, clog in walked)
-    return RefinementResult(finished, tuple(dict.fromkeys(warnings)))
+    return RefinementResult(p, tuple(outcomes), table, tuple(dict.fromkeys(warnings)))
 
 
 def replay(p: Policy, patterns, choice_log, onto: Ontology) -> Policy:
@@ -533,7 +531,7 @@ def replay(p: Policy, patterns, choice_log, onto: Ontology) -> Policy:
             raise PolicyError(f"choice log tag {tag!r} matches no outcome of {pid!r}")
         return selected[:1]
 
-    ((rules, _),) = _walk(_lift_atomic_obligations(p, by_root), by_root, logged_outcome)
+    ((rules, _),) = _walk(_lift_atomic_obligations(p, by_root).rules, by_root, logged_outcome)
     for _ in entries:
         raise PolicyError("choice log has unused entries")
     return p.with_rules(rules)

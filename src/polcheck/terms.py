@@ -404,6 +404,13 @@ class TokenStream:
         self.pos += 1
         return tok
 
+    def expect_idents(self) -> list:
+        """One or more identifiers separated by commas."""
+        names = [self.expect_ident()]
+        while self.accept(","):
+            names.append(self.expect_ident())
+        return names
+
     def fail(self, message: str, index: int | None = None):
         """Raise a ParseError at the token at index, by default the next one."""
         raise ParseError(message, *_position(self.text, self.pos if index is None else index))

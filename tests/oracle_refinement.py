@@ -7,9 +7,18 @@ quadratic per branch but easy to believe. It shares the single-step pieces
 (pattern flattening, the cycle check, one pattern application, the atomic
 lifts) with the engine, so a comparison tests the walk itself. The module
 also hosts the random instance generator used by the equivalence test.
+
+Three orders are decided by the rules taken one at a time, in policy order:
+the branch limit names the multiplying patterns met before the branch count
+passed it, warnings come in the order first seen, and a rule's errors (the
+limit or a PatternError) come before any of the next rule's. The reference
+gets them from splicing each top-level rule alone under the limit divided by
+the branch count so far, and the branches from splicing the whole policy.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from polcheck.actions import (
     CHOICE,
@@ -26,7 +35,6 @@ from polcheck.ontology import ENTIRE, Ontology, PropertyDef
 from polcheck.policy import check_stratification, parse_policy
 from polcheck.refinement import (
     RefinementBranch,
-    RefinementResult,
     _apply_pattern,
     _check_acyclic,
     _flatten_patterns,
@@ -35,12 +43,15 @@ from polcheck.refinement import (
 from polcheck.terms import ActionTerm, Var
 
 
-def reference_refinements(p, patterns, onto, max_branches=1024) -> RefinementResult:
-    pats = _flatten_patterns(patterns)
-    _check_acyclic(pats)
-    by_root: dict = {}
-    for pat in sorted(pats, key=lambda x: x.pattern_id):
-        by_root.setdefault(pat.root, []).append(pat)
+@dataclass(frozen=True)
+class ReferenceResult:
+    branches: tuple  # (RefinementBranch, ...) in choice-log order
+    warnings: tuple  # every warning, once per pattern application
+
+
+def _splices(p, by_root, onto, room, limit, warnings, multiplying) -> list:
+    """Every branch of p as (rules, choice log), depth first; past room
+    branches, BranchLimitError names the limit and the multiplying patterns."""
 
     def refinable(rule, done):
         return (
@@ -50,14 +61,13 @@ def reference_refinements(p, patterns, onto, max_branches=1024) -> RefinementRes
             and rule.head.args[1].name in by_root
         )
 
-    warnings, multiplying, finished = [], set(), []
+    finished = []
     stack = [(p.rules, (), frozenset())]
     while stack:
         rules, clog, done = stack.pop()
         rule = next((r for r in rules if refinable(r, done)), None)
         if rule is None:
-            policy = _lift_atomic_obligations(p.with_rules(rules), by_root)
-            finished.append(RefinementBranch(policy, clog))
+            finished.append((rules, clog))
             continue
         applicable = by_root[rule.head.args[1].name]
         if len(applicable) > 1:
@@ -75,9 +85,27 @@ def reference_refinements(p, patterns, onto, max_branches=1024) -> RefinementRes
                     else:
                         spliced.append(r)
                 nxt.append((tuple(spliced), clog + (entry,), done | {rule.rule_id}))
-        if len(finished) + len(stack) + len(nxt) > max_branches:
-            raise BranchLimitError(max_branches, tuple(sorted(multiplying)))
+        if len(finished) + len(stack) + len(nxt) > room:
+            raise BranchLimitError(limit, tuple(sorted(multiplying)))
         stack.extend(reversed(nxt))
+    return finished
+
+
+def reference_refinements(p, patterns, onto, max_branches=1024) -> ReferenceResult:
+    pats = _flatten_patterns(patterns)
+    _check_acyclic(pats)
+    by_root: dict = {}
+    for pat in sorted(pats, key=lambda x: x.pattern_id):
+        by_root.setdefault(pat.root, []).append(pat)
+
+    warnings, multiplying, count = [], set(), 1
+    for rule in p.rules:
+        room = max_branches // count
+        count *= len(_splices(p.with_rules((rule,)), by_root, onto, room, max_branches, warnings, multiplying))
+    finished = [
+        RefinementBranch(_lift_atomic_obligations(p.with_rules(rules), by_root), clog)
+        for rules, clog in _splices(p, by_root, onto, count, max_branches, [], set())
+    ]
     for branch in finished:
         result = check_stratification(branch.policy, onto)
         if not result.ok:
@@ -86,7 +114,7 @@ def reference_refinements(p, patterns, onto, max_branches=1024) -> RefinementRes
                 f"refinement produced an unstratified rule: {first.rule_id}: {first.message}"
             )
     finished.sort(key=lambda b: b.choice_log)
-    return RefinementResult(tuple(finished), tuple(warnings))
+    return ReferenceResult(tuple(finished), tuple(warnings))
 
 
 ACTIONS = tuple(f"A{i}" for i in range(8))

@@ -577,9 +577,15 @@ def test_forty_variables_are_checked_without_building_a_state(monkeypatch, caplo
     )
     assert time.perf_counter() - started < 1
 
-    pattern = RefinementPattern("p1", "Top", (), ActionNode(SEQ, ActionLeaf("A1"), ActionLeaf("A2")), "basic-seq")
+    # basic-seq reads no state, so it is decided on boxes, witness included;
+    # basic-strict-conj runs its transformers from each state and is refused
+    # past the bound
+    seq = ActionNode(SEQ, ActionLeaf("A1"), ActionLeaf("A2"))
+    verdict = check_well_formed_complex(RefinementPattern("p1", "Top", (), seq, "basic-seq"), onto)
+    assert [v.constraint_id for v in verdict.violations] == ["Δ2⊑Γ1"]
+    conj = ActionNode(CONJ, ActionLeaf("A1"), ActionLeaf("A2"), strict=True)
     with pytest.raises(OracleScaleError) as err:
-        check_well_formed_complex(pattern, onto)
+        check_well_formed_complex(RefinementPattern("p2", "Top", (), conj, "basic-strict-conj"), onto)
     assert str(err.value) == f"root: initial space has {2 ** 40} states, past the bound of 4096"
 
 

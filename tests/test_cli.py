@@ -98,6 +98,44 @@ def test_validate_flags_term_growing_recursion(capsys, tmp_path):
     ) in out
 
 
+def _state_heavy_args(tmp_path, body, row):
+    """14 binary state variables: Provision's initial space fixes one of
+    them, so it holds 8,192 states, past the default --oracle-bound."""
+    names = [f"v{i}" for i in range(14)]
+    onto = ["class Entity", "class Machine subclassOf Entity", "prop type dom Entity range Entity"]
+    onto += [f"prop {v}s dom Machine range Entity" for v in names]
+    onto += [f"var {v} maps m0.{v}s range {{off, on}}" for v in names]
+    onto += [
+        "action Provision(target) init {v0=off} final {v0=on, v1=on}",
+        "action Prepare(target) init {v0=off} final {v1=on}",
+        "action Commit(target) init {v1=on} final {v0=on, v1=on}",
+        "transform Prepare when {} set {v1=on}",
+        "transform Commit when {} set {v0=on}",
+    ]
+    files = {
+        "onto": "\n".join(onto),
+        "facts": "obj m0 : Machine",
+        "high": "hasObligation($s, Provision((target,$x)), true) :- type($s, Machine) & type($x, Machine).",
+        "patterns": f"refine Provision(target:$x) := {body} type={row}",
+    }
+    argv = ["validate"]
+    for flag, text in files.items():
+        (tmp_path / flag).write_text(text + "\n")
+        argv += [f"--{flag}", tmp_path / flag]
+    return argv
+
+
+def test_validate_bounds_only_the_rows_that_read_states(capsys, tmp_path):
+    seq = _state_heavy_args(tmp_path, "Prepare(target:$x) ; Commit(target:$x)", "basic-seq")
+    code, out, err = run(capsys, *seq)
+    assert (code, err) == (0, "")
+    assert out.count(": ok\n") == 4
+    conj = _state_heavy_args(tmp_path, "Prepare(target:$x) /\\_s Commit(target:$x)", "basic-strict-conj")
+    code, out, err = run(capsys, *conj)
+    assert (code, out) == (2, "")
+    assert err == "error: root: initial space has 8192 states, past the bound of 4096\n"
+
+
 def test_validate_json_document(capsys):
     code, out, _ = run(capsys, *audit_args("validate"), "--format", "json")
     assert code == 0

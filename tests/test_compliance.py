@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import polcheck.compliance
+import polcheck.refinement
 from polcheck.compliance import (
     CATEGORY_MODAL_AUTH,
     CATEGORY_MODAL_CAP,
@@ -33,8 +34,8 @@ from polcheck.datalog import DecisionView
 from polcheck.errors import EntailmentError, PolcheckError, PolicyError
 from polcheck.loading import parse_facts, parse_ontology, parse_patterns, parse_state
 from polcheck.ontology import DataSystem
-from polcheck.policy import Rule, parse_policy
-from polcheck.refinement import RefinementBranch, RefinementResult
+from polcheck.policy import Policy, Rule, parse_policy
+from polcheck.refinement import RefinementResult
 from polcheck.terms import (
     ActionTerm,
     Atom,
@@ -625,6 +626,34 @@ def test_each_obligation_is_classified_once_per_audit(monkeypatch):
     assert set(calls.values()) == {1}
 
 
+def test_the_audit_builds_no_policy_per_branch(monkeypatch):
+    # k copies of the Fix duty refine into 2^k branches, all examined; the
+    # audit reads the rule table and the reported branch's choice log only,
+    # so it builds as many policies for 16 branches as for 2, and no branch
+    onto = parse_ontology(FIX_ONTO)
+    duty, decide = FIX_HIGH.strip().rsplit("\n", 1)
+    inputs = {k: parse_policy(f"{duty}\n" * k + decide, onto) for k in (1, 4)}
+    low, ds = parse_policy("", onto), parse_facts(FIX_FACTS, onto)
+    patterns = parse_patterns(FIX_PATTERNS, onto)
+    built = Counter()
+    init = Policy.__init__
+
+    def counted(self, *args, **kwargs):
+        built[k] += 1
+        init(self, *args, **kwargs)
+
+    def no_branch(*args):
+        raise AssertionError("a branch policy was built")
+
+    monkeypatch.setattr(Policy, "__init__", counted)
+    monkeypatch.setattr(polcheck.refinement, "RefinementBranch", no_branch)
+    for k, ph in inputs.items():
+        report = check_compliance(ph, low, ds, patterns, CurrentState(), onto)
+        assert ("branches_examined", 2**k) in report.stats
+        assert report.matched_branch == tuple((f"r{i}", "p1", "choice.1") for i in range(1, k + 1))
+    assert built[1] == built[4] > 0, built
+
+
 def test_released_obligations_show_up_in_stats():
     onto = parse_ontology(REBOOT_ONTO)
     ds = parse_facts("obj al : Agent\nobj box1 : Box\nowns(al, box1).\n", onto)
@@ -713,10 +742,11 @@ def test_a_later_branch_that_cannot_be_evaluated_fails_the_audit_after_a_match(
     assert check_compliance(ph, pl, ds, patterns, sigma, onto).verdict == "compliant"
     first = real.branches[0]
     unsafe = Rule("unsafe", Atom("hasDispensation", (Var("s"), Var("a"))))
-    later = RefinementBranch(
-        first.policy.with_rules(first.policy.rules + (unsafe,)), (("r", "p", "x"),)
-    )
-    forked = RefinementResult((first, later), real.warnings)
+    # branch 1 is branch 0 plus the unsafe rule, as a product and as a table
+    outcomes = (((first.policy.rules, first.choice_log),), (((), ()), ((unsafe,), (("r", "p", "x"),))))
+    table = tuple((rule, 0b11) for rule in first.policy.rules) + ((unsafe, 0b10),)
+    forked = RefinementResult(real.policy, outcomes, table, real.warnings)
+    assert [b.policy.rules for b in forked.branches] == [first.policy.rules, first.policy.rules + (unsafe,)]
     for module in (polcheck.compliance, oracle_compliance):
         monkeypatch.setattr(module, "refine_policy", lambda *args, **kwargs: forked)
     assert reference_check_compliance(ph, pl, ds, patterns, sigma, onto).verdict == "compliant"

@@ -607,8 +607,24 @@ def test_audit_probes_grow_linearly_with_the_input(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def assert_projections_match(policies, ds):
-    shared = evaluate_branches(policies, ds)
+def rule_table(policies) -> tuple:
+    """The policies' rule table: each rule object once, in the order the
+    policies first hold it, with the mask of the policies that hold it."""
+    masks: dict = {}  # id(rule) -> [rule, mask]
+    for i, p in enumerate(policies):
+        for rule in p.rules:
+            masks.setdefault(id(rule), [rule, 0])[1] |= 1 << i
+    return tuple(map(tuple, masks.values()))
+
+
+def evaluate_policies(policies, ds, **kwargs):
+    return evaluate_branches(rule_table(policies), len(policies), ds, **kwargs)
+
+
+def assert_projections_match(policies, ds, table=None):
+    """Each projection of the shared pass over the table (by default the
+    policies' own) is the model of that policy alone."""
+    shared = evaluate_branches(rule_table(policies) if table is None else table, len(policies), ds)
     for i, policy in enumerate(policies):
         alone = evaluate(policy, ds)
         projected = shared.project(i)
@@ -677,7 +693,7 @@ def test_shared_pass_projects_to_each_branch_model(monkeypatch):
             continue
         branchy += len(result.branches) > 1
         policies = [b.policy for b in result.branches]
-        assert_projections_match(policies, DataSystem(base_atoms=_owned(rng)))
+        assert_projections_match(policies, DataSystem(base_atoms=_owned(rng)), result.rules)
     assert branchy >= 10
     # recursive atoms gained branches in a later round than they first
     # held, and negated atoms held in some branches only
@@ -696,7 +712,7 @@ def test_shared_pass_ors_the_masks_of_the_atoms_bringing_an_open_do_minus_triple
     ).rules
     policies = [Policy(rules) for rules in ([r1, r4], [r2, r4], [r1, r2, r4], [r2, r3, r4])]
     assert_projections_match(policies, DataSystem())
-    shared = evaluate_branches(policies, DataSystem())
+    shared = evaluate_policies(policies, DataSystem())
     grant, head = (Atom("do", (C("o1"), C("s1"), Signed(sign, C("read")))) for sign in "+-")
     assert shared.mask_of(head) == 0b0111
     support = ("r4", (Literal(True, grant),))
@@ -707,7 +723,7 @@ def test_shared_pass_ors_the_masks_of_the_atoms_bringing_an_open_do_minus_triple
 def test_shared_pass_of_one_policy_twice_holds_everything_in_both():
     p, base = random_recursive_program(random.Random(3))
     ds = DataSystem(base_atoms=base)
-    shared = evaluate_branches([p, p], ds)
+    shared = evaluate_policies([p, p], ds)
     assert {shared.mask_of(a) for a in shared.atoms} == {0b11}
     projected, alone = shared.project(1), evaluate(p, ds)
     assert projected.masks == alone.masks
@@ -751,7 +767,7 @@ def assert_goal_slices_match(policies, ds, every_atom=True):
     preds = {a.pred for a in ds.base_atoms} | {
         a.pred for r in rules for a in (r.head, *(l.atom for l in r.body))
     }
-    full = evaluate_branches(policies, ds)
+    full = evaluate_policies(policies, ds)
     alone = [full.project(i) for i in range(len(policies))]
     expected = [naive_supports(p, m.atoms) for p, m in zip(policies, alone)]
     for goal in sorted(preds):
@@ -759,7 +775,7 @@ def assert_goal_slices_match(policies, ds, every_atom=True):
         sliced = (
             evaluate(policies[0], ds, goal=goal)
             if len(policies) == 1
-            else evaluate_branches(policies, ds, goal=goal)
+            else evaluate_policies(policies, ds, goal=goal)
         )
         assert {a: m for a, m in sliced.masks.items() if a.pred in cone} == {
             a: m for a, m in full.masks.items() if a.pred in cone

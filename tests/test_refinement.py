@@ -371,6 +371,74 @@ def test_branch_limit_names_the_multiplying_patterns():
     assert "p.M" in err.value.pattern_ids or "p.N" in err.value.pattern_ids
 
 
+def _choice_rules(k):
+    """k obligation rules, each refined by its own choice pattern p1..pk."""
+    onto = simple_onto(*(f"{kind}{i}" for i in range(1, k + 1) for kind in "TAB"))
+    p = parse_policy(
+        "\n".join(f"hasObligation($s, T{i}((target, $x)), true) :- owns($s, $x)." for i in range(1, k + 1))
+    )
+    patterns = tuple(
+        pat(f"p{i}", f"T{i}", ActionNode(CHOICE, tleaf(f"A{i}"), tleaf(f"B{i}"))) for i in range(1, k + 1)
+    )
+    return p, patterns, onto
+
+
+def test_branch_limit_names_the_patterns_of_the_rules_before_it_passed():
+    # Decided: rules are taken in policy order, and the limit names the
+    # multiplying patterns met before the branch count passed it. Two rules
+    # make 4 branches, past 3, so p3 is never met; a depth-first walk over
+    # whole branches would have reached p3 first.
+    p, patterns, onto = _choice_rules(3)
+    for enumerate_ in (enumerate_refinements, reference_refinements):
+        with pytest.raises(BranchLimitError) as err:
+            enumerate_(p, patterns, onto, max_branches=3)
+        assert str(err.value) == "refinement exceeded 3 branches; multiplying patterns: p1, p2"
+    assert enumerate_refinements(p, patterns, onto, max_branches=8).count == 8
+    with pytest.raises(BranchLimitError, match="patterns: p1, p2, p3$"):
+        enumerate_refinements(p, patterns, onto, max_branches=7)
+
+
+def test_errors_are_met_rule_by_rule():
+    # Decided: a rule's walk runs to its end before the next rule's starts,
+    # so r1's four outcomes pass the limit of 3 before r2's pattern is
+    # tried; a depth-first walk over whole branches would reach r2 at once
+    onto = simple_onto("T1", "T2", "A", "B", "C", "D")
+    patterns = (
+        pat("p1", "T1", ActionNode(CHOICE, tleaf("A"), tleaf("B"))),
+        pat("p2", "A", ActionNode(CHOICE, tleaf("C"), tleaf("D"))),
+        pat("p3", "B", ActionNode(CHOICE, tleaf("C"), tleaf("D"))),
+        pat("p4", "T2", ActionNode(SEQ, tleaf("C"), tleaf("D"))),
+    )
+    p = parse_policy(
+        "hasObligation($s, T1((target, $x)), true) :- owns($s, $x).\n"
+        "hasObligation($s, T2((host, $x)), true) :- owns($s, $x).\n"
+    )
+    for enumerate_ in (enumerate_refinements, reference_refinements):
+        with pytest.raises(BranchLimitError, match="patterns: p1, p2, p3$"):
+            enumerate_(p, patterns, onto, max_branches=3)
+        with pytest.raises(PatternError, match="^pattern p4 does not unify with the action of rule r2$"):
+            enumerate_(p, patterns, onto, max_branches=4)
+
+
+def test_warnings_follow_the_rules_in_policy_order():
+    # Decided: each rule's own warnings come before the next rule's, so p2's
+    # warning, met only in r1's second outcome, comes before p3's from r2
+    onto = simple_onto("Top1", "Top2", "A", "B", "C", "D")
+    guarded = dict(guard=ENTIRE, guard_side="right")
+    patterns = (
+        pat("p1", "Top1", ActionNode(CHOICE, tleaf("A"), tleaf("B"))),
+        pat("p2", "B", ActionNode(SEQ, tleaf("C"), tleaf("D"), **guarded)),
+        pat("p3", "Top2", ActionNode(SEQ, tleaf("C"), tleaf("D"), **guarded)),
+    )
+    p = parse_policy(
+        "hasObligation($s, Top1((target, $x)), true) :- owns($s, $x).\n"
+        "hasObligation($s, Top2((target, $x)), true) :- owns($s, $x).\n"
+    )
+    for enumerate_ in (enumerate_refinements, reference_refinements):
+        warned = enumerate_(p, patterns, onto).warnings
+        assert [w.split(":")[0] for w in dict.fromkeys(warned)] == ["p2", "p3"]
+
+
 def test_cyclic_patterns_are_rejected():
     onto = simple_onto("Protect", "Harden", "Audit")
     patterns = (
@@ -433,13 +501,7 @@ def test_branches_share_each_pattern_application(monkeypatch):
     # pattern once and every branch holds the outcome rules it reaches as
     # the same objects
     k = 5
-    onto = simple_onto(*(f"{kind}{i}" for i in range(k) for kind in "TAB"))
-    p = parse_policy(
-        "\n".join(f"hasObligation($s, T{i}((target, $x)), true) :- owns($s, $x)." for i in range(k))
-    )
-    patterns = tuple(
-        pat(f"p{i}", f"T{i}", ActionNode(CHOICE, tleaf(f"A{i}"), tleaf(f"B{i}"))) for i in range(k)
-    )
+    p, patterns, onto = _choice_rules(k)
     calls = []
     apply_pattern = polcheck.refinement._apply_pattern
 
@@ -450,9 +512,9 @@ def test_branches_share_each_pattern_application(monkeypatch):
     monkeypatch.setattr(polcheck.refinement, "_apply_pattern", counted)
     result = refine_policy(p, patterns, onto)
     assert len(result.branches) == 2**k
-    assert calls == [(f"r{i + 1}", f"p{i}") for i in range(k)]
+    assert calls == [(f"r{i}", f"p{i}") for i in range(1, k + 1)]
     rules = [r for b in result.branches for r in b.policy.rules]
-    assert len({id(r) for r in rules}) == len(set(rules))
+    assert len({id(r) for r in rules}) == len(set(rules)) == len(result.rules)
 
 
 def test_an_unstratified_refinement_names_the_first_failing_branch():
@@ -493,6 +555,7 @@ def test_enumeration_matches_the_reference_on_random_instances():
         assert [to_text(b.policy) for b in fast.branches] == [
             to_text(b.policy) for b in slow.branches
         ]
+        assert_table_projects_to_each_branch(fast)
         for branch in fast.branches:
             replayed = replay(p, patterns, branch.choice_log, onto)
             assert to_text(replayed) == to_text(branch.policy)
@@ -507,6 +570,20 @@ def test_enumeration_matches_the_reference_on_random_instances():
         "PatternError",
         "PolicyError",
     }
+
+
+def assert_table_projects_to_each_branch(result):
+    """Bit i of the rule table holds exactly branch i's rule objects, the
+    table lists each rule object once, in the order the branches taken in
+    turn first hold it, and the lazy choice logs are the branches' own."""
+    first_held = {id(rule): rule for branch in result.branches for rule in branch.policy.rules}
+    assert [id(rule) for rule, _ in result.rules] == list(first_held)
+    assert len(result.branches) == result.count
+    for i, branch in enumerate(result.branches):
+        held = {id(rule) for rule, mask in result.rules if mask >> i & 1}
+        assert held == {id(rule) for rule in branch.policy.rules}
+        assert result.choice_log(i) == branch.choice_log
+    assert all(0 < mask < 1 << result.count for _, mask in result.rules)
 
 
 def test_rules_are_refined_where_they_stand():

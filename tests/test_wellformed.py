@@ -36,7 +36,7 @@ from polcheck.ontology import (
     expand_space,
 )
 
-from wf_gen import ROWS, make_satisfying, make_violating
+from wf_gen import _NODE, ROWS, make_satisfying, make_violating
 
 import random
 
@@ -503,12 +503,21 @@ def test_box_explicit_meet_keeps_the_expanding_verdicts(node, operand_init, monk
 
 
 def test_state_bound_guards_both_checkers():
+    # the checker lists the parent's initial space only for a row that runs
+    # transformers from each state; the oracle lists it for every row
     onto = _valid_onto()
-    p = pattern("Top", ActionNode(SEQ, ActionLeaf("A1"), ActionLeaf("A2")), "basic-seq")
-    with pytest.raises(OracleScaleError):
-        check_well_formed_complex(p, onto, state_bound=2)
-    with pytest.raises(OracleScaleError):
-        oracle_well_formed(p, onto, state_bound=2)
+    message = "^root: initial space has 4 states, past the bound of 2$"
+    for row in ROWS:
+        op, strict, guarded = _NODE[row]
+        guard = dict(guard=ENTIRE, guard_side="right") if guarded else {}
+        p = pattern("Top", ActionNode(op, ActionLeaf("A1"), ActionLeaf("A2"), strict=strict, **guard), row)
+        if row in ("basic-seq", "basic-strict-choice", "basic-flex-choice"):
+            check_well_formed_complex(p, onto, state_bound=2)
+        else:
+            with pytest.raises(OracleScaleError, match=message):
+                check_well_formed_complex(p, onto, state_bound=2)
+        with pytest.raises(OracleScaleError, match=message):
+            oracle_well_formed(p, onto, state_bound=2)
 
 
 # ---------------------------------------------------------------------------
