@@ -68,7 +68,6 @@ from .actions import (
     WellFormedVerdict,
     apply_trace,
     check_well_formed_complex,
-    normalize,
     oracle_well_formed,
     render_composition,
     taxonomy_of,

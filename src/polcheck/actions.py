@@ -323,7 +323,7 @@ def render_composition(comp, _prec: int = 0) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Traces and normal form
+# Traces
 # ---------------------------------------------------------------------------
 
 
@@ -366,36 +366,6 @@ def traces(comp) -> tuple:
         return {t for l in left for r in right for t in _shuffle(l, r)}
 
     return tuple(sorted(ActionTrace(t) for t in walk(comp)))
-
-
-def normalize(comp):
-    """Choice-of-sequences normal form: conjunctions expand into their
-    interleavings, sequence distributes over choice, guards expand into
-    optional operands. Preserves the trace set."""
-    leaves: dict = {}
-
-    def collect(c):
-        if isinstance(c, ActionLeaf):
-            leaves.setdefault(c.name, c)
-        elif isinstance(c, ActionNode):
-            collect(c.left)
-            collect(c.right)
-
-    collect(comp)
-
-    def seq_tree(names):
-        if not names:
-            return EMPTY
-        tree = leaves[names[-1]]
-        for name in reversed(names[:-1]):
-            tree = ActionNode(SEQ, leaves[name], tree)
-        return tree
-
-    alternatives = [seq_tree(t.steps) for t in traces(comp)]
-    tree = alternatives[-1]
-    for alt in reversed(alternatives[:-1]):
-        tree = ActionNode(CHOICE, alt, tree)
-    return tree
 
 
 def apply_trace(trace: ActionTrace, state: State, onto: Ontology):

@@ -177,13 +177,13 @@ def entails(sigma: CurrentState, ds: DataSystem, formula: Formula, onto: Ontolog
                 or any(shape[0] == pred for shape in store.lists)
             ):
                 raise EntailmentError(f"cannot resolve predicate {pred!r} in a postcondition")
-    plan = getattr(formula, "_plan", None)
+    plan = getattr(formula, "_cache", None)  # a formula caches its join plans
     if plan is None:
         positives = [c.atom for c in formula.conjuncts if not c.negated]
         # a negated conjunct's step after the positives, which bind its variables
         negatives = [_join_plan(positives + [c.atom])[-1:] for c in formula.conjuncts if c.negated]
         plan = (_join_plan(positives), negatives)
-        object.__setattr__(formula, "_plan", plan)
+        object.__setattr__(formula, "_cache", plan)
     positive, negatives = plan
     return any(
         not any(_join(negative, store, 0, 1, theta) for negative in negatives)
@@ -193,12 +193,17 @@ def entails(sigma: CurrentState, ds: DataSystem, formula: Formula, onto: Ontolog
 
 def effect_formula(action: ActionTerm, onto: Ontology) -> Formula:
     """The action class's declared effect with the term's property bindings
-    substituted in; unbound effect variables stay existential."""
+    substituted in; unbound effect variables stay existential. The term
+    keeps its last result with the declared effect it came from, so each
+    action term substitutes an ontology's effect once."""
     acd = onto.action_classes.get(action.name)
     if acd is None:
         return Formula(())
-    theta = {prop: value for prop, value in action.bindings}
-    return substitute(acd.effect, theta)
+    effect, result = getattr(action, "_cache", (None, None))
+    if effect is not acd.effect:
+        result = substitute(acd.effect, dict(action.bindings))
+        object.__setattr__(action, "_cache", (acd.effect, result))
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,9 @@ Each join step is compiled once: a literal ground under the variables bound
 before it is a membership probe, and any other looks its candidates up in an
 index on the arguments it binds, fills its bind slots (each variable's first
 unindexed occurrence) and matches only the rest. Heads and negated atoms are
-templates, built once per pass.
+templates, built once per pass: an instance looks up each bound variable,
+keeps each ground argument as it is, substitutes only an argument with
+variables inside it, and reads the finished atom from the intern table.
 
 Supports (why-provenance) are not recorded: positive atoms are never removed
 and negated literals name saturated strata, so the instances that fire are
@@ -56,6 +58,7 @@ from .errors import PolicyError
 from .ontology import DataSystem, Ontology
 from .policy import Policy, _is_row8, check_stratification
 from .terms import (
+    _TABLE,
     Atom,
     Literal,
     Signed,
@@ -212,12 +215,14 @@ def _template(atom: Atom, bound: frozenset, positions=None):
 
 
 def _instance(template, theta: dict):
-    """What a template builds under theta: its names looked up, the rest substituted."""
+    """What a template builds under theta: its names looked up, its ground
+    parts as they are, the rest substituted; an atom is looked up in the
+    intern table and built only if it is new."""
     if template.__class__ is Atom:
         return template
     pred, parts = template
-    args = tuple([theta[p] if p.__class__ is str else substitute(p, theta) for p in parts])
-    return args if pred is None else Atom(pred, args)
+    args = tuple([theta[p] if p.__class__ is str else substitute(p, theta) if p._fvars else p for p in parts])
+    return args if pred is None else _TABLE.get(("Atom", pred, args)) or Atom(pred, args)
 
 
 def _join_plan(positive, j=None, bound=frozenset(), delta=True) -> tuple:

@@ -2,11 +2,12 @@
 atoms, and postcondition formulas.
 
 Terms are interned for the life of the process: building a term returns the
-one object with its fields, so equality is identity, and memory grows with
-the distinct terms built, not with the number of loads. Action terms carry
-property bindings, e.g. ``Protect((target,$x))``, each property at most once.
-Bindings are sorted by property name at construction so equality does not
-depend on authoring order. Formula conjunct order is preserved as written.
+one object with its fields, so equality and hashing are by identity, and
+memory grows with the distinct terms built, not with the number of loads.
+Action terms carry property bindings, e.g. ``Protect((target,$x))``, each
+property at most once. Bindings are sorted by property name at construction
+so equality does not depend on authoring order. Formula conjunct order is
+preserved as written.
 
 A "ground" value may still contain variables inside a formula argument: those
 are existential and get closed at satisfaction-check time, not at grounding.
@@ -32,14 +33,13 @@ _NO_VARS = frozenset()
 
 class Term:
     """Base of the interned terms; a subclass's fields are its ``__slots__``.
-    Each distinct term is built once, with its content hash and its free
-    variables without (``_vars``) and with (``_fvars``) formula interiors;
-    ``_text`` holds its rendering once ``render`` first makes it."""
+    Each distinct term is built once, with its free variables without
+    (``_vars``) and with (``_fvars``) formula interiors; ``_text`` holds its
+    rendering once ``render`` first makes it. A term hashes by identity, so
+    the order of a set or dict of terms depends on where they sit in memory:
+    output orders terms only by ``sort_key``."""
 
-    __slots__ = ("_hash", "_vars", "_fvars", "_text")
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("_vars", "_fvars", "_text")
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable: {name!r} cannot change")
@@ -58,9 +58,10 @@ class Term:
 
 
 def _intern(cls, key: tuple, parts=(), names: frozenset = _NO_VARS):
-    """The term of class cls with fields key[1:], built on a table miss. Its
-    variables are names plus those of parts, its subterms; a formula has
-    none outside its interior."""
+    """The term of class cls with fields key[1:], built on a table miss, the
+    only place a term is built: one object per key is what makes identity
+    equality and identity hashing hold. Its variables are names plus those
+    of parts, its subterms; a formula has none outside its interior."""
     term = object.__new__(cls)
     for name, value in zip(cls.__slots__, key[1:]):
         object.__setattr__(term, name, value)
@@ -68,7 +69,6 @@ def _intern(cls, key: tuple, parts=(), names: frozenset = _NO_VARS):
     for p in parts:
         vs = vs | p._vars if vs and p._vars else vs or p._vars
         fvs = fvs | p._fvars if fvs and p._fvars else fvs or p._fvars
-    object.__setattr__(term, "_hash", hash(key))
     object.__setattr__(term, "_vars", _NO_VARS if cls is Formula else vs)
     object.__setattr__(term, "_fvars", fvs)
     return _TABLE.setdefault(key, term)
@@ -98,7 +98,11 @@ class Var(_Ordered):
         return _TABLE.get(key) or _intern(cls, key, (), frozenset((name,)))
 
 
-class ActionTerm(Term):
+class _Cached(Term):
+    __slots__ = ("_cache",)  # a formula's join plans, an action term's effect; not a field
+
+
+class ActionTerm(_Cached):
     __slots__ = ("name", "bindings")  # bindings: ((property, Term), ...), sorted
 
     def __new__(cls, name: str, bindings=()):
@@ -142,11 +146,7 @@ class Literal(Term):
         return _TABLE.get(key) or _intern(cls, key, (atom,))
 
 
-class _Planned(Term):
-    __slots__ = ("_plan",)  # join plans, once ``entails`` first needs them; not a field
-
-
-class Formula(_Planned):
+class Formula(_Cached):
     __slots__ = ("conjuncts", "contradiction")  # conjuncts: (Literal, ...)
 
     def __new__(cls, conjuncts: tuple = (), contradiction: bool = False):

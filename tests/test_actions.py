@@ -27,7 +27,6 @@ from polcheck.actions import (
     TransformRule,
     apply_trace,
     check_well_formed_complex,
-    normalize,
     render_composition,
     taxonomy_of,
     traces,
@@ -229,6 +228,36 @@ def test_conjunction_distributes_over_choice(x, y, z):
 # ---------------------------------------------------------------------------
 # Normal form
 # ---------------------------------------------------------------------------
+
+
+def normalize(comp):
+    """Choice-of-sequences normal form: conjunctions expand into their
+    interleavings, sequence distributes over choice, guards expand into
+    optional operands. Preserves the trace set."""
+    leaves: dict = {}
+
+    def collect(c):
+        if isinstance(c, ActionLeaf):
+            leaves.setdefault(c.name, c)
+        elif isinstance(c, ActionNode):
+            collect(c.left)
+            collect(c.right)
+
+    collect(comp)
+
+    def seq_tree(names):
+        if not names:
+            return EMPTY
+        tree = leaves[names[-1]]
+        for name in reversed(names[:-1]):
+            tree = ActionNode(SEQ, leaves[name], tree)
+        return tree
+
+    alternatives = [seq_tree(t.steps) for t in traces(comp)]
+    tree = alternatives[-1]
+    for alt in reversed(alternatives[:-1]):
+        tree = ActionNode(CHOICE, alt, tree)
+    return tree
 
 
 def _is_choice_of_sequences(comp) -> bool:

@@ -272,6 +272,27 @@ def test_obligation_satisfied_needs_postcondition_and_effect(audit):
     assert obligation_status(m, done, onto, ds) == "unsatisfied"
 
 
+def _effect_onto(effect):
+    return parse_ontology(
+        "class Entity\n"
+        "prop marked dom Entity range Entity\n"
+        "prop sealed dom Entity range Entity\n"
+        f"action A(p) init {{}} final {{}}\n    effect {effect}\n"
+    )
+
+
+def test_each_ontology_audits_an_obligation_by_its_own_effect():
+    # One interned action term meets two ontologies whose A differs only in
+    # its effect; a result kept on the term alone would leak between them.
+    marks, seals = _effect_onto("marked($p, $x)"), _effect_onto("sealed($p, $x)")
+    m = A("mustdo", Const("s"), ActionTerm("A", (("p", Const("v")),)), F("true"))
+    sigma = CurrentState(frozenset({A("marked", Const("v"), Const("w"))}))
+    for _ in range(2):
+        assert obligation_status(m, sigma, marks, DataSystem()) == "satisfied"
+        assert obligation_status(m, sigma, seals, DataSystem()) == "unsatisfied"
+    assert render(effect_formula(m.args[1], seals)) == "sealed(v, $x)"
+
+
 def test_obligation_status_wants_a_formula(audit):
     onto, ds = audit[0], audit[1]
     bad = A("mustdo", BOB, BACKUP, Const("oops"))

@@ -496,6 +496,30 @@ def _probes(monkeypatch, policy_text, base) -> int:
     return _count_probes(monkeypatch, lambda: evaluate(policy, ds))
 
 
+def test_a_head_instance_substitutes_no_ground_part(monkeypatch):
+    # Encrypt((target,d1)) and +execute are ground, so an instance of the
+    # first head only looks up $e; the second head's action term holds $d.
+    base = frozenset(Atom("guards", (C(f"e{i}"), C(f"d{i % 2}"))) for i in range(20))
+    substituted = []
+    real = polcheck.datalog.substitute
+
+    def counting(value, theta):
+        substituted.append(value)
+        return real(value, theta)
+
+    def run(rule):
+        return evaluate(parse_policy(rule), DataSystem(base_atoms=base))
+
+    monkeypatch.setattr(polcheck.datalog, "substitute", counting)
+    ground = run("cando(Encrypt((target,d1)), $e, +execute) :- guards($e, d1).")
+    assert substituted == []
+    opened = run("cando(Encrypt((target,$d)), $e, +execute) :- guards($e, $d).")
+    monkeypatch.undo()
+    assert sum(a.pred == "cando" for a in ground.atoms) == 10
+    assert sum(a.pred == "cando" for a in opened.atoms) == 20
+    assert substituted == [ActionTerm("Encrypt", (("target", Var("d")),))] * 20
+
+
 def _under_chain(depth):
     policy = (
         "hasObligation(e0, Audit((target,sys1)), true).\n"

@@ -132,6 +132,41 @@ def test_cli_output_does_not_depend_on_the_hash_seed(seed):
         assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8"), name
 
 
+# Every CLI case and every demo in one process, after interning a batch of
+# unrelated terms in a seeded shuffled order: {name: [exit code, stdout]}.
+_AFTER_A_SHUFFLED_BATCH = """
+import json, random, runpy, sys
+from contextlib import redirect_stdout
+from io import StringIO
+from polcheck.terms import ActionTerm, Atom, Const, Var
+from test_golden import CASES, DEMOS, run_case
+size = int(sys.argv[1])
+order = list(range(size))
+random.Random(size).shuffle(order)
+batch = [Atom(f"q{i % 7}", (Const(f"c{i}"), ActionTerm("A", (("p", Var(f"v{i % 13}")),)))) for i in order]
+outputs = {name: run_case(argv) for name, argv in CASES.items()}
+for script in DEMOS:
+    out = StringIO()
+    with redirect_stdout(out):
+        runpy.run_path(str(script), run_name="__main__")
+    outputs["demo_" + script.stem] = [0, out.getvalue()]
+print(json.dumps(outputs))
+"""
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+@pytest.mark.parametrize("size", ["1000", "4000"])
+def test_output_does_not_depend_on_where_terms_sit_in_memory(seed, size):
+    # Terms hash by identity, so the order of a set or dict of terms moves
+    # with their addresses; the terms interned before the cases move those.
+    outputs = json.loads(run_python(["-c", _AFTER_A_SHUFFLED_BATCH, size], PYTHONHASHSEED=seed))
+    expected_codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    assert sorted(outputs) == sorted([*CASES, *(f"demo_{d.stem}" for d in DEMOS)])
+    for name, (code, out) in outputs.items():
+        assert code == expected_codes.get(name, 0), name
+        assert out == (GOLDEN / f"{name}.out").read_text(encoding="utf-8"), name
+
+
 @pytest.mark.parametrize("script", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_output_matches_golden(script):
     expected = (GOLDEN / f"demo_{script.stem}.out").read_text(encoding="utf-8")

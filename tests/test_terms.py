@@ -1,12 +1,9 @@
-"""Interned terms: one object per distinct term, whose hash and free
-variables are computed once, when it is first built."""
+"""Interned terms: one object per distinct term, whose free variables are
+computed once, when it is first built, and which hashes by identity."""
 
 import copy
-import os
 import pickle
 import random
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -237,26 +234,6 @@ def test_loading_every_sample_twice_does_not_grow_the_table():
     size = len(terms._TABLE)
     _load_every_sample()
     assert len(terms._TABLE) == size
-
-
-_PRINT_HASH = (
-    "import sys; from polcheck.terms import Atom, Const, Var; "
-    "[Const(str(i)) for i in range(int(sys.argv[1]))]; "
-    "print(hash(Atom('p', (Const('a'), Var('x')))))"
-)
-
-
-def test_hash_depends_on_content_and_seed_only():
-    # Terms built before it move the atom in memory, so an identity hash
-    # would differ; a content hash is the same under one PYTHONHASHSEED.
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONHASHSEED": "0"}
-    hashes = {
-        subprocess.run(
-            [sys.executable, "-c", _PRINT_HASH, n], env=env, capture_output=True, text=True, check=True
-        ).stdout
-        for n in ("0", "5000")
-    }
-    assert len(hashes) == 1
 
 
 def test_a_token_stream_holds_few_bytes_per_character():
