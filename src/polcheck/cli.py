@@ -262,10 +262,10 @@ def cmd_explain(args) -> int:
     onto, ds, ph, pl, patterns, _ = _load_inputs(args)
 
     ts = TokenStream(args.atom)
-    atom = _parse_atom(ts, onto)
+    atom = _parse_atom(ts)
     if not ts.at_end():
         ts.fail("trailing input after the atom")
-    _check_atom_shape(atom, "explain", "atom", onto)
+    _check_atom_shape(atom, "explain", onto)
     if not is_ground(atom):
         raise PolcheckError(f"explain takes a ground atom; {render(atom)} has variables")
 

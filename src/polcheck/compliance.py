@@ -34,7 +34,6 @@ a conjunct they make ground is a membership probe, with no index.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .datalog import (
@@ -166,7 +165,7 @@ def entails(sigma: CurrentState, ds: DataSystem, formula: Formula, onto: Ontolog
         return False
     base, store = sigma._pool
     if base is not ds.base_atoms:
-        store = _Atoms(sigma.atoms | ds.base_atoms, None)
+        store = _Atoms(dict.fromkeys(sigma.atoms | ds.base_atoms, 1))
         object.__setattr__(sigma, "_pool", (ds.base_atoms, store))
     if onto is not None:
         for c in formula.conjuncts:
@@ -322,11 +321,17 @@ def check_compliance(
         raise PolicyError(f"high-level policy authors positive authorizations: {hl[0].message}")
 
     def counts():
-        return (("branches_examined", examined), ("atoms_derived", atoms_derived))
+        """The statistics so far: each examined branch's derived atoms are
+        those its bit holds, less the base atoms every branch holds."""
+        derived = len(model_l.atoms) - len(ds.base_atoms)
+        if examined:
+            bits = (1 << examined) - 1
+            held = sum((mask & bits).bit_count() for mask in shared.masks.values())
+            derived += held - examined * len(ds.base_atoms)
+        return (("branches_examined", examined), ("atoms_derived", derived))
 
     examined = 0
     model_l = evaluate(pl, ds, onto)
-    atoms_derived = len(model_l.atoms) - len(ds.base_atoms)
     if model_l.error_mask():
         detail = "low-level policy is inconsistent (error derivable)"
         return ComplianceReport("inconsistent-input", stats=counts(), detail=detail)
@@ -336,7 +341,6 @@ def check_compliance(
     result = refine_policy(ph, patterns, onto, ds, mode=mode, max_branches=max_branches)
     shared = evaluate_branches(result.rules, result.count, ds, onto)
     error_mask = shared.error_mask()
-    sizes = Counter()  # mask -> atoms held by just those branches
     # The decision atoms of the high views by the first branch that holds
     # them, mustdo atoms sorted: the walk audits each when it reaches that
     # branch, and classifies the obligations in the order one branch's view
@@ -344,7 +348,6 @@ def check_compliance(
     first_held: dict = {}  # branch index -> [(atom, mask), ...]
     mustdo = []
     for atom, mask in shared.masks.items():
-        sizes[mask] += 1
         if atom.pred == "do":
             first_held.setdefault((mask & -mask).bit_length() - 1, []).append((atom, mask))
         elif atom.pred == "mustdo":
@@ -353,7 +356,7 @@ def check_compliance(
         first_held.setdefault((mask & -mask).bit_length() - 1, []).append((atom, mask))
 
     status: dict = {}  # ground mustdo atom -> obligation_status, for every branch
-    conflict_count = Counter()  # branch mask -> conflicts of the atoms with that mask
+    conflict_count: dict = {}  # branch mask -> conflicts of the atoms with that mask, if any
     nearest = None  # (conflicts, branch index): fewest conflicts, then choice-log order
 
     def report(verdict, i):
@@ -370,7 +373,6 @@ def check_compliance(
     for i in range(result.count):
         bit = 1 << i
         examined += 1
-        atoms_derived += sum(n for mask, n in sizes.items() if mask & bit) - len(ds.base_atoms)
         if error_mask & bit:
             detail = "high-level policy is inconsistent (error derivable in a refinement branch)"
             return ComplianceReport("inconsistent-input", stats=counts(), detail=detail)
@@ -384,8 +386,10 @@ def check_compliance(
             if status[atom] == "unsatisfied":
                 pending.append(atom)
         for mask, (do_atoms, pending) in groups.items():
+            # a mask's lowest bit is i, so no other branch's walk meets it
             view = DecisionView(tuple(do_atoms), ())
-            conflict_count[mask] += len(_conflicts(view, pending, view_l, M_l, ds, onto))
+            if found := len(_conflicts(view, pending, view_l, M_l, ds, onto)):
+                conflict_count[mask] = found
         n = sum(c for mask, c in conflict_count.items() if mask & bit)
         if n == 0:
             return report("compliant", i)

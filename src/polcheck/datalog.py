@@ -108,7 +108,7 @@ class Model:
                     plans = [_join_plan(body, j, bound, delta=False) for j in range(len(body))] or [()]
                     entry = (rule, mask, plans, _templates(rule, body)[1])
                     heads.setdefault((rule.head.pred, len(rule.head.args)), []).append(entry)
-            object.__setattr__(self, "_index", (_Atoms(self.masks, self.masks), heads))
+            object.__setattr__(self, "_index", (_Atoms(self.masks), heads))
         store, heads = self._index
         found = set()
         for rule, mask, plans, negated in heads.get((atom.pred, len(atom.args)), ()):
@@ -141,25 +141,24 @@ class DecisionView:
 
 
 class _Atoms:
-    """Atoms with the masks of the policies that hold them (no masks: one
-    policy holds each), listed per (predicate, arity) and each list indexed,
-    once a probe first asks, by the argument positions that probe binds."""
+    """Atoms with the masks of the policies that hold them, listed per
+    (predicate, arity) and each list indexed, once a probe first asks, by the
+    argument positions that probe binds."""
 
     delta = None  # no rounds: every join step reads all atoms
 
-    def __init__(self, atoms, masks):
+    def __init__(self, masks: dict):
         self.masks = masks  # atom -> policy mask
-        self.members = atoms if masks is None else masks
         self.lists: dict = {}  # (pred, arity) -> [atom, ...]
         self.indexes: dict = {}  # (pred, arity) -> {positions: {key: [atom, ...]}}
-        for a in atoms:
+        for a in masks:
             self.lists.setdefault((a.pred, len(a.args)), []).append(a)
 
     def pool(self, shape: tuple, positions, key):
         """The atoms of the shape with the key at the given positions, in list
         order; with positions None, the key atom if held."""
         if positions is None:
-            return (key,) if key in self.members else ()
+            return (key,) if key in self.masks else ()
         if not positions:
             return self.lists.get(shape, ())
         by_positions = self.indexes.setdefault(shape, {})
@@ -179,7 +178,7 @@ class _Store(_Atoms):
     lists, per shape, the atoms of the delta that were stamped earlier."""
 
     def __init__(self, base, full: int):
-        super().__init__(base, dict.fromkeys(base, full))
+        super().__init__(dict.fromkeys(base, full))
         self.stamp, self.delta, self.regrown = dict.fromkeys(base, 0), {}, {}
 
     def add(self, gained: dict, rnd: int) -> None:
@@ -295,7 +294,7 @@ def _join(steps, store: _Atoms, delta_stamp: int, mask: int, theta=None) -> list
                 if th2 is None:
                     continue
                 if view is _ALL:
-                    held = m & masks[ga] if masks is not None else m
+                    held = m & masks[ga]
                 elif view is _OLD:
                     held = m & masks[ga] & ~delta.get(ga, 0)
                 else:

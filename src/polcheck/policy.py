@@ -230,31 +230,31 @@ def parse_policy(text: str, onto: Ontology = None) -> Policy:
             ts.expect(".")
             continue
         n += 1
-        rules.append(_parse_rule(ts, f"r{n}", onto))
+        rules.append(_parse_rule(ts, f"r{n}"))
     policy = Policy(tuple(rules), tuple(scope), tuple(env))
     for r in policy.rules:
-        _check_shape(r, onto)
+        for atom in [r.head] + [l.atom for l in r.body]:
+            _check_atom_shape(atom, r.rule_id, onto)
         _check_safety(r)
     return policy
 
 
-def _parse_rule(ts: TokenStream, rule_id: str, onto: Ontology) -> Rule:
-    head = _parse_atom(ts, onto)
+def _parse_rule(ts: TokenStream, rule_id: str) -> Rule:
+    head = _parse_atom(ts)
     body: list[Literal] = []
     if ts.accept(":-"):
-        body.append(_parse_literal(ts, onto))
+        body.append(_parse_literal(ts))
         while ts.accept("&"):
-            body.append(_parse_literal(ts, onto))
+            body.append(_parse_literal(ts))
     ts.expect(".")
     return Rule(rule_id, head, tuple(body))
 
 
-def _parse_literal(ts: TokenStream, onto: Ontology) -> Literal:
-    negated = bool(ts.accept("~"))
-    return Literal(negated, _parse_atom(ts, onto))
+def _parse_literal(ts: TokenStream) -> Literal:
+    return Literal(ts.accept("~"), _parse_atom(ts))
 
 
-def _parse_atom(ts: TokenStream, onto: Ontology) -> Atom:
+def _parse_atom(ts: TokenStream) -> Atom:
     name = ts.expect_ident()
     if name == "error" and not ts.at("("):
         return Atom("error", ())
@@ -277,12 +277,7 @@ def _parse_atom(ts: TokenStream, onto: Ontology) -> Atom:
 # ---------------------------------------------------------------------------
 
 
-def _check_shape(rule: Rule, onto: Ontology) -> None:
-    for spot, atom in [("head", rule.head)] + [("body", l.atom) for l in rule.body]:
-        _check_atom_shape(atom, rule.rule_id, spot, onto)
-
-
-def _check_atom_shape(atom: Atom, rule_id: str, spot: str, onto: Ontology) -> None:
+def _check_atom_shape(atom: Atom, rule_id: str, onto: Ontology) -> None:
     name = atom.pred
     shape = BUILTIN_SHAPES.get(name)
     if shape is None:
@@ -439,16 +434,10 @@ def _nesting_depths(value) -> dict:
     stack = [(value, 0)]
     while stack:
         v, depth = stack.pop()
-        if isinstance(v, Var):
+        if v.__class__ is Var:
             depths[v.name] = max(depth, depths.get(v.name, 0))
-        elif isinstance(v, ActionTerm):
-            stack.extend((b, depth + 1) for _, b in v.bindings)
-        elif isinstance(v, Signed):
-            stack.append((v.term, depth))
-        elif isinstance(v, Atom):
-            stack.extend((a, depth) for a in v.args)
-        elif isinstance(v, Formula):
-            stack.extend((c.atom, depth) for c in v.conjuncts)
+        below = depth + (v.__class__ is ActionTerm)
+        stack.extend((p, below) for p in v._parts if p._fvars)
     return depths
 
 

@@ -9,6 +9,10 @@ property at most once. Bindings are sorted by property name at construction
 so equality does not depend on authoring order. Formula conjunct order is
 preserved as written.
 
+Each term keeps its subterms (parts) and its shape (its class and other
+fields), as its constructor declares them, and `substitute`, `match` and the
+policy's nesting check walk the parts instead of switching on the class.
+
 A "ground" value may still contain variables inside a formula argument: those
 are existential and get closed at satisfaction-check time, not at grounding.
 ``free_vars`` returns a frozenset computed once per term, with or without them.
@@ -33,13 +37,14 @@ _NO_VARS = frozenset()
 
 class Term:
     """Base of the interned terms; a subclass's fields are its ``__slots__``.
-    Each distinct term is built once, with its free variables without
-    (``_vars``) and with (``_fvars``) formula interiors; ``_text`` holds its
-    rendering once ``render`` first makes it. A term hashes by identity, so
-    the order of a set or dict of terms depends on where they sit in memory:
-    output orders terms only by ``sort_key``."""
+    Each distinct term is built once, by ``_intern``, with its ``_parts``, its
+    ``_shape`` and its free variables without (``_vars``) and with
+    (``_fvars``) formula interiors; ``_text`` holds its rendering once
+    ``render`` first makes it. A term hashes by identity, so the order of a
+    set or dict of terms depends on where they sit in memory: output orders
+    terms only by ``sort_key``."""
 
-    __slots__ = ("_vars", "_fvars", "_text")
+    __slots__ = ("_parts", "_shape", "_vars", "_fvars", "_text")
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable: {name!r} cannot change")
@@ -57,11 +62,16 @@ class Term:
         return f"{type(self).__name__}({fields})"
 
 
-def _intern(cls, key: tuple, parts=(), names: frozenset = _NO_VARS):
+_SHAPES: dict = {}  # every shape, once, so shapes compare by identity
+
+
+def _intern(cls, key: tuple, parts=(), shape=None, names: frozenset = _NO_VARS):
     """The term of class cls with fields key[1:], built on a table miss, the
     only place a term is built: one object per key is what makes identity
-    equality and identity hashing hold. Its variables are names plus those
-    of parts, its subterms; a formula has none outside its interior."""
+    equality and identity hashing hold. Parts are its subterms, in the order
+    its `_with` takes them back; shape, None for a leaf, is what else a match
+    compares. Its variables are names plus those of parts; a formula has
+    none outside its interior."""
     term = object.__new__(cls)
     for name, value in zip(cls.__slots__, key[1:]):
         object.__setattr__(term, name, value)
@@ -69,6 +79,8 @@ def _intern(cls, key: tuple, parts=(), names: frozenset = _NO_VARS):
     for p in parts:
         vs = vs | p._vars if vs and p._vars else vs or p._vars
         fvs = fvs | p._fvars if fvs and p._fvars else fvs or p._fvars
+    object.__setattr__(term, "_parts", parts)
+    object.__setattr__(term, "_shape", shape and _SHAPES.setdefault(shape, shape))
     object.__setattr__(term, "_vars", _NO_VARS if cls is Formula else vs)
     object.__setattr__(term, "_fvars", fvs)
     return _TABLE.setdefault(key, term)
@@ -95,7 +107,7 @@ class Var(_Ordered):
 
     def __new__(cls, name: str):
         key = ("Var", name)
-        return _TABLE.get(key) or _intern(cls, key, (), frozenset((name,)))
+        return _TABLE.get(key) or _intern(cls, key, (), None, frozenset((name,)))
 
 
 class _Cached(Term):
@@ -108,13 +120,15 @@ class ActionTerm(_Cached):
     def __new__(cls, name: str, bindings=()):
         bindings = tuple(sorted(bindings, key=lambda b: b[0]) if len(bindings) > 1 else bindings)
         key = ("ActionTerm", name, bindings)
-        return _TABLE.get(key) or _intern(cls, key, [v for _, v in bindings])
+        return _TABLE.get(key) or _intern(
+            cls, key, tuple([v for _, v in bindings]), ("ActionTerm", name, tuple([p for p, _ in bindings]))
+        )
+
+    def _with(self, parts):
+        return ActionTerm(self.name, tuple(zip(self._shape[2], parts)))
 
     def binding(self, prop: str):
-        for p, v in self.bindings:
-            if p == prop:
-                return v
-        return None
+        return dict(self.bindings).get(prop)
 
 
 class Signed(Term):
@@ -124,7 +138,10 @@ class Signed(Term):
         if sign != "+" and sign != "-":
             raise ValueError(f"bad sign {sign!r}")
         key = ("Signed", sign, term)
-        return _TABLE.get(key) or _intern(cls, key, (term,))
+        return _TABLE.get(key) or _intern(cls, key, (term,), ("Signed", sign))
+
+    def _with(self, parts):
+        return Signed(self.sign, *parts)
 
 
 class Atom(Term):
@@ -132,7 +149,10 @@ class Atom(Term):
 
     def __new__(cls, pred: str, args: tuple = ()):
         key = ("Atom", pred, args)
-        return _TABLE.get(key) or _intern(cls, key, args)
+        return _TABLE.get(key) or _intern(cls, key, args, ("Atom", pred, len(args)))
+
+    def _with(self, parts):
+        return Atom(self.pred, tuple(parts))
 
 
 class Literal(Term):
@@ -143,7 +163,10 @@ class Literal(Term):
 
     def __new__(cls, negated: bool, atom: Atom):
         key = ("Literal", negated, atom)
-        return _TABLE.get(key) or _intern(cls, key, (atom,))
+        return _TABLE.get(key) or _intern(cls, key, (atom,), ("Literal", negated))
+
+    def _with(self, parts):
+        return Literal(self.negated, *parts)
 
 
 class Formula(_Cached):
@@ -151,7 +174,10 @@ class Formula(_Cached):
 
     def __new__(cls, conjuncts: tuple = (), contradiction: bool = False):
         key = ("Formula", conjuncts, contradiction)
-        return _TABLE.get(key) or _intern(cls, key, conjuncts)
+        return _TABLE.get(key) or _intern(cls, key, conjuncts, ("Formula", contradiction, len(conjuncts)))
+
+    def _with(self, parts):
+        return Formula(tuple(parts), self.contradiction)
 
     @property
     def is_true(self) -> bool:
@@ -167,7 +193,7 @@ FALSE = Formula(contradiction=True)
 
 
 # ---------------------------------------------------------------------------
-# Substitution and matching
+# Substitution and matching: walks over the parts _intern keeps
 # ---------------------------------------------------------------------------
 
 
@@ -177,19 +203,9 @@ def substitute(value, theta: dict):
     as it is."""
     if not value._fvars:
         return value
-    if isinstance(value, Var):
+    if value.__class__ is Var:
         return theta.get(value.name, value)
-    if isinstance(value, ActionTerm):
-        return ActionTerm(value.name, tuple((p, substitute(v, theta)) for p, v in value.bindings))
-    if isinstance(value, Signed):
-        return Signed(value.sign, substitute(value.term, theta))
-    if isinstance(value, Atom):
-        return Atom(value.pred, tuple(substitute(a, theta) for a in value.args))
-    if isinstance(value, Formula):
-        return Formula(tuple(substitute(c, theta) for c in value.conjuncts), value.contradiction)
-    if isinstance(value, Literal):
-        return Literal(value.negated, substitute(value.atom, theta))
-    raise TypeError(f"cannot substitute into {type(value).__name__}")
+    return value._with([substitute(p, theta) for p in value._parts])
 
 
 def match(pattern, value, theta: dict):
@@ -197,54 +213,23 @@ def match(pattern, value, theta: dict):
     Returns the extended dict or None. theta is not mutated."""
     if not pattern._fvars:
         return theta if pattern is value else None
-    if isinstance(pattern, Var):
+    if pattern.__class__ is Var:
         bound = theta.get(pattern.name)
         if bound is None:
             out = dict(theta)
             out[pattern.name] = value
             return out
         return theta if bound == value else None
-    if isinstance(pattern, ActionTerm):
-        if not isinstance(value, ActionTerm) or pattern.name != value.name:
-            return None
-        if len(pattern.bindings) != len(value.bindings):
-            return None
-        for (pp, pv), (vp, vv) in zip(pattern.bindings, value.bindings):
-            if pp != vp:
-                return None
-            theta = match(pv, vv, theta)
-            if theta is None:
-                return None
-        return theta
-    if isinstance(pattern, Signed):
-        if not isinstance(value, Signed) or pattern.sign != value.sign:
-            return None
-        return match(pattern.term, value.term, theta)
-    if isinstance(pattern, Formula):
-        if not isinstance(value, Formula):
-            return None
-        if pattern.contradiction != value.contradiction:
-            return None
-        if len(pattern.conjuncts) != len(value.conjuncts):
-            return None
-        for pc, vc in zip(pattern.conjuncts, value.conjuncts):
-            if pc.negated != vc.negated:
-                return None
-            theta = match_atom(pc.atom, vc.atom, theta)
-            if theta is None:
-                return None
-        return theta
-    return None
-
-
-def match_atom(pattern: Atom, value: Atom, theta: dict):
-    if pattern.pred != value.pred or len(pattern.args) != len(value.args):
+    if pattern._shape is not value._shape:
         return None
-    for pa, va in zip(pattern.args, value.args):
-        theta = match(pa, va, theta)
+    for p, v in zip(pattern._parts, value._parts):
+        theta = match(p, v, theta)
         if theta is None:
             return None
     return theta
+
+
+match_atom = match  # an atom is matched like any other term; callers know it by both names
 
 
 def free_vars(value, include_formulas: bool = False) -> frozenset:

@@ -5,6 +5,7 @@ import copy
 import pickle
 import random
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,8 @@ from polcheck.terms import (
     Var,
     free_vars,
     is_ground,
+    match,
+    match_atom,
     parse_formula,
     render,
     substitute,
@@ -55,6 +58,78 @@ def reference_free_vars(value, include_formulas: bool = False) -> set:
         elif isinstance(v, Literal):
             stack.append(v.atom)
     return out
+
+
+def reference_substitute(value, theta: dict):
+    """Replace variables by their bindings, by a walk that switches on each
+    term's class: the reference for the walk over the parts a term keeps."""
+    if not free_vars(value, include_formulas=True):
+        return value
+    if isinstance(value, Var):
+        return theta.get(value.name, value)
+    if isinstance(value, ActionTerm):
+        return ActionTerm(value.name, tuple((p, reference_substitute(v, theta)) for p, v in value.bindings))
+    if isinstance(value, Signed):
+        return Signed(value.sign, reference_substitute(value.term, theta))
+    if isinstance(value, Atom):
+        return Atom(value.pred, tuple(reference_substitute(a, theta) for a in value.args))
+    if isinstance(value, Formula):
+        conjuncts = tuple(reference_substitute(c, theta) for c in value.conjuncts)
+        return Formula(conjuncts, value.contradiction)
+    if isinstance(value, Literal):
+        return Literal(value.negated, reference_substitute(value.atom, theta))
+    raise TypeError(f"cannot substitute into {type(value).__name__}")
+
+
+def reference_match(pattern, value, theta: dict):
+    """Extend theta so that substitute(pattern, theta) == value, by a walk
+    that compares each class's own fields; None if there is no such theta."""
+    if not free_vars(pattern, include_formulas=True):
+        return theta if pattern is value else None
+    if isinstance(pattern, Var):
+        bound = theta.get(pattern.name)
+        if bound is None:
+            return {**theta, pattern.name: value}
+        return theta if bound == value else None
+    if isinstance(pattern, ActionTerm):
+        if not isinstance(value, ActionTerm) or pattern.name != value.name:
+            return None
+        if len(pattern.bindings) != len(value.bindings):
+            return None
+        for (pp, pv), (vp, vv) in zip(pattern.bindings, value.bindings):
+            if pp != vp:
+                return None
+            theta = reference_match(pv, vv, theta)
+            if theta is None:
+                return None
+        return theta
+    if isinstance(pattern, Signed):
+        if not isinstance(value, Signed) or pattern.sign != value.sign:
+            return None
+        return reference_match(pattern.term, value.term, theta)
+    if isinstance(pattern, Formula):
+        if not isinstance(value, Formula) or pattern.contradiction != value.contradiction:
+            return None
+        if len(pattern.conjuncts) != len(value.conjuncts):
+            return None
+        for pc, vc in zip(pattern.conjuncts, value.conjuncts):
+            if pc.negated != vc.negated:
+                return None
+            theta = reference_match(pc.atom, vc.atom, theta)
+            if theta is None:
+                return None
+        return theta
+    if isinstance(pattern, Atom):
+        if not isinstance(value, Atom) or pattern.pred != value.pred:
+            return None
+        if len(pattern.args) != len(value.args):
+            return None
+        for pa, va in zip(pattern.args, value.args):
+            theta = reference_match(pa, va, theta)
+            if theta is None:
+                return None
+        return theta
+    return None
 
 
 def random_term(rng: random.Random, depth: int):
@@ -111,6 +186,78 @@ def test_stored_variables_match_the_reference_walk(formulas):
             assert free_vars(term, include_formulas=True) == reference_free_vars(term, True)
             assert is_ground(term) == (not reference_free_vars(term))
             assert isinstance(free_vars(term), frozenset)
+
+
+def shape_edits(value):
+    """Copies of value that differ from it in one field that is not a
+    subterm, at the top or inside: an action name or property set, a sign, a
+    negation, a predicate or arity, or a formula's contradiction flag or
+    conjunct count."""
+    if isinstance(value, ActionTerm):
+        name, bindings = value.name, value.bindings
+        yield ActionTerm(name + "x", bindings)
+        yield ActionTerm(name, bindings + (("s", Const("a")),))
+        if bindings:
+            yield ActionTerm(name, (("t", bindings[0][1]),) + bindings[1:])
+        for i, (p, v) in enumerate(bindings):
+            for edit in shape_edits(v):
+                yield ActionTerm(name, bindings[:i] + ((p, edit),) + bindings[i + 1 :])
+    elif isinstance(value, Signed):
+        yield Signed("+" if value.sign == "-" else "-", value.term)
+        for edit in shape_edits(value.term):
+            yield Signed(value.sign, edit)
+    elif isinstance(value, Literal):
+        yield Literal(not value.negated, value.atom)
+        for edit in shape_edits(value.atom):
+            yield Literal(value.negated, edit)
+    elif isinstance(value, Atom):
+        pred, args = value.pred, value.args
+        yield Atom(pred + "x", args)
+        yield Atom(pred, args + (Const("a"),))
+        if args:
+            yield Atom(pred, args[:-1])
+        for i, arg in enumerate(args):
+            for edit in shape_edits(arg):
+                yield Atom(pred, args[:i] + (edit,) + args[i + 1 :])
+    elif isinstance(value, Formula):
+        conjuncts = value.conjuncts
+        yield Formula(conjuncts, not value.contradiction)
+        yield Formula(conjuncts + (Literal(False, Atom("q", ())),), value.contradiction)
+        for i, c in enumerate(conjuncts):
+            for edit in shape_edits(c):
+                yield Formula(conjuncts[:i] + (edit,) + conjuncts[i + 1 :], value.contradiction)
+
+
+def random_binding(rng: random.Random, value) -> dict:
+    """Some of value's variables, formula interiors included, each bound to
+    a random term, which may hold variables of its own."""
+    names = sorted(free_vars(value, include_formulas=True))
+    return {name: random_term(rng, 2) for name in names if rng.random() < 0.8}
+
+
+def test_substitute_and_match_agree_with_the_reference_walks():
+    rng = random.Random(23)
+    outcomes = {"matched": 0, "refused": 0}
+    for _ in range(300):
+        pattern = random_atom(rng, 3, formulas=True)
+        theta = random_binding(rng, pattern)
+        value = substitute(pattern, theta)
+        assert value is reference_substitute(pattern, theta)
+        start = dict(islice(theta.items(), rng.randint(0, len(theta))))
+        pairs = [(pattern, value), (pattern, random_atom(rng, 3, formulas=True))]
+        pairs += [(pattern, edit) for edit in shape_edits(value)]
+        pairs += zip(pattern.args, value.args)  # arguments, not only atoms
+        for p, v in pairs:
+            for before in ({}, start, {name: Const("zz") for name in start}):
+                got, expected = match(p, v, before), reference_match(p, v, before)
+                assert got == expected
+                if isinstance(p, Atom):
+                    assert match_atom(p, v, before) == expected
+                outcomes["refused" if expected is None else "matched"] += 1
+                if expected is not None:
+                    assert substitute(p, got) is v
+        assert match(pattern, value, {}) is not None
+    assert min(outcomes.values()) > 1000, outcomes
 
 
 def test_equal_constructions_are_one_object():
