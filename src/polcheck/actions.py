@@ -14,9 +14,12 @@ at most MAX_REGION_BOXES of them. The box algebra it cuts them with lives in
 ontology.py, and so does the witness routine that decides every refinement
 constraint between spaces, joins included, without expanding an operand.
 
-Well-formedness of a refinement pattern is decided two ways, over the same
-nodes: pattern_nodes yields the root and every labeled inner composition,
-and refinement flattens complex patterns along the same walk.
+A pattern is walked in one place, _operands: a preorder walk of the
+operands below the root composition that raises each structural fault where
+it meets it, so faults are reported in preorder. validate_pattern adds the
+name checks to that walk; pattern_nodes lists the root and every labeled
+inner composition, and refinement flattens complex patterns along that list.
+Well-formedness is decided two ways, over those nodes:
 check_well_formed_complex evaluates the symbolic constraint row for each
 node's composition type, and oracle_well_formed replays every required trace
 from every initial state and checks the end states directly. Both run traces
@@ -420,53 +423,42 @@ def validate_pattern(pattern: RefinementPattern, onto: Ontology) -> None:
     if pattern.root not in onto.action_classes:
         raise NameResolutionError(f"pattern root {pattern.root!r} is not a declared action")
 
-    # preorder, left operand first, with its own stack
-    stack = [(pattern.body, True)]
-    while stack:
-        c, is_root = stack.pop()
-        if isinstance(c, EmptyAction):
-            raise StructuralError(f"pattern {pattern.pattern_id}: the empty action cannot appear in a pattern")
-        if isinstance(c, ActionLeaf):
-            if c.name not in onto.action_classes:
-                raise NameResolutionError(
-                    f"pattern {pattern.pattern_id}: undeclared action {c.name!r}"
-                )
-            continue
-        if not is_root and c.label is None:
-            raise StructuralError(
-                f"pattern {pattern.pattern_id}: inner compositions must be labeled with an action"
-            )
-        if c.label is not None and c.label not in onto.action_classes:
-            raise NameResolutionError(
-                f"pattern {pattern.pattern_id}: undeclared action label {c.label!r}"
-            )
-        stack += ((c.right, False), (c.left, False))
+    for c, _, _ in _operands(pattern):
+        if _operand_name(c) not in onto.action_classes:
+            what = "action" if isinstance(c, ActionLeaf) else "action label"
+            raise NameResolutionError(f"pattern {pattern.pattern_id}: undeclared {what} {_operand_name(c)!r}")
 
 
-def pattern_nodes(pattern: RefinementPattern):
-    """Yield (parent action name, node, path, pattern id) for the root
-    composition and for every labeled inner composition, in preorder. The
+def _operands(pattern: RefinementPattern):
+    """Yield (operand, path, pattern id) for every operand below the root
+    composition, in preorder, left operand first, with its own stack. The
     path names the sides taken from the root (``root.left``); the pattern id
-    appends the labels (``p1.Scan``). Every yielded node's operands are
-    action leaves or labeled compositions."""
+    appends the labels of the compositions above and at the operand
+    (``p1.Scan``). The empty action and an unlabeled composition are faults,
+    raised where the walk meets them."""
     pid = pattern.pattern_id
     if not isinstance(pattern.body, ActionNode):
         raise StructuralError(f"pattern {pid}: body must be a composition")
-    stack = [(pattern.root, pattern.body, "root", pid)]
+    stack = [(pattern.body.right, "root.right", pid), (pattern.body.left, "root.left", pid)]
     while stack:
-        parent, node, path, node_id = stack.pop()
-        for child in (node.left, node.right):
-            if isinstance(child, EmptyAction):
-                raise StructuralError(f"pattern {pid}: the empty action cannot appear in a pattern")
-            if isinstance(child, ActionNode) and child.label is None:
-                raise StructuralError(
-                    f"pattern {pid}: inner compositions must be labeled with an action"
-                )
-        yield parent, node, path, node_id
-        for side in ("right", "left"):
-            child = getattr(node, side)
-            if isinstance(child, ActionNode):
-                stack.append((child.label, child, f"{path}.{side}", f"{node_id}.{child.label}"))
+        c, path, node_id = stack.pop()
+        if isinstance(c, EmptyAction):
+            raise StructuralError(f"pattern {pid}: the empty action cannot appear in a pattern")
+        if isinstance(c, ActionNode):
+            if c.label is None:
+                raise StructuralError(f"pattern {pid}: inner compositions must be labeled with an action")
+            node_id = f"{node_id}.{c.label}"
+            stack += ((c.right, f"{path}.right", node_id), (c.left, f"{path}.left", node_id))
+        yield c, path, node_id
+
+
+def pattern_nodes(pattern: RefinementPattern) -> list:
+    """(parent action name, node, path, pattern id) for the root composition
+    and for every labeled inner composition, in preorder, once the whole
+    pattern has been walked: every listed node's operands are action leaves
+    or labeled compositions."""
+    inner = [(c.label, c, path, node_id) for c, path, node_id in _operands(pattern) if isinstance(c, ActionNode)]
+    return [(pattern.root, pattern.body, "root", pattern.pattern_id), *inner]
 
 
 def _operand_name(comp) -> str:

@@ -292,9 +292,11 @@ def cmd_explain(args) -> int:
     return 0
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except PolcheckError as e:

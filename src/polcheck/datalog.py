@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 from itertools import chain, islice
 
 from .errors import PolicyError
-from .ontology import DataSystem, Ontology
+from .ontology import DataSystem, Ontology, _reach
 from .policy import Policy, _is_row8, check_stratification
 from .terms import (
     _TABLE,
@@ -344,12 +344,7 @@ def _cone(rules, goal: str) -> set:
     for rule in rules:
         body = chain((l.atom for l in rule.body), *_join_bodies(rule))
         deps.setdefault(rule.head.pred, set()).update(a.pred for a in body)
-    cone, todo = {goal}, [goal]
-    while todo:
-        fresh = deps.get(todo.pop(), set()) - cone
-        cone |= fresh
-        todo += fresh
-    return cone
+    return _reach(deps, goal)
 
 
 def evaluate_branches(rules, count: int, ds: DataSystem, onto: Ontology = None, *, goal: str = None) -> Model:

@@ -367,44 +367,30 @@ def _combine(ts: TokenStream, op: str, left, right, strict: bool):
         ts.fail(str(e))
 
 
-def _parse_choice(ts: TokenStream, onto: Ontology):
-    left = _parse_seq(ts, onto)
-    while ts.at("\\/"):
-        ts.next()
-        strict = ts.accept("_s")
-        left = _combine(ts, CHOICE, left, _parse_seq(ts, onto), strict)
-    return left
+# composition operators, loosest first: (token, operator, whether `_s` may follow)
+_OPERATORS = (("\\/", CHOICE, True), (";", SEQ, False), ("/\\", CONJ, True))
 
 
-def _parse_seq(ts: TokenStream, onto: Ontology):
-    left = _parse_conj(ts, onto)
-    while ts.at(";"):
-        ts.next()
-        left = _combine(ts, SEQ, left, _parse_conj(ts, onto), False)
-    return left
-
-
-def _parse_conj(ts: TokenStream, onto: Ontology):
-    left = _parse_unary(ts, onto)
-    while ts.at("/\\"):
-        ts.next()
-        strict = ts.accept("_s")
-        left = _combine(ts, CONJ, left, _parse_unary(ts, onto), strict)
-    return left
-
-
-def _parse_unary(ts: TokenStream, onto: Ontology):
-    if ts.at("["):
-        ts.expect("[")
-        pairs = _parse_constraints(ts, "]")
-        space = _space_from_pairs(pairs, onto.variables, "guard")
+def _parse_composition(ts: TokenStream, onto: Ontology, level: int = 0):
+    """The operators of the table from `level` on, each binding tighter than
+    the one before and left-associative; past the table, an operand with
+    perhaps a guard."""
+    if level == len(_OPERATORS):
+        if not ts.accept("["):
+            return _parse_primary(ts, onto)
+        space = _space_from_pairs(_parse_constraints(ts, "]"), onto.variables, "guard")
         return _Guarded(_parse_primary(ts, onto), space)
-    return _parse_primary(ts, onto)
+    token, op, strictable = _OPERATORS[level]
+    left = _parse_composition(ts, onto, level + 1)
+    while ts.accept(token):
+        strict = strictable and ts.accept("_s")
+        left = _combine(ts, op, left, _parse_composition(ts, onto, level + 1), strict)
+    return left
 
 
 def _parse_primary(ts: TokenStream, onto: Ontology):
     if ts.accept("("):
-        inner = _parse_choice(ts, onto)
+        inner = _parse_composition(ts, onto)
         ts.expect(")")
         if ts.at(":"):
             ts.next()
@@ -431,7 +417,7 @@ def parse_patterns(text: str, onto: Ontology) -> tuple:
         root_bindings = _parse_bindings(ts, root)
         ts.expect(":")
         ts.expect("=")
-        body = _parse_choice(ts, onto)
+        body = _parse_composition(ts, onto)
         if isinstance(body, _Guarded):
             ts.fail("a guard must attach to an operand of a composition")
         ts.expect("type")

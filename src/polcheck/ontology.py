@@ -4,6 +4,10 @@ The ontology declares class and property hierarchies, a variable table that
 maps state variables to object properties with finite value ranges, and the
 action classes loaded from the same file. A data system holds the concrete
 object instances and ground base atoms that policies are evaluated against.
+Graph work over names is done by two routines here: _cycle, the depth-first
+cycle search that checks both hierarchies and refinement's pattern graph,
+and _reach, the closure behind a class's ancestors and the evaluator's
+predicate cone.
 
 States are total assignments over the declared variable tuple. A state space
 is either an explicit set of states or a concise box: per variable, the
@@ -109,14 +113,7 @@ class Ontology:
             return cached
         if class_name not in self._parents:
             raise NameResolutionError(f"unknown class {class_name!r}")
-        acc = {class_name}
-        stack = [class_name]
-        while stack:
-            for parent in self._parents[stack.pop()]:
-                if parent not in acc:
-                    acc.add(parent)
-                    stack.append(parent)
-        self._ancestors[class_name] = frozenset(acc)
+        self._ancestors[class_name] = frozenset(_reach(self._parents, class_name))
         return self._ancestors[class_name]
 
     def hie_predicates(self) -> tuple:
@@ -127,34 +124,54 @@ class Ontology:
 
 
 def _parent_map(nodes: dict, edges: tuple, what: str) -> dict:
-    """Direct parents of every node; rejects undeclared names and cycles.
-    The depth-first search keeps its own stack, so hierarchy depth is not
-    bounded by the interpreter's recursion limit."""
+    """Direct parents of every node; rejects undeclared names and cycles."""
     parents: dict = {n: set() for n in nodes}
     for child, parent in edges:
         if child not in parents or parent not in parents:
             missing = child if child not in parents else parent
             raise NameResolutionError(f"{what} edge names undeclared {missing!r}")
         parents[child].add(parent)
+    trail = _cycle(parents, parents)
+    if trail:
+        raise CycleError(f"{what} hierarchy contains a cycle through {trail[-1]!r}")
+    return parents
+
+
+def _cycle(edges: dict, roots) -> list:
+    """The first cycle met by a depth-first search from each root in turn,
+    following each node's successors in sorted order, as a trail that ends
+    at the node it returns to; [] when there is none. The search keeps its
+    own stack, so depth is not bounded by the interpreter's recursion limit."""
     finished: set = set()
-    for root in parents:
+    for root in roots:
         if root in finished:
             continue
-        on_path = {root}
-        stack = [(root, iter(parents[root]))]
-        while stack:
-            node, pending = stack[-1]
-            parent = next(pending, None)
-            if parent is None:
-                stack.pop()
-                on_path.discard(node)
-                finished.add(node)
-            elif parent in on_path:
-                raise CycleError(f"{what} hierarchy contains a cycle through {parent!r}")
-            elif parent not in finished:
-                on_path.add(parent)
-                stack.append((parent, iter(parents[parent])))
-    return parents
+        trail, on_trail = [root], {root}
+        pending = [iter(sorted(edges.get(root, ())))]
+        while pending:
+            node = next(pending[-1], None)
+            if node is None:
+                pending.pop()
+                on_trail.discard(trail[-1])
+                finished.add(trail.pop())
+            elif node in on_trail:
+                return trail[trail.index(node):] + [node]
+            elif node not in finished:
+                trail.append(node)
+                on_trail.add(node)
+                pending.append(iter(sorted(edges.get(node, ()))))
+    return []
+
+
+def _reach(edges: dict, start) -> set:
+    """start and every node reachable from it along edges."""
+    reached, todo = {start}, [start]
+    while todo:
+        for node in edges.get(todo.pop(), ()):
+            if node not in reached:
+                reached.add(node)
+                todo.append(node)
+    return reached
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +494,7 @@ def restricted_subclass_members(
         pdef = onto.properties.get(prop)
         if pdef is None:
             raise SchemaError(f"restriction on undeclared property {prop!r}")
-        if pdef.range and not any(
-            _in_range(value, rc, onto, ds) for rc in pdef.range
-        ):
+        if pdef.range and not any(value_refines(value, rc, onto, ds) for rc in pdef.range):
             log.warning(
                 "restriction %s=%s falls outside the declared range of %r; no member can satisfy it",
                 prop,
@@ -501,11 +516,3 @@ def restricted_subclass_members(
             members.append(obj.id)
     return frozenset(members)
 
-
-def _in_range(value: str, range_class: str, onto: Ontology, ds: DataSystem) -> bool:
-    if range_class not in onto.classes:
-        return value == range_class
-    try:
-        return is_subclass(value, range_class, onto, ds)
-    except NameResolutionError:
-        return False

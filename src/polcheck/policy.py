@@ -57,78 +57,28 @@ BUILTIN_SHAPES = {
 
 OVER_PREDICATES = ("over", "over_AS", "over_AO")
 
-# Table rows: head predicate -> (stratum, allowed body kinds, positive-only kinds)
-_BASE = frozenset({"done", "hie", "rel", "over"})
+# Table rows: head predicate -> (stratum, admitted body kinds in the order
+# the row's message lists them, hie and rel last, positive-only kinds)
+_OBLIGATIONS = ("hasObligation", "hasDispensation", "derhasObligation", "derhasDispensation")
 _ROWS = {
-    "hasObligation": (1, frozenset({"done", "hie", "rel"}), frozenset()),
-    "hasDispensation": (1, frozenset({"done", "hie", "rel"}), frozenset()),
+    "hasObligation": (1, ("done", "hie", "rel"), ()),
+    "hasDispensation": (1, ("done", "hie", "rel"), ()),
     "derhasDispensation": (
         2,
-        frozenset({"hasObligation", "hasDispensation", "derhasDispensation"}) | _BASE,
-        frozenset({"derhasDispensation"}),
+        ("hasObligation", "hasDispensation", "derhasDispensation", "over", "done", "hie", "rel"),
+        ("derhasDispensation",),
     ),
-    "derhasObligation": (
-        3,
-        frozenset(
-            {"hasObligation", "hasDispensation", "derhasObligation", "derhasDispensation"}
-        )
-        | _BASE,
-        frozenset({"derhasObligation"}),
-    ),
+    "derhasObligation": (3, (*_OBLIGATIONS, "over", "done", "hie", "rel"), ("derhasObligation",)),
     "mustdo": (
         4,
-        frozenset(
-            {
-                "hasObligation",
-                "derhasObligation",
-                "hasDispensation",
-                "derhasDispensation",
-                "done",
-                "hie",
-                "rel",
-            }
-        ),
-        frozenset(),
+        ("hasObligation", "derhasObligation", "hasDispensation", "derhasDispensation", "done", "hie", "rel"),
+        (),
     ),
-    "cando": (5, frozenset({"mustdo", "done", "hie", "rel"}), frozenset()),
-    "dercando": (
-        6,
-        frozenset({"mustdo", "cando", "dercando", "done", "hie", "rel"}),
-        frozenset({"dercando"}),
-    ),
-    "do+": (7, frozenset({"cando", "dercando", "done", "hie", "rel"}), frozenset()),
+    "cando": (5, ("mustdo", "done", "hie", "rel"), ()),
+    "dercando": (6, ("mustdo", "cando", "dercando", "done", "hie", "rel"), ("dercando",)),
+    "do+": (7, ("cando", "dercando", "done", "hie", "rel"), ()),
     "do-": (8, None, None),  # exactly one literal, checked specially
-    "error": (
-        9,
-        frozenset(
-            {
-                "mustdo",
-                "hasObligation",
-                "derhasObligation",
-                "hasDispensation",
-                "derhasDispensation",
-                "do",
-                "cando",
-                "dercando",
-                "done",
-                "hie",
-                "rel",
-            }
-        ),
-        frozenset(),
-    ),
-}
-
-_ROW_SUMMARY = {
-    1: "row 1 bodies admit done, hie- and rel- literals",
-    2: "row 2 bodies admit hasObligation, hasDispensation, derhasDispensation, over, done, hie- and rel- literals",
-    3: "row 3 bodies admit hasObligation, hasDispensation, derhasObligation, derhasDispensation, over, done, hie- and rel- literals",
-    4: "row 4 bodies admit hasObligation, derhasObligation, hasDispensation, derhasDispensation, done, hie- and rel- literals",
-    5: "row 5 bodies admit mustdo, done, hie- and rel- literals",
-    6: "row 6 bodies admit mustdo, cando, dercando, done, hie- and rel- literals",
-    7: "row 7 bodies admit cando, dercando, done, hie- and rel- literals",
-    8: "row 8 bodies contain just the literal ~do(o, s, +a)",
-    9: "row 9 bodies admit mustdo, the obligation family, do, cando, dercando, done, hie- and rel- literals",
+    "error": (9, ("mustdo", *_OBLIGATIONS, "do", "cando", "dercando", "done", "hie", "rel"), ()),
 }
 
 
@@ -411,7 +361,8 @@ def check_stratification(p: Policy, onto: Ontology = None) -> StratificationResu
                         rule.rule_id,
                         render(lit),
                         row,
-                        f"{_ROW_SUMMARY[row]}; found {lit.atom.pred}",
+                        f"row {row} bodies admit {', '.join(allowed[:-2])}, hie- and rel- literals; "
+                        f"found {lit.atom.pred}",
                     )
                 )
             elif lit.negated and kind in positive_only:

@@ -37,7 +37,7 @@ from itertools import chain, product
 
 from .actions import ActionLeaf, CHOICE, SEQ, RefinementPattern, pattern_nodes, taxonomy_of
 from .errors import BranchLimitError, CycleError, PatternError, PolicyError
-from .ontology import Ontology, StateSpace, _allowed_values, expand_space, space_meet, space_size
+from .ontology import Ontology, StateSpace, _allowed_values, _cycle, expand_space, space_meet, space_size
 from .policy import Policy, Rule, _check_safety, check_stratification
 from .terms import (
     Atom,
@@ -230,30 +230,14 @@ def _flatten_patterns(patterns) -> tuple:
 
 
 def _check_acyclic(patterns) -> None:
-    """Depth-first search over root -> operand edges in sorted order, with
-    its own stack; the first cycle found is reported as a trail."""
+    """Root -> operand edges must form no cycle; the first one found, in
+    sorted order, is reported as a trail."""
     edges: dict = {}
     for pat in patterns:
         edges.setdefault(pat.root, set()).update((pat.body.left.name, pat.body.right.name))
-    finished: set = set()
-    for start in sorted(edges):
-        if start in finished:
-            continue
-        trail, on_trail = [start], {start}
-        pending = [iter(sorted(edges[start]))]
-        while pending:
-            kid = next(pending[-1], None)
-            if kid is None:
-                pending.pop()
-                on_trail.discard(trail[-1])
-                finished.add(trail.pop())
-            elif kid in on_trail:
-                cycle = trail[trail.index(kid):] + [kid]
-                raise CycleError("refinement patterns are cyclic: " + " -> ".join(cycle))
-            elif kid not in finished:
-                trail.append(kid)
-                on_trail.add(kid)
-                pending.append(iter(sorted(edges.get(kid, ()))))
+    trail = _cycle(edges, sorted(edges))
+    if trail:
+        raise CycleError("refinement patterns are cyclic: " + " -> ".join(trail))
 
 
 def _unify(pat: RefinementPattern, rule: Rule) -> dict:

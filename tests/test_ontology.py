@@ -42,6 +42,8 @@ from polcheck.ontology import (
 )
 from polcheck.refinement import compile_meet_formula
 
+from test_golden import run_python
+
 
 def machine_onto() -> Ontology:
     """Two variables: hardware kind (Notebook below Computer) and an OS name
@@ -406,6 +408,26 @@ def test_deep_subclass_chains_load_without_recursion():
     assert onto.ancestors(f"C{depth - 1}") == frozenset({f"C{depth - 1}"})
     with pytest.raises(CycleError, match="cycle through"):
         parse_ontology(chain + f"class C{depth - 1} subclassOf C0\n")
+
+
+# A hierarchy with two parents per node, A -> B, A -> C, and the cycles
+# B <-> D and C <-> E; prints the cycle error.
+_TWO_PARENT_CYCLES = """
+from polcheck.errors import CycleError
+from polcheck.ontology import ClassDef, Ontology
+edges = (("A", "B"), ("A", "C"), ("B", "D"), ("D", "B"), ("C", "E"), ("E", "C"))
+try:
+    Ontology(classes={c: ClassDef(c) for c in "ABCDE"}, subclass_edges=edges)
+except CycleError as e:
+    print(e)
+"""
+
+
+def test_cycle_reports_do_not_depend_on_the_hash_seed():
+    # parents are followed in sorted order, so the same node is named
+    # whatever order the interpreter keeps a set's members in
+    outputs = {run_python(["-c", _TWO_PARENT_CYCLES], PYTHONHASHSEED=seed) for seed in ("0", "1")}
+    assert outputs == {"subclass hierarchy contains a cycle through 'B'\n"}
 
 
 def test_edges_must_name_declared_classes():

@@ -213,6 +213,18 @@ def test_violation_messages_name_the_offender():
     assert "just the one literal" in v2.message
 
 
+def test_row_nine_message_lists_every_admitted_kind():
+    text = FIXTURE.replace(
+        "error :- mustdo($s, $a, $q) & do($o, $s, -$a) & acts_on($a, $o).",
+        "error :- mustdo($s, $a, $q) & do($o, $s, -$a) & over_AS($o, $s, $a).",
+    )
+    (v,) = check_stratification(parse_policy(text)).violations
+    assert v.message == (
+        "row 9 bodies admit mustdo, hasObligation, hasDispensation, derhasObligation, "
+        "derhasDispensation, do, cando, dercando, done, hie- and rel- literals; found over_AS"
+    )
+
+
 @pytest.mark.parametrize(
     "text,row,var",
     [

@@ -482,6 +482,16 @@ def test_code_built_patterns_need_labeled_nonempty_operands():
         refine_policy(p, (pat("p", "Top", ActionNode(SEQ, tleaf("A"), EMPTY)),), onto)
 
 
+def test_refinement_reports_the_first_pattern_fault_in_preorder():
+    # Top := X ; {} with X := A ; (A ; B): the unlabeled composition inside
+    # the left operand comes before the empty action on the right
+    onto = simple_onto("Top", "X", "A", "B")
+    p = parse_policy("hasObligation($s, Top((target, $x)), true) :- owns($s, $x).")
+    inner = ActionNode(SEQ, tleaf("A"), ActionNode(SEQ, tleaf("A"), tleaf("B")), label="X")
+    with pytest.raises(StructuralError, match="p: inner compositions must be labeled"):
+        refine_policy(p, (pat("p", "Top", ActionNode(SEQ, inner, EMPTY)),), onto)
+
+
 def test_competing_patterns_fork_across_patterns():
     onto = simple_onto("Notify", "Email", "Page", "Call")
     p = parse_policy("hasObligation($s, Notify((target, $x)), true) :- oncall($s, $x).")
