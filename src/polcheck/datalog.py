@@ -82,7 +82,8 @@ class Model:
 
     masks: dict  # Atom -> mask of the policies whose model holds it
     rules: tuple  # ((rule, mask of the policies that hold it), ...)
-    # (_Atoms of masks, (pred, arity) -> [(rule, mask, plans, negated)]), by the first supports_of
+    # (_Atoms of masks, (pred, arity) -> [(rule, mask, plans, negated)]): built by the
+    # first supports_of, each shape's rules planned when an atom of that shape is asked
     _index: tuple = field(default=None, init=False, repr=False)
 
     @property
@@ -100,18 +101,21 @@ class Model:
         then rendered body: the unblocked instances of each rule whose head
         matches it, from one join per body under the head's binding."""
         if self._index is None:
-            heads: dict = {}
+            object.__setattr__(self, "_index", (_Atoms(self.masks), {}))
+        store, heads = self._index
+        shape = (atom.pred, len(atom.args))
+        if shape not in heads:  # plan only the rules an asked-for atom can head
+            heads[shape] = []
             for rule, mask in self.rules:
+                if (rule.head.pred, len(rule.head.args)) != shape:
+                    continue
                 bound = free_vars(rule.head, include_formulas=True)
                 for body in _join_bodies(rule):
                     # one plan per literal the join can start from
                     plans = [_join_plan(body, j, bound, delta=False) for j in range(len(body))] or [()]
-                    entry = (rule, mask, plans, _templates(rule, body)[1])
-                    heads.setdefault((rule.head.pred, len(rule.head.args)), []).append(entry)
-            object.__setattr__(self, "_index", (_Atoms(self.masks), heads))
-        store, heads = self._index
+                    heads[shape].append((rule, mask, plans, _templates(rule, body)[1]))
         found = set()
-        for rule, mask, plans, negated in heads.get((atom.pred, len(atom.args)), ()):
+        for rule, mask, plans, negated in heads[shape]:
             theta = match_atom(rule.head, atom, {})
             if theta is None:
                 continue

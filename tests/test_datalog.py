@@ -217,6 +217,20 @@ def test_full_fixture_matches_the_naive_oracle():
     assert_supports_match_the_oracle(p, expected, model)
 
 
+def test_supports_of_plans_only_the_rules_of_the_asked_head():
+    """Reading one atom's supports plans the joins of the rules that can head
+    it, not the whole policy's; supports read afterwards for other heads are
+    those a fresh model gives."""
+    model, fresh = full_model(), full_model()
+    mustdo = min((a for a in model.atoms if a.pred == "mustdo"), key=sort_key)
+    assert model.supports_of(mustdo)
+    heads = model._index[1]
+    assert list(heads) == [("mustdo", 3)]
+    planned = [rule.rule_id for rule, *_ in heads[("mustdo", 3)]]
+    assert planned == [rule.rule_id for rule, _ in model.rules if rule.head.pred == "mustdo"]
+    assert all(model.supports_of(a) == fresh.supports_of(a) for a in sorted(model.atoms, key=sort_key))
+
+
 def test_decision_view_collects_both_signs_sorted():
     view = decision_view(full_model())
     assert [render(a) for a in view.mustdo_atoms] == [
