@@ -31,6 +31,7 @@ supported direction is: checker-accepted implies oracle-accepted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import (
     ExpansionError,
@@ -294,35 +295,52 @@ class RefinementPattern:
     declared_type: str
 
 
-def render_composition(comp, _prec: int = 0) -> str:
+def _fold(comp, leaf, node):
+    """The composition folded bottom-up with its own stack: leaf(c) for an
+    action leaf or the empty action, node(c, left value, right value) for a
+    composition."""
+    stack, done = [(comp, False)], []
+    while stack:
+        c, ready = stack.pop()
+        if not isinstance(c, ActionNode):
+            done.append(leaf(c))
+        elif ready:
+            done[-2:] = [node(c, *done[-2:])]
+        else:
+            stack += ((c, True), (c.right, False), (c.left, False))
+    return done.pop()
+
+
+_OPERATOR = {CHOICE: (1, "\\/"), SEQ: (2, ";"), CONJ: (3, "/\\")}  # precedence, symbol
+
+
+def render_composition(comp) -> str:
     from .terms import render as render_term
 
-    if isinstance(comp, EmptyAction):
-        return "{}"
-    if isinstance(comp, ActionLeaf):
-        if not comp.bindings:
-            return comp.name
-        inner = ",".join(f"{p}:{render_term(v)}" for p, v in comp.bindings)
-        return f"{comp.name}({inner})"
-    prec = {CHOICE: 1, SEQ: 2, CONJ: 3}[comp.op]
-    sym = {CHOICE: "\\/", SEQ: ";", CONJ: "/\\"}[comp.op]
-    if comp.strict:
-        sym += "_s"
-    left = render_composition(comp.left, prec)
-    right = render_composition(comp.right, prec + 1)
-    if comp.guard is not None:
-        guard = render_constraints(comp.guard) if comp.guard.is_concise else render_space(comp.guard)
-        gtxt = f"[{guard}]"
-        if comp.guard_side == "left":
-            left = gtxt + left
-        else:
-            right = gtxt + right
-    text = f"{left} {sym} {right}"
-    if prec < _prec:
+    def leaf(c):  # binds tighter than every operator
+        if isinstance(c, EmptyAction):
+            return "{}", 4, None
+        inner = ",".join(f"{p}:{render_term(v)}" for p, v in c.bindings)
+        return (f"{c.name}({inner})" if c.bindings else c.name), 4, None
+
+    def node(c, left, right):
+        prec, symbol = _OPERATOR[c.op]
+        left, right = _bracket(left, prec), _bracket(right, prec + 1)
+        if c.guard is not None:
+            guard = f"[{render_constraints(c.guard) if c.guard.is_concise else render_space(c.guard)}]"
+            left, right = (guard + left, right) if c.guard_side == "left" else (left, guard + right)
+        return f"{left} {symbol}{'_s' if c.strict else ''} {right}", prec, c.label
+
+    return _bracket(_fold(comp, leaf, node), 0)
+
+
+def _bracket(rendered, prec: int) -> str:
+    """An operand's (text, precedence, label) as its parent writes it:
+    parenthesized if it binds looser than prec, then labeled."""
+    text, own, label = rendered
+    if own < prec:
         text = f"({text})"
-    if comp.label:
-        text = f"({text}):{comp.label}"
-    return text
+    return f"({text}):{label}" if label else text
 
 
 # ---------------------------------------------------------------------------
@@ -333,14 +351,13 @@ def render_composition(comp, _prec: int = 0) -> str:
 def _shuffle(left: tuple, right: tuple) -> set:
     """All interleavings of two traces that keep each one's internal order
     (the shuffle product). Associative and commutative on trace sets, which
-    is what makes conjunction associative and commutative."""
-    if not left:
-        return {right}
-    if not right:
-        return {left}
-    return {(left[0],) + t for t in _shuffle(left[1:], right)} | {
-        (right[0],) + t for t in _shuffle(left, right[1:])
-    }
+    is what makes conjunction associative and commutative. Each interleaving
+    is one choice of the positions that take left's steps."""
+    n, out = len(left) + len(right), set()
+    for spots in combinations(range(n), len(left)):
+        steps, spots = (iter(left), iter(right)), set(spots)
+        out.add(tuple(next(steps[i not in spots]) for i in range(n)))
+    return out
 
 
 def traces(comp) -> tuple:
@@ -350,25 +367,19 @@ def traces(comp) -> tuple:
     which of the two is required at run time depends on the state, which
     trace enumeration does not see."""
 
-    def walk(c) -> set:
-        if isinstance(c, EmptyAction):
-            return {()}
-        if isinstance(c, ActionLeaf):
-            return {(c.name,)}
-        left = walk(c.left)
-        right = walk(c.right)
+    def node(c, left, right) -> set:
         if c.guard is not None:
-            if c.guard_side == "left":
-                left = left | {()}
-            else:
-                right = right | {()}
+            left, right = (left | {()}, right) if c.guard_side == "left" else (left, right | {()})
         if c.op == SEQ:
             return {l + r for l in left for r in right}
         if c.op == CHOICE:
             return left | right
         return {t for l in left for r in right for t in _shuffle(l, r)}
 
-    return tuple(sorted(ActionTrace(t) for t in walk(comp)))
+    def leaf(c) -> set:
+        return {()} if isinstance(c, EmptyAction) else {(c.name,)}
+
+    return tuple(sorted(ActionTrace(t) for t in _fold(comp, leaf, node)))
 
 
 def apply_trace(trace: ActionTrace, state: State, onto: Ontology):

@@ -185,8 +185,8 @@ def entails(sigma: CurrentState, ds: DataSystem, formula: Formula, onto: Ontolog
         object.__setattr__(formula, "_cache", plan)
     positive, negatives = plan
     return any(
-        not any(_join(negative, store, 0, 1, theta) for negative in negatives)
-        for theta, _ in _join(positive, store, 0, 1)
+        not any(_join(negative, store, store, 1, theta) for negative in negatives)
+        for theta, _ in _join(positive, store, store, 1)
     )
 
 

@@ -2,15 +2,16 @@
 
 Evaluation runs stratum by stratum (Table rows 0 through 9), each to a
 fixpoint in semi-naive rounds. The first round of a stratum joins every rule
-against all atoms; after that a rule fires only through a positive body
-literal whose predicate gained atoms in the round before (the delta). For
-that literal the join reads the delta, literals before it read the atoms from
-before the delta, and literals after it read all atoms, so each rule
-instance fires in exactly one round. Only rows 2, 3 and 6 recurse, so every
-other stratum ends after its first round. Negated literals only ever name
-predicates of strictly lower strata, which are saturated by the time they are
-consulted, so the model is the unique stratified fixpoint and does not depend
-on rule order.
+against all atoms. Each round's new atoms form the next round's delta, a
+pool of its own, and after the first round a rule fires only through a
+positive body literal whose predicate gained atoms in the delta: that
+literal reads the delta and every other literal reads all atoms. An
+instance whose atoms share one delta fires once per such literal, so an
+instance fires at most once per positive literal. Only rows 2, 3 and 6
+recurse, so every other stratum ends after its first round. Negated
+literals only ever name predicates of strictly lower strata, which are
+saturated by the time they are consulted, so the model is the unique
+stratified fixpoint and does not depend on rule order.
 
 One pass evaluates several policies at once, such as the refinement branches
 of one high-level policy. Bit i of a branch mask stands for the i-th policy.
@@ -18,15 +19,13 @@ The pass reads one rule table, each rule once with the mask of the policies
 that hold it, as refinement builds it. An instance's mask is its rule's
 mask AND its positive atoms' masks AND NOT its negated atoms' masks
 (final, since they sit in lower strata); an atom's mask is the OR of
-its instances' masks. An atom whose mask grows goes back into the delta with
-the bits it gained, and the join reads, for each literal, the bits the atom
-held before the delta, the bits it gained, or all of them, so each instance
-fires once per branch. Projecting the result on one bit gives exactly that
-policy's model. `evaluate` is the one-policy case of the same pass, with
-every mask 1.
+its instances' masks. An atom whose mask grows goes into the delta with
+the bits it gained. A literal that reads the delta sees only those bits,
+so an instance's new bits are the OR, over its delta literals, of that
+literal's gained bits AND the other literals' masks. Projecting the result
+on one bit gives exactly that policy's model. `evaluate` is the one-policy
+case of the same pass, with every mask 1.
 
-Each predicate's atoms are kept in an append-only list in the order their
-rounds added them, so the atoms from before the delta are a prefix of it.
 Each join step is compiled once: a literal ground under the variables bound
 before it is a membership probe, and any other looks its candidates up in an
 index on the arguments it binds, fills its bind slots (each variable's first
@@ -38,7 +37,8 @@ variables inside it, and reads the finished atom from the intern table.
 Supports (why-provenance) are not recorded: positive atoms are never removed
 and negated literals name saturated strata, so the instances that fire are
 the instances over the final model, and `supports_of` recomputes an atom's
-from the final atoms, each rule's join starting under the head's binding.
+from the final atoms, each rule's join starting under the head's binding,
+and keeps each atom's answer.
 
 The do(o,s,-a) :- ~do(o,s,+a) form has no positive body literal; its
 variables range over the authorization triples (o, s, a) of the ground
@@ -50,9 +50,8 @@ instance's support and head take the OR of their masks.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 
 from .errors import PolicyError
 from .ontology import DataSystem, Ontology, _reach
@@ -82,8 +81,8 @@ class Model:
 
     masks: dict  # Atom -> mask of the policies whose model holds it
     rules: tuple  # ((rule, mask of the policies that hold it), ...)
-    # (_Atoms of masks, (pred, arity) -> [(rule, mask, plans, negated)]): built by the
-    # first supports_of, each shape's rules planned when an atom of that shape is asked
+    # (_Atoms of masks, (pred, arity) -> [(rule, mask, plans, negated)], atom -> supports),
+    # filled by supports_of: a shape's rules planned on its first ask, each answer kept
     _index: tuple = field(default=None, init=False, repr=False)
 
     @property
@@ -101,31 +100,32 @@ class Model:
         then rendered body: the unblocked instances of each rule whose head
         matches it, from one join per body under the head's binding."""
         if self._index is None:
-            object.__setattr__(self, "_index", (_Atoms(self.masks), {}))
-        store, heads = self._index
+            object.__setattr__(self, "_index", (_Atoms(self.masks), {}, {}))
+        store, heads, answers = self._index
+        if atom in answers:
+            return answers[atom]
         shape = (atom.pred, len(atom.args))
         if shape not in heads:  # plan only the rules an asked-for atom can head
             heads[shape] = []
             for rule, mask in self.rules:
-                if (rule.head.pred, len(rule.head.args)) != shape:
-                    continue
-                bound = free_vars(rule.head, include_formulas=True)
-                for body in _join_bodies(rule):
-                    # one plan per literal the join can start from
-                    plans = [_join_plan(body, j, bound, delta=False) for j in range(len(body))] or [()]
-                    heads[shape].append((rule, mask, plans, _templates(rule, body)[1]))
+                if (rule.head.pred, len(rule.head.args)) == shape:
+                    bound = free_vars(rule.head, include_formulas=True)
+                    for body in _join_bodies(rule):  # one plan per literal the join can start from
+                        plans = [_join_plan(body, j, bound) for j in range(len(body) or 1)]
+                        heads[shape].append((rule, mask, plans, _templates(rule, body)[1]))
         found = set()
         for rule, mask, plans, negated in heads[shape]:
             theta = match_atom(rule.head, atom, {})
             if theta is None:
                 continue
             # start from the literal with the fewest candidates under theta
-            sizes = [len(store.pool(*steps[0][:2], _instance(steps[0][2], theta))) if steps else 0 for steps in plans]
-            for th, m in _join(plans[sizes.index(min(sizes))], store, 0, mask, theta):
+            steps = min(plans, key=lambda s: len(store.pool(*s[0][:2], _instance(s[0][2], theta))) if s else 0)
+            for th, m in _join(steps, store, store, mask, theta):
                 if _unblocked(negated, store, th, m):
                     body = tuple(Literal(l.negated, substitute(l.atom, th)) for l in rule.body)
                     found.add((rule.rule_id, body))
-        return tuple(sorted(found, key=lambda sup: (sup[0], tuple(render(l.atom) for l in sup[1]))))
+        answers[atom] = tuple(sorted(found, key=lambda sup: (sup[0], tuple(render(l.atom) for l in sup[1]))))
+        return answers[atom]
 
     def error_mask(self) -> int:
         """The policies whose model derives an error."""
@@ -148,8 +148,6 @@ class _Atoms:
     """Atoms with the masks of the policies that hold them, listed per
     (predicate, arity) and each list indexed, once a probe first asks, by the
     argument positions that probe binds."""
-
-    delta = None  # no rounds: every join step reads all atoms
 
     def __init__(self, masks: dict):
         self.masks = masks  # atom -> policy mask
@@ -175,35 +173,21 @@ class _Atoms:
 
 
 class _Store(_Atoms):
-    """The atoms derived so far, each stamped with the round that first added
-    it (0 for the data system's). Lists only grow at the end, in stamp order,
-    so the atoms stamped before a round are a prefix of each of them. `delta`
-    has the bits the last round added to each atom it touched, and `regrown`
-    lists, per shape, the atoms of the delta that were stamped earlier."""
+    """The atoms derived so far; lists and indexes grow as rounds add atoms."""
 
-    def __init__(self, base, full: int):
-        super().__init__(dict.fromkeys(base, full))
-        self.stamp, self.delta, self.regrown = dict.fromkeys(base, 0), {}, {}
-
-    def add(self, gained: dict, rnd: int) -> None:
-        """Record the bits each atom gained in round rnd; they are the next
-        round's delta."""
-        self.delta, self.regrown = gained, {}
+    def add(self, gained: dict) -> _Atoms:
+        """Record the bits each atom gained in a round, and return them as the
+        next round's delta."""
         for a, bits in gained.items():
-            shape = (a.pred, len(a.args))
             if a in self.masks:
                 self.masks[a] |= bits
-                self.regrown.setdefault(shape, []).append(a)
                 continue
-            self.masks[a], self.stamp[a] = bits, rnd
+            self.masks[a] = bits
+            shape = (a.pred, len(a.args))
             self.lists.setdefault(shape, []).append(a)
             for positions, index in self.indexes.get(shape, {}).items():
                 index.setdefault(tuple([a.args[i] for i in positions]), []).append(a)
-
-
-# Which atoms a join step reads: all of them, those stamped before the
-# delta, or the delta.
-_ALL, _OLD, _DELTA = "all", "old", "delta"
+        return _Atoms(gained)
 
 
 def _template(atom: Atom, bound: frozenset, positions=None):
@@ -228,24 +212,17 @@ def _instance(template, theta: dict):
     return args if pred is None else _TABLE.get(("Atom", pred, args)) or Atom(pred, args)
 
 
-def _join_plan(positive, j=None, bound=frozenset(), delta=True) -> tuple:
-    """Compiled join steps over a rule's positive body literals: (shape,
-    positions, key template, (bind slots, residual patterns), view), the
-    positions those made ground by constants and earlier variables, or None
-    if all are. With no j every literal reads all atoms, in body order.
-    Otherwise literal j goes first; with delta it reads the delta and the
-    literals before j read the atoms from before the delta, and every other
-    literal reads all atoms."""
-    if j is None:
-        order, views = positive, [_ALL] * len(positive)
-    else:
-        order = [positive[j]] + positive[:j] + positive[j + 1 :]
-        views = ([_DELTA] + [_OLD] * j if delta else [_ALL] * (j + 1)) + [_ALL] * (len(positive) - j - 1)
+def _join_plan(positive, j=0, bound=frozenset()) -> tuple:
+    """Compiled join steps over a rule's positive body literals, literal j
+    first and then the others in body order: (shape, positions, key template,
+    (bind slots, residual patterns)), the positions those made ground by
+    constants and earlier variables, or None if all are."""
+    order = positive[j : j + 1] + positive[:j] + positive[j + 1 :]
     steps = []
-    for atom, view in zip(order, views):
+    for atom in order:
         shape, names = (atom.pred, len(atom.args)), free_vars(atom, include_formulas=True)
         if names <= bound:  # a membership probe
-            steps.append((shape, None, _template(atom, bound), ((), ()), view))
+            steps.append((shape, None, _template(atom, bound), ((), ())))
             continue
         positions, slots, residual = [], {}, []
         for i, arg in enumerate(atom.args):
@@ -256,7 +233,7 @@ def _join_plan(positive, j=None, bound=frozenset(), delta=True) -> tuple:
             else:
                 residual.append((i, arg))
         ops = (tuple(slots.items()), tuple(residual))
-        steps.append((shape, tuple(positions), _template(atom, bound, positions), ops, view))
+        steps.append((shape, tuple(positions), _template(atom, bound, positions), ops))
         bound |= names
     return tuple(steps)
 
@@ -276,36 +253,21 @@ def _extend(ops, atom: Atom, theta: dict):
     return theta
 
 
-def _join(steps, store: _Atoms, delta_stamp: int, mask: int, theta=None) -> list:
+def _join(steps, first: _Atoms, rest: _Atoms, mask: int, theta=None) -> list:
     """All (substitution, non-empty mask) pairs extending theta (default
-    empty) to match the join steps in order. A pair's mask is the given mask
-    ANDed with each of its atoms' masks as the step's view sees them: the
-    bits held before the delta, the bits the delta added, or all bits."""
-    masks, delta = store.masks, store.delta
-    rows = [({} if theta is None else theta, mask)]
-    for shape, positions, key, ops, view in steps:
-        nxt = []
+    empty) to match the join steps in order, the first step against the atoms
+    of `first` and every later one against those of `rest`. A pair's mask is
+    the given mask ANDed with each of its atoms' masks in the atoms it came
+    from."""
+    rows, atoms = [({} if theta is None else theta, mask)], first
+    for shape, positions, key, ops in steps:
+        masks, nxt = atoms.masks, []
         for th, m in rows:
-            pool = store.pool(shape, positions, k := _instance(key, th))
-            if view is _OLD and positions is not None:  # a membership probe's masks give its view
-                pool = islice(pool, bisect_left(pool, delta_stamp, key=store.stamp.__getitem__))
-            elif view is _DELTA and positions is not None:
-                cut = bisect_left(pool, delta_stamp, key=store.stamp.__getitem__)
-                regrown = [a for a in store.regrown.get(shape, ()) if tuple([a.args[i] for i in positions]) == k]
-                pool = chain(islice(pool, cut, None), regrown)
-            for ga in pool:
+            for ga in atoms.pool(shape, positions, _instance(key, th)):
                 th2 = _extend(ops, ga, th)
-                if th2 is None:
-                    continue
-                if view is _ALL:
-                    held = m & masks[ga]
-                elif view is _OLD:
-                    held = m & masks[ga] & ~delta.get(ga, 0)
-                else:
-                    held = m & delta.get(ga, 0)
-                if held:
+                if th2 is not None and (held := m & masks[ga]):
                     nxt.append((th2, held))
-        rows = nxt
+        rows, atoms = nxt, rest
     return rows
 
 
@@ -367,8 +329,7 @@ def evaluate_branches(rules, count: int, ds: DataSystem, onto: Ontology = None, 
         raise PolicyError(f"policy is not stratified: {first.rule_id}: {first.message}")
     cone = None if goal is None else _cone((rule for rule, _ in rules), goal)
 
-    store = _Store(ds.base_atoms, full)
-    rnd = 0
+    store = _Store(dict.fromkeys(ds.base_atoms, full))
     for k in range(1, 10):
         compiled = [
             (rule, rule_mask, positive, *_templates(rule, positive))
@@ -378,22 +339,20 @@ def evaluate_branches(rules, count: int, ds: DataSystem, onto: Ontology = None, 
         ]
         if not compiled:
             continue
-        delta_plans: dict = {}  # (body position, literal position) -> steps, built on first use
-        first_round = True
-        while first_round or store.delta:
-            rnd += 1
-            shapes = () if first_round else {(a.pred, len(a.args)) for a in store.delta}
+        plans: dict = {}  # (body position, literal position) -> steps, built on first use
+        delta = None  # none before the stratum's first round
+        while delta is None or delta.masks:
             new: dict = {}  # atom -> the bits it gained this round, in order
             for i, (rule, rule_mask, positive, head, negated) in enumerate(compiled):
-                if first_round:
-                    rows = _join(_join_plan(positive), store, rnd - 1, rule_mask)
+                if delta is None:
+                    rows = _join(_join_plan(positive), store, store, rule_mask)
                 else:
                     rows = []
                     for j, atom in enumerate(positive):
-                        if (atom.pred, len(atom.args)) in shapes:
-                            if (i, j) not in delta_plans:
-                                delta_plans[i, j] = _join_plan(positive, j)
-                            rows += _join(delta_plans[i, j], store, rnd - 1, rule_mask)
+                        if (atom.pred, len(atom.args)) in delta.lists:
+                            if (i, j) not in plans:
+                                plans[i, j] = _join_plan(positive, j)
+                            rows += _join(plans[i, j], delta, store, rule_mask)
                 for th, m in rows:
                     m = _unblocked(negated, store, th, m) if negated else m
                     if not m:
@@ -404,8 +363,7 @@ def evaluate_branches(rules, count: int, ds: DataSystem, onto: Ontology = None, 
                     gained = m & ~store.masks.get(derived, 0)
                     if gained:
                         new[derived] = new.get(derived, 0) | gained
-            store.add(new, rnd)
-            first_round = False
+            delta = store.add(new)
     return Model(store.masks, tuple(entry for entry in rules if cone is None or entry[0].head.pred in cone))
 
 

@@ -398,6 +398,23 @@ def test_render_respects_precedence():
     assert render_composition(alternatives) == "a ; [lid=up, sw=Off|On]b"
 
 
+def test_a_composition_nested_past_the_recursion_limit_renders_and_traces():
+    # code-built compositions are not bounded by the parser's nesting check
+    leaves = [ActionLeaf(f"a{i}") for i in range(1500)]
+    left = right = leaves[0]
+    for leaf in leaves[1:]:
+        left, right = seq(left, leaf), seq(leaf, right)
+    names = [leaf.name for leaf in leaves]
+    assert render_composition(left) == " ; ".join(names)
+    assert render_composition(right) == " ; (".join(reversed(names[1:])) + " ; a0" + ")" * 1498
+    assert traces(left) == (ActionTrace(tuple(names)),)
+    assert traces(right) == (ActionTrace(tuple(reversed(names))),)
+    # x goes before, between or after the 1,500 steps
+    interleaved = traces(conj(left, ActionLeaf("x")))
+    assert sorted(t.steps.index("x") for t in interleaved) == list(range(1501))
+    assert all(tuple(step for step in t.steps if step != "x") == tuple(names) for t in interleaved)
+
+
 # ---------------------------------------------------------------------------
 # Load-time transformer contract
 # ---------------------------------------------------------------------------

@@ -231,6 +231,26 @@ def test_supports_of_plans_only_the_rules_of_the_asked_head():
     assert all(model.supports_of(a) == fresh.supports_of(a) for a in sorted(model.atoms, key=sort_key))
 
 
+
+def test_supports_of_joins_once_per_atom(monkeypatch):
+    """An atom's supports are kept once found: asking again, as each
+    detector that flags the same pending obligation does, runs no join."""
+    model = full_model()
+    mustdo = min((a for a in model.atoms if a.pred == "mustdo"), key=sort_key)
+    joins = []
+    real = polcheck.datalog._join
+
+    def counting(*args, **kwargs):
+        joins.append(None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(polcheck.datalog, "_join", counting)
+    first = model.supports_of(mustdo)
+    assert first and joins
+    joins.clear()
+    assert model.supports_of(mustdo) == first
+    assert joins == []
+
 def test_decision_view_collects_both_signs_sorted():
     view = decision_view(full_model())
     assert [render(a) for a in view.mustdo_atoms] == [
@@ -453,7 +473,7 @@ def _step_kinds(policy) -> set:
     for rule in policy.rules:
         positive = [l.atom for l in rule.body if not l.negated]
         for j in range(len(positive)):
-            for _, positions, _, (slots, residual), _ in polcheck.datalog._join_plan(positive, j):
+            for _, positions, _, (slots, residual) in polcheck.datalog._join_plan(positive, j):
                 if positions is None:
                     kinds.add("membership")
                 elif positions and slots:
@@ -466,7 +486,7 @@ def test_compiled_join_steps_match_the_oracle():
     # ground bodies probe by membership, a repeated variable leaves a residual
     # Var, variables first bound inside an action term or a signed action
     # leave residual ActionTerm and Signed patterns, and a recursive literal
-    # keyed by a constant action must drop regrown atoms of other actions;
+    # keyed by a constant action must read only that action's delta atoms;
     # evaluate, each branch's projection and the supports agree with the oracle
     rng = random.Random("compiled-steps")
     kinds = set()
@@ -481,6 +501,41 @@ def test_compiled_join_steps_match_the_oracle():
         assert_projections_match(_split(rng, p, base), ds)
     assert kinds == {"membership", "slot after index", "Var", "ActionTerm", "Signed"}, kinds
 
+
+
+def test_a_rule_instance_fires_at_most_once_per_positive_literal(monkeypatch):
+    """A later round joins each positive literal whose shape gained atoms
+    against the delta and every other literal against all atoms, so an
+    instance whose atoms share one delta fires once per such literal. The
+    non-linear closure over a 30-node chain puts both dercando atoms of
+    the instances that join two equal-length paths into one delta."""
+    policy = parse_policy(
+        "dercando($x, $y, +read) :- cando($x, $y, +read).\n"
+        "dercando($x, $z, +read) :- dercando($x, $y, +read) & dercando($y, $z, +read).\n"
+    )
+    read = Signed("+", C("read"))
+    base = frozenset(Atom("cando", (C(f"n{i}"), C(f"n{i + 1}"), read)) for i in range(29))
+    rows = []
+    real = polcheck.datalog._join
+
+    def counting(*args, **kwargs):
+        out = real(*args, **kwargs)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(polcheck.datalog, "_join", counting)
+    model = evaluate(policy, DataSystem(base_atoms=base))
+    monkeypatch.undo()
+    expected = naive_model(policy, base)
+    assert model.atoms == expected
+    assert_supports_match_the_oracle(policy, expected, model)
+    instances = {}
+    for sups in naive_supports(policy, expected).values():
+        for rule_id, _ in sups:
+            instances[rule_id] = instances.get(rule_id, 0) + 1
+    assert instances == {"r1": 29, "r2": 4060}  # 29 links, C(30, 3) two-path joins
+    positive = {rule.rule_id: sum(not l.negated for l in rule.body) for rule in policy.rules}
+    assert sum(instances.values()) < sum(rows) <= sum(positive[r] * n for r, n in instances.items())
 
 # ---------------------------------------------------------------------------
 # Join work grows linearly: probes are counted, not timed
@@ -705,9 +760,9 @@ def test_shared_pass_projects_to_each_branch_model(monkeypatch):
     regrown, partly_blocked = [], []
     real_add, real_unblocked = polcheck.datalog._Store.add, polcheck.datalog._unblocked
 
-    def add(store, gained, rnd):
-        real_add(store, gained, rnd)
-        regrown.extend(a for atoms in store.regrown.values() for a in atoms)
+    def add(store, gained):
+        regrown.extend(a for a in gained if a in store.masks)
+        return real_add(store, gained)
 
     def unblocked(body, store, theta, mask):
         out = real_unblocked(body, store, theta, mask)
