@@ -30,8 +30,10 @@ supported direction is: checker-accepted implies oracle-accepted.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .errors import (
     ExpansionError,
@@ -360,16 +362,32 @@ def _shuffle(left: tuple, right: tuple) -> set:
     return out
 
 
+# The most traces a composition node's set may hold before it is built.
+MAX_TRACES = 4096
+
+
 def traces(comp) -> tuple:
     """Every linearization of the composition, in sorted order. Conjunction
     admits every interleaving of its operands' traces. A guarded operand
     contributes both the trace that includes it and the one that omits it;
     which of the two is required at run time depends on the state, which
-    trace enumeration does not see."""
+    trace enumeration does not see. A node whose set could exceed MAX_TRACES
+    raises OracleScaleError before that set is built."""
 
     def node(c, left, right) -> set:
         if c.guard is not None:
             left, right = (left | {()}, right) if c.guard_side == "left" else (left, right | {()})
+        if c.op == SEQ:
+            count = len(left) * len(right)
+        elif c.op == CHOICE:
+            count = len(left) + len(right)
+        else:  # an l-step and an r-step trace interleave in comb(l + r, l) ways
+            lengths = Counter(map(len, right)).items()
+            count = sum(a * b * comb(l + r, l) for l, a in Counter(map(len, left)).items() for r, b in lengths)
+        if count > MAX_TRACES:
+            raise OracleScaleError(
+                f"a composition node has up to {count} traces, past the bound of {MAX_TRACES}"
+            )
         if c.op == SEQ:
             return {l + r for l in left for r in right}
         if c.op == CHOICE:

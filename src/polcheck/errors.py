@@ -55,7 +55,7 @@ class TaxonomyError(PolcheckError):
 
 
 class OracleScaleError(PolcheckError):
-    """A brute-force check was asked to enumerate past its configured state bound."""
+    """A brute-force check or a trace enumeration was asked to go past its enumeration bound."""
 
 
 class PatternError(PolcheckError):

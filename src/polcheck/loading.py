@@ -2,7 +2,9 @@ r"""File formats: ontology (.onto), facts (.facts), refinement patterns (.rp),
 and current state (.state). Policies (.pol) parse in the policy module; the
 path wrappers here add the file name to any error.
 
-All four formats share one tokenizer (`%` comments, `$`-prefixed variables).
+All four formats share one tokenizer (`%` comments, `$`-prefixed variables)
+and one reader of comma-separated lists, `TokenStream.items`: no trailing
+comma, and a bracketed list may be empty, except a variable's range.
 Declarations are keyword-led, so line breaks are insignificant, but the
 variable table must be declared before any action class: every constraint
 block is checked against it.
@@ -19,7 +21,9 @@ Ontology grammar:
 A constraint block is `{x=v, y=v1|v2, ...}` and stays a box: each listed
 variable takes one of its listed values, every other variable any declared
 value, so `{}` is the entire space. A variable is listed at most once per
-block, and a range lists each value once.
+block, and a range lists each value once. A `set` block, like a state block,
+is an assignment: each listed variable is declared and takes one value in
+its range.
 
 Facts grammar: `obj id : Class {prop=value, ...}` emits a type atom and one
 atom per property pair; other lines are ground atoms. Every done atom also
@@ -65,8 +69,7 @@ from .ontology import (
     VariableDef,
 )
 from .policy import BUILTIN_SHAPES, OVER_PREDICATES, Policy, parse_policy
-from .terms import Atom, Const, TokenStream, bind_property, is_ground, parse_formula, parse_term
-from .terms import token_kind, token_value
+from .terms import Atom, Const, TokenStream, bind_property, is_ground, parse_formula, parse_term, token_value
 
 _RESERVED = frozenset(BUILTIN_SHAPES) | frozenset(OVER_PREDICATES)
 
@@ -76,34 +79,22 @@ _RESERVED = frozenset(BUILTIN_SHAPES) | frozenset(OVER_PREDICATES)
 # ---------------------------------------------------------------------------
 
 
-def _parse_value(ts: TokenStream) -> str:
-    tok = ts.peek()
-    if token_kind(tok) in ("ident", "number", "string"):
-        ts.next()
-        return token_value(tok)
-    ts.fail(f"expected a value, found {token_value(tok)!r}")
-
-
 def _parse_constraints(ts: TokenStream, close: str) -> list:
     """`x=v` or `x=v1|v2` pairs up to the closing bracket; returns
     [(variable, (value, ...)), ...]. A variable listed twice is an error:
     alternatives are written with `|`."""
     pairs = []
-    if not ts.at(close):
-        while True:
-            var = ts.expect_ident()
-            if any(var == seen for seen, _ in pairs):
-                raise SchemaError(
-                    f"variable {var!r} is listed twice in one block; write alternatives as {var}=v1|v2"
-                )
-            ts.expect("=")
-            values = [_parse_value(ts)]
-            while ts.accept("|"):
-                values.append(_parse_value(ts))
-            pairs.append((var, tuple(values)))
-            if not ts.accept(","):
-                break
-    ts.expect(close)
+    for _ in ts.items(close):
+        var = ts.expect_ident()
+        if any(var == seen for seen, _ in pairs):
+            raise SchemaError(
+                f"variable {var!r} is listed twice in one block; write alternatives as {var}=v1|v2"
+            )
+        ts.expect("=")
+        values = [ts.expect_value()]
+        while ts.accept("|"):
+            values.append(ts.expect_value())
+        pairs.append((var, tuple(values)))
     return pairs
 
 
@@ -125,20 +116,32 @@ def _parse_space(ts: TokenStream, variables: dict, where: str) -> StateSpace:
     return _space_from_pairs(_parse_constraints(ts, "}"), variables, where)
 
 
+def _parse_assignment(ts: TokenStream, variables: dict, where: str) -> tuple:
+    """`{x=v, ...}`: one value per listed variable, each variable declared
+    and each value in its range; returns ((variable, value), ...)."""
+    ts.expect("{")
+    pairs = _parse_constraints(ts, "}")
+    for var, values in pairs:
+        if len(values) != 1:
+            raise SchemaError(f"{where}: an assignment takes one value")
+        if var not in variables:
+            raise SchemaError(f"{where}: assignment to undeclared {var!r}")
+        if values[0] not in variables[var].values:
+            raise SchemaError(f"{where}: value {values[0]!r} is outside the range of {var!r}")
+    return tuple((var, value) for var, (value,) in pairs)
+
+
 def _parse_ground_atom(ts: TokenStream) -> Atom:
+    at = ts.pos
     name = ts.expect_ident()
     ts.expect("(")
     args = []
-    if not ts.at(")"):
-        while True:
-            args.append(parse_term(ts))
-            if not ts.accept(","):
-                break
-    ts.expect(")")
-    ts.accept(".")
+    for _ in ts.items(")"):
+        args.append(parse_term(ts))
     atom = Atom(name, tuple(args))
+    ts.accept(".")
     if not is_ground(atom):
-        ts.fail(f"fact {name} must be ground")
+        ts.fail(f"fact {name} must be ground", at)
     return atom
 
 
@@ -179,13 +182,13 @@ def parse_ontology(text: str) -> Ontology:
             if ts.accept("family"):
                 family = ts.expect_ident()
                 if family not in ("hie", "rel"):
-                    ts.fail(f"family must be hie or rel, not {family!r}")
+                    ts.fail(f"family must be hie or rel, not {family!r}", ts.pos - 1)
             if ts.accept("subpropOf"):
                 subprop_edges.append((name, ts.expect_ident()))
             properties[name] = PropertyDef(name, tuple(dom), tuple(rng), family)
         elif ts.accept("var"):
             if actions:
-                ts.fail("the variable table must be declared before any action class")
+                ts.fail("the variable table must be declared before any action class", ts.pos - 1)
             name = ts.expect_ident()
             if name in variables:
                 raise SchemaError(f"duplicate variable {name!r}")
@@ -195,23 +198,18 @@ def parse_ontology(text: str) -> Ontology:
             prop = ts.expect_ident()
             ts.expect("range")
             ts.expect("{")
-            values = [_parse_value(ts)]
-            while ts.accept(","):
-                value = _parse_value(ts)
+            values = []
+            for _ in ts.items("}", empty=False):
+                value = ts.expect_value()
                 if value in values:
                     raise SchemaError(f"value {value!r} is listed twice in the range of {name!r}")
                 values.append(value)
-            ts.expect("}")
             variables[name] = VariableDef(name, object_id, prop, tuple(values))
         elif ts.accept("action"):
             name = ts.expect_ident()
             if name in actions:
                 raise SchemaError(f"duplicate action class {name!r}")
-            params: list = []
-            if ts.accept("("):
-                if not ts.at(")"):
-                    params = ts.expect_idents()
-                ts.expect(")")
+            params = [ts.expect_ident() for _ in ts.items(")")] if ts.accept("(") else []
             ts.expect("init")
             init_space = _parse_space(ts, variables, f"action {name} init")
             ts.expect("final")
@@ -245,22 +243,10 @@ def parse_ontology(text: str) -> Ontology:
             ts.expect("when")
             guard = _parse_space(ts, variables, f"transform {name} guard")
             ts.expect("set")
-            ts.expect("{")
-            pairs = _parse_constraints(ts, "}")
-            effects = []
-            for var, values in pairs:
-                if len(values) != 1:
-                    raise SchemaError(f"transform {name}: an assignment takes one value")
-                if var not in variables:
-                    raise SchemaError(f"transform {name}: assignment to undeclared {var!r}")
-                if values[0] not in variables[var].values:
-                    raise SchemaError(
-                        f"transform {name}: value {values[0]!r} is outside the range of {var!r}"
-                    )
-                effects.append((var, values[0]))
-            transforms.setdefault(name, []).append(TransformRule(guard, tuple(effects)))
+            effects = _parse_assignment(ts, variables, f"transform {name}")
+            transforms.setdefault(name, []).append(TransformRule(guard, effects))
         else:
-            ts.fail(f"expected a declaration keyword, found {token_value(ts.peek())!r}")
+            ts.fail(f"expected a declaration keyword, found {token_value(ts.tokens[ts.pos])!r}")
 
     merged = {
         name: replace(acd, transform=tuple(transforms.get(name, ())))
@@ -299,18 +285,12 @@ def parse_facts(text: str, onto: Ontology = None) -> DataSystem:
                 raise SchemaError(f"object {object_id} has undeclared class {type_name!r}")
             props: list = []
             if ts.accept("{"):
-                if not ts.at("}"):
-                    while True:
-                        prop = ts.expect_ident()
-                        if onto is not None and prop not in onto.properties:
-                            raise SchemaError(
-                                f"object {object_id} uses undeclared property {prop!r}"
-                            )
-                        ts.expect("=")
-                        props.append((prop, _parse_value(ts)))
-                        if not ts.accept(","):
-                            break
-                ts.expect("}")
+                for _ in ts.items("}"):
+                    prop = ts.expect_ident()
+                    if onto is not None and prop not in onto.properties:
+                        raise SchemaError(f"object {object_id} uses undeclared property {prop!r}")
+                    ts.expect("=")
+                    props.append((prop, ts.expect_value()))
             ts.accept(".")
             objects[object_id] = ObjectInstance(object_id, type_name, tuple(props))
             atoms.add(Atom("type", (Const(object_id), Const(type_name))))
@@ -337,19 +317,10 @@ class _Guarded:
 
 def _parse_bindings(ts: TokenStream, name: str) -> tuple:
     """Optional `(prop:term, ...)` after an action name."""
-    if not ts.at("("):
-        return ()
-    ts.expect("(")
     bindings = []
-    if not ts.at(")"):
-        while True:
-            at = ts.pos
-            ts.expect_ident()
-            ts.expect(":")
-            bind_property(ts, at, name, bindings, parse_term(ts))
-            if not ts.accept(","):
-                break
-    ts.expect(")")
+    if ts.accept("("):
+        for _ in ts.items(")"):
+            bind_property(ts, name, bindings, ":")
     return tuple(bindings)
 
 
@@ -392,8 +363,7 @@ def _parse_primary(ts: TokenStream, onto: Ontology):
     if ts.accept("("):
         inner = _parse_composition(ts, onto)
         ts.expect(")")
-        if ts.at(":"):
-            ts.next()
+        if ts.accept(":"):
             label = ts.expect_ident()
             if isinstance(inner, _Guarded) or not isinstance(inner, ActionNode):
                 ts.fail("only a composite operand can carry a label")
@@ -443,21 +413,9 @@ def parse_state(text: str, onto: Ontology) -> CurrentState:
     while not ts.at_end():
         if ts.accept("state"):
             if state is not None:
-                ts.fail("a state file holds at most one state block")
-            ts.expect("{")
-            pairs = _parse_constraints(ts, "}")
+                ts.fail("a state file holds at most one state block", ts.pos - 1)
+            assignment = dict(_parse_assignment(ts, onto.variables, "state"))
             ts.accept(".")
-            assignment = {}
-            for var, values in pairs:
-                if len(values) != 1:
-                    raise SchemaError("a state assignment takes one value per variable")
-                if var not in onto.variables:
-                    raise SchemaError(f"state assigns undeclared variable {var!r}")
-                if values[0] not in onto.variables[var].values:
-                    raise SchemaError(
-                        f"state value {values[0]!r} is outside the range of {var!r}"
-                    )
-                assignment[var] = values[0]
             missing = [v for v in onto.variable_names() if v not in assignment]
             if missing:
                 raise SchemaError(

@@ -29,8 +29,6 @@ from .terms import (
     free_vars,
     parse_argument,
     render,
-    token_kind,
-    token_value,
 )
 
 log = logging.getLogger(__name__)
@@ -172,11 +170,7 @@ def parse_policy(text: str, onto: Ontology = None) -> Policy:
             ts.expect(".")
             continue
         if ts.accept("env"):
-            key = ts.expect_ident()
-            val = ts.next()
-            if token_kind(val) not in ("ident", "number", "string"):
-                ts.fail(f"env value must be a plain token, got {token_value(val)!r}")
-            env.append((key, token_value(val)))
+            env.append((ts.expect_ident(), ts.expect_value()))
             ts.expect(".")
             continue
         n += 1
@@ -212,13 +206,8 @@ def _parse_atom(ts: TokenStream) -> Atom:
     formula_pos = shape[1] if shape else None
     ts.expect("(")
     args = []
-    if not ts.at(")"):
-        while True:
-            allow_formula = formula_pos is not None and len(args) == formula_pos
-            args.append(parse_argument(ts, allow_formula=allow_formula))
-            if not ts.accept(","):
-                break
-    ts.expect(")")
+    for _ in ts.items(")"):
+        args.append(parse_argument(ts, len(args) == formula_pos))
     return Atom(name, tuple(args))
 
 

@@ -6,6 +6,7 @@ import random
 import re
 import time
 from collections import Counter
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from polcheck.actions import (
     CHOICE,
     MAX_REGION_BOXES,
+    MAX_TRACES,
     CONJ,
     EMPTY,
     SEQ,
@@ -413,6 +415,29 @@ def test_a_composition_nested_past_the_recursion_limit_renders_and_traces():
     interleaved = traces(conj(left, ActionLeaf("x")))
     assert sorted(t.steps.index("x") for t in interleaved) == list(range(1501))
     assert all(tuple(step for step in t.steps if step != "x") == tuple(names) for t in interleaved)
+
+
+def _sequence(prefix: str, n: int):
+    comp = ActionLeaf(f"{prefix}0")
+    for i in range(1, n):
+        comp = seq(comp, ActionLeaf(f"{prefix}{i}"))
+    return comp
+
+
+def test_traces_past_the_bound_are_refused_before_they_are_built():
+    assert len(traces(conj(_sequence("a", 6), _sequence("b", 6)))) == 924  # C(12, 6)
+    for n in (9, 15):  # C(18, 9) = 48,620 and C(30, 15) = 155,117,520 interleavings
+        start = time.perf_counter()
+        with pytest.raises(OracleScaleError, match=rf"up to {comb(2 * n, n)} traces, past the bound of {MAX_TRACES}"):
+            traces(conj(_sequence("a", n), _sequence("b", n)))
+        assert time.perf_counter() - start < 0.1
+    # a choice sums its operands' counts and a sequence multiplies them
+    wide = _sequence("a", 1)
+    for i in range(12):
+        wide = choice(wide, ActionLeaf(f"c{i}"))
+    assert len(traces(seq(wide, wide))) == 169
+    with pytest.raises(OracleScaleError, match="up to 28561 traces"):
+        traces(seq(seq(wide, wide), seq(wide, wide)))
 
 
 # ---------------------------------------------------------------------------

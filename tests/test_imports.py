@@ -75,3 +75,41 @@ def test_unread_private_names_finds_a_definition_no_module_reads():
 def test_every_private_top_level_name_is_read():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+def comma_loops(source: str) -> list:
+    """Every `.accept(",")` call outside class TokenStream, as `function:line`.
+    A comma-separated list is read by `TokenStream.items`, not by a loop of
+    its own."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and child.name == "TokenStream":
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr == "accept"
+                and [isinstance(a, ast.Constant) and a.value for a in child.args] == [","]
+            ):
+                found.append(f"{where}:{child.lineno}")
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_comma_loops_finds_calls_outside_the_token_stream():
+    source = (
+        "class TokenStream:\n    def idents(self):\n        return self.accept(',')\n"
+        "def args(ts):\n    def inner():\n        ts.accept(',')\n    while ts.accept(','):\n"
+        "        ts.accept('|')\n"
+    )
+    assert comma_loops(source) == ["inner:6", "args:7"]
+
+
+def test_no_grammar_reads_a_comma_list_by_hand():
+    found = [f"{p.name}:{where}" for p in MODULES for where in comma_loops(p.read_text(encoding="utf-8"))]
+    assert found == []

@@ -29,6 +29,7 @@ from polcheck.ontology import (
     expand_space,
     is_subclass,
 )
+from polcheck.policy import parse_policy
 from polcheck.terms import ActionTerm, Atom, Const, Var, render
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
@@ -349,9 +350,9 @@ def test_state_file_holds_atoms_and_one_assignment():
 
 STATE_ERRORS = [
     ("state {fwv=none}.", SchemaError, "missing: avv"),
-    ("state {zz=none, fwv=none, avv=none}.", SchemaError, "undeclared variable"),
+    ("state {zz=none, fwv=none, avv=none}.", SchemaError, "state: assignment to undeclared"),
     ("state {fwv=sideways, avv=none}.", SchemaError, "outside the range"),
-    ("state {fwv=none|installed, avv=none}.", SchemaError, "one value per variable"),
+    ("state {fwv=none|installed, avv=none}.", SchemaError, "state: an assignment takes one value"),
     ("state {fwv=none, fwv=installed, avv=none}.", SchemaError, "'fwv' is listed twice"),
     (
         "state {fwv=none, avv=none}. state {fwv=none, avv=none}.",
@@ -365,6 +366,56 @@ STATE_ERRORS = [
 def test_state_file_errors(text, exc, needle):
     with pytest.raises(exc, match=needle):
         parse_state(text, _compose_onto())
+
+
+def test_state_and_transform_assignments_are_checked_alike():
+    onto = _compose_onto()
+    cases = {
+        "{fwv=none|installed, avv=none}": "{}: an assignment takes one value",
+        "{zz=none, fwv=none, avv=none}": "{}: assignment to undeclared 'zz'",
+        "{fwv=sideways, avv=none}": "{}: value 'sideways' is outside the range of 'fwv'",
+    }
+    for block, message in cases.items():
+        with pytest.raises(SchemaError) as e:
+            parse_state(f"state {block}.", onto)
+        assert str(e.value) == message.format("state")
+        text = (SAMPLES / "compose.onto").read_text() + f"transform Protect when {{}} set {block}\n"
+        with pytest.raises(SchemaError) as e:
+            parse_ontology(text)
+        assert str(e.value) == message.format("transform Protect")
+
+
+POSITIONED = [
+    (parse_policy, "env k (.", "expected a value, found '('", 1, 7),
+    (parse_facts, "p($x).\nq(a).\n", "fact p must be ground", 1, 1),
+    (lambda text: parse_state(text, _compose_onto()), "owns(a).\n  p($x).\nq(a).\n", "fact p must be ground", 2, 3),
+    (parse_ontology, "class A\nprop p dom A range A family foo\nclass B\n", "family must be hie or rel, not 'foo'", 2, 29),
+    (
+        lambda text: parse_state(text, _compose_onto()),
+        "state {fwv=none, avv=none}.\n state {fwv=none, avv=none}.\n",
+        "a state file holds at most one state block",
+        2,
+        2,
+    ),
+    (
+        parse_ontology,
+        TWO_VARS + "action X init {} final {}\n  var c maps box.pa range {lo}\n",
+        "the variable table must be declared before any action class",
+        8,
+        3,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "parse,text,message,line,col",
+    POSITIONED,
+    ids=["env-value", "non-ground-fact", "non-ground-state-atom", "family", "second-state-block", "late-var"],
+)
+def test_an_error_points_at_its_offending_token(parse, text, message, line, col):
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert (str(e.value), e.value.line, e.value.column) == (f"line {line}, col {col}: {message}", line, col)
 
 
 # ---------------------------------------------------------------------------
