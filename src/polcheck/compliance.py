@@ -12,11 +12,13 @@ choice-log order) is reported with its conflicts, one per detector category.
 All branches are evaluated in one shared pass (`datalog.evaluate_branches`)
 over refinement's rule table, which gives each atom the mask of the branches
 whose model holds it; no branch policy is built. Every conflict belongs to
-one atom of the high view, so the detectors run once per distinct atom, in
-groups of atoms with the same mask, and a branch's conflict count is the sum
-over the groups its bit is in. The branches are then walked in choice-log
-order with integers only; conflicts with their rule ids, the branch
-statistics and the choice log are built for the one branch reported.
+one decision atom of the high view, and each detector judges one such atom
+against the low model's do and mustdo atoms. The branches are walked in
+choice-log order with integers only: each atom is judged when the walk
+reaches the first branch that holds it, and a branch's conflict count is the
+sum over the masks its bit is in. The report recomputes the conflicts of its
+branch's atoms, and projects that branch's model for their rule ids only when
+there is one.
 
 Each ground obligation is classified once per audit, when the walk reaches
 the first branch that holds it: its status depends only on the atom, the
@@ -36,16 +38,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .datalog import (
-    DecisionView,
-    Model,
-    _Atoms,
-    _join,
-    _join_plan,
-    decision_view,
-    evaluate,
-    evaluate_branches,
-)
+from .datalog import _Atoms, _join, _join_plan, evaluate, evaluate_branches
 from .errors import EntailmentError, PolicyError
 from .ontology import DataSystem, Ontology, State, feasible_in
 from .policy import Policy, validate_high_level
@@ -231,74 +224,57 @@ def obligation_status(m: Atom, sigma: CurrentState, onto: Ontology, ds: DataSyst
 # ---------------------------------------------------------------------------
 
 
-def detect_modal_authorization_violation(
-    view_h: DecisionView, view_l: DecisionView, model_h: Model = None
-) -> tuple:
-    """Two shapes: a do(+) grant in the low view directly contradicted by a
-    do(-) in the refined high view, and any high-view do atom missing from
-    the low view (the subset check of the compliance definition)."""
-    conflicts = []
-    low = set(view_l.do_atoms)
-    for atom in view_h.do_atoms:
-        sign = atom.args[2]
-        if isinstance(sign, Signed) and sign.sign == "-":
-            flipped = Atom("do", (atom.args[0], atom.args[1], Signed("+", sign.term)))
-            if flipped in low:
-                conflicts.append(
-                    Conflict(CATEGORY_MODAL_AUTH, (flipped, atom), _rule_ids(model_h, atom))
-                )
-        if atom not in low:
-            conflicts.append(Conflict(CATEGORY_MODAL_AUTH, (atom,), _rule_ids(model_h, atom)))
-    return tuple(conflicts)
+def detect_modal_authorization_violation(atom: Atom, low: set) -> tuple:
+    """The conflicts of one high-view do atom against `low`, the low view's
+    do atoms. Two shapes: a do(-) whose do(+) twin the low view grants
+    (the pair is the witness), and a do atom missing from the low view (the
+    subset check of the compliance definition)."""
+    conflicts = ()
+    sign = atom.args[2]
+    if isinstance(sign, Signed) and sign.sign == "-":
+        flipped = Atom("do", (atom.args[0], atom.args[1], Signed("+", sign.term)))
+        if flipped in low:
+            conflicts = (Conflict(CATEGORY_MODAL_AUTH, (flipped, atom)),)
+    if atom not in low:
+        conflicts += (Conflict(CATEGORY_MODAL_AUTH, (atom,)),)
+    return conflicts
 
 
-def detect_obligation_violation(pending, M_l, model_h: Model = None) -> tuple:
-    """Pending obligations (neither satisfied nor released in the current
-    state) missing from M_l, the set of the low-level view's mustdo atoms."""
-    return tuple(
-        Conflict(CATEGORY_OBLIGATION, (m,), _rule_ids(model_h, m)) for m in pending if m not in M_l
-    )
+def detect_obligation_violation(m: Atom, M_l: set) -> tuple:
+    """A pending obligation (neither satisfied nor released in the current
+    state) missing from M_l, the low view's mustdo atoms."""
+    return () if m in M_l else (Conflict(CATEGORY_OBLIGATION, (m,)),)
 
 
-def detect_resource_capability_conflict(
-    pending, ds: DataSystem, onto: Ontology, model_h: Model = None
-) -> tuple:
-    """Pending obligations whose action class declares a resource object that
-    the data system does not contain."""
-    conflicts = []
-    for m in pending:
-        action = m.args[1]
-        if not isinstance(action, ActionTerm):
-            continue
-        acd = onto.action_classes.get(action.name)
-        if acd is None:
-            continue
-        for obj in acd.resources:
-            if not ds.has_object(obj):
-                conflicts.append(
-                    Conflict(CATEGORY_RESOURCE, (m, Const(obj)), _rule_ids(model_h, m))
-                )
-    return tuple(conflicts)
+def detect_resource_capability_conflict(m: Atom, ds: DataSystem, onto: Ontology) -> tuple:
+    """A pending obligation whose action class declares a resource object
+    that the data system does not contain, once per such object."""
+    action = m.args[1]
+    acd = onto.action_classes.get(action.name) if isinstance(action, ActionTerm) else None
+    resources = acd.resources if acd is not None else ()
+    return tuple(Conflict(CATEGORY_RESOURCE, (m, Const(obj))) for obj in resources if not ds.has_object(obj))
 
 
-def detect_modal_capability_conflict(
-    pending, view_l: DecisionView, model_h: Model = None
-) -> tuple:
-    """Pending obligations with no +execute grant in the low-level view."""
-    low = set(view_l.do_atoms)
-    conflicts = []
-    for m in pending:
-        subject, action = m.args[0], m.args[1]
-        grant = Atom("do", (action, subject, Signed("+", Const("execute"))))
-        if grant not in low:
-            conflicts.append(Conflict(CATEGORY_MODAL_CAP, (m, grant), _rule_ids(model_h, m)))
-    return tuple(conflicts)
+def detect_modal_capability_conflict(m: Atom, low: set) -> tuple:
+    """A pending obligation with no +execute grant among `low`, the low
+    view's do atoms."""
+    grant = Atom("do", (m.args[1], m.args[0], Signed("+", Const("execute"))))
+    return () if grant in low else (Conflict(CATEGORY_MODAL_CAP, (m, grant)),)
 
 
-def _rule_ids(model: Model, atom: Atom) -> tuple:
-    if model is None:
+def _conflicts(atom: Atom, status: dict, low: set, M_l: set, ds: DataSystem, onto: Ontology) -> tuple:
+    """Every detector's conflicts for one high-view decision atom: the
+    authorization detector for a do atom, the three obligation detectors for
+    a mustdo atom whose status is unsatisfied."""
+    if atom.pred == "do":
+        return detect_modal_authorization_violation(atom, low)
+    if status[atom] != "unsatisfied":
         return ()
-    return tuple(sorted({rule_id for rule_id, _ in model.supports_of(atom)}))
+    return (
+        detect_obligation_violation(atom, M_l)
+        + detect_resource_capability_conflict(atom, ds, onto)
+        + detect_modal_capability_conflict(atom, low)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +311,8 @@ def check_compliance(
     if model_l.error_mask():
         detail = "low-level policy is inconsistent (error derivable)"
         return ComplianceReport("inconsistent-input", stats=counts(), detail=detail)
-    view_l = decision_view(model_l)
-    M_l = set(view_l.mustdo_atoms)
+    low = {a for a in model_l.atoms if a.pred == "do"}
+    M_l = {a for a in model_l.atoms if a.pred == "mustdo"}
 
     result = refine_policy(ph, patterns, onto, ds, mode=mode, max_branches=max_branches)
     shared = evaluate_branches(result.rules, result.count, ds, onto)
@@ -360,14 +336,21 @@ def check_compliance(
     nearest = None  # (conflicts, branch index): fewest conflicts, then choice-log order
 
     def report(verdict, i):
-        """The report on branch i, the only branch whose conflicts and rule
-        ids are built."""
-        model_h = shared.project(i)
-        view_h = decision_view(model_h)
-        pending = tuple(m for m in view_h.mustdo_atoms if status[m] == "unsatisfied")
-        conflicts = _conflicts(view_h, pending, view_l, M_l, ds, onto, model_h)
+        """The report on branch i: the conflicts of the atoms it holds, with
+        the rule ids of the branch's own model, projected only when there is
+        a conflict to attach them to."""
+        bit = 1 << i
+        held = [a for a, mask in shared.masks.items() if mask & bit and a.pred in ("do", "mustdo")]
+        conflicts = []
+        model_h = None
+        for atom in held:
+            if found := _conflicts(atom, status, low, M_l, ds, onto):
+                if model_h is None:
+                    model_h = shared.project(i)
+                rule_ids = tuple(sorted({rule_id for rule_id, _ in model_h.supports_of(atom)}))
+                conflicts.extend(Conflict(c.category, c.witness, rule_ids) for c in found)
         conflicts.sort(key=Conflict.sort_key)
-        stats_extra = _branch_stats(view_h, status, M_l)
+        stats_extra = _branch_stats([a for a in held if a.pred == "mustdo"], status, M_l)
         return ComplianceReport(verdict, result.choice_log(i), tuple(conflicts), counts() + stats_extra)
 
     for i in range(result.count):
@@ -376,20 +359,12 @@ def check_compliance(
         if error_mask & bit:
             detail = "high-level policy is inconsistent (error derivable in a refinement branch)"
             return ComplianceReport("inconsistent-input", stats=counts(), detail=detail)
-        groups: dict = {}  # mask -> (do atoms, pending mustdo atoms)
+        # a mask's lowest bit is i, so no other branch's walk meets its atoms
         for atom, mask in first_held.get(i, ()):
-            do_atoms, pending = groups.setdefault(mask, ([], []))
-            if atom.pred == "do":
-                do_atoms.append(atom)
-                continue
-            status[atom] = obligation_status(atom, sigma, onto, ds)
-            if status[atom] == "unsatisfied":
-                pending.append(atom)
-        for mask, (do_atoms, pending) in groups.items():
-            # a mask's lowest bit is i, so no other branch's walk meets it
-            view = DecisionView(tuple(do_atoms), ())
-            if found := len(_conflicts(view, pending, view_l, M_l, ds, onto)):
-                conflict_count[mask] = found
+            if atom.pred == "mustdo":
+                status[atom] = obligation_status(atom, sigma, onto, ds)
+            if found := len(_conflicts(atom, status, low, M_l, ds, onto)):
+                conflict_count[mask] = conflict_count.get(mask, 0) + found
         n = sum(c for mask, c in conflict_count.items() if mask & bit)
         if n == 0:
             return report("compliant", i)
@@ -398,19 +373,10 @@ def check_compliance(
     return report("non-compliant", nearest[1])
 
 
-def _conflicts(view_h, pending, view_l, M_l, ds, onto, model_h=None) -> list:
-    """Every detector's conflicts for a high view and its pending obligations."""
-    conflicts = list(detect_modal_authorization_violation(view_h, view_l, model_h))
-    conflicts.extend(detect_obligation_violation(pending, M_l, model_h))
-    conflicts.extend(detect_resource_capability_conflict(pending, ds, onto, model_h))
-    conflicts.extend(detect_modal_capability_conflict(pending, view_l, model_h))
-    return conflicts
-
-
-def _branch_stats(view_h, status, M_l) -> tuple:
+def _branch_stats(mustdo, status, M_l) -> tuple:
     released = []
     enforced = []
-    for m in view_h.mustdo_atoms:
+    for m in mustdo:
         if m in M_l:
             enforced.append(render(m))
         elif status[m] == "released":

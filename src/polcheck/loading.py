@@ -310,9 +310,10 @@ def parse_facts(text: str, onto: Ontology = None) -> DataSystem:
 
 
 class _Guarded:
-    def __init__(self, comp, space):
+    def __init__(self, comp, space, at):
         self.comp = comp
         self.space = space
+        self.at = at  # index of its `[` token, where a misplaced guard is reported
 
 
 def _parse_bindings(ts: TokenStream, name: str) -> tuple:
@@ -330,7 +331,7 @@ def _combine(ts: TokenStream, op: str, left, right, strict: bool):
         guard, side, left = left.space, "left", left.comp
     if isinstance(right, _Guarded):
         if guard is not None:
-            ts.fail("at most one operand of a composition may carry a guard")
+            ts.fail("at most one operand of a composition may carry a guard", right.at)
         guard, side, right = right.space, "right", right.comp
     try:
         return ActionNode(op, left, right, strict=strict, guard=guard, guard_side=side)
@@ -347,10 +348,11 @@ def _parse_composition(ts: TokenStream, onto: Ontology, level: int = 0):
     the one before and left-associative; past the table, an operand with
     perhaps a guard."""
     if level == len(_OPERATORS):
+        at = ts.pos
         if not ts.accept("["):
             return _parse_primary(ts, onto)
         space = _space_from_pairs(_parse_constraints(ts, "]"), onto.variables, "guard")
-        return _Guarded(_parse_primary(ts, onto), space)
+        return _Guarded(_parse_primary(ts, onto), space, at)
     token, op, strictable = _OPERATORS[level]
     left = _parse_composition(ts, onto, level + 1)
     while ts.accept(token):
@@ -366,7 +368,7 @@ def _parse_primary(ts: TokenStream, onto: Ontology):
         if ts.accept(":"):
             label = ts.expect_ident()
             if isinstance(inner, _Guarded) or not isinstance(inner, ActionNode):
-                ts.fail("only a composite operand can carry a label")
+                ts.fail("only a composite operand can carry a label", ts.pos - 1)
             inner = replace(inner, label=label)
         return inner
     if ts.accept("{"):
@@ -389,7 +391,7 @@ def parse_patterns(text: str, onto: Ontology) -> tuple:
         ts.expect("=")
         body = _parse_composition(ts, onto)
         if isinstance(body, _Guarded):
-            ts.fail("a guard must attach to an operand of a composition")
+            ts.fail("a guard must attach to an operand of a composition", body.at)
         ts.expect("type")
         ts.expect("=")
         parts = [ts.expect_ident()]

@@ -256,6 +256,9 @@ def render(value) -> str:
     return text
 
 
+sort_key = render  # the deterministic ordering key of every output is a term's text
+
+
 def _render(value) -> str:
     if isinstance(value, Const):
         return f'"{value.value}"' if value.quoted else value.value
@@ -491,8 +494,3 @@ def parse_argument(ts: TokenStream, allow_formula: bool):
         if token_kind(tok) == "ident" and ts.at("(", 1) and not ts.at("(", 2):
             return parse_formula(ts)
     return parse_term(ts)
-
-
-def sort_key(value) -> str:
-    """Deterministic ordering key used everywhere atoms are emitted."""
-    return render(value)

@@ -1,13 +1,15 @@
 """Reference compliance audit, independent of the shared branch pass.
 
 reference_check_compliance is the audit as first written: it evaluates every
-refinement branch on its own, in choice-log order, runs the four detectors
-on that branch's view, and stops at the first branch without conflicts;
-otherwise it reports the nearest miss (fewest conflicts, then choice-log
-order). It shares the single-branch pieces (evaluate, decision_view,
-obligation_status, the detectors and the branch statistics) with the engine,
-so a comparison tests the shared pass and the integer walk over it. The
-module also hosts the random audit generator used by the equivalence test.
+refinement branch on its own, in choice-log order, runs the four one-atom
+detectors on each decision atom of that branch's sorted view, with rule ids
+from that branch's own model, and stops at the first branch without
+conflicts; otherwise it reports the nearest miss (fewest conflicts, then
+choice-log order). It shares the single-branch pieces (evaluate,
+decision_view, obligation_status, the detectors and the branch statistics)
+with the engine, so a comparison tests the shared pass, the integer walk
+over it and the report's per-atom recomputation. The module also hosts the
+random audit generator used by the equivalence test.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ def _audits(result, ds, sigma, onto, view_l, M_l):
     """(branch, model, sorted conflicts or None when error is derivable,
     branch statistics) for each branch in turn, each evaluated on its own."""
     status: dict = {}
+    low = set(view_l.do_atoms)
     for branch in result.branches:
         model_h = evaluate(branch.policy, ds, onto)
         if error_witnesses(model_h):
@@ -79,13 +82,24 @@ def _audits(result, ds, sigma, onto, view_l, M_l):
         for m in view_h.mustdo_atoms:
             if m not in status:
                 status[m] = obligation_status(m, sigma, onto, ds)
-        pending = tuple(m for m in view_h.mustdo_atoms if status[m] == "unsatisfied")
-        conflicts = list(detect_modal_authorization_violation(view_h, view_l, model_h))
-        conflicts.extend(detect_obligation_violation(pending, M_l, model_h))
-        conflicts.extend(detect_resource_capability_conflict(pending, ds, onto, model_h))
-        conflicts.extend(detect_modal_capability_conflict(pending, view_l, model_h))
+        conflicts = []
+        for a in view_h.do_atoms:
+            conflicts += _with_rule_ids(model_h, a, detect_modal_authorization_violation(a, low))
+        for m in view_h.mustdo_atoms:
+            if status[m] == "unsatisfied":
+                found = detect_obligation_violation(m, M_l)
+                found += detect_resource_capability_conflict(m, ds, onto)
+                found += detect_modal_capability_conflict(m, low)
+                conflicts += _with_rule_ids(model_h, m, found)
         conflicts.sort(key=Conflict.sort_key)
-        yield branch, model_h, tuple(conflicts), _branch_stats(view_h, status, M_l)
+        yield branch, model_h, tuple(conflicts), _branch_stats(view_h.mustdo_atoms, status, M_l)
+
+
+def _with_rule_ids(model, atom, conflicts) -> list:
+    """The conflicts of one high atom, each with the ids of the rules that
+    derive the atom in the branch's model."""
+    rule_ids = tuple(sorted({rule_id for rule_id, _ in model.supports_of(atom)}))
+    return [Conflict(c.category, c.witness, rule_ids) for c in conflicts]
 
 
 def branch_outcomes(ph, pl, ds, patterns, sigma, onto) -> list:

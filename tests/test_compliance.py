@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import polcheck.compliance
+import polcheck.datalog
 import polcheck.refinement
 from polcheck.compliance import (
     CATEGORY_MODAL_AUTH,
@@ -30,7 +31,6 @@ from polcheck.compliance import (
     entails,
     obligation_status,
 )
-from polcheck.datalog import DecisionView
 from polcheck.errors import EntailmentError, PolcheckError, PolicyError
 from polcheck.loading import parse_facts, parse_ontology, parse_patterns, parse_state
 from polcheck.ontology import DataSystem
@@ -311,32 +311,30 @@ GRANT_BACKUP = A("do", BACKUP, BOB, Signed("+", Const("execute")))
 
 
 def test_contradicted_denial_yields_pair_and_missing_conflicts():
-    view_h = DecisionView((DENY_READ,), ())
-    view_l = DecisionView((GRANT_READ,), ())
-    conflicts = detect_modal_authorization_violation(view_h, view_l)
+    conflicts = detect_modal_authorization_violation(DENY_READ, {GRANT_READ})
     assert [c.category for c in conflicts] == [CATEGORY_MODAL_AUTH] * 2
     assert conflicts[0].witness == (GRANT_READ, DENY_READ)
     assert conflicts[1].witness == (DENY_READ,)
 
 
 def test_high_view_atom_missing_from_low_view():
-    view_h = DecisionView((GRANT_BACKUP,), ())
-    conflicts = detect_modal_authorization_violation(view_h, DecisionView((), ()))
+    conflicts = detect_modal_authorization_violation(GRANT_BACKUP, set())
     assert len(conflicts) == 1
     assert conflicts[0].witness == (GRANT_BACKUP,)
 
 
 def test_matching_views_raise_no_authorization_conflicts():
-    view = DecisionView((DENY_READ, GRANT_BACKUP), ())
-    assert detect_modal_authorization_violation(view, view) == ()
+    low = {DENY_READ, GRANT_BACKUP}
+    for atom in low:
+        assert detect_modal_authorization_violation(atom, low) == ()
 
 
 def test_obligation_detector_skips_enforced():
-    hits = detect_obligation_violation((M_BACKUP,), set())
+    hits = detect_obligation_violation(M_BACKUP, set())
     assert len(hits) == 1
     assert hits[0].category == CATEGORY_OBLIGATION
     assert hits[0].witness == (M_BACKUP,)
-    assert detect_obligation_violation((M_BACKUP,), {M_BACKUP}) == ()
+    assert detect_obligation_violation(M_BACKUP, {M_BACKUP}) == ()
 
 
 def test_resource_detector_wants_declared_objects_present(audit):
@@ -345,17 +343,16 @@ def test_resource_detector_wants_declared_objects_present(audit):
     ds_short = parse_facts(
         "\n".join(ln for ln in facts.splitlines() if "tape1" not in ln), onto
     )
-    hits = detect_resource_capability_conflict((M_BACKUP,), ds_short, onto)
+    hits = detect_resource_capability_conflict(M_BACKUP, ds_short, onto)
     assert len(hits) == 1
     assert hits[0].category == CATEGORY_RESOURCE
     assert hits[0].witness == (M_BACKUP, Const("tape1"))
-    assert detect_resource_capability_conflict((M_BACKUP,), ds, onto) == ()
+    assert detect_resource_capability_conflict(M_BACKUP, ds, onto) == ()
 
 
 def test_capability_detector_wants_an_execute_grant():
-    with_grant = DecisionView((GRANT_BACKUP,), ())
-    assert detect_modal_capability_conflict((M_BACKUP,), with_grant) == ()
-    hits = detect_modal_capability_conflict((M_BACKUP,), DecisionView((), ()))
+    assert detect_modal_capability_conflict(M_BACKUP, {GRANT_BACKUP}) == ()
+    hits = detect_modal_capability_conflict(M_BACKUP, set())
     assert len(hits) == 1
     assert hits[0].category == CATEGORY_MODAL_CAP
     assert hits[0].witness == (M_BACKUP, GRANT_BACKUP)
@@ -380,6 +377,21 @@ def test_audit_baseline_is_compliant(audit):
         ("atoms_derived", 16),
         ("enforced_by_low_view", (ENFORCED,)),
     )
+
+
+def test_a_conflict_free_report_builds_no_branch_model(audit, monkeypatch):
+    # the report recomputes its branch's conflicts atom by atom and projects
+    # the branch's model only for the rule ids of a conflict
+    def refuse(*args, **kwargs):
+        raise AssertionError("a branch model or decision view was built")
+
+    monkeypatch.setattr(polcheck.datalog.Model, "project", refuse)
+    monkeypatch.setattr(polcheck.datalog, "decision_view", refuse)
+    monkeypatch.setattr(polcheck.compliance, "decision_view", refuse, raising=False)
+    onto, ds, ph, pl, patterns, sigma = audit
+    report = check_compliance(ph, pl, ds, patterns, sigma, onto)
+    assert (report.verdict, report.conflicts) == ("compliant", ())
+    assert ("enforced_by_low_view", (ENFORCED,)) in report.stats
 
 
 def test_audit_report_text_layout(audit):

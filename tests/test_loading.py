@@ -385,6 +385,8 @@ def test_state_and_transform_assignments_are_checked_alike():
         assert str(e.value) == message.format("transform Protect")
 
 
+PROTECT_PATTERN = "refine Protect(target:$x)\n    := {}\n    type=basic-flex-conj\n"
+
 POSITIONED = [
     (parse_policy, "env k (.", "expected a value, found '('", 1, 7),
     (parse_facts, "p($x).\nq(a).\n", "fact p must be ground", 1, 1),
@@ -404,13 +406,44 @@ POSITIONED = [
         8,
         3,
     ),
+    (
+        lambda text: parse_patterns(text, _compose_onto()),
+        PROTECT_PATTERN.format("(InstallFirewall(target:$x)):L /\\ InstallAntiVirus(target:$x)"),
+        "only a composite operand can carry a label",
+        2,
+        37,
+    ),
+    (
+        lambda text: parse_patterns(text, _compose_onto()),
+        PROTECT_PATTERN.format("[avv=none] InstallFirewall(target:$x) /\\ [avv=none] InstallAntiVirus(target:$x)"),
+        "at most one operand of a composition may carry a guard",
+        2,
+        49,
+    ),
+    (
+        lambda text: parse_patterns(text, _compose_onto()),
+        PROTECT_PATTERN.format("[avv=none] InstallFirewall(target:$x)"),
+        "a guard must attach to an operand of a composition",
+        2,
+        8,
+    ),
 ]
 
 
 @pytest.mark.parametrize(
     "parse,text,message,line,col",
     POSITIONED,
-    ids=["env-value", "non-ground-fact", "non-ground-state-atom", "family", "second-state-block", "late-var"],
+    ids=[
+        "env-value",
+        "non-ground-fact",
+        "non-ground-state-atom",
+        "family",
+        "second-state-block",
+        "late-var",
+        "label-on-a-leaf",
+        "second-guard",
+        "guard-on-the-whole-body",
+    ],
 )
 def test_an_error_points_at_its_offending_token(parse, text, message, line, col):
     with pytest.raises(ParseError) as e:
