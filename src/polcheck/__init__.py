@@ -86,12 +86,10 @@ from .policy import (
 )
 from .datalog import (
     Model,
-    decision_view,
     derivation_tree,
     evaluate,
     evaluate_branches,
     render_derivation,
-    render_model,
 )
 from .refinement import (
     RefinementBranch,

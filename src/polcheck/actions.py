@@ -753,6 +753,6 @@ def _oracle_node(parent: ActionClassDef, node: ActionNode, a1, a2, delta_states,
             if not seen:
                 violations.append(ConstraintViolation(path, f"{name} is never a feasible alternative"))
     if row == "adv-strict-conj":
-        if not expand_space(space_meet(D, Dg, onto), onto):
+        if not space_size(space_meet(D, Dg, onto), onto):
             violations.append(ConstraintViolation(path, "guard never applies inside Δ"))
     return violations

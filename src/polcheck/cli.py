@@ -299,10 +299,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except PolcheckError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (PolcheckError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # a fault inside polcheck, never a verdict

@@ -67,7 +67,6 @@ from .terms import (
     match,
     match_atom,
     render,
-    sort_key,
     substitute,
 )
 
@@ -136,12 +135,6 @@ class Model:
         bit = 1 << i
         masks = {a: 1 for a, m in self.masks.items() if m & bit}
         return Model(masks, tuple((rule, 1) for rule, m in self.rules if m & bit))
-
-
-@dataclass(frozen=True)
-class DecisionView:
-    do_atoms: tuple  # sorted ground do atoms, both signs
-    mustdo_atoms: tuple  # sorted ground mustdo atoms
 
 
 class _Atoms:
@@ -371,19 +364,6 @@ def evaluate(p: Policy, ds: DataSystem, onto: Ontology = None, *, goal: str = No
     return evaluate_branches(tuple((rule, 1) for rule in p.rules), 1, ds, onto, goal=goal)
 
 
-def decision_view(m: Model) -> DecisionView:
-    do_atoms = tuple(sorted((a for a in m.atoms if a.pred == "do"), key=sort_key))
-    mustdo = tuple(sorted((a for a in m.atoms if a.pred == "mustdo"), key=sort_key))
-    return DecisionView(do_atoms, mustdo)
-
-
-def render_model(m: Model) -> str:
-    """Sorted ground atoms, one per line; stable across runs."""
-    return "\n".join(render(a) for a in sorted(m.atoms, key=sort_key)) + (
-        "\n" if m.atoms else ""
-    )
-
-
 # ---------------------------------------------------------------------------
 # Derivation trees (explain)
 # ---------------------------------------------------------------------------
@@ -439,9 +419,9 @@ def derivation_tree(m: Model, atom: Atom) -> DerivationNode:
 _SUFFIX = {"absent": " (absent)", "cycle": " (shown above)", "fact": " [fact]", "derived": ""}
 
 
-def render_derivation(node: DerivationNode, indent: int = 0) -> str:
+def render_derivation(node: DerivationNode) -> str:
     lines = []
-    stack = [(indent, node)]  # (indent, node or rule id), next item on top
+    stack = [(0, node)]  # (indent, node or rule id), next item on top
     while stack:
         indent, item = stack.pop()
         pad = "  " * indent

@@ -69,7 +69,7 @@ from .ontology import (
     VariableDef,
 )
 from .policy import BUILTIN_SHAPES, OVER_PREDICATES, Policy, parse_policy
-from .terms import Atom, Const, TokenStream, bind_property, is_ground, parse_formula, parse_term, token_value
+from .terms import TRUE, Atom, Const, TokenStream, bind_property, is_ground, parse_formula, parse_term, token_value
 
 _RESERVED = frozenset(BUILTIN_SHAPES) | frozenset(OVER_PREDICATES)
 
@@ -158,7 +158,6 @@ def parse_ontology(text: str) -> Ontology:
     subprop_edges: list = []
     variables: dict = {}
     actions: dict = {}
-    transforms: dict = {}
 
     while not ts.at_end():
         if ts.accept("class"):
@@ -214,7 +213,7 @@ def parse_ontology(text: str) -> Ontology:
             init_space = _parse_space(ts, variables, f"action {name} init")
             ts.expect("final")
             final_space = _parse_space(ts, variables, f"action {name} final")
-            effect = None
+            effect = TRUE
             resources: list = []
             instruments: list = []
             while True:
@@ -226,15 +225,14 @@ def parse_ontology(text: str) -> Ontology:
                     instruments += ts.expect_idents()
                 else:
                     break
-            kwargs = {"effect": effect} if effect is not None else {}
             actions[name] = ActionClassDef(
                 name,
                 init_space,
                 final_space,
                 params=tuple(params),
+                effect=effect,
                 resources=tuple(resources),
                 instruments=tuple(instruments),
-                **kwargs,
             )
         elif ts.accept("transform"):
             name = ts.expect_ident()
@@ -244,23 +242,20 @@ def parse_ontology(text: str) -> Ontology:
             guard = _parse_space(ts, variables, f"transform {name} guard")
             ts.expect("set")
             effects = _parse_assignment(ts, variables, f"transform {name}")
-            transforms.setdefault(name, []).append(TransformRule(guard, effects))
+            rule = TransformRule(guard, effects)
+            actions[name] = replace(actions[name], transform=actions[name].transform + (rule,))
         else:
             ts.fail(f"expected a declaration keyword, found {token_value(ts.tokens[ts.pos])!r}")
 
-    merged = {
-        name: replace(acd, transform=tuple(transforms.get(name, ())))
-        for name, acd in actions.items()
-    }
     onto = Ontology(
         classes,
         properties,
         tuple(subclass_edges),
         tuple(subprop_edges),
         variables,
-        merged,
+        actions,
     )
-    for acd in merged.values():
+    for acd in actions.values():
         validate_action_class(acd, onto)
     return onto
 

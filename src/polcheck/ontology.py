@@ -16,15 +16,15 @@ Refinement runs from abstract to concrete: ``state_refines(g, g2)`` says
 every variable of g2 names a value at or below the corresponding value of g
 in the hierarchy, and ``space_refines(G, G2)`` says every state of G2
 refines some state of G. ``feasible_in(G, g)`` is the one membership test:
-g refines some state of G. A box is a product over the variables, so
-membership in it, its size and its meet with another box are decided one
-variable at a time, without expanding it; an explicit space is scanned.
-A box met with an explicit space keeps the explicit states the box allows,
-and two explicit spaces intersect. Box reasoning lives
-here alone: a space's cone, the states that refine one of its states, is a
-list of boxes, cut apart by set difference and read by their least state.
+g refines some state of G. Every question reads a space through its cover,
+``_cover``: a box as itself and an explicit space as one point box per
+state, so membership, size and meet are decided one variable at a time
+over disjoint boxes without listing a state. Box reasoning lives here alone:
+a space's cone, the states that refine one of its states, is a list of
+boxes, cut apart by set difference and read by their least state.
 Refinement between spaces, a join of abstract spaces included, is decided
-on cones; only the public ``space_join`` expands a join.
+on cones. Only the public ``space_join`` and the per-state rows of
+well-formedness list states, through ``expand_space``.
 """
 
 from __future__ import annotations
@@ -339,38 +339,49 @@ def _check_total(state: State, onto: Ontology) -> None:
         raise ExpansionError(f"state {render_state(state)} is not total over the declared variables")
 
 
+def _cover(space: StateSpace, onto: Ontology) -> list:
+    """The space as disjoint boxes, each mapping every declared variable to a
+    tuple of values: a box's allowed values, or one point per explicit state
+    in sorted order once every state is checked total."""
+    if space.is_concise:
+        return [_allowed_values(space, onto)]
+    points = sorted(space.states)
+    for s in points:
+        _check_total(s, onto)
+    return [{var: (v,) for var, v in s.assignments} for s in points]
+
+
 def expand_space(space: StateSpace, onto: Ontology) -> frozenset:
     """Expansion of a box is the cross product of its per-variable values;
-    explicit spaces are checked for totality."""
+    an explicit space's states are checked for totality in sorted order."""
     if space.is_concise:
         return frozenset(_state_product(onto.variables, _allowed_values(space, onto)))
-    for s in space.states:
+    for s in sorted(space.states):
         _check_total(s, onto)
     return frozenset(space.states)
 
 
 def space_size(space: StateSpace, onto: Ontology) -> int:
     """The number of states in the space's expansion, counted without
-    building the states of a box. Raises what expansion raises."""
-    if space.is_concise:
-        return math.prod(len(values) for values in _allowed_values(space, onto).values())
-    return len(expand_space(space, onto))
+    listing them. Raises what expansion raises."""
+    return sum(math.prod(map(len, box.values())) for box in _cover(space, onto))
 
 
 def _boxes(space: StateSpace, onto: Ontology, values: dict = None, fixed: dict = None) -> list:
     """The space's cone over candidate values per variable, the declared ones
     where ``values`` gives none, once ``fixed`` overrides their variables: as
     non-empty boxes (a frozenset of values per variable, in sorted variable
-    order), one for a box and one per state of an explicit space. Raises what
-    expansion raises on the space."""
-    if not space.is_concise:
-        points = (StateSpace.concise(s.assignments) for s in expand_space(space, onto))
-        return [box for point in points for box in _boxes(point, onto, values, fixed)]
-    allowed, box, fixed = _allowed_values(space, onto), {}, fixed or {}
-    for var, d in sorted(onto.variables.items()):
-        vals = (values or {}).get(var, d.values)
-        box[var] = frozenset(w for a in allowed[var] for w in vals if value_refines(fixed.get(var, w), a, onto))
-    return [box] if all(box.values()) else []
+    order), one per box of its cover. Raises what expansion raises on the
+    space."""
+    values, fixed, cones = values or {}, fixed or {}, []
+    for allowed in _cover(space, onto):
+        box = {}
+        for var, d in sorted(onto.variables.items()):
+            vals = values.get(var, d.values)
+            box[var] = frozenset(w for a in allowed[var] for w in vals if value_refines(fixed.get(var, w), a, onto))
+        if all(box.values()):
+            cones.append(box)
+    return cones
 
 
 def _outside(boxes: list, cuts: list) -> list:
@@ -404,17 +415,14 @@ def _least(boxes: list):
 
 def _uncovered(abstracts, concrete: StateSpace, onto: Ontology):
     """The least state of the concrete space that refines a state of none of
-    the abstract spaces, or None: the concrete box, or each point of an
-    explicit space, less the abstract cones over its own values. An empty
-    concrete space is covered before the abstract spaces are read."""
-    if concrete.is_concise:
-        allowed = _allowed_values(concrete, onto)
-        points = [{var: frozenset(vals) for var, vals in allowed.items()}] if all(allowed.values()) else []
-    else:
-        points = [{var: frozenset((v,)) for var, v in s.assignments} for s in expand_space(concrete, onto)]
+    the abstract spaces, or None: each box of the concrete space's cover less
+    the abstract cones over its own values. An empty concrete space is
+    covered before the abstract spaces are read."""
     outside = []
-    for point in points:
-        outside += _outside([point], [cut for space in abstracts for cut in _boxes(space, onto, point)])
+    for allowed in _cover(concrete, onto):
+        if all(allowed.values()):
+            box = {var: frozenset(vals) for var, vals in allowed.items()}
+            outside += _outside([box], [cut for space in abstracts for cut in _boxes(space, onto, box)])
     return _least(outside)
 
 
@@ -432,22 +440,28 @@ def space_refines_witness(abstract: StateSpace, concrete: StateSpace, onto: Onto
 
 
 def space_meet(a: StateSpace, b: StateSpace, onto: Ontology) -> StateSpace:
-    """The meet of two boxes is the box of their per-variable intersections,
-    or the empty explicit space when one intersection is empty. A box met
-    with an explicit space keeps the explicit states whose values the box
-    allows, and is never expanded. Two explicit spaces intersect."""
-    if a.is_concise and b.is_concise:
-        left, right = _allowed_values(a, onto), _allowed_values(b, onto)
-        common = {var: [v for v in left[var] if v in right[var]] for var, _ in a.fixed + b.fixed}
-        if not all(common.values()):
+    """The per-variable intersections of the operands' covers, a read first.
+    Two boxes meet in the box listing the variables either lists, or in the
+    empty explicit space when one of those is empty; a variable neither lists
+    keeps its declared values. With an explicit operand every non-empty meet
+    is one state, and the meet is explicit; two explicit spaces intersect
+    their states, which spares the pairs of their points."""
+    left, right = _cover(a, onto), _cover(b, onto)
+    boxes = (a.is_concise, b.is_concise)
+    if boxes == (False, False):
+        return StateSpace.explicit(a.states & b.states)
+    met = (
+        {var: vals if vals is y[var] else [v for v in vals if v in y[var]] for var, vals in x.items()}
+        for x in left
+        for y in right
+    )
+    if boxes == (True, True):
+        common, listed = next(met), {var for var, _ in a.fixed + b.fixed}
+        if not all(common[var] for var in listed):
             return StateSpace.explicit(())
-        return StateSpace.concise((var, v) for var, values in common.items() for v in values)
-    # each operand checked in order: a box's variables, an explicit space's totality
-    left, right = (_allowed_values(sp, onto) if sp.is_concise else expand_space(sp, onto) for sp in (a, b))
-    if a.is_concise or b.is_concise:
-        box, states = (left, right) if a.is_concise else (right, left)
-        return StateSpace.explicit(s for s in states if all(v in box[var] for var, v in s.assignments))
-    return StateSpace.explicit(left & right)
+        return StateSpace.concise((var, v) for var in listed for v in common[var])
+    points = (m for m in met if all(m.values()))
+    return StateSpace.explicit(State(tuple((var, vals[0]) for var, vals in m.items())) for m in points)
 
 
 def space_join(a: StateSpace, b: StateSpace, onto: Ontology) -> StateSpace:
@@ -457,19 +471,15 @@ def space_join(a: StateSpace, b: StateSpace, onto: Ontology) -> StateSpace:
 
 def feasible_in(space: StateSpace, state: State, onto: Ontology) -> bool:
     """The state refines some state of the space, so an action with initial
-    space ``space`` can start from it. A box is decided per variable: each
-    value must refine one the box allows for its variable.
-    An explicit space is scanned. The space is checked before the state."""
-    if space.is_concise:
-        allowed = _allowed_values(space, onto)
-        _check_total(state, onto)
-        return all(
-            any(value_refines(value, a, onto) for a in allowed[var])
-            for var, value in state.assignments
-        )
-    states = expand_space(space, onto)
+    space ``space`` can start from it: each value refines one that a box of
+    the space's cover allows for its variable. The space is checked before
+    the state."""
+    cover = _cover(space, onto)
     _check_total(state, onto)
-    return any(state_refines(gamma, state, onto) for gamma in states)
+    return any(
+        all(any(value_refines(value, a, onto) for a in box[var]) for var, value in state.assignments)
+        for box in cover
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from itertools import chain, product
 
 from .actions import ActionLeaf, CHOICE, SEQ, RefinementPattern, pattern_nodes, taxonomy_of
 from .errors import BranchLimitError, CycleError, PatternError, PolicyError
-from .ontology import Ontology, StateSpace, _allowed_values, _cycle, expand_space, space_meet, space_size
+from .ontology import Ontology, StateSpace, _cover, _cycle, space_meet
 from .policy import Policy, Rule, _check_safety, check_stratification
 from .terms import (
     Atom,
@@ -187,23 +187,18 @@ def compile_meet_formula(gamma1: StateSpace, delta2: StateSpace, onto: Ontology)
     per-variable value sets becomes the conjunction of the variables held to
     one value, so the whole space is true; any other meet is weakened to
     true (warned)."""
-    meet = space_meet(gamma1, delta2, onto)
-    size = space_size(meet, onto)
+    cover = _cover(space_meet(gamma1, delta2, onto), onto)
+    size = sum(math.prod(map(len, box.values())) for box in cover)
     if not size:
         return FALSE, "sequence postcondition is unsatisfiable (empty meet)"
-    if meet.is_concise:
-        values = _allowed_values(meet, onto)
-    else:
-        states = expand_space(meet, onto)
-        values = {v: sorted({st.value(v) for st in states}) for v in onto.variables}
-    if math.prod(len(vals) for vals in values.values()) != size:
+    values = {v: {w for box in cover for w in box[v]} for v in onto.variables}
+    if math.prod(map(len, values.values())) != size:
         return TRUE, "postcondition meet is not expressible as an atom conjunction; weakened to true"
     conjuncts = []
     for v, vdef in onto.variables.items():
         if len(values[v]) == 1 and tuple(values[v]) != vdef.values:
-            conjuncts.append(
-                Literal(False, Atom(vdef.prop, (Const(vdef.object_id), Const(values[v][0]))))
-            )
+            (value,) = values[v]
+            conjuncts.append(Literal(False, Atom(vdef.prop, (Const(vdef.object_id), Const(value)))))
         elif len(values[v]) not in (1, len(vdef.values)):
             return TRUE, "postcondition meet is not expressible as an atom conjunction; weakened to true"
     return Formula(tuple(conjuncts)), None

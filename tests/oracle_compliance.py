@@ -5,11 +5,11 @@ refinement branch on its own, in choice-log order, runs the four one-atom
 detectors on each decision atom of that branch's sorted view, with rule ids
 from that branch's own model, and stops at the first branch without
 conflicts; otherwise it reports the nearest miss (fewest conflicts, then
-choice-log order). It shares the single-branch pieces (evaluate,
-decision_view, obligation_status, the detectors and the branch statistics)
-with the engine, so a comparison tests the shared pass, the integer walk
-over it and the report's per-atom recomputation. The module also hosts the
-random audit generator used by the equivalence test.
+choice-log order). It builds each model's sorted view itself and shares
+the single-branch pieces (evaluate, obligation_status, the detectors and the
+branch statistics) with the engine, so a comparison tests the shared pass,
+the integer walk over it and the report's per-atom recomputation. The module
+also hosts the random audit generator used by the equivalence test.
 """
 
 from __future__ import annotations
@@ -24,13 +24,22 @@ from polcheck.compliance import (
     detect_resource_capability_conflict,
     obligation_status,
 )
-from polcheck.datalog import decision_view, evaluate
+from polcheck.datalog import evaluate
 from polcheck.errors import PolicyError
 from polcheck.loading import parse_facts, parse_ontology, parse_patterns, parse_state
 from polcheck.policy import parse_policy, validate_high_level
 from polcheck.refinement import refine_policy
+from polcheck.terms import render
 
 from oracle_datalog import error_witnesses
+
+
+class _View:
+    """A model's do and mustdo atoms, each sorted by render."""
+
+    def __init__(self, model):
+        self.do_atoms = tuple(sorted((a for a in model.atoms if a.pred == "do"), key=render))
+        self.mustdo_atoms = tuple(sorted((a for a in model.atoms if a.pred == "mustdo"), key=render))
 
 
 def reference_check_compliance(
@@ -49,7 +58,7 @@ def reference_check_compliance(
     if error_witnesses(model_l):
         detail = "low-level policy is inconsistent (error derivable)"
         return ComplianceReport("inconsistent-input", stats=counts(), detail=detail)
-    view_l = decision_view(model_l)
+    view_l = _View(model_l)
     M_l = set(view_l.mustdo_atoms)
 
     result = refine_policy(ph, patterns, onto, ds, mode=mode, max_branches=max_branches)
@@ -78,7 +87,7 @@ def _audits(result, ds, sigma, onto, view_l, M_l):
         if error_witnesses(model_h):
             yield branch, model_h, None, ()
             continue
-        view_h = decision_view(model_h)
+        view_h = _View(model_h)
         for m in view_h.mustdo_atoms:
             if m not in status:
                 status[m] = obligation_status(m, sigma, onto, ds)
@@ -105,7 +114,7 @@ def _with_rule_ids(model, atom, conflicts) -> list:
 def branch_outcomes(ph, pl, ds, patterns, sigma, onto) -> list:
     """Every branch's outcome, past the one the audit stops at: "error" or
     its conflict count. The low policy must be consistent."""
-    view_l = decision_view(evaluate(pl, ds, onto))
+    view_l = _View(evaluate(pl, ds, onto))
     result = refine_policy(ph, patterns, onto, ds)
     return [
         "error" if conflicts is None else len(conflicts)

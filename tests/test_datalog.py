@@ -12,12 +12,10 @@ import polcheck.datalog
 from polcheck.cli import main
 from polcheck.compliance import check_compliance
 from polcheck.datalog import (
-    decision_view,
     derivation_tree,
     evaluate,
     evaluate_branches,
     render_derivation,
-    render_model,
 )
 from polcheck.errors import PolcheckError, PolicyError
 from polcheck.loading import parse_facts, parse_ontology, parse_state
@@ -251,15 +249,6 @@ def test_supports_of_joins_once_per_atom(monkeypatch):
     assert model.supports_of(mustdo) == first
     assert joins == []
 
-def test_decision_view_collects_both_signs_sorted():
-    view = decision_view(full_model())
-    assert [render(a) for a in view.mustdo_atoms] == [
-        "mustdo(boss, Protect((target,pc1)), true)",
-        "mustdo(emp1, Protect((target,pc1)), true)",
-    ]
-    assert len(view.do_atoms) == 6
-    assert list(view.do_atoms) == sorted(view.do_atoms, key=render)
-
 
 # ---------------------------------------------------------------------------
 # Prohibition defaults (row 8)
@@ -415,14 +404,6 @@ def test_derivation_tree_expands_an_atom_on_two_paths_twice():
         "          by r1\n"
         "            assigned(emp1, pc1) [fact]"
     )
-
-
-def test_render_model_is_sorted_and_stable():
-    first = render_model(full_model())
-    second = render_model(full_model())
-    assert first == second
-    lines = first.strip().split("\n")
-    assert lines == sorted(lines)
 
 
 # ---------------------------------------------------------------------------

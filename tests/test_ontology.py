@@ -1,11 +1,13 @@
 """State, state-space, and refinement-order behavior."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polcheck import ontology
 from polcheck.actions import ActionClassDef, TransformRule
 from polcheck.errors import (
     CycleError,
@@ -188,6 +190,17 @@ def test_meet_join_are_expansion_set_ops():
     assert expand_space(StateSpace.explicit(expand_space(a, onto)), onto) == expand_space(a, onto)
 
 
+def test_two_explicit_spaces_meet_without_pairing_their_states():
+    # 4,096 states each: pairing every state of one with every state of the
+    # other takes tens of seconds
+    flat = Ontology(variables={f"v{i:02}": VariableDef(f"v{i:02}", "pc", "p", ("hi", "lo")) for i in range(12)})
+    states = sorted(expand_space(ENTIRE, flat))
+    a, b = StateSpace.explicit(states[::2]), StateSpace.explicit(states[: len(states) // 2])
+    started = time.perf_counter()
+    assert space_meet(a, b, flat) == StateSpace.explicit(states[: len(states) // 2 : 2])
+    assert time.perf_counter() - started < 1
+
+
 def test_render_helpers():
     onto = machine_onto()
     assert render_state(mk("Computer", "Linux")) == "{x1=Computer, x2=Linux}"
@@ -267,6 +280,31 @@ def test_meet_is_refined_by_both_operands(a, b):
 def test_empty_space_refines_everything(a):
     empty = StateSpace.explicit(frozenset())
     assert space_refines(a, empty, _ONTO)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spaces, spaces)
+def test_questions_about_a_space_list_no_state(a, b):
+    # explicit and box spaces alike are read through their cover: with both
+    # listing routines refusing, every answer is the one given before
+    def ask():
+        return (
+            space_size(a, _ONTO),
+            [feasible_in(a, s, _ONTO) for s in _STATES],
+            space_meet(a, b, _ONTO),
+            space_refines_witness(a, b, _ONTO),
+        )
+
+    def refuse(*args):
+        raise AssertionError("a state space was listed")
+
+    size, feasible, met, witness = ask()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ontology, "expand_space", refuse)
+        patch.setattr(ontology, "_state_product", refuse)
+        answers = ask()
+    assert (answers[0], answers[1], answers[3]) == (size, feasible, witness)
+    assert expand_space(answers[2], _ONTO) == expand_space(met, _ONTO)
 
 
 # ---------------------------------------------------------------------------
@@ -428,6 +466,27 @@ def test_cycle_reports_do_not_depend_on_the_hash_seed():
     # whatever order the interpreter keeps a set's members in
     outputs = {run_python(["-c", _TWO_PARENT_CYCLES], PYTHONHASHSEED=seed) for seed in ("0", "1")}
     assert outputs == {"subclass hierarchy contains a cycle through 'B'\n"}
+
+
+# an explicit space with two states that are not total; prints the error
+_TWO_PARTIAL_STATES = """
+from polcheck.errors import ExpansionError
+from polcheck.ontology import Ontology, State, StateSpace, VariableDef, expand_space, space_size
+onto = Ontology(variables={v: VariableDef(v, "pc", v, ("a",)) for v in ("x0", "x1")})
+partial = StateSpace.explicit([State.make({"x1": "zz"}), State.make({"x0": "q"})])
+for ask in (space_size, expand_space):
+    try:
+        ask(partial, onto)
+    except ExpansionError as e:
+        print(e)
+"""
+
+
+def test_a_partial_state_report_does_not_depend_on_the_hash_seed():
+    # an explicit space's states are checked in sorted order, so the least
+    # partial state is named whatever order the frozenset keeps them in
+    outputs = {run_python(["-c", _TWO_PARTIAL_STATES], PYTHONHASHSEED=seed) for seed in ("0", "1", "3")}
+    assert outputs == {"state {x0=q} is not total over the declared variables\n" * 2}
 
 
 def test_edges_must_name_declared_classes():
