@@ -3,8 +3,8 @@ and current state (.state). Policies (.pol) parse in the policy module; the
 path wrappers here add the file name to any error.
 
 All four formats share one tokenizer (`%` comments, `$`-prefixed variables)
-and one reader of comma-separated lists, `TokenStream.items`: no trailing
-comma, and a bracketed list may be empty, except a variable's range.
+and two list readers, `parse_arguments` for atoms and `TokenStream.items`: no
+trailing comma, and a bracketed list may be empty, except a variable's range.
 Declarations are keyword-led, so line breaks are insignificant, but the
 variable table must be declared before any action class: every constraint
 block is checked against it.
@@ -69,7 +69,7 @@ from .ontology import (
     VariableDef,
 )
 from .policy import BUILTIN_SHAPES, OVER_PREDICATES, Policy, parse_policy
-from .terms import TRUE, Atom, Const, TokenStream, bind_property, is_ground, parse_formula, parse_term, token_value
+from .terms import TRUE, Atom, Const, TokenStream, bind_property, is_ground, parse_arguments, parse_formula, token_value
 
 _RESERVED = frozenset(BUILTIN_SHAPES) | frozenset(OVER_PREDICATES)
 
@@ -134,11 +134,7 @@ def _parse_assignment(ts: TokenStream, variables: dict, where: str) -> tuple:
 def _parse_ground_atom(ts: TokenStream) -> Atom:
     at = ts.pos
     name = ts.expect_ident()
-    ts.expect("(")
-    args = []
-    for _ in ts.items(")"):
-        args.append(parse_term(ts))
-    atom = Atom(name, tuple(args))
+    atom = Atom(name, parse_arguments(ts, plain=True))
     ts.accept(".")
     if not is_ground(atom):
         ts.fail(f"fact {name} must be ground", at)
@@ -376,10 +372,8 @@ def _parse_primary(ts: TokenStream, onto: Ontology):
 def parse_patterns(text: str, onto: Ontology) -> tuple:
     ts = TokenStream(text)
     patterns: list = []
-    n = 0
     while not ts.at_end():
         ts.expect("refine")
-        n += 1
         root = ts.expect_ident()
         root_bindings = _parse_bindings(ts, root)
         ts.expect(":")
@@ -392,7 +386,7 @@ def parse_patterns(text: str, onto: Ontology) -> tuple:
         parts = [ts.expect_ident()]
         while ts.accept("-"):
             parts.append(ts.expect_ident())
-        patterns.append(RefinementPattern(f"p{n}", root, root_bindings, body, "-".join(parts)))
+        patterns.append(RefinementPattern(f"p{len(patterns) + 1}", root, root_bindings, body, "-".join(parts)))
     for pat in patterns:
         validate_pattern(pat, onto)
     return tuple(patterns)

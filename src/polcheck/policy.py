@@ -27,7 +27,7 @@ from .terms import (
     TokenStream,
     Var,
     free_vars,
-    parse_argument,
+    parse_arguments,
     render,
 )
 
@@ -163,7 +163,6 @@ def parse_policy(text: str, onto: Ontology = None) -> Policy:
     rules: list[Rule] = []
     scope: list[str] = []
     env: list = []
-    n = 0
     while not ts.at_end():
         if ts.accept("scope"):
             scope += ts.expect_idents()
@@ -173,8 +172,7 @@ def parse_policy(text: str, onto: Ontology = None) -> Policy:
             env.append((ts.expect_ident(), ts.expect_value()))
             ts.expect(".")
             continue
-        n += 1
-        rules.append(_parse_rule(ts, f"r{n}"))
+        rules.append(_parse_rule(ts, f"r{len(rules) + 1}"))
     policy = Policy(tuple(rules), tuple(scope), tuple(env))
     for r in policy.rules:
         for atom in [r.head] + [l.atom for l in r.body]:
@@ -186,16 +184,10 @@ def parse_policy(text: str, onto: Ontology = None) -> Policy:
 def _parse_rule(ts: TokenStream, rule_id: str) -> Rule:
     head = _parse_atom(ts)
     body: list[Literal] = []
-    if ts.accept(":-"):
-        body.append(_parse_literal(ts))
-        while ts.accept("&"):
-            body.append(_parse_literal(ts))
+    while ts.accept("&" if body else ":-"):
+        body.append(Literal(ts.accept("~"), _parse_atom(ts)))
     ts.expect(".")
     return Rule(rule_id, head, tuple(body))
-
-
-def _parse_literal(ts: TokenStream) -> Literal:
-    return Literal(ts.accept("~"), _parse_atom(ts))
 
 
 def _parse_atom(ts: TokenStream) -> Atom:
@@ -203,12 +195,7 @@ def _parse_atom(ts: TokenStream) -> Atom:
     if name == "error" and not ts.at("("):
         return Atom("error", ())
     shape = BUILTIN_SHAPES.get(name)
-    formula_pos = shape[1] if shape else None
-    ts.expect("(")
-    args = []
-    for _ in ts.items(")"):
-        args.append(parse_argument(ts, len(args) == formula_pos))
-    return Atom(name, tuple(args))
+    return Atom(name, parse_arguments(ts, shape and shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +217,10 @@ def _check_atom_shape(atom: Atom, rule_id: str, onto: Ontology) -> None:
     else:
         arity, formula_pos, signed_pos = shape
         if len(atom.args) != arity:
-            raise ParseError(
-                f"{rule_id}: {name} takes {arity} argument(s), got {len(atom.args)}"
-            )
+            raise ParseError(f"{rule_id}: {name} takes {arity} argument(s), got {len(atom.args)}")
         for i, arg in enumerate(atom.args):
             if isinstance(arg, Signed) and i != signed_pos:
-                raise ParseError(
-                    f"{rule_id}: signed actions belong only in cando/dercando/do"
-                )
+                raise ParseError(f"{rule_id}: signed actions belong only in cando/dercando/do")
             if isinstance(arg, Formula) and i != formula_pos:
                 raise ParseError(
                     f"{rule_id}: a postcondition formula is only the third argument "
@@ -249,22 +232,9 @@ def _check_atom_shape(atom: Atom, rule_id: str, onto: Ontology) -> None:
             q = atom.args[formula_pos]
             if isinstance(q, Formula):
                 if any(c.negated for c in q.conjuncts):
-                    log.warning(
-                        "%s: negation inside a postcondition formula is experimental", rule_id
-                    )
+                    log.warning("%s: negation inside a postcondition formula is experimental", rule_id)
             elif not isinstance(q, Var):
-                raise ParseError(
-                    f"{rule_id}: third argument of {name} must be a formula or variable"
-                )
-    # nested formulas never carry signed actions
-    for arg in atom.args:
-        if isinstance(arg, Formula):
-            for c in arg.conjuncts:
-                for a2 in c.atom.args:
-                    if isinstance(a2, (Signed, Formula)):
-                        raise ParseError(
-                            f"{rule_id}: postcondition atoms take plain terms"
-                        )
+                raise ParseError(f"{rule_id}: third argument of {name} must be a formula or variable")
 
 
 def _is_row8(rule: Rule) -> bool:

@@ -16,6 +16,10 @@ policy's nesting check walk the parts instead of switching on the class.
 A "ground" value may still contain variables inside a formula argument: those
 are existential and get closed at satisfaction-check time, not at grounding.
 ``free_vars`` returns a frozenset computed once per term, with or without them.
+
+The parsers read a token list. A leaf table keyed by token text gives each
+distinct token's kind and its Const or Var, so `parse_arguments`, the loop
+that reads every atom's arguments, takes a leaf argument in one lookup.
 """
 
 from __future__ import annotations
@@ -289,8 +293,8 @@ def _render(value) -> str:
 # ---------------------------------------------------------------------------
 
 # A token is its source text: a variable, identifier, number, string or symbol,
-# tried in that order. Its kind follows from its first character (see
-# token_kind), so a string token '"("' never equals the symbol '('.
+# tried in that order. The leaf table, _LEAVES, gives its kind and its Const or
+# Var in one lookup, so a string token '"("' never equals the symbol '('.
 _TOKEN = (
     r'\$[A-Za-z_][A-Za-z0-9_]*|[A-Za-z_][A-Za-z0-9_]*|[0-9]+(?:\.[0-9]+)?|"[^"\n]*"'
     r"|:-|/\\|\\/|¬|[(){}\[\],.&~+\-=;:|]"
@@ -301,8 +305,23 @@ _TOKEN = (
 _TOKEN_RE = re.compile(rf"(?:\s+|%[^\n]*)*({_TOKEN}|.[\s\S]*|\Z)")
 _ONE_TOKEN = re.compile(_TOKEN)
 
-_KINDS = {"": "eof", "$": "var", '"': "string", **dict.fromkeys(string.digits, "number")}
-_KINDS.update(dict.fromkeys(string.ascii_letters + "_", "ident"))
+# a token's first character -> its kind and the maker of its leaf; else a symbol
+_KINDS = {"": ("eof", None), "$": ("var", lambda t: Var(t[1:])), '"': ("string", lambda t: Const(t[1:-1], True))}
+_KINDS.update(dict.fromkeys(string.digits, ("number", Const)))
+_KINDS.update(dict.fromkeys(string.ascii_letters + "_", ("ident", Const)))
+
+
+class _Leaves(dict):
+    """Token text -> (kind, its Var or Const, or None for a symbol or the end),
+    made the first time the text is looked up and kept, as terms are."""
+
+    def __missing__(self, tok: str) -> tuple:
+        kind, make = _KINDS.get(tok[:1], ("sym", None))
+        self[tok] = entry = (kind, make and make(tok))
+        return entry
+
+
+_LEAVES = _Leaves()
 
 # Brackets of every kind, counted together, nest at most this deep in any
 # input. The parsers and the term walkers recurse once per level, so deeper
@@ -313,13 +332,13 @@ _DEPTH = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
 
 def token_kind(tok: str) -> str:
     """var, ident, number, string or sym; eof for the empty end token."""
-    return _KINDS.get(tok[:1], "sym")
+    return _LEAVES[tok][0]
 
 
 def token_value(tok: str) -> str:
     """A token without a variable's `$` or a string's quotes."""
-    kind = token_kind(tok)
-    return tok[1:] if kind == "var" else tok[1:-1] if kind == "string" else tok
+    kind, leaf = _LEAVES[tok]
+    return tok[1:] if kind == "var" else tok if leaf is None else leaf.value
 
 
 def _position(text: str, index: int) -> tuple:
@@ -379,7 +398,7 @@ class TokenStream:
 
     def expect_ident(self) -> str:
         tok = self.tokens[self.pos]
-        if token_kind(tok) != "ident":
+        if _LEAVES[tok][0] != "ident":
             self.fail(f"expected ident, found {token_value(tok)!r}")
         self.pos += 1
         return tok
@@ -394,18 +413,17 @@ class TokenStream:
     def expect_value(self) -> str:
         """A plain value: an identifier, a number, or a string without its quotes."""
         tok = self.tokens[self.pos]
-        kind = token_kind(tok)
-        if kind != "ident" and kind != "number" and kind != "string":
+        kind, leaf = _LEAVES[tok]
+        if leaf is None or kind == "var":
             self.fail(f"expected a value, found {token_value(tok)!r}")
         self.pos += 1
-        return tok[1:-1] if kind == "string" else tok
+        return leaf.value
 
     def items(self, close: str, empty: bool = True):
         """Read a comma-separated list up to close, which it consumes, by
         yielding once per item for the loop body to read that item. The list
         may be empty unless empty is False; a trailing comma leaves close where
-        the body expects an item. The hot readers, of policy atoms and facts,
-        loop over it: a list comprehension costs a frame per list in CPython 3.11."""
+        the body expects an item."""
         tokens = self.tokens
         if empty and tokens[self.pos] == close:
             self.pos += 1
@@ -428,15 +446,37 @@ class TokenStream:
 
 def parse_term(ts: TokenStream):
     tok = ts.tokens[ts.pos]
-    kind = token_kind(tok)
+    kind, leaf = _LEAVES[tok]
     if kind == "ident" and ts.at("(", 1):
         return parse_action_term(ts)
-    if kind == "sym" or kind == "eof":
+    if leaf is None:
         ts.fail(f"expected a term, found {tok!r}")
     ts.pos += 1
-    if kind == "var":
-        return Var(tok[1:])
-    return Const(tok[1:-1], quoted=True) if kind == "string" else Const(tok)
+    return leaf
+
+
+def parse_arguments(ts: TokenStream, formula_pos: int | None = None, plain: bool = False) -> tuple:
+    """An atom's parenthesized arguments. A variable or constant not followed
+    by '(' is its leaf from the table, read at a local index; any other is
+    read by parse_term if plain, else by parse_argument (a formula at
+    formula_pos). ts.pos is written back before that and before the ')'."""
+    ts.expect("(")
+    tokens, i, args = ts.tokens, ts.pos, []
+    while args or tokens[i] != ")":  # an empty list only; a trailing comma reads ')' as an argument
+        leaf = _LEAVES[tokens[i]][1]
+        if leaf is None or tokens[i + 1] == "(" or len(args) == formula_pos:
+            ts.pos = i
+            args.append(parse_term(ts) if plain else parse_argument(ts, len(args) == formula_pos))
+            i = ts.pos
+        else:
+            args.append(leaf)
+            i += 1
+        if tokens[i] != ",":
+            break
+        i += 1
+    ts.pos = i
+    ts.expect(")")
+    return tuple(args)
 
 
 def bind_property(ts: TokenStream, name: str, bindings: list, sep: str) -> None:
@@ -462,11 +502,6 @@ def parse_action_term(ts: TokenStream) -> ActionTerm:
     return ActionTerm(name, tuple(bindings))
 
 
-def parse_formula_atom(ts: TokenStream) -> Atom:
-    name = ts.expect_ident()
-    return Atom(name, tuple([parse_term(ts) for _ in ts.items(")")]) if ts.accept("(") else ())
-
-
 def parse_formula(ts: TokenStream) -> Formula:
     if ts.accept("true"):
         return TRUE
@@ -475,7 +510,8 @@ def parse_formula(ts: TokenStream) -> Formula:
     conjuncts = []
     while True:
         negated = ts.accept("~")
-        conjuncts.append(Literal(negated, parse_formula_atom(ts)))
+        name = ts.expect_ident()
+        conjuncts.append(Literal(negated, Atom(name, parse_arguments(ts, plain=True) if ts.at("(") else ())))
         if not ts.accept("&"):
             break
     return Formula(tuple(conjuncts))
@@ -491,6 +527,6 @@ def parse_argument(ts: TokenStream, allow_formula: bool):
     if allow_formula:
         if tok == "~" or tok == "true" or tok == "false":
             return parse_formula(ts)
-        if token_kind(tok) == "ident" and ts.at("(", 1) and not ts.at("(", 2):
+        if _LEAVES[tok][0] == "ident" and ts.at("(", 1) and not ts.at("(", 2):
             return parse_formula(ts)
     return parse_term(ts)

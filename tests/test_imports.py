@@ -113,3 +113,40 @@ def test_comma_loops_finds_calls_outside_the_token_stream():
 def test_no_grammar_reads_a_comma_list_by_hand():
     found = [f"{p.name}:{where}" for p in MODULES for where in comma_loops(p.read_text(encoding="utf-8"))]
     assert found == []
+
+
+def stream_fields(source: str) -> dict:
+    """Method name -> the sorted `self.<name>` attributes it assigns, for
+    each method of class TokenStream that assigns any."""
+    fields = {}
+    for cls in ast.walk(ast.parse(source)):
+        if isinstance(cls, ast.ClassDef) and cls.name == "TokenStream":
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef):
+                    continue
+                targets = set()
+                for node in ast.walk(method):
+                    bound = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+                    for t in bound:
+                        if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name) and t.value.id == "self":
+                            targets.add(t.attr)
+                if targets:
+                    fields[method.name] = sorted(targets)
+    return fields
+
+
+def test_stream_fields_finds_plain_augmented_and_annotated_assignments():
+    source = (
+        "class TokenStream:\n    def __init__(self, t):\n        self.text = t\n        self.tokens: list = []\n"
+        "        self.tokens += ['']\n        other.x = 1\n    def step(self):\n        self.pos += 1\n"
+        "    def read(self):\n        return self.pos\n"
+    )
+    assert stream_fields(source) == {"__init__": ["text", "tokens"], "step": ["pos"]}
+
+
+def test_a_token_stream_keeps_only_its_text_tokens_and_position():
+    # tests/test_tokenize.py's ReferenceStream sets these three and no more,
+    # and a per-token side list would lift the heap peak of a parse
+    fields = stream_fields((PACKAGE / "terms.py").read_text(encoding="utf-8"))
+    assert fields.pop("__init__") == ["pos", "text", "tokens"]
+    assert all(names == ["pos"] for names in fields.values()), fields

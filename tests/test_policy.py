@@ -1,5 +1,7 @@
 """Policy parsing, static validation, and the stratification table."""
 
+import re
+
 import pytest
 
 from polcheck.errors import ParseError, PolicyError
@@ -86,6 +88,22 @@ def test_true_and_false_are_formulas():
 def test_malformed_statements_raise(bad):
     with pytest.raises(ParseError):
         parse_policy(bad)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("hasObligation(emp1, act1, archived(+fw1)).", "col 36: expected a term, found '+'"),
+        ("mustdo(emp1, act1, archived(pc1, ~lost(pc1))).", "col 34: expected a term, found '~'"),
+        ("mustdo(emp1, act1, archived(Backup((target, true & x))))).", "col 50: expected ')', found '&'"),
+    ],
+    ids=["signed", "formula", "formula-in-an-action-term"],
+)
+def test_postcondition_atoms_take_plain_terms_where_they_are_written(text, message):
+    # a formula's atoms are read as plain terms, so no signed action or
+    # formula reaches the shape checks inside one
+    with pytest.raises(ParseError, match=rf"^line 1, {re.escape(message)}$"):
+        parse_policy(text)
 
 
 def test_unknown_predicates_need_an_ontology_to_be_rejected():

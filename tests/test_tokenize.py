@@ -8,7 +8,11 @@ the positions they were scanned at.
 """
 
 import contextlib
+import importlib.util
 import io
+import random
+import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -20,8 +24,8 @@ import polcheck.cli
 import polcheck.loading
 import polcheck.policy
 from polcheck.errors import ParseError, PolcheckError
-from polcheck.loading import parse_facts
-from polcheck.policy import parse_policy
+from polcheck.loading import parse_facts, parse_ontology
+from polcheck.policy import parse_policy, to_text
 from polcheck.terms import MAX_NESTING, TokenStream, token_kind, token_value, tokenize
 
 import oracle_tokenize
@@ -85,8 +89,10 @@ def reference_streams():
         yield
 
 
-def assert_same_tokens(text: str) -> None:
-    """Kinds, values and positions of every token, or the same error."""
+def assert_same_tokens(text: str, stride: int = 1) -> None:
+    """Kinds, values and positions of every token, or the same error. Finding
+    one position scans the text up to it, so a long text may have only every
+    stride-th token's position checked, and the end's."""
     try:
         want = oracle_tokenize.tokenize(text)
     except ParseError as e:
@@ -98,6 +104,8 @@ def assert_same_tokens(text: str) -> None:
     assert [(token_kind(t), token_value(t)) for t in tokens] == [(t.kind, t.value) for t in want]
     ts = TokenStream(text)
     for i, t in enumerate(want + want[-1:] * 2):  # the padding past the end too
+        if i % stride and i < len(want) - 1:
+            continue
         with pytest.raises(ParseError) as got:
             ts.fail("here", i)
         assert (got.value.line, got.value.column) == (t.line, t.col)
@@ -160,6 +168,61 @@ def test_explain_parses_its_atom_as_over_the_reference(atom, changes):
     got = explain(atom)
     with reference_streams():
         assert got == explain(atom)
+
+
+def _benchmark_inputs(name: str) -> dict:
+    """The full-size input texts of a perfbench workload, seed 1."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module.generate(name, 1, "full").texts
+
+
+@pytest.mark.parametrize("name", ["wide", "deep"])
+def test_benchmark_size_inputs_parse_as_over_the_reference(name):
+    # the low policy is the largest input the parsers read; every hundredth
+    # token's position is checked, as finding one scans the text up to it
+    texts = _benchmark_inputs(name)
+    onto = parse_ontology(texts["onto"])
+    for kind, parse in (("low", parse_policy), ("facts", parse_facts)):
+        text = texts[kind]
+        assert_same_tokens(text, stride=100)
+        parsed = parse(text, onto)
+        with reference_streams():
+            assert parse(text, onto) == parsed
+        rng = random.Random(kind)
+        for _ in range(3):
+            changes = [(rng.random(), rng.choice(("insert", "delete", "replace", "repeat")), rng.choice(ALPHABET))
+                       for _ in range(rng.randint(1, 6))]
+            changed = mutate(text, changes)
+            assert_same_tokens(changed, stride=100)
+            got = outcome(parse, changed, onto)
+            with reference_streams():
+                assert outcome(parse, changed, onto) == got
+    policy = parse_policy(texts["low"], onto)
+    assert parse_policy(to_text(policy), onto) == policy
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["wide", "deep"])
+def test_parsing_a_low_policy_holds_little_beside_its_tokens(name):
+    # The parse of the low policy sets the heap peak of `check` on these
+    # workloads: a per-token side structure (a kinds list costs 8 bytes a
+    # token) would lift it. The first parse interns the terms and leaves.
+    texts = _benchmark_inputs(name)
+    onto = parse_ontology(texts["onto"])
+    parse_policy(texts["low"], onto)
+    tokens = traced_peak(lambda: tokenize(texts["low"]))
+    assert traced_peak(lambda: parse_policy(texts["low"], onto)) <= 1.3 * tokens
 
 
 # ---------------------------------------------------------------------------
