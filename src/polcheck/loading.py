@@ -3,8 +3,8 @@ and current state (.state). Policies (.pol) parse in the policy module; the
 path wrappers here add the file name to any error.
 
 All four formats share one tokenizer (`%` comments, `$`-prefixed variables)
-and two list readers, `parse_arguments` for atoms and `TokenStream.items`: no
-trailing comma, and a bracketed list may be empty, except a variable's range.
+and two list readers, `TokenStream.arguments` for atoms and `TokenStream.items`:
+no trailing comma, and a bracketed list may be empty, except a variable's range.
 Declarations are keyword-led, so line breaks are insignificant, but the
 variable table must be declared before any action class: every constraint
 block is checked against it.
@@ -69,7 +69,7 @@ from .ontology import (
     VariableDef,
 )
 from .policy import BUILTIN_SHAPES, OVER_PREDICATES, Policy, parse_policy
-from .terms import TRUE, Atom, Const, TokenStream, bind_property, is_ground, parse_arguments, parse_formula, token_value
+from .terms import TRUE, Atom, Const, TokenStream, bind_property, is_ground, parse_formula, token_value
 
 _RESERVED = frozenset(BUILTIN_SHAPES) | frozenset(OVER_PREDICATES)
 
@@ -133,11 +133,10 @@ def _parse_assignment(ts: TokenStream, variables: dict, where: str) -> tuple:
 
 def _parse_ground_atom(ts: TokenStream) -> Atom:
     at = ts.pos
-    name = ts.expect_ident()
-    atom = Atom(name, parse_arguments(ts, plain=True))
+    atom = Atom(ts.expect_ident(), ts.arguments(plain=True))
     ts.accept(".")
     if not is_ground(atom):
-        ts.fail(f"fact {name} must be ground", at)
+        ts.fail(f"fact {atom.pred} must be ground", at)
     return atom
 
 

@@ -98,7 +98,6 @@ class Ontology:
     action_classes: dict = field(default_factory=dict)  # name -> actions.ActionClassDef
     _parents: dict = field(default_factory=dict, repr=False, compare=False)
     _ancestors: dict = field(default_factory=dict, repr=False, compare=False)
-    _points: dict | None = field(default=None, init=False, repr=False, compare=False)  # see _cover
 
     def __post_init__(self):
         self._parents = _parent_map(self.classes, self.subclass_edges, "subclass")
@@ -343,19 +342,13 @@ def _check_total(state: State, onto: Ontology) -> None:
 def _cover(space: StateSpace, onto: Ontology) -> list:
     """The space as disjoint boxes, each mapping every declared variable to a
     tuple of values: a box's allowed values, or one point per explicit state
-    in sorted order once every state is checked total. An explicit space's
-    points are made once per ontology and kept in it; callers only read them."""
+    in sorted order once every state is checked total."""
     if space.is_concise:
         return [_allowed_values(space, onto)]
-    if onto._points is None:
-        onto._points = {}  # an ontology that never meets an explicit space holds no dict
-    points = onto._points.get(space)
-    if points is None:
-        states = sorted(space.states)
-        for s in states:
-            _check_total(s, onto)
-        points = onto._points[space] = [{var: (v,) for var, v in s.assignments} for s in states]
-    return points
+    points = sorted(space.states)
+    for s in points:
+        _check_total(s, onto)
+    return [{var: (v,) for var, v in s.assignments} for s in points]
 
 
 def expand_space(space: StateSpace, onto: Ontology) -> frozenset:

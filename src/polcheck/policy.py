@@ -27,7 +27,6 @@ from .terms import (
     TokenStream,
     Var,
     free_vars,
-    parse_arguments,
     render,
 )
 
@@ -166,13 +165,15 @@ def parse_policy(text: str, onto: Ontology = None) -> Policy:
     while not ts.at_end():
         if ts.accept("scope"):
             scope += ts.expect_idents()
-            ts.expect(".")
-            continue
-        if ts.accept("env"):
+        elif ts.accept("env"):
             env.append((ts.expect_ident(), ts.expect_value()))
-            ts.expect(".")
-            continue
-        rules.append(_parse_rule(ts, f"r{len(rules) + 1}"))
+        else:  # a rule: head, or head :- lit & lit
+            head = _parse_atom(ts)
+            body: list[Literal] = []
+            while ts.accept("&" if body else ":-"):
+                body.append(Literal(ts.accept("~"), _parse_atom(ts)))
+            rules.append(Rule(f"r{len(rules) + 1}", head, tuple(body)))
+        ts.expect(".")
     policy = Policy(tuple(rules), tuple(scope), tuple(env))
     for r in policy.rules:
         for atom in [r.head] + [l.atom for l in r.body]:
@@ -181,21 +182,12 @@ def parse_policy(text: str, onto: Ontology = None) -> Policy:
     return policy
 
 
-def _parse_rule(ts: TokenStream, rule_id: str) -> Rule:
-    head = _parse_atom(ts)
-    body: list[Literal] = []
-    while ts.accept("&" if body else ":-"):
-        body.append(Literal(ts.accept("~"), _parse_atom(ts)))
-    ts.expect(".")
-    return Rule(rule_id, head, tuple(body))
-
-
 def _parse_atom(ts: TokenStream) -> Atom:
     name = ts.expect_ident()
     if name == "error" and not ts.at("("):
         return Atom("error", ())
     shape = BUILTIN_SHAPES.get(name)
-    return Atom(name, parse_arguments(ts, shape and shape[1]))
+    return Atom(name, ts.arguments(shape and shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -217,10 +209,14 @@ def _check_atom_shape(atom: Atom, rule_id: str, onto: Ontology) -> None:
     else:
         arity, formula_pos, signed_pos = shape
         if len(atom.args) != arity:
-            raise ParseError(f"{rule_id}: {name} takes {arity} argument(s), got {len(atom.args)}")
+            raise ParseError(
+                f"{rule_id}: {name} takes {arity} argument(s), got {len(atom.args)}"
+            )
         for i, arg in enumerate(atom.args):
             if isinstance(arg, Signed) and i != signed_pos:
-                raise ParseError(f"{rule_id}: signed actions belong only in cando/dercando/do")
+                raise ParseError(
+                    f"{rule_id}: signed actions belong only in cando/dercando/do"
+                )
             if isinstance(arg, Formula) and i != formula_pos:
                 raise ParseError(
                     f"{rule_id}: a postcondition formula is only the third argument "
@@ -232,9 +228,13 @@ def _check_atom_shape(atom: Atom, rule_id: str, onto: Ontology) -> None:
             q = atom.args[formula_pos]
             if isinstance(q, Formula):
                 if any(c.negated for c in q.conjuncts):
-                    log.warning("%s: negation inside a postcondition formula is experimental", rule_id)
+                    log.warning(
+                        "%s: negation inside a postcondition formula is experimental", rule_id
+                    )
             elif not isinstance(q, Var):
-                raise ParseError(f"{rule_id}: third argument of {name} must be a formula or variable")
+                raise ParseError(
+                    f"{rule_id}: third argument of {name} must be a formula or variable"
+                )
 
 
 def _is_row8(rule: Rule) -> bool:

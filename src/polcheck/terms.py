@@ -18,8 +18,8 @@ are existential and get closed at satisfaction-check time, not at grounding.
 ``free_vars`` returns a frozenset computed once per term, with or without them.
 
 The parsers read a token list. A leaf table keyed by token text gives each
-distinct token's kind and its Const or Var, so `parse_arguments`, the loop
-that reads every atom's arguments, takes a leaf argument in one lookup.
+distinct token's kind and its Const or Var, so `TokenStream.arguments`, the
+loop that reads every atom's arguments, takes a leaf argument in one lookup.
 """
 
 from __future__ import annotations
@@ -434,6 +434,30 @@ class TokenStream:
             yield
         self.expect(close)
 
+    def arguments(self, formula_pos: int | None = None, plain: bool = False) -> tuple:
+        """An atom's parenthesized arguments, a list read as items reads one.
+        A variable or constant not followed by '(' is its leaf from the table,
+        read at a local index; any other is read by parse_term if plain, else
+        by parse_argument (a formula at formula_pos). pos is written back
+        before that and before the ')'."""
+        self.expect("(")
+        tokens, i, args = self.tokens, self.pos, []
+        while args or tokens[i] != ")":  # an empty list only; a trailing comma reads ')' as an argument
+            leaf = _LEAVES[tokens[i]][1]
+            if leaf is None or tokens[i + 1] == "(" or len(args) == formula_pos:
+                self.pos = i
+                args.append(parse_term(self) if plain else parse_argument(self, len(args) == formula_pos))
+                i = self.pos
+            else:
+                args.append(leaf)
+                i += 1
+            if tokens[i] != ",":
+                break
+            i += 1
+        self.pos = i
+        self.expect(")")
+        return tuple(args)
+
     def fail(self, message: str, index: int | None = None):
         """Raise a ParseError at the token at index, by default the next one."""
         raise ParseError(message, *_position(self.text, self.pos if index is None else index))
@@ -453,30 +477,6 @@ def parse_term(ts: TokenStream):
         ts.fail(f"expected a term, found {tok!r}")
     ts.pos += 1
     return leaf
-
-
-def parse_arguments(ts: TokenStream, formula_pos: int | None = None, plain: bool = False) -> tuple:
-    """An atom's parenthesized arguments. A variable or constant not followed
-    by '(' is its leaf from the table, read at a local index; any other is
-    read by parse_term if plain, else by parse_argument (a formula at
-    formula_pos). ts.pos is written back before that and before the ')'."""
-    ts.expect("(")
-    tokens, i, args = ts.tokens, ts.pos, []
-    while args or tokens[i] != ")":  # an empty list only; a trailing comma reads ')' as an argument
-        leaf = _LEAVES[tokens[i]][1]
-        if leaf is None or tokens[i + 1] == "(" or len(args) == formula_pos:
-            ts.pos = i
-            args.append(parse_term(ts) if plain else parse_argument(ts, len(args) == formula_pos))
-            i = ts.pos
-        else:
-            args.append(leaf)
-            i += 1
-        if tokens[i] != ",":
-            break
-        i += 1
-    ts.pos = i
-    ts.expect(")")
-    return tuple(args)
 
 
 def bind_property(ts: TokenStream, name: str, bindings: list, sep: str) -> None:
@@ -508,12 +508,10 @@ def parse_formula(ts: TokenStream) -> Formula:
     if ts.accept("false"):
         return FALSE
     conjuncts = []
-    while True:
+    while not conjuncts or ts.accept("&"):
         negated = ts.accept("~")
         name = ts.expect_ident()
-        conjuncts.append(Literal(negated, Atom(name, parse_arguments(ts, plain=True) if ts.at("(") else ())))
-        if not ts.accept("&"):
-            break
+        conjuncts.append(Literal(negated, Atom(name, ts.arguments(plain=True) if ts.at("(") else ())))
     return Formula(tuple(conjuncts))
 
 

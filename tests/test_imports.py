@@ -78,9 +78,10 @@ def test_every_private_top_level_name_is_read():
 
 
 def comma_loops(source: str) -> list:
-    """Every `.accept(",")` call outside class TokenStream, as `function:line`.
-    A comma-separated list is read by `TokenStream.items`, not by a loop of
-    its own."""
+    """Every `.accept(",")` or `.at(",")` call and every comparison with
+    `","` outside class TokenStream, as `function:line`. A comma-separated
+    list is read by a TokenStream method, `items` or, for an atom's
+    arguments, `arguments`, not by a loop of its own."""
     found = []
 
     def visit(node, where):
@@ -90,8 +91,11 @@ def comma_loops(source: str) -> list:
             if (
                 isinstance(child, ast.Call)
                 and isinstance(child.func, ast.Attribute)
-                and child.func.attr == "accept"
-                and [isinstance(a, ast.Constant) and a.value for a in child.args] == [","]
+                and child.func.attr in ("accept", "at")
+                and [isinstance(a, ast.Constant) and a.value for a in child.args][:1] == [","]
+            ) or (
+                isinstance(child, ast.Compare)
+                and any(isinstance(x, ast.Constant) and x.value == "," for x in [child.left, *child.comparators])
             ):
                 found.append(f"{where}:{child.lineno}")
             inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -108,6 +112,15 @@ def test_comma_loops_finds_calls_outside_the_token_stream():
         "        ts.accept('|')\n"
     )
     assert comma_loops(source) == ["inner:6", "args:7"]
+
+
+def test_comma_loops_finds_token_comparisons_and_lookaheads():
+    source = (
+        "class TokenStream:\n    def arguments(self, i):\n        return self.tokens[i] != ','\n"
+        "def args(ts, tokens, i):\n    while tokens[i] == ',' or ',' != tokens[i + 1]:\n"
+        "        i += ts.at(',', 1)\n    return ', '.join(tokens), ts.at(')'), i == 0\n"
+    )
+    assert comma_loops(source) == ["args:5", "args:5", "args:6"]
 
 
 def test_no_grammar_reads_a_comma_list_by_hand():

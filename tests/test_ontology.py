@@ -2,7 +2,6 @@
 
 import itertools
 import time
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -178,29 +177,6 @@ def test_feasibility_is_cone_membership():
         feasible_in(nb, partial, onto)
     with pytest.raises(ExpansionError, match="not total"):
         feasible_in(StateSpace.explicit({mk("Notebook", "Linux")}), partial, onto)
-
-
-def test_an_explicit_space_is_checked_total_once_per_ontology():
-    onto = machine_onto()
-    space = StateSpace.explicit({mk("Notebook", "Linux"), mk("Computer", "Windows")})
-    counted = mock.patch.object(ontology, "_check_total", wraps=ontology._check_total)
-
-    def checks(ask) -> int:
-        with counted as check:
-            ask()
-        return check.call_count
-
-    # feasible_in checks its state on every question, the space's two states once
-    assert checks(lambda: feasible_in(space, mk("Notebook", "Linux"), onto)) == 3
-    for _ in range(3):
-        assert checks(lambda: feasible_in(space, mk("Notebook", "Linux"), onto)) == 1
-        assert checks(lambda: space_size(space, onto)) == 0
-    assert checks(lambda: space_size(space, machine_onto())) == 2
-    # a refused space is refused again on every question
-    partial = StateSpace.explicit({State.make({"x1": "Notebook"})})
-    for _ in range(2):
-        with pytest.raises(ExpansionError, match="not total"):
-            space_size(partial, onto)
 
 
 def test_meet_join_are_expansion_set_ops():
