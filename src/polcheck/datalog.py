@@ -65,7 +65,6 @@ from .terms import (
     free_vars,
     is_ground,
     match,
-    match_atom,
     render,
     substitute,
 )
@@ -80,8 +79,8 @@ class Model:
 
     masks: dict  # Atom -> mask of the policies whose model holds it
     rules: tuple  # ((rule, mask of the policies that hold it), ...)
-    # (_Atoms of masks, (pred, arity) -> [(rule, mask, plans, negated)], atom -> supports),
-    # filled by supports_of: a shape's rules planned on its first ask, each answer kept
+    # (_Atoms of masks, (pred, arity) -> [(rule, mask, head ops, plans, negated, body templates)], atom ->
+    # supports), filled by supports_of: a shape's rules planned on its first ask, each answer kept
     _index: tuple = field(default=None, init=False, repr=False)
 
     @property
@@ -97,7 +96,9 @@ class Model:
     def supports_of(self, atom: Atom) -> tuple:
         """The atom's supports, (rule_id, ground body) each, by rule id and
         then rendered body: the unblocked instances of each rule whose head
-        matches it, from one join per body under the head's binding."""
+        matches it, from one join per body under the head's binding. Each
+        rule's head match and body literals are compiled, as a join's steps
+        are, when its head shape is first asked for."""
         if self._index is None:
             object.__setattr__(self, "_index", (_Atoms(self.masks), {}, {}))
         store, heads, answers = self._index
@@ -111,19 +112,23 @@ class Model:
                     bound = free_vars(rule.head, include_formulas=True)
                     for body in _join_bodies(rule):  # one plan per literal the join can start from
                         plans = [_join_plan(body, j, bound) for j in range(len(body) or 1)]
-                        heads[shape].append((rule, mask, plans, _templates(rule, body)[1]))
+                        # a support's theta binds every variable of every body literal
+                        lits = tuple([_template(l.atom, free_vars(l.atom, True)) for l in rule.body])
+                        heads[shape].append((rule, mask, _head_ops(rule.head), plans, _templates(rule, body)[1], lits))
         found = set()
-        for rule, mask, plans, negated in heads[shape]:
-            theta = match_atom(rule.head, atom, {})
+        for rule, mask, ops, plans, negated, lits in heads[shape]:
+            theta = _extend(ops, atom, {})
             if theta is None:
                 continue
             # start from the literal with the fewest candidates under theta
             steps = min(plans, key=lambda s: len(store.pool(*s[0][:2], _instance(s[0][2], theta))) if s else 0)
             for th, m in _join(steps, store, store, mask, theta):
                 if _unblocked(negated, store, th, m):
-                    body = tuple(Literal(l.negated, substitute(l.atom, th)) for l in rule.body)
+                    body = tuple([Literal(l.negated, _instance(t, th)) for l, t in zip(rule.body, lits)])
                     found.add((rule.rule_id, body))
-        answers[atom] = tuple(sorted(found, key=lambda sup: (sup[0], tuple(render(l.atom) for l in sup[1]))))
+        if len(found) > 1:
+            found = sorted(found, key=lambda sup: (sup[0], tuple(render(l.atom) for l in sup[1])))
+        answers[atom] = tuple(found)
         return answers[atom]
 
     def error_mask(self) -> int:
@@ -229,6 +234,15 @@ def _join_plan(positive, j=0, bound=frozenset()) -> tuple:
         steps.append((shape, tuple(positions), _template(atom, bound, positions), ops))
         bound |= names
     return tuple(steps)
+
+
+def _head_ops(head: Atom) -> tuple:
+    """`_extend` ops that match a rule head against an atom of its shape: the
+    ops of the head's one-literal join plan, plus a residual pattern for each
+    ground argument, which that plan reads as a key position instead."""
+    _, positions, _, (slots, residual) = _join_plan([head])[0]
+    ground = range(len(head.args)) if positions is None else positions
+    return slots, tuple([(i, head.args[i]) for i in ground]) + residual
 
 
 def _extend(ops, atom: Atom, theta: dict):

@@ -159,19 +159,24 @@ def to_text(p: Policy) -> str:
 
 def parse_policy(text: str, onto: Ontology = None) -> Policy:
     ts = TokenStream(text)
+    tokens = ts.tokens
     rules: list[Rule] = []
     scope: list[str] = []
     env: list = []
-    while not ts.at_end():
-        if ts.accept("scope"):
+    while tok := tokens[ts.pos]:
+        if tok == "scope":
+            ts.pos += 1
             scope += ts.expect_idents()
-        elif ts.accept("env"):
+        elif tok == "env":
+            ts.pos += 1
             env.append((ts.expect_ident(), ts.expect_value()))
         else:  # a rule: head, or head :- lit & lit
             head = _parse_atom(ts)
             body: list[Literal] = []
-            while ts.accept("&" if body else ":-"):
-                body.append(Literal(ts.accept("~"), _parse_atom(ts)))
+            while tokens[ts.pos] == ("&" if body else ":-"):
+                negated = tokens[ts.pos + 1] == "~"
+                ts.pos += 1 + negated
+                body.append(Literal(negated, _parse_atom(ts)))
             rules.append(Rule(f"r{len(rules) + 1}", head, tuple(body)))
         ts.expect(".")
     policy = Policy(tuple(rules), tuple(scope), tuple(env))
@@ -184,10 +189,8 @@ def parse_policy(text: str, onto: Ontology = None) -> Policy:
 
 def _parse_atom(ts: TokenStream) -> Atom:
     name = ts.expect_ident()
-    if name == "error" and not ts.at("("):
-        return Atom("error", ())
     shape = BUILTIN_SHAPES.get(name)
-    return Atom(name, ts.arguments(shape and shape[1]))
+    return Atom(name, ts.arguments(shape and shape[1]) if name != "error" or ts.at("(") else ())
 
 
 # ---------------------------------------------------------------------------
@@ -315,26 +318,17 @@ def check_stratification(p: Policy, onto: Ontology = None) -> StratificationResu
         for lit in rule.body:
             kind = predicate_kind(lit.atom.pred, onto)
             if kind not in allowed:
-                violations.append(
-                    StratificationViolation(
-                        rule.rule_id,
-                        render(lit),
-                        row,
-                        f"row {row} bodies admit {', '.join(allowed[:-2])}, hie- and rel- literals; "
-                        f"found {lit.atom.pred}",
-                    )
+                message = (
+                    f"row {row} bodies admit {', '.join(allowed[:-2])}, hie- and rel- literals; "
+                    f"found {lit.atom.pred}"
                 )
             elif lit.negated and kind in positive_only:
-                violations.append(
-                    StratificationViolation(
-                        rule.rule_id,
-                        render(lit),
-                        row,
-                        f"row {row}: {lit.atom.pred} literals in {rule.head.pred} bodies must be positive",
-                    )
-                )
-            elif lit.atom.pred == rule.head.pred:
-                violations.extend(_growth_violations(rule, lit, row))
+                message = f"row {row}: {lit.atom.pred} literals in {rule.head.pred} bodies must be positive"
+            else:
+                if lit.atom.pred == rule.head.pred:
+                    violations.extend(_growth_violations(rule, lit, row))
+                continue
+            violations.append(StratificationViolation(rule.rule_id, render(lit), row, message))
     return StratificationResult(not violations, tuple(strata), tuple(violations))
 
 

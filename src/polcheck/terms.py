@@ -18,8 +18,8 @@ are existential and get closed at satisfaction-check time, not at grounding.
 ``free_vars`` returns a frozenset computed once per term, with or without them.
 
 The parsers read a token list. A leaf table keyed by token text gives each
-distinct token's kind and its Const or Var, so `TokenStream.arguments`, the
-loop that reads every atom's arguments, takes a leaf argument in one lookup.
+distinct token's kind and its Const or Var, so the loops that read an atom's
+arguments and an action term's bindings take a leaf in one lookup.
 """
 
 from __future__ import annotations
@@ -292,17 +292,17 @@ def _render(value) -> str:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-# A token is its source text: a variable, identifier, number, string or symbol,
-# tried in that order. The leaf table, _LEAVES, gives its kind and its Const or
-# Var in one lookup, so a string token '"("' never equals the symbol '('.
+# A token is its source text: a symbol, identifier, variable, number or string,
+# tried commonest first; only `:-` and `:` start alike. _LEAVES gives a token's
+# kind and its Const or Var in one lookup, so a string '"("' never equals '('.
 _TOKEN = (
-    r'\$[A-Za-z_][A-Za-z0-9_]*|[A-Za-z_][A-Za-z0-9_]*|[0-9]+(?:\.[0-9]+)?|"[^"\n]*"'
-    r"|:-|/\\|\\/|¬|[(){}\[\],.&~+\-=;:|]"
+    r'[(),.&]|[A-Za-z_][A-Za-z0-9_]*|\$[A-Za-z_][A-Za-z0-9_]*|[0-9]+(?:\.[0-9]+)?|"[^"\n]*"'
+    r"|:-|/\\|\\/|¬|[{}\[\]~+\-=;:|]"
 )
 # One match per token, after the whitespace and `%` comments before it. A
 # character that starts no token takes the rest of the text, so it can only be
 # the last token, and the end of the text matches as the empty token.
-_TOKEN_RE = re.compile(rf"(?:\s+|%[^\n]*)*({_TOKEN}|.[\s\S]*|\Z)")
+_TOKEN_RE = re.compile(rf"\s*(?:%[^\n]*\s*)*({_TOKEN}|.[\s\S]*|\Z)")
 _ONE_TOKEN = re.compile(_TOKEN)
 
 # a token's first character -> its kind and the maker of its leaf; else a symbol
@@ -328,11 +328,6 @@ _LEAVES = _Leaves()
 # input is refused here with a position instead of exhausting the stack.
 MAX_NESTING = 100
 _DEPTH = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
-
-
-def token_kind(tok: str) -> str:
-    """var, ident, number, string or sym; eof for the empty end token."""
-    return _LEAVES[tok][0]
 
 
 def token_value(tok: str) -> str:
@@ -458,6 +453,30 @@ class TokenStream:
         self.expect(")")
         return tuple(args)
 
+    def bindings(self, name: str) -> tuple:
+        """Action name's `((property,term), ...)`, read as arguments reads a list:
+        a `(ident,leaf)` binding of a new property at a local index (each check
+        reads only tokens the one before proves real), any other by bind_property."""
+        self.expect("(")
+        tokens, i, bindings = self.tokens, self.pos, []
+        while bindings or tokens[i] != ")":
+            prop, leaf = tokens[i + 1], tokens[i] == "(" and tokens[i + 2] == "," and _LEAVES[tokens[i + 3]][1]
+            if leaf and tokens[i + 4] == ")" and _LEAVES[prop][0] == "ident" and all(p != prop for p, _ in bindings):
+                bindings.append((prop, leaf))
+                i += 5
+            else:
+                self.pos = i
+                self.expect("(")
+                bind_property(self, name, bindings, ",")
+                self.expect(")")
+                i = self.pos
+            if tokens[i] != ",":
+                break
+            i += 1
+        self.pos = i
+        self.expect(")")
+        return tuple(bindings)
+
     def fail(self, message: str, index: int | None = None):
         """Raise a ParseError at the token at index, by default the next one."""
         raise ParseError(message, *_position(self.text, self.pos if index is None else index))
@@ -471,12 +490,10 @@ class TokenStream:
 def parse_term(ts: TokenStream):
     tok = ts.tokens[ts.pos]
     kind, leaf = _LEAVES[tok]
-    if kind == "ident" and ts.at("(", 1):
-        return parse_action_term(ts)
     if leaf is None:
         ts.fail(f"expected a term, found {tok!r}")
     ts.pos += 1
-    return leaf
+    return ActionTerm(tok, ts.bindings(tok)) if kind == "ident" and ts.tokens[ts.pos] == "(" else leaf
 
 
 def bind_property(ts: TokenStream, name: str, bindings: list, sep: str) -> None:
@@ -489,17 +506,6 @@ def bind_property(ts: TokenStream, name: str, bindings: list, sep: str) -> None:
     if any(p == prop for p, _ in bindings):
         ts.fail(f"{name} binds property {prop!r} twice", at)
     bindings.append((prop, value))
-
-
-def parse_action_term(ts: TokenStream) -> ActionTerm:
-    name = ts.expect_ident()
-    ts.expect("(")
-    bindings = []
-    for _ in ts.items(")"):
-        ts.expect("(")
-        bind_property(ts, name, bindings, ",")
-        ts.expect(")")
-    return ActionTerm(name, tuple(bindings))
 
 
 def parse_formula(ts: TokenStream) -> Formula:

@@ -26,12 +26,17 @@ import polcheck.policy
 from polcheck.errors import ParseError, PolcheckError
 from polcheck.loading import parse_facts, parse_ontology
 from polcheck.policy import parse_policy, to_text
-from polcheck.terms import MAX_NESTING, TokenStream, token_kind, token_value, tokenize
+from polcheck.terms import _LEAVES, MAX_NESTING, ActionTerm, Atom, Const, TokenStream, token_value, tokenize
 
 import oracle_tokenize
 from test_parser_fuzz import ALPHABET, NESTED, ONTOS, PARSERS, TEXTS, edits, mutate
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
+
+
+def token_kind(tok: str) -> str:
+    """var, ident, number, string or sym; eof for the empty end token."""
+    return _LEAVES[tok][0]
 
 
 def source(tok) -> str:
@@ -292,3 +297,78 @@ def test_a_quoted_token_never_equals_a_symbol_or_keyword():
     ts = TokenStream('"(" "class" $x')
     assert not ts.at("(") and not ts.at("class", 1) and not ts.at("x", 2)
     assert [token_kind(t) for t in ts.tokens] == ["string", "string", "var", "eof", "eof", "eof"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p(a)%c\n.",
+        "p(a).%c",
+        "%a\n%b\n\n  %c\np(a).",
+        "p(a). % no newline",
+        "scope audit.\r\n% c\r\np(a) :- q(b).\r\n",
+        "p(a) :- q(b) & %c\n¬r(c).",
+        "p(a).\n%c\n#",
+        "p(a). %c\n%d\n@q",
+    ],
+    ids=[
+        "comment-touching-a-token",
+        "comment-right-after-a-token",
+        "back-to-back-comment-lines",
+        "comment-at-the-end-without-a-newline",
+        "crlf-line-ends",
+        "not-sign-after-a-comment",
+        "bad-character-after-a-comment",
+        "bad-character-after-two-comments",
+    ],
+)
+def test_comments_and_whitespace_before_a_token_are_skipped_as_by_the_reference(text):
+    assert_same_tokens(text)
+    assert_same_parse("pol", text)
+
+
+# An action term read once as a rule's argument and once in a fact: an error
+# is raised at the binding that goes wrong, with the same message in both.
+_POL = "cando({}, eve, +execute) :- type(eve, Employee)."
+_FACT = "done(eve, {}, t1, t2)."
+
+
+@pytest.mark.parametrize(
+    "term,message,col",
+    [
+        ("A((p,x),(p,y))", "A binds property 'p' twice", 10),
+        ("A((p,v),)", "expected '(', found ')'", 9),
+        ("A((p v))", "expected ',', found 'v'", 6),
+        ("A(($x,v))", "expected ident, found 'x'", 4),
+        ("A((p,B((q,v))),(p,y))", "A binds property 'p' twice", 17),
+        ("A((p,x),(p,B((q,v))))", "A binds property 'p' twice", 10),
+        ("A((p,x),(q,y),(p,z))", "A binds property 'p' twice", 16),
+        ("A((p,x)(q,y))", "expected ')', found '('", 8),
+        ("A((p,+x))", "expected a term, found '+'", 6),
+    ],
+    ids=[
+        "duplicate-property", "trailing-comma", "missing-comma", "variable-property", "duplicate-after-a-compound",
+        "duplicate-of-a-compound", "duplicate-past-another", "no-comma-between-bindings", "signed-value",
+    ],
+)
+def test_a_bad_action_term_is_reported_where_the_binding_goes_wrong(term, message, col):
+    # col counts from the term's first character
+    for parse, template in ((parse_policy, _POL), (parse_facts, _FACT)):
+        text = template.format(term)
+        at = template.index("{") + col
+        assert raised(parse, text) == (f"line 1, col {at}: {message}", 1, at)
+        assert_same_parse("pol" if parse is parse_policy else "facts", text)
+
+
+@pytest.mark.parametrize(
+    "term,want",
+    [
+        ("A()", ActionTerm("A")),
+        ("A((p,B((q,v))))", ActionTerm("A", (("p", ActionTerm("B", (("q", Const("v")),))),))),
+        ("A((q,w),(p,\"v\"))", ActionTerm("A", (("p", Const("v", True)), ("q", Const("w"))))),
+    ],
+    ids=["empty", "nested", "two-bindings"],
+)
+def test_an_action_term_reads_the_same_as_an_argument_and_in_a_fact(term, want):
+    assert parse_policy(_POL.format(term)).rules[0].head.args[0] is want
+    assert Atom("done", (Const("eve"), want, Const("t1"), Const("t2"))) in parse_facts(_FACT.format(term)).base_atoms
