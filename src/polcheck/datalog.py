@@ -34,6 +34,14 @@ templates, built once per pass: an instance looks up each bound variable,
 keeps each ground argument as it is, substitutes only an argument with
 variables inside it, and reads the finished atom from the intern table.
 
+A rule whose head and body literals hold no variable, formula interiors
+included, as the rules of a policy refined to implementation instances do,
+is not joined: its one instance's mask is read off its atoms' masks and
+heads the rule's own head. It fires in its stratum's first round, and in a
+later round again only if a positive body atom is in the delta; its full
+mask less the head's current mask is then exactly what the literals reading
+the delta would have added.
+
 Supports (why-provenance) are not recorded: positive atoms are never removed
 and negated literals name saturated strata, so the instances that fire are
 the instances over the final model, and `supports_of` recomputes an atom's
@@ -120,9 +128,12 @@ class Model:
             theta = _extend(ops, atom, {})
             if theta is None:
                 continue
-            # start from the literal with the fewest candidates under theta
-            steps = min(plans, key=lambda s: len(store.pool(*s[0][:2], _instance(s[0][2], theta))) if s else 0)
-            for th, m in _join(steps, store, store, mask, theta):
+            pool, steps = None, ()  # start from the literal with the fewest candidates under theta
+            for s in plans:
+                p = store.pool(*s[0][:2], _instance(s[0][2], theta)) if s else ()
+                if pool is None or len(p) < len(pool):
+                    pool, steps = p, s
+            for th, m in _join(steps, store, store, mask, theta, pool):
                 if _unblocked(negated, store, th, m):
                     body = tuple([Literal(l.negated, _instance(t, th)) for l, t in zip(rule.body, lits)])
                     found.add((rule.rule_id, body))
@@ -260,21 +271,21 @@ def _extend(ops, atom: Atom, theta: dict):
     return theta
 
 
-def _join(steps, first: _Atoms, rest: _Atoms, mask: int, theta=None) -> list:
+def _join(steps, first: _Atoms, rest: _Atoms, mask: int, theta=None, pool=None) -> list:
     """All (substitution, non-empty mask) pairs extending theta (default
     empty) to match the join steps in order, the first step against the atoms
-    of `first` and every later one against those of `rest`. A pair's mask is
-    the given mask ANDed with each of its atoms' masks in the atoms it came
-    from."""
+    of `first` (its candidates under theta, if already looked up, in pool)
+    and every later one against those of `rest`. A pair's mask is the given
+    mask ANDed with each of its atoms' masks in the atoms it came from."""
     rows, atoms = [({} if theta is None else theta, mask)], first
     for shape, positions, key, ops in steps:
         masks, nxt = atoms.masks, []
         for th, m in rows:
-            for ga in atoms.pool(shape, positions, _instance(key, th)):
+            for ga in atoms.pool(shape, positions, _instance(key, th)) if pool is None else pool:
                 th2 = _extend(ops, ga, th)
                 if th2 is not None and (held := m & masks[ga]):
                     nxt.append((th2, held))
-        rows, atoms = nxt, rest
+        rows, atoms, pool = nxt, rest, None
     return rows
 
 
@@ -336,14 +347,19 @@ def evaluate_branches(rules, count: int, ds: DataSystem, onto: Ontology = None, 
         raise PolicyError(f"policy is not stratified: {first.rule_id}: {first.message}")
     cone = None if goal is None else _cone((rule for rule, _ in rules), goal)
 
+    by_stratum: list = [[] for _ in range(10)]  # row -> its rules, in table order
+    for entry, (_, stratum) in zip(rules, strat.strata):
+        if cone is None or entry[0].head.pred in cone:
+            by_stratum[stratum].append(entry)
+
     store = _Store(dict.fromkeys(ds.base_atoms, full))
-    for k in range(1, 10):
-        compiled = [
-            (rule, rule_mask, positive, *_templates(rule, positive))
-            for (rule, rule_mask), (_, stratum) in zip(rules, strat.strata)
-            if stratum == k and (cone is None or rule.head.pred in cone)
-            for positive in _join_bodies(rule)
-        ]
+    for stratum_rules in by_stratum[1:]:
+        compiled = []
+        for rule, rule_mask in stratum_rules:
+            if is_ground(rule.head) and not any(l.atom._fvars for l in rule.body):
+                compiled.append((rule, rule_mask, None, rule.head, None))  # decided from masks
+            else:
+                compiled += [(rule, rule_mask, body, *_templates(rule, body)) for body in _join_bodies(rule)]
         if not compiled:
             continue
         plans: dict = {}  # (body position, literal position) -> steps, built on first use
@@ -351,7 +367,14 @@ def evaluate_branches(rules, count: int, ds: DataSystem, onto: Ontology = None, 
         while delta is None or delta.masks:
             new: dict = {}  # atom -> the bits it gained this round, in order
             for i, (rule, rule_mask, positive, head, negated) in enumerate(compiled):
-                if delta is None:
+                if positive is None:  # a ground body's one instance, refired when a positive atom gains bits
+                    if delta is not None and not any(not l.negated and l.atom in delta.masks for l in rule.body):
+                        continue
+                    m = rule_mask
+                    for lit in rule.body:
+                        m &= ~store.masks.get(lit.atom, 0) if lit.negated else store.masks.get(lit.atom, 0)
+                    rows = ((None, m),)
+                elif delta is None:
                     rows = _join(_join_plan(positive), store, store, rule_mask)
                 else:
                     rows = []

@@ -484,6 +484,58 @@ def test_compiled_join_steps_match_the_oracle():
 
 
 
+def _grounded(rng, policy, base):
+    """The policy refined to ground instances, as a low-level policy is: each
+    instance of its rules over its model becomes a ground rule, so recursive
+    rows become ground chains whose body atoms only later rounds derive, and
+    mustdo and do(o,s,-a) instances keep their ground negated literals. About
+    one instance in seven is left out, so some chains stop early; some held
+    do(o,s,+a) atoms get a ground closure they block; a few derived atoms
+    become body-less rules; and about a third of the policy's own rules stay,
+    so a stratum mixes ground and non-ground rules. Rules come shuffled."""
+    model = naive_model(policy, base)
+    instances = sorted(
+        ((head, body) for head, sups in naive_supports(policy, model).items() for _, body in sups),
+        key=lambda inst: (render(inst[0]), [(l.negated, render(l.atom)) for l in inst[1]]),
+    )
+    rules = [Rule(f"g{k}", head, body) for k, (head, body) in enumerate(instances) if rng.random() < 0.85]
+    derived = sorted((a for a in model - base if head_stratum(a) != 8), key=sort_key)
+    rules += [Rule(f"f{k}", a) for k, a in enumerate(rng.sample(derived, min(3, len(derived))))]
+    for k, a in enumerate(sorted(model, key=sort_key)):
+        if head_stratum(a) == 7 and rng.random() < 0.5:
+            minus = Atom("do", (a.args[0], a.args[1], Signed("-", a.args[2].term)))
+            rules.append(Rule(f"c{k}", minus, (Literal(True, a),)))
+    rules += [r for r in policy.rules if rng.random() < 0.3]
+    rng.shuffle(rules)
+    return Policy(tuple(rules))
+
+
+def test_ground_rules_match_the_oracle():
+    # ground rules are decided from their atoms' masks, in their stratum's
+    # first round and again whenever a positive body atom gains policies in
+    # a recursive stratum's later rounds; evaluate, the supports and each
+    # branch's projection agree with the oracle
+    rng = random.Random("ground-rules")
+    chained = blocked = mixed = 0
+    for generate in (random_recursive_program, random_program):
+        for _ in range(15):
+            p, base = generate(rng)
+            ground = _grounded(rng, p, base)
+            ds = DataSystem(base_atoms=base)
+            expected = naive_model(ground, base)
+            model = evaluate(ground, ds)
+            assert model.atoms == expected
+            assert_supports_match_the_oracle(ground, expected, model)
+            assert_projections_match(_split(rng, ground, base), ds)
+            for rule in ground.rules:
+                if rule.rule_id.startswith("g"):
+                    chained += any(l.atom.pred == rule.head.pred for l in rule.body)
+                blocked += rule.rule_id.startswith("c") and rule.body[0].atom in expected
+            rows = {(head_stratum(r.head), r.rule_id[0] == "r") for r in ground.rules if r.body}
+            mixed += any((row, False) in rows and (row, True) in rows for row in (2, 3, 6))
+    assert chained >= 50 and blocked >= 10 and mixed >= 5, (chained, blocked, mixed)
+
+
 def test_a_rule_instance_fires_at_most_once_per_positive_literal(monkeypatch):
     """A later round joins each positive literal whose shape gained atoms
     against the delta and every other literal against all atoms, so an
@@ -606,6 +658,37 @@ def test_join_probes_grow_linearly_with_the_input(monkeypatch, workload, size):
     large = _probes(monkeypatch, *workload(2 * size))
     assert small > 0
     assert large <= 2.5 * small, (small, large)
+
+
+def test_ground_rules_fire_without_a_join(monkeypatch):
+    # n ground cando rules, one stratum's first round, and a ground chain of
+    # n derhasObligation rules, one later round per link: none is planned,
+    # templated or joined; the one non-ground rule shows the counting works
+    def work(policy_text, base):
+        """The model, the join plans and templates built for it, and the
+        join candidates examined."""
+        built, models = [], []
+        for name in ("_join_plan", "_templates"):
+            real = getattr(polcheck.datalog, name)
+            monkeypatch.setattr(polcheck.datalog, name, lambda *args, real=real: built.append(args) or real(*args))
+        policy, ds = parse_policy(policy_text), DataSystem(base_atoms=frozenset(base))
+        probes = _count_probes(monkeypatch, lambda: models.append(evaluate(policy, ds)))
+        return models[0], len(built), probes
+
+    n, audit = 40, "Audit((target,sys1)), true"
+    guarded, base = _guard_join(n)
+    join, ground = guarded.split("\n", 1)
+    ground += f"derhasObligation(e0, {audit}).\n" + "".join(
+        f"derhasObligation(e{i + 1}, {audit}) :- derhasObligation(e{i}, {audit}) & under(e{i + 1}, e{i}).\n"
+        for i in range(n)
+    )
+    base += [Atom("under", (C(f"e{i + 1}"), C(f"e{i}"))) for i in range(n)]
+    model, built, probes = work(ground, base)
+    assert (built, probes) == (0, 0)
+    assert sum(a.pred == "cando" for a in model.atoms) == n
+    assert sum(a.pred == "derhasObligation" for a in model.atoms) == n + 1
+    _, built, probes = work(join + "\n", base)
+    assert built > 0 and probes > 0
 
 
 def test_derivation_tree_probes_grow_linearly_with_the_depth(monkeypatch):
