@@ -166,7 +166,7 @@ def entails(sigma: CurrentState, ds: DataSystem, formula: Formula, onto: Ontolog
             if not (
                 pred in onto.properties
                 or pred in _STATE_PREDICATES
-                or any(shape[0] == pred for shape in store.lists)
+                or any(shape[1] == pred for shape in store.lists)
             ):
                 raise EntailmentError(f"cannot resolve predicate {pred!r} in a postcondition")
     plan = getattr(formula, "_cache", None)  # a formula caches its join plans

@@ -33,6 +33,7 @@ from polcheck.terms import (
     is_ground,
     render,
     sort_key,
+    substitute,
 )
 
 from oracle_datalog import (
@@ -223,8 +224,8 @@ def test_supports_of_plans_only_the_rules_of_the_asked_head():
     mustdo = min((a for a in model.atoms if a.pred == "mustdo"), key=sort_key)
     assert model.supports_of(mustdo)
     heads = model._index[1]
-    assert list(heads) == [("mustdo", 3)]
-    planned = [rule.rule_id for rule, *_ in heads[("mustdo", 3)]]
+    assert list(heads) == [("Atom", "mustdo", 3)]  # the interned shape of mustdo atoms
+    planned = [rule.rule_id for rule, *_ in heads[mustdo._shape]]
     assert planned == [rule.rule_id for rule, _ in model.rules if rule.head.pred == "mustdo"]
     assert all(model.supports_of(a) == fresh.supports_of(a) for a in sorted(model.atoms, key=sort_key))
 
@@ -447,6 +448,42 @@ def test_recursive_programs_match_the_oracle():
         assert error_witnesses(again) == error_witnesses(model)
 
 
+def test_only_recursive_strata_run_a_second_round(monkeypatch):
+    # A stratum whose positive body literals name no predicate it heads
+    # reads only saturated lower strata, so its first round derives all it
+    # can. Row 8's open closure also joins do(o,s,-a) atoms, but each heads
+    # the very atom it came from with a mask no wider, so it ends after one
+    # round too. Rows 2, 3 and 6 recurse here and run to the oracle's fixpoint.
+    strata = []  # [row, rounds run, atoms gained] per stratum evaluated
+    real_saturate, real_add = polcheck.datalog._saturate, polcheck.datalog._Store.add
+
+    def saturate(rules, store):
+        strata.append([head_stratum(rules[0][0].head), 0, 0])
+        return real_saturate(rules, store)
+
+    def add(store, gained):
+        strata[-1][1] += 1
+        strata[-1][2] += len(gained)
+        return real_add(store, gained)
+
+    monkeypatch.setattr(polcheck.datalog, "_saturate", saturate)
+    monkeypatch.setattr(polcheck.datalog._Store, "add", add)
+    rng = random.Random("datalog-rounds")
+    recursed = derived_once = closures = 0
+    for _ in range(30):
+        p, base = random_recursive_program(rng)
+        strata.clear()
+        assert evaluate(p, DataSystem(base_atoms=base)).atoms == naive_model(p, base)
+        for row, rounds, gained in strata:
+            if row in (2, 3, 6):
+                recursed += rounds > 2
+            else:
+                assert rounds == 1, (row, rounds)
+                derived_once += gained > 0
+                closures += row == 8 and gained > 0
+    assert recursed >= 20 and derived_once >= 60 and closures >= 5, (recursed, derived_once, closures)
+
+
 def _step_kinds(policy) -> set:
     """The kinds of compiled join step the policy's rule bodies reach, each
     body planned from every literal."""
@@ -601,25 +638,72 @@ def _probes(monkeypatch, policy_text, base) -> int:
 def test_a_head_instance_substitutes_no_ground_part(monkeypatch):
     # Encrypt((target,d1)) and +execute are ground, so an instance of the
     # first head only looks up $e; the second head's action term holds $d.
+    # Each compound part an instance rebuilds is one call of its builder.
     base = frozenset(Atom("guards", (C(f"e{i}"), C(f"d{i % 2}"))) for i in range(20))
-    substituted = []
-    real = polcheck.datalog.substitute
+    rebuilt = []
+    real = polcheck.datalog._builder
 
-    def counting(value, theta):
-        substituted.append(value)
-        return real(value, theta)
+    def counting(term, bound):
+        build = real(term, bound)
+        return lambda theta: rebuilt.append(term) or build(theta)
 
     def run(rule):
         return evaluate(parse_policy(rule), DataSystem(base_atoms=base))
 
-    monkeypatch.setattr(polcheck.datalog, "substitute", counting)
+    monkeypatch.setattr(polcheck.datalog, "_builder", counting)
     ground = run("cando(Encrypt((target,d1)), $e, +execute) :- guards($e, d1).")
-    assert substituted == []
+    assert rebuilt == []
     opened = run("cando(Encrypt((target,$d)), $e, +execute) :- guards($e, $d).")
     monkeypatch.undo()
     assert sum(a.pred == "cando" for a in ground.atoms) == 10
     assert sum(a.pred == "cando" for a in opened.atoms) == 20
-    assert substituted == [ActionTerm("Encrypt", (("target", Var("d")),))] * 20
+    assert rebuilt == [ActionTerm("Encrypt", (("target", Var("d")),))] * 20
+
+
+def _action(name, values):
+    return ActionTerm(name, tuple(zip(("p", "q", "r"), values)))
+
+
+_LEAVES = st.sampled_from([C("k1"), C("k2"), Const("k2", True), Var("a"), Var("b"), Var("c")])
+_ACTIONS = st.recursive(
+    _LEAVES,
+    lambda inner: st.builds(_action, st.sampled_from(("Act", "Run")), st.lists(inner, max_size=3)),
+    max_leaves=6,
+)
+_FORMULAS = st.builds(
+    Formula,
+    st.lists(
+        st.builds(
+            Literal, st.booleans(), st.builds(Atom, st.sampled_from(("has", "owns")), st.tuples(_ACTIONS, _LEAVES))
+        ),
+        max_size=3,
+    ).map(tuple),
+)
+# values a theta binds a variable to: constants, a ground action term, a variable
+_VALUES = st.sampled_from([C("v1"), C("v2"), _action("Act", [C("v1")]), Var("z")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(_ACTIONS, st.builds(Signed, st.sampled_from("+-"), _ACTIONS), _FORMULAS), min_size=1, max_size=4
+    ),
+    st.sets(st.sampled_from("abc")).map(frozenset),
+    st.data(),
+)
+def test_compiled_templates_build_what_substitute_builds(args, bound, data):
+    # a whole atom, its arguments at some positions and each compound
+    # argument's builder, under thetas over `bound`: a variable outside it,
+    # a formula's existential one among them, stays as it is
+    atom = Atom("p", tuple(args))
+    positions = tuple(data.draw(st.lists(st.sampled_from(range(len(args))), unique=True)))
+    whole, key = polcheck.datalog._template(atom, bound), polcheck.datalog._template(atom, bound, positions)
+    builders = [(a, polcheck.datalog._builder(a, bound)) for a in args if a._fvars & bound and a.__class__ is not Var]
+    for theta in data.draw(st.lists(st.fixed_dictionaries({name: _VALUES for name in bound}), min_size=1, max_size=3)):
+        assert polcheck.datalog._instance(whole, theta) is substitute(atom, theta)
+        built = polcheck.datalog._instance(key, theta)
+        assert len(built) == len(positions) and all(b is substitute(args[i], theta) for b, i in zip(built, positions))
+        assert all(build(theta) is substitute(term, theta) for term, build in builders)
 
 
 def _under_chain(depth):
