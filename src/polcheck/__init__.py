@@ -47,8 +47,6 @@ from .ontology import (
     VariableDef,
     expand_space,
     feasible_in,
-    is_subclass,
-    restricted_subclass_members,
     space_join,
     space_meet,
     space_refines,

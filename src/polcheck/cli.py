@@ -1,9 +1,12 @@
 """Command-line front end.
 
-    polcheck validate --onto F --facts F --high F --patterns F [--low F] ...
-    polcheck refine   --onto F --facts F --high F --patterns F [--out DIR]
-    polcheck check    --onto F --facts F --high F --patterns F --low F [--state F]
-    polcheck explain  --onto F --facts F --high F --patterns F [--low F] ATOM
+    polcheck validate INPUTS [--format F] [--oracle-bound N]
+    polcheck refine   INPUTS [--format F] [--max-branches N] [--mode M] [--out DIR]
+    polcheck check    INPUTS --low F [--format F] [--max-branches N] [--mode M] [--out DIR]
+    polcheck explain  INPUTS [--max-branches N] [--mode M] ATOM
+
+INPUTS: --onto F --facts F --high F --patterns F [--low F] [--state F]. Every
+input file given is read and checked, even one the subcommand does not use.
 
 Exit codes: 0 success (check: compliant), 1 check found the low-level policy
 non-compliant, 2 any input error, validation failure, inconsistency, or
@@ -49,59 +52,56 @@ def _paint(text: str, code: str) -> str:
     return text
 
 
+# Every option flag, defined once; each subcommand registers the ones it reads.
+_OPTIONS = {
+    "--format": dict(choices=("text", "json"), default="text", help="report format"),
+    "--max-branches": dict(
+        type=_positive,
+        default=MAX_BRANCHES,
+        help="most refinement branches to enumerate before giving up",
+    ),
+    "--oracle-bound": dict(
+        type=_positive,
+        default=ORACLE_BOUND,
+        help="most states of a pattern node's initial space that validate enumerates; "
+        "past it the node is an error",
+    ),
+    "--mode": dict(
+        choices=("dispensation-precedence", "custom"),
+        default="dispensation-precedence",
+        help="conflict resolution installed during refinement",
+    ),
+    "--out": dict(help="directory for generated files"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polcheck",
         description="Validate, refine, and audit security policies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, low_required: bool = False):
+    refining = ("--format", "--max-branches", "--mode", "--out")
+    commands = (
+        ("validate", "static checks on every input file", ("--format", "--oracle-bound"), cmd_validate),
+        ("refine", "enumerate refinement branches", refining, cmd_refine),
+        ("check", "audit a low-level policy for compliance", refining, cmd_check),
+        ("explain", "derivation tree for a ground atom", ("--max-branches", "--mode"), cmd_explain),
+    )
+    for name, summary, options, func in commands:
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--onto", required=True, help="ontology file (.onto)")
         p.add_argument("--facts", required=True, help="data-system facts file (.facts)")
         p.add_argument("--high", required=True, help="high-level policy (.pol)")
         p.add_argument("--patterns", required=True, help="refinement patterns (.rp)")
-        p.add_argument("--low", required=low_required, help="low-level policy (.pol)")
+        p.add_argument("--low", required=name == "check", help="low-level policy (.pol)")
         p.add_argument("--state", help="current-state file (.state)")
-        p.add_argument("--format", choices=("text", "json"), default="text", help="report format")
-        p.add_argument(
-            "--max-branches",
-            type=_positive,
-            default=MAX_BRANCHES,
-            help="most refinement branches to enumerate before giving up",
-        )
-        p.add_argument(
-            "--oracle-bound",
-            type=_positive,
-            default=ORACLE_BOUND,
-            help="most states of a pattern node's initial space that validate enumerates; "
-            "past it the node is an error",
-        )
-        p.add_argument(
-            "--mode",
-            choices=("dispensation-precedence", "custom"),
-            default="dispensation-precedence",
-            help="conflict resolution installed during refinement",
-        )
-        p.add_argument("--out", help="directory for generated files")
-
-    p_validate = sub.add_parser("validate", help="static checks on every input file")
-    common(p_validate)
-    p_validate.set_defaults(func=cmd_validate)
-
-    p_refine = sub.add_parser("refine", help="enumerate refinement branches")
-    common(p_refine)
-    p_refine.set_defaults(func=cmd_refine)
-
-    p_check = sub.add_parser("check", help="audit a low-level policy for compliance")
-    common(p_check, low_required=True)
-    p_check.set_defaults(func=cmd_check)
-
-    p_explain = sub.add_parser("explain", help="derivation tree for a ground atom")
-    common(p_explain)
-    p_explain.add_argument("atom", help="ground atom, e.g. 'mustdo(alice, A((p,v)), true)'")
-    p_explain.set_defaults(func=cmd_explain)
-
+        for flag in options:
+            p.add_argument(flag, **_OPTIONS[flag])
+        p.set_defaults(func=func)
+    sub.choices["explain"].add_argument(
+        "atom", help="ground atom, e.g. 'mustdo(alice, A((p,v)), true)'"
+    )
     return parser
 
 

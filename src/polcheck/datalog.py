@@ -76,7 +76,6 @@ instance's support and head take the OR of their masks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import itemgetter
 from types import FunctionType
 
@@ -403,8 +402,10 @@ def _cone(rules, goal: str) -> set:
     head -> body predicates, negated literals and open do(-) join bodies included."""
     deps: dict = {}
     for rule in rules:
-        body = chain((l.atom for l in rule.body), *_join_bodies(rule))
-        deps.setdefault(rule.head.pred, set()).update(a.pred for a in body)
+        preds = deps.setdefault(rule.head.pred, set())
+        preds.update([l.atom.pred for l in rule.body])
+        if _is_row8(rule):  # only an open do(-) rule joins bodies beyond its own
+            preds.update(a.pred for body in _join_bodies(rule) for a in body)
     return _reach(deps, goal)
 
 

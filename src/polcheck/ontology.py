@@ -29,13 +29,10 @@ well-formedness list states, through ``expand_space``.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 
-from .errors import CycleError, ExpansionError, NameResolutionError, SchemaError, StructuralError
-
-log = logging.getLogger(__name__)
+from .errors import CycleError, ExpansionError, NameResolutionError, StructuralError
 
 
 # ---------------------------------------------------------------------------
@@ -72,9 +69,6 @@ class ObjectInstance:
     id: str
     type_name: str
     props: tuple = ()  # tuple[(prop, value), ...]
-
-    def prop_values(self, prop: str) -> tuple:
-        return tuple(v for p, v in self.props if p == prop)
 
 
 @dataclass
@@ -261,18 +255,6 @@ def render_space(space: StateSpace) -> str:
 # ---------------------------------------------------------------------------
 # The refinement order
 # ---------------------------------------------------------------------------
-
-
-def is_subclass(child: str, parent: str, onto: Ontology, ds: DataSystem = None) -> bool:
-    """Reflexive-transitive subclass test. ``child`` may be an instance id,
-    which first steps to its declared type; ``parent`` must be a class."""
-    if parent not in onto.classes:
-        raise NameResolutionError(f"unknown class {parent!r}")
-    if child in onto.classes:
-        return parent in onto.ancestors(child)
-    if ds is not None and ds.has_object(child):
-        return parent in onto.ancestors(ds.objects[child].type_name)
-    raise NameResolutionError(f"unknown class or instance {child!r}")
 
 
 def value_refines(concrete: str, abstract: str, onto: Ontology, ds: DataSystem = None) -> bool:
@@ -480,49 +462,3 @@ def feasible_in(space: StateSpace, state: State, onto: Ontology) -> bool:
         all(any(value_refines(value, a, onto) for a in box[var]) for var, value in state.assignments)
         for box in cover
     )
-
-
-# ---------------------------------------------------------------------------
-# Restricted subclasses
-# ---------------------------------------------------------------------------
-
-
-def restricted_subclass_members(
-    base: str, restrictions, ds: DataSystem, onto: Ontology
-) -> frozenset:
-    """Object ids whose type sits at or below ``base`` and whose property
-    values refine every restriction value.
-
-    Restrictions on undeclared properties are schema errors; a restriction
-    value falling outside the property's declared range cannot be met by any
-    object, so the result is empty (logged as a warning).
-    """
-    if base not in onto.classes:
-        raise NameResolutionError(f"unknown class {base!r}")
-    items = tuple(restrictions.items()) if hasattr(restrictions, "items") else tuple(restrictions)
-    for prop, value in items:
-        pdef = onto.properties.get(prop)
-        if pdef is None:
-            raise SchemaError(f"restriction on undeclared property {prop!r}")
-        if pdef.range and not any(value_refines(value, rc, onto, ds) for rc in pdef.range):
-            log.warning(
-                "restriction %s=%s falls outside the declared range of %r; no member can satisfy it",
-                prop,
-                value,
-                prop,
-            )
-            return frozenset()
-    members = []
-    for obj in ds.objects.values():
-        if not is_subclass(obj.type_name, base, onto):
-            continue
-        ok = True
-        for prop, value in items:
-            vals = obj.prop_values(prop)
-            if not vals or not all(value_refines(v, value, onto, ds) for v in vals):
-                ok = False
-                break
-        if ok:
-            members.append(obj.id)
-    return frozenset(members)
-

@@ -4,6 +4,7 @@ Everything runs in-process through main(argv) so coverage tools and
 monkeypatching work; no subprocesses.
 """
 
+import argparse
 import json
 from pathlib import Path
 
@@ -373,6 +374,58 @@ def test_explain_rejects_atoms_no_policy_can_hold(capsys, atom, message):
     assert (code, out) == (2, "")
     assert err.startswith("error:")
     assert message in err
+
+
+# ---------------------------------------------------------------------------
+# Option flags: each subcommand takes only the ones it reads
+# ---------------------------------------------------------------------------
+
+_INPUT_FLAGS = ("--onto", "--facts", "--high", "--patterns", "--low", "--state")
+READS = {
+    "validate": {*_INPUT_FLAGS, "--format", "--oracle-bound"},
+    "refine": {*_INPUT_FLAGS, "--format", "--max-branches", "--mode", "--out"},
+    "check": {*_INPUT_FLAGS, "--format", "--max-branches", "--mode", "--out"},
+    "explain": {*_INPUT_FLAGS, "--max-branches", "--mode"},
+}
+# flag -> (a value it accepts, what parse_args stores for it)
+_VALUES = {
+    **{flag: ("x", "x") for flag in (*_INPUT_FLAGS, "--out")},
+    "--format": ("json", "json"),
+    "--mode": ("custom", "custom"),
+    "--max-branches": ("3", 3),
+    "--oracle-bound": ("5", 5),
+}
+
+
+def test_the_subcommands_register_only_the_flags_they_read():
+    (subparsers,) = [
+        a for a in polcheck.cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    flags = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert flags == READS
+    assert sum(len(f) for f in flags.values()) == 36
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+@pytest.mark.parametrize("flag", sorted(_VALUES))
+def test_a_flag_parses_only_on_a_subcommand_that_reads_it(capsys, command, flag):
+    required = ["--onto", "--facts", "--high", "--patterns"] + (["--low"] if command == "check" else [])
+    argv = [command]
+    for f in dict.fromkeys([*required, flag]):
+        argv += [f, _VALUES[f][0]]
+    argv += ["do(report1, eve, -read)"] if command == "explain" else []
+    if flag in READS[command]:
+        args = polcheck.cli._PARSER.parse_args(argv)
+        assert getattr(args, flag[2:].replace("-", "_")) == _VALUES[flag][1]
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"unrecognized arguments: {flag}" in err
 
 
 # ---------------------------------------------------------------------------

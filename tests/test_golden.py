@@ -72,8 +72,15 @@ _COMMANDS = [
 CASES = {
     f"{sample}_{command}_{fmt}": [command, *inputs, "--format", fmt, *extra]
     for sample, command, inputs, extra in _COMMANDS
+    if command != "explain"
     for fmt in ("text", "json")
 }
+# explain prints text only and takes no --format
+CASES.update(
+    (f"{sample}_explain_text", ["explain", *inputs, *extra])
+    for sample, command, inputs, extra in _COMMANDS
+    if command == "explain"
+)
 
 
 DEMOS = sorted((ROOT / "demos").glob("*.py"))

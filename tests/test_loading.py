@@ -27,7 +27,7 @@ from polcheck.ontology import (
     StateSpace,
     VariableDef,
     expand_space,
-    is_subclass,
+    value_refines,
 )
 from polcheck.policy import parse_policy
 from polcheck.terms import ActionTerm, Atom, Const, Var, render
@@ -43,8 +43,8 @@ SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 def test_compose_ontology_parses_in_full():
     onto = parse_ontology((SAMPLES / "compose.onto").read_text())
     assert set(onto.classes) == {"Entity", "Employee", "Computer"}
-    assert is_subclass("Employee", "Entity", onto)
-    assert not is_subclass("Entity", "Employee", onto)
+    assert value_refines("Employee", "Entity", onto)
+    assert not value_refines("Entity", "Employee", onto)
     assert onto.properties["type"].family == "hie"
     assert onto.properties["owns"].family == "rel"
     assert onto.variables["fwv"] == VariableDef("fwv", "nb1", "fwstate", ("none", "installed"))
