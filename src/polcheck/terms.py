@@ -299,10 +299,10 @@ _TOKEN = (
     r'[(),.&]|[A-Za-z_][A-Za-z0-9_]*|\$[A-Za-z_][A-Za-z0-9_]*|[0-9]+(?:\.[0-9]+)?|"[^"\n]*"'
     r"|:-|/\\|\\/|¬|[{}\[\]~+\-=;:|]"
 )
-# One match per token, after the whitespace and `%` comments before it. A
-# character that starts no token takes the rest of the text, so it can only be
-# the last token, and the end of the text matches as the empty token.
-_TOKEN_RE = re.compile(rf"\s*(?:%[^\n]*\s*)*({_TOKEN}|.[\s\S]*|\Z)")
+# One match per token after the whitespace before it; a `%` comment is a token
+# that tokenize drops. A character that starts no token takes the rest of the
+# text, so it is the last token, and the end matches as the empty token.
+_TOKEN_RE = re.compile(rf"\s*({_TOKEN}|%[^\n]*|.[\s\S]*|\Z)")
 _ONE_TOKEN = re.compile(_TOKEN)
 
 # a token's first character -> its kind and the maker of its leaf; else a symbol
@@ -328,6 +328,7 @@ _LEAVES = _Leaves()
 # input is refused here with a position instead of exhausting the stack.
 MAX_NESTING = 100
 _DEPTH = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
+_BRACKETS = dict.fromkeys(c for c in range(128) if chr(c) not in _DEPTH)  # what translate deletes
 
 
 def token_value(tok: str) -> str:
@@ -337,28 +338,29 @@ def token_value(tok: str) -> str:
 
 
 def _position(text: str, index: int) -> tuple:
-    """Line and column of the token at index, or of the end of the text."""
-    m = next(islice(_TOKEN_RE.finditer(text), index, None), None)
+    """Line and column of the token at index, comments aside, or of the end."""
+    m = next(islice((m for m in _TOKEN_RE.finditer(text) if not text.startswith("%", m.start(1))), index, None), None)
     offset = m.start(1) if m else len(text)
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def tokenize(text: str) -> list:
-    """The tokens of text, ending with one empty end token. The first
-    bracket nested past MAX_NESTING and the first character that starts no
-    token are errors, whichever comes first in the text."""
+    """The tokens of text, comments dropped, ending with one empty end token.
+    The first bracket nested past MAX_NESTING and the first character that
+    starts no token are errors, whichever comes first in the text."""
     tokens = _TOKEN_RE.findall(text)
     if len(tokens) > 1 and not tokens[-2]:
         del tokens[-1]  # after trailing whitespace the end matches twice
-    if "¬" in text:
-        tokens = ["~" if tok == "¬" else tok for tok in tokens]
-    # a bad last token is never a bracket, so it cannot change the depth
-    brackets = map(_DEPTH.__getitem__, filter(_DEPTH.__contains__, tokens))
-    if max(accumulate(brackets), default=0) > MAX_NESTING:
+    if "%" in text or "¬" in text:
+        tokens = ["~" if tok == "¬" else tok for tok in tokens if tok[:1] != "%"]
+    bad = len(tokens) > 1 and not _ONE_TOKEN.fullmatch(tokens[-2])
+    # a string's or a bad last token's brackets do not nest; every other token is ASCII
+    counted = [tok for tok in tokens[: len(tokens) - 2 * bad] if tok[:1] != '"'] if bad or '"' in text else tokens
+    if max(accumulate(map(_DEPTH.__getitem__, "".join(counted).translate(_BRACKETS))), default=0) > MAX_NESTING:
         depths = accumulate(_DEPTH.get(tok, 0) for tok in tokens)
         i = next(i for i, depth in enumerate(depths) if depth > MAX_NESTING)
         raise ParseError(f"brackets nest deeper than {MAX_NESTING} levels", *_position(text, i))
-    if len(tokens) > 1 and not _ONE_TOKEN.fullmatch(tokens[-2]):
+    if bad:
         raise ParseError(f"unexpected character {tokens[-2][0]!r}", *_position(text, len(tokens) - 2))
     return tokens
 
@@ -434,9 +436,10 @@ class TokenStream:
         A variable or constant not followed by '(' is its leaf from the table,
         read at a local index; any other is read by parse_term if plain, else
         by parse_argument (a formula at formula_pos). pos is written back
-        before that and before the ')'."""
-        self.expect("(")
-        tokens, i, args = self.tokens, self.pos, []
+        before that and past the ')'."""
+        tokens, i, args = self.tokens, self.pos + 1, []
+        if tokens[i - 1] != "(":
+            self.expect("(")
         while args or tokens[i] != ")":  # an empty list only; a trailing comma reads ')' as an argument
             leaf = _LEAVES[tokens[i]][1]
             if leaf is None or tokens[i + 1] == "(" or len(args) == formula_pos:
@@ -449,8 +452,10 @@ class TokenStream:
             if tokens[i] != ",":
                 break
             i += 1
-        self.pos = i
-        self.expect(")")
+        if tokens[i] != ")":
+            self.pos = i
+            self.expect(")")
+        self.pos = i + 1
         return tuple(args)
 
     def bindings(self, name: str) -> tuple:

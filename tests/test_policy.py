@@ -115,6 +115,106 @@ def test_unknown_predicates_need_an_ontology_to_be_rejected():
 
 
 # ---------------------------------------------------------------------------
+# The check pass: shapes and safety, rule by rule, after the whole text parses
+# ---------------------------------------------------------------------------
+
+CHECK_ONTO = Ontology(properties={"guards": PropertyDef("guards"), "type": PropertyDef("type")})
+
+
+def refused(text: str) -> tuple:
+    with pytest.raises((ParseError, PolicyError)) as e:
+        parse_policy(text, CHECK_ONTO)
+    return type(e.value).__name__, str(e.value), getattr(e.value, "line", None), getattr(e.value, "column", None)
+
+
+# Each bad atom first appears in the last rule, after correct atoms of the
+# same predicate, so a check made once per predicate would miss it.
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (
+            "guards(e1, d1).\nhasDispensation(e1, a) :- guards(e1, d1).\nhasDispensation(e2, a) :- guards(e2).",
+            "r3: property predicate 'guards' is binary",
+        ),
+        ("over(a).\nover_AS(a, b).\nover().", "r3: over takes at least one argument"),
+        ("hasDispensation(e1, a) :- guards(e1, d1).\nhasDispensation(e1, a) :- helper(e1, d1).", "unknown predicate 'helper'"),
+        ("mustdo(e1, a, true).\nmustdo(e1, a).", "r2: mustdo takes 3 argument(s), got 2"),
+        ("cando(d1, e1, +read).\nhasDispensation(e1, +read).", "r2: signed actions belong only in cando/dercando/do"),
+        ("cando(d1, e1, +read).\ncando(d1, e1, read).", "r2: cando requires a signed (+/-) action argument"),
+        ("mustdo(e1, a, true).\nmustdo(e1, a, c1).", "r2: third argument of mustdo must be a formula or variable"),
+        (
+            "mustdo(e1, a, true).\nhasObligation(e1, a, true).\nhasObligation(e1, a, Backup((target, d1))).",
+            "r3: third argument of hasObligation must be a formula or variable",
+        ),
+    ],
+    ids=["binary", "over-arguments", "unknown", "arity", "signed-outside", "unsigned", "formula-constant", "formula-action"],
+)
+def test_each_shape_error_names_the_first_rule_with_the_bad_atom(text, message):
+    assert refused(text) == ("ParseError", message, None, None)
+
+
+@pytest.mark.parametrize(
+    "text,want",
+    [
+        (
+            "hasDispensation(e1, $m) :- guards(e1, d1).\nhasDispensation(e1, a) :- guards(e1).",
+            ("PolicyError", "r1: unsafe head variable(s) $m", None, None),
+        ),
+        (
+            "hasDispensation(e1, a) :- guards(e1).\nhasDispensation(e1, $m) :- guards(e1, d1).",
+            ("ParseError", "r1: property predicate 'guards' is binary", None, None),
+        ),
+        (
+            "hasDispensation(e1, $m) :- guards(e1).",
+            ("ParseError", "r1: property predicate 'guards' is binary", None, None),
+        ),
+        (
+            "hasDispensation(e1, a) :- guards(e1, d1) & ~type($x, Doc).\nhasDispensation(e1, a) :- guards(e1).",
+            ("PolicyError", "r1: negated literal uses unbound variable(s) $x", None, None),
+        ),
+        (
+            "hasDispensation(e1, a) :- guards(e1).\n\nhasDispensation(e1, a) :- guards(e1, d1) &.",
+            ("ParseError", "line 3, col 43: expected ident, found '.'", 3, 43),
+        ),
+    ],
+    ids=["safety-first", "shape-first", "shape-before-safety-in-one-rule", "negated-safety-first", "syntax-later"],
+)
+def test_the_first_error_in_rule_order_wins_and_any_syntax_error_before_it(text, want):
+    assert refused(text) == want
+
+
+def test_a_negated_postcondition_is_warned_about_once_per_rule(caplog):
+    formula = "archived(d1) & ~lost(d1)"
+    text = (
+        f"mustdo(e1, a, {formula}) :- guards(e1, d1).\n"
+        "mustdo(e1, a, archived(d1)) :- guards(e1, d1).\n"
+        f"mustdo(e1, a, {formula}) :- guards(e1, d1).\n"
+        f"hasObligation(e1, a, {formula}).\n"
+    )
+    with caplog.at_level("WARNING", logger="polcheck.policy"):
+        parse_policy(text, CHECK_ONTO)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{rid}: negation inside a postcondition formula is experimental" for rid in ("r1", "r3", "r4")
+    ]
+
+
+@pytest.mark.parametrize(
+    "text,where,found",
+    [
+        ("hasDispensation(e1, hasInstalled(pc1, fw1) & true).", (1, 34), "pc1"),
+        ("mustdo(archived(d1), a, true).", (1, 17), "d1"),
+        ("cando(d1, e1, +read) :- done(e1, archived(d1) & true, t1, t2).", (1, 43), "d1"),
+    ],
+    ids=["no-formula-position", "before-the-formula-position", "in-a-body-atom"],
+)
+def test_a_formula_outside_the_formula_position_is_a_syntax_error(text, where, found):
+    # outside its formula position an atom reads `name(` as an action term,
+    # so the formula's first argument is where the parse stops
+    line, col = where
+    assert refused(text) == ("ParseError", f"line {line}, col {col}: expected '(', found '{found}'", line, col)
+
+
+# ---------------------------------------------------------------------------
 # Safety
 # ---------------------------------------------------------------------------
 

@@ -327,6 +327,45 @@ def test_comments_and_whitespace_before_a_token_are_skipped_as_by_the_reference(
     assert_same_parse("pol", text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        'p(a). % a "quote\nq(b).',
+        "p(a). % an open ( and a close )\nq(b).",
+        "p(a). % %% twice % more\nq(b).",
+        'p(a) :- % "(" ( % )\nq(b).',
+        "p(a).\n% last line, no newline (",
+        'p(a).\n% last line, no newline "',
+        "p(a).%c\n#",
+        "p(a). %c\n$1",
+        'p(a). %c\n"open',
+        "p(a) %c\n٣",
+    ],
+    ids=[
+        "quote", "brackets", "percent-signs", "all-three-before-a-token", "last-line-bracket", "last-line-quote",
+        "bad-character", "bad-dollar", "bad-string", "bad-arabic-digit",
+    ],
+)
+def test_comments_that_hold_token_characters_are_dropped_as_by_the_reference(text):
+    assert_same_tokens(text)
+    assert_same_parse("pol", text)
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1])
+@pytest.mark.parametrize(
+    "inner",
+    ["", '"((("', '"(" "[" "{"', "% (((\n", "%(\n%[\n", "#(((", '# "(" %(', '"((" % (\n#((', "(", ")("],
+    ids=[
+        "bare", "string", "strings", "comment", "comments", "bad-character", "bad-then-string-and-comment",
+        "all-three", "one-more", "close-and-open",
+    ],
+)
+def test_nesting_at_the_bound_ignores_brackets_in_strings_comments_and_after_a_bad_character(depth, inner):
+    text = "(" * depth + inner + ")" * depth
+    assert_same_tokens(text)
+    assert_same_parse("pol", text)
+
+
 # An action term read once as a rule's argument and once in a fact: an error
 # is raised at the binding that goes wrong, with the same message in both.
 _POL = "cando({}, eve, +execute) :- type(eve, Employee)."
