@@ -299,10 +299,10 @@ _TOKEN = (
     r'[(),.&]|[A-Za-z_][A-Za-z0-9_]*|\$[A-Za-z_][A-Za-z0-9_]*|[0-9]+(?:\.[0-9]+)?|"[^"\n]*"'
     r"|:-|/\\|\\/|¬|[{}\[\]~+\-=;:|]"
 )
-# One match per token after the whitespace before it; a `%` comment is a token
-# that tokenize drops. A character that starts no token takes the rest of the
-# text, so it is the last token, and the end matches as the empty token.
-_TOKEN_RE = re.compile(rf"\s*({_TOKEN}|%[^\n]*|.[\s\S]*|\Z)")
+# One match per token after the whitespace before it; a `%` comment matches
+# outside the group, so findall reads it as "", as it reads the end. A character
+# that starts no token takes the rest of the text, so it is the last token.
+_TOKEN_RE = re.compile(rf"\s*(?:%[^\n]*|({_TOKEN}|.[\s\S]*|\Z))")
 _ONE_TOKEN = re.compile(_TOKEN)
 
 # a token's first character -> its kind and the maker of its leaf; else a symbol
@@ -339,7 +339,7 @@ def token_value(tok: str) -> str:
 
 def _position(text: str, index: int) -> tuple:
     """Line and column of the token at index, comments aside, or of the end."""
-    m = next(islice((m for m in _TOKEN_RE.finditer(text) if not text.startswith("%", m.start(1))), index, None), None)
+    m = next(islice((m for m in _TOKEN_RE.finditer(text) if m.start(1) >= 0), index, None), None)
     offset = m.start(1) if m else len(text)
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
@@ -348,15 +348,15 @@ def tokenize(text: str) -> list:
     """The tokens of text, comments dropped, ending with one empty end token.
     The first bracket nested past MAX_NESTING and the first character that
     starts no token are errors, whichever comes first in the text."""
-    tokens = _TOKEN_RE.findall(text)
-    if len(tokens) > 1 and not tokens[-2]:
-        del tokens[-1]  # after trailing whitespace the end matches twice
-    if "%" in text or "¬" in text:
-        tokens = ["~" if tok == "¬" else tok for tok in tokens if tok[:1] != "%"]
+    tokens = _TOKEN_RE.findall(text.rstrip())  # after trailing whitespace the end would match twice
+    if "%" in text:
+        tokens = [*filter(None, tokens), ""]  # a comment reads as "", as the end does
+    if "¬" in text:
+        tokens = ["~" if tok == "¬" else tok for tok in tokens]
     bad = len(tokens) > 1 and not _ONE_TOKEN.fullmatch(tokens[-2])
-    # a string's or a bad last token's brackets do not nest; every other token is ASCII
-    counted = [tok for tok in tokens[: len(tokens) - 2 * bad] if tok[:1] != '"'] if bad or '"' in text else tokens
-    if max(accumulate(map(_DEPTH.__getitem__, "".join(counted).translate(_BRACKETS))), default=0) > MAX_NESTING:
+    # a bad last token's and a string's brackets do not nest; every token left is ASCII
+    counted = "".join("".join(tokens[:-2] if bad else tokens).split('"')[::2])  # only strings hold '"'
+    if max(accumulate(map(_DEPTH.__getitem__, counted.translate(_BRACKETS))), default=0) > MAX_NESTING:
         depths = accumulate(_DEPTH.get(tok, 0) for tok in tokens)
         i = next(i for i, depth in enumerate(depths) if depth > MAX_NESTING)
         raise ParseError(f"brackets nest deeper than {MAX_NESTING} levels", *_position(text, i))

@@ -310,6 +310,20 @@ def test_a_quoted_token_never_equals_a_symbol_or_keyword():
         "p(a) :- q(b) & %c\n¬r(c).",
         "p(a).\n%c\n#",
         "p(a). %c\n%d\n@q",
+        'p(a). % a "quote\nq(b).',
+        "p(a). % an open ( and a close )\nq(b).",
+        "p(a). % %% twice % more\nq(b).",
+        'p(a) :- % "(" ( % )\nq(b).',
+        "p(a).\n% last line, no newline (",
+        'p(a).\n% last line, no newline "',
+        "p(a). %c\n \t\n",
+        'p("50%", "(").',
+        "%only a comment",
+        " \t\r\n",
+        "p(a).%c\n#",
+        "p(a). %c\n$1",
+        'p(a). %c\n"open',
+        "p(a) %c\n٣",
     ],
     ids=[
         "comment-touching-a-token",
@@ -320,33 +334,23 @@ def test_a_quoted_token_never_equals_a_symbol_or_keyword():
         "not-sign-after-a-comment",
         "bad-character-after-a-comment",
         "bad-character-after-two-comments",
+        "comment-holding-a-quote",
+        "comment-holding-brackets",
+        "comment-holding-percent-signs",
+        "comment-holding-all-three-before-a-token",
+        "last-line-comment-holding-a-bracket",
+        "last-line-comment-holding-a-quote",
+        "whitespace-after-the-last-comment",
+        "percent-sign-and-bracket-in-strings",
+        "only-a-comment",
+        "only-whitespace",
+        "comment-right-before-a-bad-character",
+        "comment-before-a-bad-dollar",
+        "comment-before-an-unclosed-string",
+        "comment-before-an-arabic-digit",
     ],
 )
 def test_comments_and_whitespace_before_a_token_are_skipped_as_by_the_reference(text):
-    assert_same_tokens(text)
-    assert_same_parse("pol", text)
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        'p(a). % a "quote\nq(b).',
-        "p(a). % an open ( and a close )\nq(b).",
-        "p(a). % %% twice % more\nq(b).",
-        'p(a) :- % "(" ( % )\nq(b).',
-        "p(a).\n% last line, no newline (",
-        'p(a).\n% last line, no newline "',
-        "p(a).%c\n#",
-        "p(a). %c\n$1",
-        'p(a). %c\n"open',
-        "p(a) %c\n٣",
-    ],
-    ids=[
-        "quote", "brackets", "percent-signs", "all-three-before-a-token", "last-line-bracket", "last-line-quote",
-        "bad-character", "bad-dollar", "bad-string", "bad-arabic-digit",
-    ],
-)
-def test_comments_that_hold_token_characters_are_dropped_as_by_the_reference(text):
     assert_same_tokens(text)
     assert_same_parse("pol", text)
 
